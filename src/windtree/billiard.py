@@ -399,9 +399,7 @@ def simulate(initial: ParticleState, n_collisions: int,
         hit = _first_hit(px, py, vx, vy, horizon)
         if hit is None:
             log.truncated = True
-            log.truncation_reason = (
-                f"no obstacle within horizon {horizon:g} after {k - 1} collisions"
-            )
+            log.truncation_reason = truncation_reason(horizon, k - 1)
             break
         s, hx, hy, wall, cx, cy = hit
         t += s
@@ -412,6 +410,166 @@ def simulate(initial: ParticleState, n_collisions: int,
         px, py = hx, hy
         posts.append(ParticleState(Vec2(px, py), Vec2(vx, vy), t))
     return log
+
+
+def truncation_reason(horizon: float, collisions: int) -> str:
+    """Why a trajectory stopped after `collisions` strikes: a corridor."""
+    return f"no obstacle within horizon {horizon:g} after {collisions} collisions"
+
+
+# ---------------------------------------------------------------------------
+# Lockstep batch: the same first-hit walk, classification and reflection as
+# simulate, run over many rays at once with numpy. Every operation is the
+# scalar kernel's IEEE operation applied elementwise, so each ray follows its
+# scalar trajectory bit for bit.
+# ---------------------------------------------------------------------------
+
+WALLS = tuple(Wall)    # wall codes of step_rays index this tuple
+_LEFT, _RIGHT, _BOTTOM, _TOP, _CORNER = range(len(WALLS))
+NO_HIT = -1            # wall code of a ray that met nothing within the horizon
+LOCKSTEP_CELLS = 8     # cells walked in lockstep; the reference grid needs <= 4
+
+
+class Rays(NamedTuple):
+    """Positions, unit velocities and elapsed path lengths of R rays."""
+
+    x: np.ndarray
+    y: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
+    t: np.ndarray
+
+
+def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.ndarray]:
+    """Advance every ray to its next wall strike and reflect it there.
+
+    Returns the post-bounce rays and the wall code (an index into WALLS) of
+    each strike. A ray that meets nothing within the horizon keeps its state
+    and gets the code NO_HIT. Each ray's result is bitwise the next event and
+    post-bounce state of `simulate` from the same state.
+
+    The cell walk runs in lockstep for LOCKSTEP_CELLS cells. Rays still
+    unresolved then, and rays with a zero velocity component, are finished
+    by the scalar walk from the same state, which gives the same answer.
+    """
+    x, y, vx, vy, t = rays
+    n = len(x)
+    s = np.zeros(n)
+    hx = x.copy()
+    hy = y.copy()
+    walls = np.full(n, NO_HIT, dtype=np.int8)
+
+    pending = (vx != 0.0) & (vy != 0.0)
+    # inf and nan arise only on rays the scalar walk finishes, or exactly as
+    # Python float arithmetic gives them without warning
+    with np.errstate(all="ignore"):
+        inv_vx = 1.0 / vx
+        inv_vy = 1.0 / vy
+        ix = np.floor(x * 0.5)
+        iy = np.floor(y * 0.5)
+        pos_x = vx > 0.0
+        pos_y = vy > 0.0
+        step_x = np.where(pos_x, 1.0, -1.0)
+        step_y = np.where(pos_y, 1.0, -1.0)
+        t_max_x = np.where(pos_x, 2.0 * ix + 2.0 - x, 2.0 * ix - x) * inv_vx
+        t_max_y = np.where(pos_y, 2.0 * iy + 2.0 - y, 2.0 * iy - y) * inv_vy
+        t_delta_x = np.abs(2.0 * inv_vx)
+        t_delta_y = np.abs(2.0 * inv_vy)
+        t_entry = np.zeros(n)
+        # the entry planes and center of each ray's hit cell
+        hit_tx1 = np.zeros(n)
+        hit_ty1 = np.zeros(n)
+        hit_cx = np.zeros(n)
+        hit_cy = np.zeros(n)
+        walked = np.zeros(n, dtype=bool)
+
+        for _ in range(LOCKSTEP_CELLS):
+            if not pending.any():
+                break
+            cx = 2.0 * ix + 1.0
+            cy = 2.0 * iy + 1.0
+            tx1 = (cx - 0.5 - x) * inv_vx
+            tx2 = (cx + 0.5 - x) * inv_vx
+            swap = tx1 > tx2
+            tx1, tx2 = np.where(swap, tx2, tx1), np.where(swap, tx1, tx2)
+            ty1 = (cy - 0.5 - y) * inv_vy
+            ty2 = (cy + 0.5 - y) * inv_vy
+            swap = ty1 > ty2
+            ty1, ty2 = np.where(swap, ty2, ty1), np.where(swap, ty1, ty2)
+            t_near = np.where(tx1 > ty1, tx1, ty1)
+            t_far = np.where(tx2 < ty2, tx2, ty2)
+            # a ray past the horizon stays pending; the scalar walk rejects it
+            hit = (pending & (t_entry <= horizon) & (MIN_FLIGHT <= t_near)
+                   & (t_near < t_far) & (t_near <= horizon))
+            s[hit] = t_near[hit]
+            hit_tx1[hit] = tx1[hit]
+            hit_ty1[hit] = ty1[hit]
+            hit_cx[hit] = cx[hit]
+            hit_cy[hit] = cy[hit]
+            walked |= hit
+            pending &= ~hit
+            along_x = t_max_x < t_max_y
+            along_y = t_max_y < t_max_x
+            # neither: an exact cell-corner crossing steps both axes
+            move_x = ~along_y
+            move_y = ~along_x
+            t_entry = np.where(along_y, t_max_y, t_max_x)
+            t_max_x = np.where(move_x, t_max_x + t_delta_x, t_max_x)
+            t_max_y = np.where(move_y, t_max_y + t_delta_y, t_max_y)
+            ix = np.where(move_x, ix + step_x, ix)
+            iy = np.where(move_y, iy + step_y, iy)
+
+    if walked.any():
+        _classify_walked(walked, x, y, vx, vy, s, hit_tx1, hit_ty1, hit_cx, hit_cy,
+                         hx, hy, walls)
+    for i in np.flatnonzero(~walked):
+        hit = _first_hit(float(x[i]), float(y[i]), float(vx[i]), float(vy[i]), horizon)
+        if hit is not None:
+            s[i], hx[i], hy[i], wall = hit[:4]
+            walls[i] = WALLS.index(wall)
+
+    struck = walls != NO_HIT
+    flip_x = (walls == _LEFT) | (walls == _RIGHT) | (walls == _CORNER)
+    flip_y = (walls == _BOTTOM) | (walls == _TOP) | (walls == _CORNER)
+    rx = np.where(flip_x, -vx, vx)
+    ry = np.where(flip_y, -vy, vy)
+    # math.hypot, as in simulate: np.hypot is not guaranteed to round alike
+    norm = np.array([math.hypot(a, b) for a, b in zip(rx.tolist(), ry.tolist())])
+    next_rays = Rays(
+        x=hx,
+        y=hy,
+        vx=np.where(struck, rx / norm, vx),
+        vy=np.where(struck, ry / norm, vy),
+        t=np.where(struck, t + s, t),
+    )
+    return next_rays, walls
+
+
+def _classify_walked(walked, x, y, vx, vy, s, tx1, ty1, cx, cy, hx, hy, walls):
+    """_classify_hit over the rays marked `walked`, writing hx, hy and walls."""
+    x, y, vx, vy, s = x[walked], y[walked], vx[walked], vy[walked], s[walked]
+    tx1, ty1, cx, cy = tx1[walked], ty1[walked], cx[walked], cy[walked]
+    vertical = tx1 > ty1
+    horizontal = ty1 > tx1
+    # through the corner point itself when neither
+    wall_x = np.where(vx > 0.0, cx - 0.5, cx + 0.5)
+    wall_y = np.where(vy > 0.0, cy - 0.5, cy + 0.5)
+    px = np.where(horizontal, x + s * vx, wall_x)
+    py = np.where(vertical, y + s * vy, wall_y)
+    code = np.where(vertical, np.where(vx > 0.0, _LEFT, _RIGHT),
+                    np.where(horizontal, np.where(vy > 0.0, _BOTTOM, _TOP), _CORNER))
+    # promote near-corner hits: snap the coordinate along the wall
+    along = np.where(vertical, py, px)
+    center = np.where(vertical, cy, cx)
+    lo = center - 0.5
+    hi = center + 0.5
+    near_lo = np.abs(along - lo) <= CORNER_TOL
+    near_hi = ~near_lo & (np.abs(along - hi) <= CORNER_TOL)
+    snapped = np.where(near_lo, lo, np.where(near_hi, hi, along))
+    corner = (vertical | horizontal) & (near_lo | near_hi)
+    hx[walked] = np.where(horizontal, snapped, px)
+    hy[walked] = np.where(vertical, snapped, py)
+    walls[walked] = np.where(corner, _CORNER, code)
 
 
 def distance_series(log: TrajectoryLog) -> np.ndarray:

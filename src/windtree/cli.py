@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, str(exc))
     out = Path(config.output_dir)
+    if args.command == "diagnose":
+        return cmd_diagnose(config, out)
     out.mkdir(parents=True, exist_ok=True)
 
     if args.command == "simulate":
@@ -80,8 +83,6 @@ def main(argv=None) -> int:
         return cmd_sweep(config, out)
     if args.command == "fit":
         return cmd_fit(config, out, args.observations)
-    if args.command == "diagnose":
-        return cmd_diagnose(config, out)
     return _fail(EXIT_CONFIG, f"unknown command {args.command!r}")
 
 
@@ -127,6 +128,8 @@ def cmd_sweep(config: PipelineConfig, out: Path) -> int:
         result = build_sweep(config.sweep, jobs=config.jobs)
     except ValueError as exc:
         return _fail(EXIT_SIMULATION, f"sweep failed: {exc}")
+    except BrokenProcessPool as exc:
+        return _fail(EXIT_SIMULATION, f"sweep worker died: {exc}")
     elapsed = time.perf_counter() - started
 
     io.write_sweep_csv(result, out / "sweep.csv")

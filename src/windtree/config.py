@@ -65,6 +65,10 @@ class PipelineConfig:
     seed: int = 0
     jobs: int = 1
 
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ConfigError("jobs must be >= 1")
+
     def to_doc(self) -> dict:
         return asdict(self)
 

@@ -10,6 +10,7 @@ to. The log base choice is recorded in the sweep metadata written by the CLI.
 from __future__ import annotations
 
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,11 +20,15 @@ import numpy as np
 
 from .billiard import (
     DEFAULT_HORIZON,
+    NO_HIT,
+    Rays,
     TrajectoryLog,
     distance_series,
     simulate,
     state_from_angle,
     state_from_slope,
+    step_rays,
+    truncation_reason,
 )
 
 # Thresholds calibrated on the exemplar slopes (see classify_motion): a
@@ -113,15 +118,22 @@ class MotionClass:
 
 def recurrence_statistic(slope: float, spec: SweepSpec, t: int = 1) -> SlopeObservation:
     """Minimum origin distance over collisions k_min..k_max for one slope."""
-    if not math.isfinite(slope) or slope == 0.0:
-        raise ValueError("slope must be finite and nonzero")
+    _check_slope(slope)
     log = simulate(state_from_slope(slope), spec.k_max)
     if len(log.events) < spec.k_max:
         raise CorridorTruncation(
             f"slope {slope!r}: {log.truncation_reason or 'trajectory too short'}"
         )
     d = distance_series(log)
-    dmin = float(d[spec.k_min - 1:spec.k_max].min())
+    return _observation(t, slope, float(d[spec.k_min - 1:spec.k_max].min()))
+
+
+def _check_slope(slope: float) -> None:
+    if not math.isfinite(slope) or slope == 0.0:
+        raise ValueError("slope must be finite and nonzero")
+
+
+def _observation(t: int, slope: float, dmin: float) -> SlopeObservation:
     if not (dmin > 0 and math.isfinite(dmin)):
         raise ValueError(f"slope {slope!r}: non-positive recurrence statistic {dmin!r}")
     return SlopeObservation(
@@ -129,37 +141,63 @@ def recurrence_statistic(slope: float, spec: SweepSpec, t: int = 1) -> SlopeObse
     )
 
 
-def _sweep_sample(args: tuple) -> tuple:
-    spec, t = args
-    slope = spec.slope_at(t)
-    try:
-        return t, recurrence_statistic(slope, spec, t=t), None
-    except CorridorTruncation as exc:
-        return t, None, str(exc)
+def _sweep_span(spec: SweepSpec, first: int, last: int) -> SweepResult:
+    """Recurrence statistic of grid samples first..last, all rays in lockstep.
+
+    Each ray gives bitwise the observation of recurrence_statistic; only
+    O(rays) state is kept between collisions.
+    """
+    ts = range(first, last + 1)
+    slopes = [spec.slope_at(t) for t in ts]
+    for slope in slopes:
+        _check_slope(slope)
+    velocities = [state_from_slope(slope).velocity for slope in slopes]
+    n = len(slopes)
+    rays = Rays(x=np.zeros(n), y=np.zeros(n), vx=np.array([v.x for v in velocities]),
+                vy=np.array([v.y for v in velocities]), t=np.zeros(n))
+    rows = np.arange(n)  # grid sample of each live ray
+    dmin = np.full(n, math.inf)
+    failures = []
+    for k in range(1, spec.k_max + 1):
+        rays, walls = step_rays(rays)
+        live = walls != NO_HIT
+        if not live.all():
+            reason = truncation_reason(DEFAULT_HORIZON, k - 1)
+            failures += [SweepFailure(t=ts[row], slope=slopes[row],
+                                      reason=f"slope {slopes[row]!r}: {reason}")
+                         for row in rows[~live]]
+            rays = Rays(*(a[live] for a in rays))
+            rows, dmin = rows[live], dmin[live]
+        if k >= spec.k_min:
+            dmin = np.minimum(dmin, np.hypot(rays.x, rays.y))
+    observations = [_observation(ts[row], slopes[row], d)
+                    for row, d in zip(rows.tolist(), dmin.tolist())]
+    failures.sort(key=lambda f: f.t)
+    return SweepResult(spec=spec, observations=observations, failures=failures)
 
 
 def build_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Evaluate the recurrence statistic over the whole slope grid.
 
     Slopes failing with a corridor truncation become explicit gap records
-    instead of observations. Results are assembled in slope order and are
-    identical for any jobs count; each sample is a pure computation.
+    instead of observations. With jobs > 1 the grid is cut into contiguous
+    chunks, one lockstep batch per worker process. Results are assembled in
+    slope order and are identical for any jobs count.
     """
-    tasks = [(spec, t) for t in range(1, spec.count + 1)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            raw = list(pool.map(_sweep_sample, tasks, chunksize=8))
-    else:
-        raw = [_sweep_sample(task) for task in tasks]
-    raw.sort(key=lambda r: r[0])
-
-    result = SweepResult(spec=spec, observations=[])
-    for t, obs, err in raw:
-        if obs is not None:
-            result.observations.append(obs)
-        else:
-            result.failures.append(SweepFailure(t=t, slope=spec.slope_at(t), reason=err))
-    return result
+    if jobs <= 1:
+        return _sweep_span(spec, 1, spec.count)
+    workers = min(jobs, spec.count)
+    bounds = [spec.count * i // workers for i in range(workers + 1)]
+    firsts = [b + 1 for b in bounds[:-1]]
+    lasts = bounds[1:]
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        parts = list(pool.map(_sweep_span, [spec] * len(firsts), firsts, lasts))
+    return SweepResult(
+        spec=spec,
+        observations=[o for part in parts for o in part.observations],
+        failures=[f for part in parts for f in part.failures],
+    )
 
 
 def classify_motion(log: TrajectoryLog, eps: float = 1.0,

@@ -8,9 +8,14 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from windtree.billiard import (
+    DEFAULT_HORIZON,
+    LOCKSTEP_CELLS,
+    NO_HIT,
+    WALLS,
     DegenerateVelocity,
     NoHitWithinHorizon,
     ParticleState,
+    Rays,
     Vec2,
     Wall,
     distance_series,
@@ -21,8 +26,10 @@ from windtree.billiard import (
     segment_blocked,
     simulate,
     state_from_slope,
+    step_rays,
     unit,
 )
+from windtree.sweep import SweepSpec
 
 from oracle import inside_obstacle, march_first_hit, segment_enters_interior
 
@@ -287,3 +294,93 @@ def test_trajectory_log_event_arrays():
     assert log.event_points().shape == (20, 2)
     assert log.event_times().shape == (20,)
     assert log.corner_count() == 0
+
+
+def batched_events(states, n, horizon=DEFAULT_HORIZON):
+    """Per-ray (k, 4) arrays of x, y, t and wall code from n lockstep steps;
+    a ray leaves the batch at its first step without a hit."""
+    rays = Rays(*(np.array(column, dtype=float) for column in zip(
+        *[(s.position.x, s.position.y, s.velocity.x, s.velocity.y, s.elapsed_time)
+          for s in states])))
+    rows = np.arange(len(states))
+    events = np.zeros((len(states), n, 4))
+    counts = np.zeros(len(states), dtype=int)
+    for k in range(n):
+        rays, walls = step_rays(rays, horizon)
+        live = walls != NO_HIT
+        rays = Rays(*(a[live] for a in rays))
+        rows = rows[live]
+        events[rows, k] = np.column_stack([rays.x, rays.y, rays.t, walls[live]])
+        counts[rows] += 1
+    return [events[i, :counts[i]] for i in range(len(states))]
+
+
+def scalar_events(state, n, horizon=DEFAULT_HORIZON):
+    log = simulate(state, n, horizon)
+    return np.array([(e.point.x, e.point.y, e.time, WALLS.index(e.wall))
+                     for e in log.events]).reshape(-1, 4)
+
+
+def assert_kernels_tie(states, n, horizon=DEFAULT_HORIZON):
+    """step_rays reproduces simulate bitwise: same events, same truncation."""
+    for state, batched in zip(states, batched_events(states, n, horizon)):
+        scalar = scalar_events(state, n, horizon)
+        assert batched.shape == scalar.shape, state
+        assert batched.tobytes() == scalar.tobytes(), state
+
+
+CORNER_SLOPES = [SweepSpec().slope_at(t) for t in range(21, 278, 32)]
+AXES = [Vec2(1.0, 0.0), Vec2(0.0, 1.0), Vec2(-1.0, 0.0), Vec2(0.0, -1.0)]
+
+
+def free_state(x, y, theta):
+    return ParticleState(Vec2(x, y), Vec2(math.cos(theta), math.sin(theta)))
+
+
+def is_free(state):
+    return not point_in_obstacle(*state.position, shrink=-1e-9)
+
+
+coords = st.floats(-3.0, 3.0)
+free_rays = st.builds(free_state, coords, coords, st.floats(-math.pi, math.pi)).filter(is_free)
+corner_rays = st.sampled_from(CORNER_SLOPES).map(state_from_slope)
+# exactly along an axis, or within 1e-2 rad of one: both take the scalar walk
+axis_rays = st.one_of(
+    st.builds(lambda x, y, v: ParticleState(Vec2(x, y), v), coords, coords,
+              st.sampled_from(AXES)),
+    st.builds(lambda x, y, axis, tilt: free_state(x, y, axis * math.pi / 2 + tilt),
+              coords, coords, st.integers(-1, 2),
+              st.floats(1e-3, 1e-2) | st.floats(-1e-2, -1e-3)),
+).filter(is_free)
+
+
+class TestStepRays:
+    def test_reference_grid_ties_simulate(self):
+        spec = SweepSpec()
+        states = [state_from_slope(spec.slope_at(t)) for t in range(1, spec.count + 1)]
+        batched = batched_events(states, spec.k_max)
+        corners = 0
+        for state, events in zip(states, batched):
+            scalar = scalar_events(state, spec.k_max)
+            assert events.tobytes() == scalar.tobytes(), state
+            corners += int((events[:, 3] == WALLS.index(Wall.CORNER)).sum())
+        assert corners == 73
+
+    # short horizons bound the corridor walks and cut some rays within the
+    # lockstep cells
+    @given(st.lists(st.one_of(free_rays, corner_rays, axis_rays), min_size=1, max_size=6),
+           st.sampled_from([1.5, 5.0, 1e3]))
+    def test_mixed_batches_tie_simulate(self, states, horizon):
+        assert_kernels_tie(states, 40, horizon)
+
+    def test_near_axis_ray_finishes_on_scalar_walk(self):
+        state = free_state(0.0, 0.0, 1e-3)
+        (events,) = batched_events([state], 1)
+        # the first strike lies beyond the lockstep cells
+        assert events[0, 0] > 2.0 * LOCKSTEP_CELLS
+        assert_kernels_tie([state, *map(state_from_slope, CORNER_SLOPES[:2])], 20)
+
+    def test_corridor_ray_truncates_like_simulate(self):
+        corridor = state_from_slope(1e-7)
+        assert simulate(corridor, 5).truncated
+        assert_kernels_tie([corridor, state_from_slope(1.414)], 5)

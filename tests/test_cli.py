@@ -80,11 +80,33 @@ class TestSweepCommand:
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
     def test_jobs_do_not_change_output(self, tmp_path):
+        # 11 slopes: neither 2 nor 3 workers get equal contiguous chunks
+        doc = dict(SMALL_CONFIG, sweep=dict(SMALL_CONFIG["sweep"], count=11))
+        cfg = write_config(tmp_path, doc)
+        serial = tmp_path / "serial"
+        assert main(["sweep", "--config", cfg, "--out", str(serial)]) == 0
+        for jobs in ("2", "3"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
+            assert (out / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+
+    def test_jobs_below_one_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_CONFIG)
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["sweep", "--config", cfg, "--out", str(a)]) == 0
-        assert main(["sweep", "--config", cfg, "--out", str(b), "--jobs", "3"]) == 0
-        assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--jobs", "0"]) == 2
+        assert json.loads(capsys.readouterr().out)["exit_code"] == 2
+
+    def test_broken_worker_pool_is_simulation_error(self, tmp_path, monkeypatch, capsys):
+        import windtree.cli as cli_mod
+        from concurrent.futures.process import BrokenProcessPool
+
+        def crash(spec, jobs=1):
+            raise BrokenProcessPool("a worker terminated abruptly")
+
+        monkeypatch.setattr(cli_mod, "build_sweep", crash)
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--jobs", "2"]) == 3
+        error = json.loads(capsys.readouterr().out)
+        assert error["exit_code"] == 3 and "worker" in error["error"]
 
     def test_count_one(self, tmp_path):
         doc = dict(SMALL_CONFIG)
@@ -173,6 +195,11 @@ class TestDiagnoseCommand:
 
     def test_empty_directory_is_config_error(self, tmp_path):
         assert main(["diagnose", "--out", str(tmp_path)]) == 2
+
+    def test_missing_directory_is_config_error_and_not_created(self, tmp_path):
+        missing = tmp_path / "missing"
+        assert main(["diagnose", "--out", str(missing)]) == 2
+        assert not missing.exists()
 
 
 class TestConfigHandling:

@@ -99,21 +99,16 @@ class TestBuildSweep:
         parallel = build_sweep(spec, jobs=3)
         assert serial.observations == again.observations == parallel.observations
 
-    def test_failed_slopes_become_gap_records(self, monkeypatch):
-        import windtree.sweep as sweep_mod
-
-        real = sweep_mod.recurrence_statistic
-
-        def flaky(slope, spec, t=1):
-            if t == 3:
-                raise CorridorTruncation("synthetic corridor")
-            return real(slope, spec, t=t)
-
-        monkeypatch.setattr(sweep_mod, "recurrence_statistic", flaky)
-        result = build_sweep(SweepSpec(count=5, k_min=10, k_max=30))
-        assert len(result.observations) == 4
-        assert [f.t for f in result.failures] == [3]
-        assert "corridor" in result.failures[0].reason
+    def test_failed_slopes_become_gap_records(self):
+        # t=1 runs along the corridor y = 0 and meets nothing within the horizon
+        spec = SweepSpec(slope_start=1e-7, slope_step=0.05, count=40, k_min=10, k_max=200)
+        result = build_sweep(spec)
+        assert [f.t for f in result.failures] == [1]
+        with pytest.raises(CorridorTruncation) as scalar:
+            recurrence_statistic(spec.slope_at(1), spec, t=1)
+        assert result.failures[0].reason == str(scalar.value)
+        assert result.observations == [recurrence_statistic(spec.slope_at(t), spec, t=t)
+                                       for t in range(2, spec.count + 1)]
 
 
 def _three_means(xs, rounds=60):
