@@ -12,7 +12,7 @@ many threads or processes at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -39,6 +39,11 @@ class Wall(Enum):
     BOTTOM = "Bottom"
     TOP = "Top"
     CORNER = "Corner"
+
+
+WALLS = tuple(Wall)    # wall codes (int8 columns, kernel results) index this tuple
+_LEFT, _RIGHT, _BOTTOM, _TOP, _CORNER = range(len(WALLS))
+NO_HIT = -1            # wall code of a ray that met nothing within the horizon
 
 
 class Vec2(NamedTuple):
@@ -96,33 +101,61 @@ class CollisionEvent:
     index: int
 
 
-@dataclass
+@dataclass(eq=False)
 class TrajectoryLog:
-    """Initial state plus the ordered collision events and post-bounce states."""
+    """Initial state plus one row per collision, held as columns.
+
+    Row k-1 is the k-th wall strike: the hit point (x, y) snapped onto its
+    wall, the cumulative path length t, the wall code (an index into WALLS),
+    and the post-bounce velocity (vx, vy). The struck obstacle's center is
+    cell_centers(x, y). Construction applies ParticleState's checks to every
+    row: components finite and |(vx, vy)| within SPEED_TOL of 1.
+    """
 
     initial: ParticleState
-    events: list[CollisionEvent] = field(default_factory=list)
-    post_collision_states: list[ParticleState] = field(default_factory=list)
+    x: np.ndarray
+    y: np.ndarray
+    t: np.ndarray
+    wall: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
     truncated: bool = False
     truncation_reason: Optional[str] = None
 
+    def __post_init__(self):
+        columns = (self.x, self.y, self.t, self.wall, self.vx, self.vy)
+        if len({len(c) for c in columns}) != 1:
+            raise ValueError("trajectory columns differ in length")
+        finite = (np.isfinite(self.x) & np.isfinite(self.y) & np.isfinite(self.t)
+                  & np.isfinite(self.vx) & np.isfinite(self.vy))
+        speed = np.hypot(self.vx, self.vy)
+        bad = ~finite | (np.abs(speed - 1.0) > SPEED_TOL)
+        if bad.any():
+            # raise what ParticleState raises for the first bad row
+            k = int(bad.argmax())
+            if not finite[k]:
+                raise ValueError("particle state components must be finite")
+            norm = math.hypot(self.vx[k], self.vy[k])
+            raise DegenerateVelocity(f"|velocity| = {norm!r} is not 1 within {SPEED_TOL}")
+
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.t)
 
     def final_state(self) -> ParticleState:
-        return self.post_collision_states[-1] if self.post_collision_states else self.initial
+        if not len(self):
+            return self.initial
+        return ParticleState(Vec2(float(self.x[-1]), float(self.y[-1])),
+                             Vec2(float(self.vx[-1]), float(self.vy[-1])), float(self.t[-1]))
 
     def corner_count(self) -> int:
-        return sum(1 for e in self.events if e.wall is Wall.CORNER)
+        return int(np.count_nonzero(self.wall == _CORNER))
 
     def event_points(self) -> np.ndarray:
         """(n, 2) array of collision points."""
-        if not self.events:
-            return np.empty((0, 2))
-        return np.array([(e.point.x, e.point.y) for e in self.events])
+        return np.column_stack([self.x, self.y])
 
     def event_times(self) -> np.ndarray:
-        return np.array([e.time for e in self.events])
+        return self.t
 
     def position_at_time(self, t: float) -> Vec2:
         """Position at path-time t, linearly interpolated between logged events.
@@ -131,21 +164,18 @@ class TrajectoryLog:
         """
         if t < self.initial.elapsed_time:
             raise ValueError("time precedes the initial state")
-        prev_point = self.initial.position
-        prev_time = self.initial.elapsed_time
-        for event in self.events:
-            if t <= event.time:
-                seg = event.time - prev_time
-                u = 0.0 if seg == 0.0 else (t - prev_time) / seg
-                return Vec2(
-                    prev_point.x + u * (event.point.x - prev_point.x),
-                    prev_point.y + u * (event.point.y - prev_point.y),
-                )
-            prev_point = event.point
-            prev_time = event.time
-        state = self.final_state()
-        dt = t - prev_time
-        return Vec2(prev_point.x + dt * state.velocity.x, prev_point.y + dt * state.velocity.y)
+        i = int(np.searchsorted(self.t, t))  # first event at or after t
+        if i == 0:
+            (px, py), pt = self.initial.position, self.initial.elapsed_time
+        else:
+            px, py, pt = float(self.x[i - 1]), float(self.y[i - 1]), float(self.t[i - 1])
+        if i == len(self):
+            v = self.final_state().velocity
+            dt = t - pt
+            return Vec2(px + dt * v.x, py + dt * v.y)
+        seg = float(self.t[i]) - pt
+        u = 0.0 if seg == 0.0 else (t - pt) / seg
+        return Vec2(px + u * (float(self.x[i]) - px), py + u * (float(self.y[i]) - py))
 
 
 def locate_cell(p: Vec2) -> tuple[int, int]:
@@ -171,16 +201,31 @@ def _nearest_odd(x: float) -> int:
     return lo if x < 0 else hi
 
 
+def cell_centers(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """locate_cell over arrays of points: the centers as two int arrays."""
+    return _nearest_odd_array(x), _nearest_odd_array(y)
+
+
+def _nearest_odd_array(x: np.ndarray) -> np.ndarray:
+    """_nearest_odd elementwise, with the same comparisons and tie rule."""
+    lo = 2.0 * np.floor((x - 1.0) / 2.0) + 1.0
+    hi = lo + 2.0
+    d_lo = x - lo
+    d_hi = hi - x
+    nearest = np.where(d_lo < d_hi, lo, np.where((d_hi < d_lo) | (x >= 0), hi, lo))
+    return nearest.astype(np.int64)
+
+
 def reflect(v: Vec2, wall: Wall) -> Vec2:
     """Specular reflection on an axis-aligned wall; corners reverse both components."""
-    x, y = _reflect_components(v[0], v[1], wall)
+    x, y = _reflect_components(v[0], v[1], WALLS.index(wall))
     return unit(x, y)
 
 
-def _reflect_components(vx: float, vy: float, wall: Wall) -> tuple[float, float]:
-    if wall is Wall.LEFT or wall is Wall.RIGHT:
+def _reflect_components(vx: float, vy: float, wall: int) -> tuple[float, float]:
+    if wall == _LEFT or wall == _RIGHT:
         return -vx, vy
-    if wall is Wall.BOTTOM or wall is Wall.TOP:
+    if wall == _BOTTOM or wall == _TOP:
         return vx, -vy
     return -vx, -vy
 
@@ -203,7 +248,8 @@ def _first_hit(px, py, vx, vy, horizon):
     """First obstacle intersection of the ray from (px, py) along (vx, vy).
 
     Returns (s, hx, hy, wall, cx, cy) with s the path length, (hx, hy) the
-    hit point snapped onto the wall plane, or None when nothing is struck
+    hit point snapped onto the wall plane, wall a code indexing WALLS and
+    (cx, cy) the obstacle center as floats, or None when nothing is struck
     within the horizon. Flights shorter than MIN_FLIGHT are ignored so the
     wall just departed is never re-hit; tangent grazes do not count as hits.
     """
@@ -214,28 +260,28 @@ def _first_hit(px, py, vx, vy, horizon):
             return None  # corridor between obstacle rows
         if vx > 0.0:
             cx = _first_odd_at_least(px + 0.5 + MIN_FLIGHT)
-            hx, wall = cx - 0.5, Wall.LEFT
+            hx, wall = cx - 0.5, _LEFT
         else:
             cx = _last_odd_at_most(px - 0.5 - MIN_FLIGHT)
-            hx, wall = cx + 0.5, Wall.RIGHT
+            hx, wall = cx + 0.5, _RIGHT
         s = (hx - px) / vx
         if s > horizon:
             return None
-        return s, hx, py, _classify_flat(wall, py, cy), int(cx), int(cy)
+        return s, hx, py, _classify_flat(wall, py, cy), cx, cy
     if vx == 0.0:
         cx = 2.0 * math.floor(px * 0.5) + 1.0
         if not (cx - 0.5 < px < cx + 0.5):
             return None
         if vy > 0.0:
             cy = _first_odd_at_least(py + 0.5 + MIN_FLIGHT)
-            hy, wall = cy - 0.5, Wall.BOTTOM
+            hy, wall = cy - 0.5, _BOTTOM
         else:
             cy = _last_odd_at_most(py - 0.5 - MIN_FLIGHT)
-            hy, wall = cy + 0.5, Wall.TOP
+            hy, wall = cy + 0.5, _TOP
         s = (hy - py) / vy
         if s > horizon:
             return None
-        return s, px, hy, _classify_flat(wall, px, cx), int(cx), int(cy)
+        return s, px, hy, _classify_flat(wall, px, cx), cx, cy
 
     inv_vx = 1.0 / vx
     inv_vy = 1.0 / vy
@@ -292,7 +338,7 @@ def _classify_flat(wall, coord, center):
     """Corner promotion for axis-parallel hits running along one wall band."""
     near_lo = abs(coord - (center - 0.5)) <= CORNER_TOL
     near_hi = abs(coord - (center + 0.5)) <= CORNER_TOL
-    return Wall.CORNER if (near_lo or near_hi) else wall
+    return _CORNER if (near_lo or near_hi) else wall
 
 
 def _classify_hit(px, py, vx, vy, s, tx1, ty1, cx, cy):
@@ -300,27 +346,27 @@ def _classify_hit(px, py, vx, vy, s, tx1, ty1, cx, cy):
     if tx1 > ty1:
         hx = cx - 0.5 if vx > 0.0 else cx + 0.5
         hy = py + s * vy
-        wall = Wall.LEFT if vx > 0.0 else Wall.RIGHT
+        wall = _LEFT if vx > 0.0 else _RIGHT
         lo, hi = cy - 0.5, cy + 0.5
         if abs(hy - lo) <= CORNER_TOL:
-            hy, wall = lo, Wall.CORNER
+            hy, wall = lo, _CORNER
         elif abs(hy - hi) <= CORNER_TOL:
-            hy, wall = hi, Wall.CORNER
+            hy, wall = hi, _CORNER
     elif ty1 > tx1:
         hy = cy - 0.5 if vy > 0.0 else cy + 0.5
         hx = px + s * vx
-        wall = Wall.BOTTOM if vy > 0.0 else Wall.TOP
+        wall = _BOTTOM if vy > 0.0 else _TOP
         lo, hi = cx - 0.5, cx + 0.5
         if abs(hx - lo) <= CORNER_TOL:
-            hx, wall = lo, Wall.CORNER
+            hx, wall = lo, _CORNER
         elif abs(hx - hi) <= CORNER_TOL:
-            hx, wall = hi, Wall.CORNER
+            hx, wall = hi, _CORNER
     else:
         # entry exactly through a corner point
         hx = cx - 0.5 if vx > 0.0 else cx + 0.5
         hy = cy - 0.5 if vy > 0.0 else cy + 0.5
-        wall = Wall.CORNER
-    return s, hx, hy, wall, int(cx), int(cy)
+        wall = _CORNER
+    return s, hx, hy, wall, cx, cy
 
 
 def next_collision(state: ParticleState, horizon: float = DEFAULT_HORIZON) -> CollisionEvent:
@@ -343,8 +389,8 @@ def next_collision(state: ParticleState, horizon: float = DEFAULT_HORIZON) -> Co
     return CollisionEvent(
         point=Vec2(hx, hy),
         time=state.elapsed_time + s,
-        wall=wall,
-        obstacle_center=(cx, cy),
+        wall=WALLS[wall],
+        obstacle_center=(int(cx), int(cy)),
         index=1,
     )
 
@@ -392,24 +438,30 @@ def simulate(initial: ParticleState, n_collisions: int,
     vx, vy = _normalize_on_wall(px, py, initial.velocity.x, initial.velocity.y)
     t = initial.elapsed_time
 
-    events: list[CollisionEvent] = []
-    posts: list[ParticleState] = []
-    log = TrajectoryLog(initial=initial, events=events, post_collision_states=posts)
+    xs, ys, ts, walls, vxs, vys = [], [], [], [], [], []
+    reason = None
     for k in range(1, n_collisions + 1):
         hit = _first_hit(px, py, vx, vy, horizon)
         if hit is None:
-            log.truncated = True
-            log.truncation_reason = truncation_reason(horizon, k - 1)
+            reason = truncation_reason(horizon, k - 1)
             break
-        s, hx, hy, wall, cx, cy = hit
+        s, px, py, wall = hit[:4]
         t += s
-        events.append(CollisionEvent(Vec2(hx, hy), t, wall, (cx, cy), k))
         rx, ry = _reflect_components(vx, vy, wall)
         n = math.hypot(rx, ry)
         vx, vy = rx / n, ry / n
-        px, py = hx, hy
-        posts.append(ParticleState(Vec2(px, py), Vec2(vx, vy), t))
-    return log
+        xs.append(px)
+        ys.append(py)
+        ts.append(t)
+        walls.append(wall)
+        vxs.append(vx)
+        vys.append(vy)
+    return TrajectoryLog(
+        initial=initial, x=np.array(xs, dtype=float), y=np.array(ys, dtype=float),
+        t=np.array(ts, dtype=float), wall=np.array(walls, dtype=np.int8),
+        vx=np.array(vxs, dtype=float), vy=np.array(vys, dtype=float),
+        truncated=reason is not None, truncation_reason=reason,
+    )
 
 
 def truncation_reason(horizon: float, collisions: int) -> str:
@@ -424,9 +476,6 @@ def truncation_reason(horizon: float, collisions: int) -> str:
 # scalar trajectory bit for bit.
 # ---------------------------------------------------------------------------
 
-WALLS = tuple(Wall)    # wall codes of step_rays index this tuple
-_LEFT, _RIGHT, _BOTTOM, _TOP, _CORNER = range(len(WALLS))
-NO_HIT = -1            # wall code of a ray that met nothing within the horizon
 LOCKSTEP_CELLS = 8     # cells walked in lockstep; the reference grid needs <= 4
 
 
@@ -525,8 +574,7 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
     for i in np.flatnonzero(~walked):
         hit = _first_hit(float(x[i]), float(y[i]), float(vx[i]), float(vy[i]), horizon)
         if hit is not None:
-            s[i], hx[i], hy[i], wall = hit[:4]
-            walls[i] = WALLS.index(wall)
+            s[i], hx[i], hy[i], walls[i] = hit[:4]
 
     struck = walls != NO_HIT
     flip_x = (walls == _LEFT) | (walls == _RIGHT) | (walls == _CORNER)
@@ -574,8 +622,7 @@ def _classify_walked(walked, x, y, vx, vy, s, tx1, ty1, cx, cy, hx, hy, walls):
 
 def distance_series(log: TrajectoryLog) -> np.ndarray:
     """Euclidean distance of each collision point from the origin."""
-    pts = log.event_points()
-    return np.hypot(pts[:, 0], pts[:, 1])
+    return np.hypot(log.x, log.y)
 
 
 def segment_blocked(p: Vec2, q: Vec2, margin: float = WALL_TOL) -> bool:

@@ -15,8 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .billiard import CollisionEvent, ParticleState, TrajectoryLog, Vec2, Wall
-from .sweep import SlopeObservation, SweepFailure, SweepResult, SweepSpec
+from .billiard import WALLS, ParticleState, TrajectoryLog, Vec2, cell_centers
+from .sweep import SlopeObservation, SweepResult
 
 
 def fmt(x: float) -> str:
@@ -27,14 +27,24 @@ def fmt(x: float) -> str:
 # -- trajectory ------------------------------------------------------------
 
 TRAJECTORY_HEADER = "k,x,y,t,wall"
+_WALL_NAMES = [w.value for w in WALLS]
 
 
 def trajectory_csv_text(log: TrajectoryLog) -> str:
-    lines = [TRAJECTORY_HEADER]
     init = log.initial
-    lines.append(f"0,{fmt(init.position.x)},{fmt(init.position.y)},{fmt(init.elapsed_time)},")
-    for e in log.events:
-        lines.append(f"{e.index},{fmt(e.point.x)},{fmt(e.point.y)},{fmt(e.time)},{e.wall.value}")
+    return trajectory_rows_text(
+        k=range(len(log) + 1),
+        x=[init.position.x, *log.x.tolist()],
+        y=[init.position.y, *log.y.tolist()],
+        t=[init.elapsed_time, *log.t.tolist()],
+        wall=["", *(_WALL_NAMES[c] for c in log.wall.tolist())],
+    )
+
+
+def trajectory_rows_text(k, x, y, t, wall) -> str:
+    """CSV text of trajectory columns, one row per index k."""
+    lines = [TRAJECTORY_HEADER]
+    lines += [f"{a},{fmt(b)},{fmt(c)},{fmt(d)},{e}" for a, b, c, d, e in zip(k, x, y, t, wall)]
     return "\n".join(lines) + "\n"
 
 
@@ -42,30 +52,25 @@ def write_trajectory_csv(log: TrajectoryLog, path: Path | str) -> None:
     Path(path).write_text(trajectory_csv_text(log))
 
 
-def read_trajectory_csv(path: Path | str) -> list[dict]:
-    """Rows as dicts with keys k, x, y, t, wall (wall is '' for the k=0 row)."""
+def read_trajectory_csv(path: Path | str) -> dict:
+    """Columns k, x, y, t as arrays and wall as strings ('' on the k=0 row),
+    the keyword arguments of trajectory_rows_text."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != TRAJECTORY_HEADER.split(","):
-            raise ValueError(f"unexpected trajectory header {reader.fieldnames}")
-        rows = []
-        for rec in reader:
-            rows.append({
-                "k": int(rec["k"]),
-                "x": float(rec["x"]),
-                "y": float(rec["y"]),
-                "t": float(rec["t"]),
-                "wall": rec["wall"],
-            })
-    return rows
-
-
-def rows_to_trajectory_csv_text(rows: Iterable[dict]) -> str:
-    """Re-serialize parsed trajectory rows (round-trip check helper)."""
-    lines = [TRAJECTORY_HEADER]
-    for r in rows:
-        lines.append(f"{r['k']},{fmt(r['x'])},{fmt(r['y'])},{fmt(r['t'])},{r['wall']}")
-    return "\n".join(lines) + "\n"
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != TRAJECTORY_HEADER.split(","):
+            raise ValueError(f"unexpected trajectory header {header}")
+        rows = [row for row in reader if row]
+    if any(len(row) != 5 for row in rows):
+        raise ValueError("trajectory row without exactly 5 fields")
+    k, x, y, t, wall = zip(*rows) if rows else ((),) * 5
+    return {
+        "k": np.array([int(v) for v in k], dtype=np.int64),
+        "x": np.array([float(v) for v in x]),
+        "y": np.array([float(v) for v in y]),
+        "t": np.array([float(v) for v in t]),
+        "wall": list(wall),
+    }
 
 
 def _state_to_json(state: ParticleState) -> dict:
@@ -85,19 +90,19 @@ def _state_from_json(doc: dict) -> ParticleState:
 
 
 def trajectory_json_doc(log: TrajectoryLog) -> dict:
+    x, y, t, vx, vy = (c.tolist() for c in (log.x, log.y, log.t, log.vx, log.vy))
+    cx, cy = (c.tolist() for c in cell_centers(log.x, log.y))
+    walls = [_WALL_NAMES[c] for c in log.wall.tolist()]
     return {
         "initial": _state_to_json(log.initial),
         "events": [
-            {
-                "point": [e.point.x, e.point.y],
-                "time": e.time,
-                "wall": e.wall.value,
-                "obstacle_center": list(e.obstacle_center),
-                "index": e.index,
-            }
-            for e in log.events
+            {"point": [px, py], "time": pt, "wall": w, "obstacle_center": [ox, oy], "index": k}
+            for k, (px, py, pt, w, ox, oy) in enumerate(zip(x, y, t, walls, cx, cy), start=1)
         ],
-        "post_collision_states": [_state_to_json(s) for s in log.post_collision_states],
+        "post_collision_states": [
+            {"position": [px, py], "velocity": [u, v], "elapsed_time": pt}
+            for px, py, u, v, pt in zip(x, y, vx, vy, t)
+        ],
         "truncated": log.truncated,
         "truncation_reason": log.truncation_reason,
     }
@@ -108,20 +113,18 @@ def write_trajectory_json(log: TrajectoryLog, path: Path | str) -> None:
 
 
 def read_trajectory_json(path: Path | str) -> TrajectoryLog:
+    """The log of a trajectory.json: hit points, times and walls from its
+    events, post-bounce velocities from its post-collision states."""
     doc = json.loads(Path(path).read_text())
+    events, posts = doc["events"], doc["post_collision_states"]
     return TrajectoryLog(
         initial=_state_from_json(doc["initial"]),
-        events=[
-            CollisionEvent(
-                point=Vec2(*e["point"]),
-                time=e["time"],
-                wall=Wall(e["wall"]),
-                obstacle_center=tuple(e["obstacle_center"]),
-                index=e["index"],
-            )
-            for e in doc["events"]
-        ],
-        post_collision_states=[_state_from_json(s) for s in doc["post_collision_states"]],
+        x=np.array([e["point"][0] for e in events], dtype=float),
+        y=np.array([e["point"][1] for e in events], dtype=float),
+        t=np.array([e["time"] for e in events], dtype=float),
+        wall=np.array([_WALL_NAMES.index(e["wall"]) for e in events], dtype=np.int8),
+        vx=np.array([p["velocity"][0] for p in posts], dtype=float),
+        vy=np.array([p["velocity"][1] for p in posts], dtype=float),
         truncated=doc["truncated"],
         truncation_reason=doc["truncation_reason"],
     )
@@ -132,15 +135,15 @@ def read_trajectory_json(path: Path | str) -> TrajectoryLog:
 SWEEP_HEADER = "t,slope,D,logD"
 
 
-def sweep_csv_text(result: SweepResult) -> str:
+def sweep_csv_text(observations: Iterable[SlopeObservation]) -> str:
     lines = [SWEEP_HEADER]
-    for o in result.observations:
+    for o in observations:
         lines.append(f"{o.t},{fmt(o.slope)},{fmt(o.min_distance)},{fmt(o.log_min_distance)}")
     return "\n".join(lines) + "\n"
 
 
 def write_sweep_csv(result: SweepResult, path: Path | str) -> None:
-    Path(path).write_text(sweep_csv_text(result))
+    Path(path).write_text(sweep_csv_text(result.observations))
 
 
 def read_sweep_csv(path: Path | str) -> list[SlopeObservation]:
@@ -157,13 +160,6 @@ def read_sweep_csv(path: Path | str) -> list[SlopeObservation]:
             )
             for rec in reader
         ]
-
-
-def observations_csv_text(observations: Iterable[SlopeObservation]) -> str:
-    lines = [SWEEP_HEADER]
-    for o in observations:
-        lines.append(f"{o.t},{fmt(o.slope)},{fmt(o.min_distance)},{fmt(o.log_min_distance)}")
-    return "\n".join(lines) + "\n"
 
 
 def sweep_meta_doc(result: SweepResult, elapsed_seconds: float) -> dict:
@@ -183,14 +179,6 @@ def sweep_meta_doc(result: SweepResult, elapsed_seconds: float) -> dict:
         ],
         "elapsed_seconds": elapsed_seconds,
     }
-
-
-def read_sweep_result(csv_path: Path | str, meta_path: Path | str) -> SweepResult:
-    meta = json.loads(Path(meta_path).read_text())
-    spec = SweepSpec(**meta["spec"])
-    observations = read_sweep_csv(csv_path)
-    failures = [SweepFailure(**f) for f in meta["failures"]]
-    return SweepResult(spec=spec, observations=observations, failures=failures)
 
 
 # -- model, residuals, histogram ---------------------------------------------

@@ -16,10 +16,8 @@ _PAD = 1.5
 
 
 def trajectory_svg_text(log: TrajectoryLog) -> str:
-    points = [(log.initial.position.x, log.initial.position.y)]
-    points += [(e.point.x, e.point.y) for e in log.events]
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
+    xs = [log.initial.position.x, *log.x.tolist()]
+    ys = [log.initial.position.y, *log.y.tolist()]
     x0, x1 = min(xs) - _PAD, max(xs) + _PAD
     y0, y1 = min(ys) - _PAD, max(ys) + _PAD
     span = max(x1 - x0, y1 - y0)
@@ -44,11 +42,11 @@ def trajectory_svg_text(log: TrajectoryLog) -> str:
                 f'<rect x="{px:.2f}" y="{py:.2f}" width="{side:.2f}" '
                 f'height="{side:.2f}" fill="#d0d0d0" stroke="#909090" stroke-width="0.5"/>'
             )
-    coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in (to_px(x, y) for x, y in points))
+    coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in map(to_px, xs, ys))
     parts.append(
         f'<polyline points="{coords}" fill="none" stroke="#d03020" stroke-width="1.2"/>'
     )
-    sx, sy = to_px(*points[0])
+    sx, sy = to_px(xs[0], ys[0])
     parts.append(f'<circle cx="{sx:.2f}" cy="{sy:.2f}" r="3" fill="#2040c0"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

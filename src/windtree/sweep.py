@@ -120,7 +120,7 @@ def recurrence_statistic(slope: float, spec: SweepSpec, t: int = 1) -> SlopeObse
     """Minimum origin distance over collisions k_min..k_max for one slope."""
     _check_slope(slope)
     log = simulate(state_from_slope(slope), spec.k_max)
-    if len(log.events) < spec.k_max:
+    if len(log) < spec.k_max:
         raise CorridorTruncation(
             f"slope {slope!r}: {log.truncation_reason or 'trajectory too short'}"
         )
@@ -213,12 +213,11 @@ def classify_motion(log: TrajectoryLog, eps: float = 1.0,
     exactly how a drift cycle whose displacement is horizontal shows up.
     Everything else is rapid divergence.
     """
-    n = len(log.events)
+    n = len(log)
     if n < 2 * min_overlap:
         raise InsufficientData(f"need at least {2 * min_overlap} events, have {n}")
-    pts = log.event_points()
     start = log.initial.position
-    d_start = np.hypot(pts[:, 0] - start.x, pts[:, 1] - start.y)
+    d_start = np.hypot(log.x - start.x, log.y - start.y)
     min_return = float(d_start[n // 2:].min())
     evidence = {
         "min_return_distance": min_return,
@@ -232,7 +231,7 @@ def classify_motion(log: TrajectoryLog, eps: float = 1.0,
     if min_return < eps_recur:
         return MotionClass(label=MotionLabel.RECURRENT, evidence=evidence)
 
-    y = pts[:, 1]
+    y = log.y
     best_dev = math.inf
     for tau in range(1, min(quasi_window, n - min_overlap) + 1):
         w = min(n - tau, n // 2)
@@ -278,9 +277,9 @@ def estimate_diffusion_exponent(directions: Sequence[float], n_collisions: int,
     exponents = []
     for theta in directions:
         log = simulate(state_from_angle(theta), n_collisions, horizon=horizon)
-        if len(log.events) < n_collisions:
+        if len(log) < n_collisions:
             continue
-        exponents.append(growth_exponent(log.event_times(), distance_series(log)))
+        exponents.append(growth_exponent(log.t, distance_series(log)))
     if len(exponents) < min_successes:
         raise CorridorTruncation(
             f"only {len(exponents)} of {len(directions)} directions completed"

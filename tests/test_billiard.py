@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 from windtree.billiard import (
     DEFAULT_HORIZON,
     LOCKSTEP_CELLS,
+    MIN_FLIGHT,
     NO_HIT,
     WALLS,
     DegenerateVelocity,
     NoHitWithinHorizon,
     ParticleState,
     Rays,
+    TrajectoryLog,
     Vec2,
     Wall,
+    cell_centers,
     distance_series,
     locate_cell,
     next_collision,
@@ -61,6 +64,17 @@ class TestLocateCell:
         assert cx % 2 == 1 and cy % 2 == 1
         assert abs(x - cx) <= 1.0 + 1e-12
         assert abs(y - cy) <= 1.0 + 1e-12
+
+    @given(st.lists(st.floats(-50, 50) | st.integers(-50, 50).map(float)
+                    | st.integers(-100, 100).map(lambda i: i / 2), max_size=20))
+    def test_cell_centers_tie_locate_cell(self, coords):
+        # integers and half-integers hit the tie rule and the cell edges
+        xs = np.array(coords, dtype=float)
+        ys = xs[::-1].copy()
+        cx, cy = cell_centers(xs, ys)
+        assert cx.dtype == cy.dtype == np.int64
+        want = [locate_cell(Vec2(x, y)) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert list(zip(cx.tolist(), cy.tolist())) == want
 
 
 class TestReflect:
@@ -128,8 +142,8 @@ class TestNextCollision:
 
     def test_wall_just_departed_is_excluded(self):
         log = simulate(state_from_slope(1.414), 50)
-        for state, event in zip(log.post_collision_states, log.events[1:]):
-            assert event.time - state.elapsed_time >= 1e-9
+        assert len(log) == 50
+        assert np.all(np.diff(log.t) >= MIN_FLIGHT)
 
     @given(st.integers(0, 10_000), st.floats(0.0, 2.0 * math.pi))
     def test_hit_lies_on_stated_obstacle(self, seed, theta):
@@ -148,34 +162,35 @@ class TestNextCollision:
 class TestSimulate:
     def test_single_collision_from_slope_two(self):
         log = simulate(state_from_slope(2.0), 1)
-        assert len(log.events) == 1
-        ev = log.events[0]
-        assert (ev.point.x, round(ev.point.y, 12)) == (0.5, 1.0)
-        post = log.post_collision_states[0]
+        assert len(log) == 1
+        assert (log.x[0], round(log.y[0], 12)) == (0.5, 1.0)
+        assert WALLS[log.wall[0]] is Wall.LEFT
+        assert [c.tolist() for c in cell_centers(log.x, log.y)] == [[1], [1]]
         want = unit(-1.0, 2.0)
-        assert math.hypot(post.velocity.x - want.x, post.velocity.y - want.y) <= 1e-12
+        assert math.hypot(log.vx[0] - want.x, log.vy[0] - want.y) <= 1e-12
 
     def test_zero_collisions(self):
         log = simulate(state_from_slope(1.5), 0)
-        assert log.events == [] and not log.truncated
+        assert len(log) == 0 and not log.truncated
+        assert all(c.size == 0 for c in (log.x, log.y, log.t, log.wall, log.vx, log.vy))
         assert log.final_state() == log.initial
 
     def test_fifteen_collisions_free_flight(self):
         log = simulate(state_from_slope(1.414), 15)
-        assert len(log.events) == 15
+        assert len(log) == 15
         prev = log.initial.position
         total = 0.0
-        for ev in log.events:
-            assert not segment_enters_interior(prev, ev.point)
-            total += math.hypot(ev.point.x - prev.x, ev.point.y - prev.y)
-            prev = ev.point
+        for point in map(Vec2, log.x.tolist(), log.y.tolist()):
+            assert not segment_enters_interior(prev, point)
+            total += math.hypot(point.x - prev.x, point.y - prev.y)
+            prev = point
         assert abs(total - log.final_state().elapsed_time) <= 1e-9
 
     def test_corridor_truncates_with_reason(self):
         state = ParticleState(Vec2(0.0, 0.0), Vec2(0.0, 1.0))
         log = simulate(state, 5, horizon=1e4)
         assert log.truncated and "horizon" in log.truncation_reason
-        assert log.events == []
+        assert len(log) == 0
 
     def test_times_strictly_increase(self):
         log = simulate(state_from_slope(1.618), 500)
@@ -190,9 +205,9 @@ class TestSimulate:
     def test_corner_retroreflection_cycles(self):
         # the exact diagonal bounces between opposite corners through the origin
         log = simulate(state_from_slope(1.0), 4)
-        pts = [tuple(e.point) for e in log.events]
+        pts = list(zip(log.x.tolist(), log.y.tolist()))
         assert pts == [(0.5, 0.5), (-0.5, -0.5), (0.5, 0.5), (-0.5, -0.5)]
-        assert all(e.wall is Wall.CORNER for e in log.events)
+        assert all(WALLS[w] is Wall.CORNER for w in log.wall)
 
 
 class TestDistanceSeries:
@@ -213,8 +228,8 @@ class TestDistanceSeries:
 class TestInvariants:
     def test_speed_conservation_long_run(self):
         log = simulate(state_from_slope(1.414), 2000)
-        for state in log.post_collision_states:
-            assert abs(state.velocity.norm() - 1.0) <= 1e-9
+        assert len(log) == 2000
+        assert np.all(np.abs(np.hypot(log.vx, log.vy) - 1.0) <= 1e-9)
 
     def test_time_reversal_k50(self):
         log = simulate(state_from_slope(1.414), 50)
@@ -241,9 +256,9 @@ class TestInvariants:
     def test_free_flight_validity(self):
         log = simulate(state_from_slope(1.732), 300)
         prev = log.initial.position
-        for ev in log.events:
-            assert not segment_blocked(prev, ev.point)
-            prev = ev.point
+        for point in map(Vec2, log.x.tolist(), log.y.tolist()):
+            assert not segment_blocked(prev, point)
+            prev = point
 
     @given(st.sampled_from([1.414, 1.618, 1.732, 2.0, 0.3, 5.0]))
     def test_x_axis_mirror_symmetry_exact(self, slope):
@@ -253,11 +268,12 @@ class TestInvariants:
                                                -fwd.initial.velocity.y)), 200
         )
         flip = {Wall.BOTTOM: Wall.TOP, Wall.TOP: Wall.BOTTOM}
-        for a, b in zip(fwd.events, mir.events):
-            assert a.point.x == b.point.x and a.point.y == -b.point.y
-            assert a.time == b.time
-            assert flip.get(a.wall, a.wall) is b.wall
-            assert a.obstacle_center == (b.obstacle_center[0], -b.obstacle_center[1])
+        assert len(fwd) == len(mir) == 200
+        assert np.array_equal(fwd.x, mir.x) and np.array_equal(fwd.y, -mir.y)
+        assert np.array_equal(fwd.t, mir.t)
+        assert [flip.get(WALLS[a], WALLS[a]) for a in fwd.wall] == [WALLS[b] for b in mir.wall]
+        (fcx, fcy), (mcx, mcy) = cell_centers(fwd.x, fwd.y), cell_centers(mir.x, mir.y)
+        assert np.array_equal(fcx, mcx) and np.array_equal(fcy, -mcy)
 
 
 class TestOracleAgreement:
@@ -282,11 +298,29 @@ class TestOracleAgreement:
 
 def test_position_at_time_interpolates():
     log = simulate(state_from_slope(2.0), 1)
-    ev = log.events[0]
-    mid = log.position_at_time(ev.time / 2.0)
+    mid = log.position_at_time(log.t[0] / 2.0)
     assert abs(mid.x - 0.25) <= 1e-12 and abs(mid.y - 0.5) <= 1e-12
     with pytest.raises(ValueError):
         log.position_at_time(-1.0)
+    # later segments: each event time lands on its point, midpoints halfway
+    log = simulate(state_from_slope(1.618), 20)
+    for k in range(1, 20):
+        at = log.position_at_time(float(log.t[k]))
+        assert math.hypot(at.x - log.x[k], at.y - log.y[k]) <= 1e-12
+        mid = log.position_at_time(float(log.t[k - 1] + log.t[k]) / 2.0)
+        assert abs(mid.x - (log.x[k - 1] + log.x[k]) / 2.0) <= 1e-9
+        assert abs(mid.y - (log.y[k - 1] + log.y[k]) / 2.0) <= 1e-9
+
+
+def test_trajectory_log_rows_checked_like_particle_states():
+    log = simulate(state_from_slope(1.414), 3)
+    cols = {name: getattr(log, name) for name in ("x", "y", "t", "wall", "vx", "vy")}
+    with pytest.raises(DegenerateVelocity):
+        TrajectoryLog(log.initial, **{**cols, "vx": log.vx * 1.01})
+    with pytest.raises(ValueError, match="finite"):
+        TrajectoryLog(log.initial, **{**cols, "t": np.array([1.0, np.inf, 2.0])})
+    with pytest.raises(ValueError, match="length"):
+        TrajectoryLog(log.initial, **{**cols, "t": log.t[:2]})
 
 
 def test_trajectory_log_event_arrays():
@@ -317,8 +351,7 @@ def batched_events(states, n, horizon=DEFAULT_HORIZON):
 
 def scalar_events(state, n, horizon=DEFAULT_HORIZON):
     log = simulate(state, n, horizon)
-    return np.array([(e.point.x, e.point.y, e.time, WALLS.index(e.wall))
-                     for e in log.events]).reshape(-1, 4)
+    return np.column_stack([log.x, log.y, log.t, log.wall.astype(float)])
 
 
 def assert_kernels_tie(states, n, horizon=DEFAULT_HORIZON):

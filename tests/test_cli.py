@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line pipeline and artifact formats."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -11,6 +12,23 @@ from windtree import io
 from windtree.billiard import simulate, state_from_slope
 from windtree.cli import main
 from windtree.sweep import SweepSpec, build_sweep
+
+# SHA-256 of the `simulate --collisions 500` artifacts, as written when the
+# trajectory was still a list of per-event objects; 1.464 has 5 corner events.
+SIMULATE_DIGESTS = {
+    "1.414": {
+        "trajectory.csv": "089de7bbdb50220e82bf674bb96a2a0528e5c466f4ca5abc9fc0fb654846bb3b",
+        "trajectory.json": "f25f40ae5ec4f3abe0fa2973679fa0ee4f6d82caaedae9cfea3bf09b8ac12a2c",
+        "trajectory.svg": "232dbdda05ca4d756bb873114be801ca619125c0af3c0a5428aafc63f6eb8f0d",
+        "summary.json": "7b49e21b88c8138166e081d1b99760da2a8f1ccb41fda12e9a9d9adf827725e5",
+    },
+    "1.464": {
+        "trajectory.csv": "04fc32801771bfc3931f5f152631d29742d80036d3059d4ece5af2aa2ebef62c",
+        "trajectory.json": "830c67540ebc5596a9521b46995b040d498c2db705ece37f410b3253eaa8878b",
+        "trajectory.svg": "0f8206e86f5030e3499f5f52e742990af08fcd88685476e736892d3ffbabfe0f",
+        "summary.json": "d2cf7ac2974a293986a9f3fecaee8e33238058e865de6503fec12aabdca90554",
+    },
+}
 
 SMALL_CONFIG = {
     "sweep": {"slope_start": 1.5, "slope_step": 0.01, "count": 10,
@@ -31,17 +49,18 @@ class TestSimulateCommand:
         rc = main(["simulate", "--out", str(tmp_path), "--slope", "2.0",
                    "--collisions", "1"])
         assert rc == 0
-        rows = io.read_trajectory_csv(tmp_path / "trajectory.csv")
-        assert rows[0] == {"k": 0, "x": 0.0, "y": 0.0, "t": 0.0, "wall": ""}
-        assert rows[1]["k"] == 1 and rows[1]["wall"] == "Left"
-        assert rows[1]["x"] == 0.5 and abs(rows[1]["y"] - 1.0) <= 1e-12
+        cols = io.read_trajectory_csv(tmp_path / "trajectory.csv")
+        assert list(cols) == ["k", "x", "y", "t", "wall"]
+        assert [cols[name][0] for name in cols] == [0, 0.0, 0.0, 0.0, ""]
+        assert cols["k"][1] == 1 and cols["wall"][1] == "Left"
+        assert cols["x"][1] == 0.5 and abs(cols["y"][1] - 1.0) <= 1e-12
         assert (tmp_path / "trajectory.svg").read_text().startswith("<svg")
 
     def test_zero_collisions(self, tmp_path):
         rc = main(["simulate", "--out", str(tmp_path), "--collisions", "0"])
         assert rc == 0
-        rows = io.read_trajectory_csv(tmp_path / "trajectory.csv")
-        assert len(rows) == 1 and rows[0]["k"] == 0
+        cols = io.read_trajectory_csv(tmp_path / "trajectory.csv")
+        assert cols["k"].tolist() == [0]
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["n_collisions"] == 0
 
@@ -58,8 +77,18 @@ class TestSimulateCommand:
         assert rc == 0
         log = io.read_trajectory_json(tmp_path / "trajectory.json")
         fresh = simulate(state_from_slope(1.618), 25)
-        assert [tuple(e.point) for e in log.events] == \
-               [tuple(e.point) for e in fresh.events]
+        assert len(log) == len(fresh) == 25
+        for name in ("x", "y", "t", "wall", "vx", "vy"):
+            assert getattr(log, name).tobytes() == getattr(fresh, name).tobytes(), name
+
+    @pytest.mark.parametrize("slope", sorted(SIMULATE_DIGESTS))
+    def test_artifacts_are_pinned(self, tmp_path, slope):
+        rc = main(["simulate", "--out", str(tmp_path), "--slope", slope,
+                   "--collisions", "500"])
+        assert rc == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in SIMULATE_DIGESTS[slope]}
+        assert digests == SIMULATE_DIGESTS[slope]
 
 
 class TestSweepCommand:
@@ -193,6 +222,30 @@ class TestDiagnoseCommand:
         path.write_text("\n".join(lines) + "\n")
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("edit", [lambda r: r + ",extra", lambda r: r.rsplit(",", 1)[0],
+                                      lambda r: "x" + r])
+    def test_unparsable_trajectory_row_fails_round_trip(self, tmp_path, capsys, edit):
+        assert main(["simulate", "--out", str(tmp_path), "--collisions", "5"]) == 0
+        path = tmp_path / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        lines[3] = edit(lines[3])
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["diagnose", "--out", str(tmp_path)]) == 4
+        assert "FAIL trajectory.csv round-trip" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit", ["speed", "drop_state"])
+    def test_bad_trajectory_json_fails_speed_check(self, tmp_path, capsys, edit):
+        assert main(["simulate", "--out", str(tmp_path), "--collisions", "5"]) == 0
+        path = tmp_path / "trajectory.json"
+        doc = json.loads(path.read_text())
+        if edit == "speed":
+            doc["post_collision_states"][2]["velocity"][0] *= 1.01
+        else:
+            del doc["post_collision_states"][2]
+        path.write_text(json.dumps(doc))
+        assert main(["diagnose", "--out", str(tmp_path)]) == 4
+        assert "FAIL trajectory speeds unit" in capsys.readouterr().out
+
     def test_empty_directory_is_config_error(self, tmp_path):
         assert main(["diagnose", "--out", str(tmp_path)]) == 2
 
@@ -240,17 +293,14 @@ class TestArtifactFormats:
         log = simulate(state_from_slope(1.732), 30)
         text = io.trajectory_csv_text(log)
         assert text.splitlines()[0] == "k,x,y,t,wall"
-        parsed_rows = [
-            {"k": int(r.split(",")[0]), "x": float(r.split(",")[1]),
-             "y": float(r.split(",")[2]), "t": float(r.split(",")[3]),
-             "wall": r.split(",")[4]}
-            for r in text.splitlines()[1:]
-        ]
-        assert io.rows_to_trajectory_csv_text(parsed_rows) == text
+        k, x, y, t, wall = zip(*(r.split(",") for r in text.splitlines()[1:]))
+        parsed = {"k": [int(v) for v in k], "x": [float(v) for v in x],
+                  "y": [float(v) for v in y], "t": [float(v) for v in t], "wall": wall}
+        assert io.trajectory_rows_text(**parsed) == text
 
     def test_sweep_csv_text_roundtrip(self):
         result = build_sweep(SweepSpec(count=5, k_min=10, k_max=40))
-        text = io.sweep_csv_text(result)
+        text = io.sweep_csv_text(result.observations)
         assert text.splitlines()[0] == "t,slope,D,logD"
         for line, obs in zip(text.splitlines()[1:], result.observations):
             _, _, D, logD = line.split(",")

@@ -172,6 +172,13 @@ class TestGrowthExponent:
         with pytest.raises(ValueError):
             estimate_diffusion_exponent([0.5] * 12, 100)
 
+    def test_estimator_value_is_pinned(self):
+        # the median as computed when the trajectory was a list of per-event
+        # objects; the columnar log must reproduce it bit for bit
+        directions = [0.15 + 0.125 * i for i in range(10)]
+        value = estimate_diffusion_exponent(directions, 10_000, min_successes=10)
+        assert value == 0.7147769196940466
+
     def test_estimator_requires_enough_completed_directions(self):
         # axis-parallel directions are all corridors, so nothing completes
         with pytest.raises(CorridorTruncation):
