@@ -28,7 +28,6 @@ from .hmm import (
     ResidualVariant,
     baum_welch,
     default_init,
-    emission_density,
     forward_backward,
     log_likelihood,
     posterior_pairs,
@@ -58,7 +57,7 @@ __all__ = [
     "HmmConfig", "PipelineConfig", "SimulateConfig",
     "FitReport", "ForwardBackwardTables", "HmmParams", "PosteriorTables",
     "PseudoResiduals", "ResidualVariant", "baum_welch", "default_init",
-    "emission_density", "forward_backward", "log_likelihood",
+    "forward_backward", "log_likelihood",
     "posterior_pairs", "pseudo_residuals", "residual_histogram",
     "CorridorTruncation", "InsufficientData", "MotionClass", "MotionLabel",
     "SlopeObservation", "SweepResult", "SweepSpec", "build_sweep",

@@ -620,58 +620,22 @@ def _classify_walked(walked, x, y, vx, vy, s, tx1, ty1, cx, cy, hx, hy, walls):
     walls[walked] = np.where(corner, _CORNER, code)
 
 
+def strike_origins(log: TrajectoryLog) -> Rays:
+    """The state each logged strike starts from, as one batch for step_rays:
+    the initial state, its velocity reflected in place as simulate does, then
+    every post-bounce state but the last. Stepping this batch once reproduces
+    the log's rows bit for bit when the log came from simulate."""
+    (px, py), (vx, vy), t = log.initial.position, log.initial.velocity, log.initial.elapsed_time
+    vx, vy = _normalize_on_wall(px, py, vx, vy)
+    n = len(log)
+
+    def before(first, column):
+        return np.concatenate([[first], column])[:n]
+
+    return Rays(x=before(px, log.x), y=before(py, log.y), vx=before(vx, log.vx),
+                vy=before(vy, log.vy), t=before(t, log.t))
+
+
 def distance_series(log: TrajectoryLog) -> np.ndarray:
     """Euclidean distance of each collision point from the origin."""
     return np.hypot(log.x, log.y)
-
-
-def segment_blocked(p: Vec2, q: Vec2, margin: float = WALL_TOL) -> bool:
-    """True when the segment p->q passes through an obstacle interior.
-
-    Obstacles are shrunk by `margin`, so endpoints sitting exactly on walls
-    do not count. Used as a free-flight validity check on logged segments.
-    """
-    dx = q[0] - p[0]
-    dy = q[1] - p[1]
-    length = math.hypot(dx, dy)
-    half = 0.5 - margin
-    for cx, cy in _cells_near_segment(p, q, length):
-        if dx == 0.0:
-            if not (cx - half < p[0] < cx + half):
-                continue
-            u1, u2 = -math.inf, math.inf
-        else:
-            u1 = (cx - half - p[0]) / dx
-            u2 = (cx + half - p[0]) / dx
-            if u1 > u2:
-                u1, u2 = u2, u1
-        if dy == 0.0:
-            if not (cy - half < p[1] < cy + half):
-                continue
-            v1, v2 = -math.inf, math.inf
-        else:
-            v1 = (cy - half - p[1]) / dy
-            v2 = (cy + half - p[1]) / dy
-            if v1 > v2:
-                v1, v2 = v2, v1
-        near = max(u1, v1, 0.0)
-        far = min(u2, v2, 1.0)
-        if near < far:
-            return True
-    return False
-
-
-def _cells_near_segment(p: Vec2, q: Vec2, length: float):
-    """Candidate obstacle centers within one cell of the segment."""
-    seen = set()
-    n_samples = max(2, int(length / 0.5) + 2)
-    for i in range(n_samples + 1):
-        u = i / n_samples
-        x = p[0] + u * (q[0] - p[0])
-        y = p[1] + u * (q[1] - p[1])
-        cx0 = _nearest_odd(x)
-        cy0 = _nearest_odd(y)
-        for cx in (cx0 - 2, cx0, cx0 + 2):
-            for cy in (cy0 - 2, cy0, cy0 + 2):
-                seen.add((cx, cy))
-    return seen

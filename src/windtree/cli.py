@@ -193,6 +193,7 @@ def cmd_diagnose(config: PipelineConfig, out: Path) -> int:
     found_any = False
 
     traj_csv = out / "trajectory.csv"
+    cols = None
     if traj_csv.exists():
         found_any = True
         try:
@@ -208,41 +209,50 @@ def cmd_diagnose(config: PipelineConfig, out: Path) -> int:
             gap = np.maximum(np.abs(xs[1:] - cx), np.abs(ys[1:] - cy))
             check("trajectory points on obstacle boundaries",
                   bool(np.all(np.abs(gap - 0.5) <= 1e-9)))
-            points = [billiard.Vec2(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
-            check("trajectory free flights clear of obstacles",
-                  not any(billiard.segment_blocked(a, b)
-                          for a, b in zip(points, points[1:])))
 
     traj_json = out / "trajectory.json"
     if traj_json.exists():
         found_any = True
         check("trajectory.json round-trip", io.json_roundtrips(traj_json))
-        try:
-            log = io.read_trajectory_json(traj_json)
-        except (ValueError, KeyError) as exc:  # ValueError includes DegenerateVelocity
-            check("trajectory speeds unit", False, f"{type(exc).__name__}: {exc}")
-        else:
-            speeds = np.hypot(log.vx, log.vy)
-            check("trajectory speeds unit", bool(np.all(np.abs(speeds - 1.0) <= 1e-9)))
+        if not traj_csv.exists():
+            check("trajectory.csv round-trip", False, "missing beside trajectory.json")
+        elif cols is not None:
+            try:
+                log = io.read_trajectory(traj_csv, traj_json)
+            except (ValueError, KeyError) as exc:  # ValueError includes DegenerateVelocity
+                check("trajectory speeds unit", False, f"{type(exc).__name__}: {exc}")
+            else:
+                speeds = np.hypot(log.vx, log.vy)
+                check("trajectory speeds unit", bool(np.all(np.abs(speeds - 1.0) <= 1e-9)))
+                # each logged strike again, from the state before it
+                rays, walls = billiard.step_rays(billiard.strike_origins(log))
+                replayed = (rays.x, rays.y, rays.t, walls, rays.vx, rays.vy)
+                logged = (log.x, log.y, log.t, log.wall, log.vx, log.vy)
+                check("trajectory replays on the collision kernel",
+                      all(a.tobytes() == b.tobytes() for a, b in zip(replayed, logged)))
 
     sweep_csv = out / "sweep.csv"
     if sweep_csv.exists():
         found_any = True
-        obs = io.read_sweep_csv(sweep_csv)
-        check("sweep.csv round-trip",
-              io.sweep_csv_text(obs) == sweep_csv.read_text())
-        check("sweep logD = ln(D)",
-              all(abs(o.log_min_distance - math.log(o.min_distance)) <= 1e-12
-                  for o in obs))
-        check("sweep D positive finite",
-              all(o.min_distance > 0 and math.isfinite(o.min_distance) for o in obs))
-        meta_path = out / "sweep_meta.json"
-        if meta_path.exists():
-            check("sweep_meta.json round-trip", io.json_roundtrips(meta_path))
-            meta = json.loads(meta_path.read_text())
-            spec = SweepSpec(**meta["spec"])
-            check("sweep slopes on the arithmetic grid",
-                  all(abs(o.slope - spec.slope_at(o.t)) <= 1e-12 for o in obs))
+        try:
+            obs = io.read_sweep_csv(sweep_csv)
+        except ValueError as exc:  # a row that does not parse cannot round-trip
+            check("sweep.csv round-trip", False, str(exc))
+        else:
+            check("sweep.csv round-trip",
+                  io.sweep_csv_text(obs) == sweep_csv.read_text())
+            check("sweep logD = ln(D)",
+                  all(abs(o.log_min_distance - math.log(o.min_distance)) <= 1e-12
+                      for o in obs))
+            check("sweep D positive finite",
+                  all(o.min_distance > 0 and math.isfinite(o.min_distance) for o in obs))
+            meta_path = out / "sweep_meta.json"
+            if meta_path.exists():
+                check("sweep_meta.json round-trip", io.json_roundtrips(meta_path))
+                meta = json.loads(meta_path.read_text())
+                spec = SweepSpec(**meta["spec"])
+                check("sweep slopes on the arithmetic grid",
+                      all(abs(o.slope - spec.slope_at(o.t)) <= 1e-12 for o in obs))
 
     model_path = out / "model.json"
     if model_path.exists():
@@ -266,18 +276,22 @@ def cmd_diagnose(config: PipelineConfig, out: Path) -> int:
     res_path = out / "residuals.csv"
     if res_path.exists():
         found_any = True
-        rows = io.read_residuals_csv(res_path)
-        check("residuals.csv round-trip",
-              io.residuals_csv_text([r["t"] for r in rows],
-                                    [r["x"] for r in rows],
-                                    [r["u"] for r in rows]) == res_path.read_text())
-        check("residuals in [0, 1]", all(0.0 <= r["u"] <= 1.0 for r in rows))
-        hist_path = out / "histogram.json"
-        if hist_path.exists():
-            check("histogram.json round-trip", io.json_roundtrips(hist_path))
-            hist = json.loads(hist_path.read_text())
-            check("histogram counts sum to residual rows",
-                  sum(hist["counts"]) == len(rows) == hist["total"])
+        try:
+            rows = io.read_residuals_csv(res_path)
+        except ValueError as exc:  # a row that does not parse cannot round-trip
+            check("residuals.csv round-trip", False, str(exc))
+        else:
+            check("residuals.csv round-trip",
+                  io.residuals_csv_text([r["t"] for r in rows],
+                                        [r["x"] for r in rows],
+                                        [r["u"] for r in rows]) == res_path.read_text())
+            check("residuals in [0, 1]", all(0.0 <= r["u"] <= 1.0 for r in rows))
+            hist_path = out / "histogram.json"
+            if hist_path.exists():
+                check("histogram.json round-trip", io.json_roundtrips(hist_path))
+                hist = json.loads(hist_path.read_text())
+                check("histogram counts sum to residual rows",
+                      sum(hist["counts"]) == len(rows) == hist["total"])
 
     if not found_any:
         return _fail(EXIT_CONFIG, f"no artifacts found under {out}")

@@ -62,7 +62,6 @@ class PipelineConfig:
     hmm: HmmConfig = field(default_factory=HmmConfig)
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
     output_dir: str = "out"
-    seed: int = 0
     jobs: int = 1
 
     def __post_init__(self):
@@ -77,7 +76,7 @@ def config_from_doc(doc: dict) -> PipelineConfig:
     """Build a config from a (possibly partial) JSON document."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    known = {"sweep", "hmm", "simulate", "output_dir", "seed", "jobs"}
+    known = {"sweep", "hmm", "simulate", "output_dir", "jobs"}
     unknown = set(doc) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -87,7 +86,6 @@ def config_from_doc(doc: dict) -> PipelineConfig:
             hmm=HmmConfig(**doc.get("hmm", {})),
             simulate=SimulateConfig(**doc.get("simulate", {})),
             output_dir=doc.get("output_dir", "out"),
-            seed=int(doc.get("seed", 0)),
             jobs=int(doc.get("jobs", 1)),
         )
     except (TypeError, ValueError) as exc:

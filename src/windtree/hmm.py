@@ -127,19 +127,9 @@ def _density_matrix(params: HmmParams, obs: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * params.sigma[None, :])
 
 
-def emission_density(params: HmmParams, j: int, x: float) -> float:
-    """Normal density of state j (0-based) at x."""
-    z = (x - params.mu[j]) / params.sigma[j]
-    return math.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * params.sigma[j])
-
-
-def emission_log_density(params: HmmParams, j: int, x: float) -> float:
-    z = (x - params.mu[j]) / params.sigma[j]
-    return -0.5 * z * z - math.log(params.sigma[j]) - 0.5 * math.log(2.0 * math.pi)
-
-
-def forward_backward(params: HmmParams, obs: Sequence[float]) -> ForwardBackwardTables:
-    """Scaled forward/backward recursions over the observation sequence."""
+def _forward(params: HmmParams, obs: Sequence[float]):
+    """The scaled forward recursion: the (T, m) densities, the row-normalized
+    forward vectors alpha_hat and the log scale factors log_c."""
     x = np.asarray(obs, dtype=float)
     if x.size == 0:
         raise EmptyObservations("observation sequence is empty")
@@ -159,6 +149,13 @@ def forward_backward(params: HmmParams, obs: Sequence[float]) -> ForwardBackward
             )
         alpha_hat[t] = w / c
         log_c[t] = math.log(c)
+    return dens, alpha_hat, log_c
+
+
+def forward_backward(params: HmmParams, obs: Sequence[float]) -> ForwardBackwardTables:
+    """Scaled forward/backward recursions over the observation sequence."""
+    dens, alpha_hat, log_c = _forward(params, obs)
+    T, m = dens.shape
 
     beta_hat = np.empty((T, m))
     beta_hat[T - 1] = 1.0
@@ -176,21 +173,7 @@ def forward_backward(params: HmmParams, obs: Sequence[float]) -> ForwardBackward
 
 def log_likelihood(params: HmmParams, obs: Sequence[float]) -> float:
     """Log of the matrix-product likelihood, via the scaled forward recursion."""
-    x = np.asarray(obs, dtype=float)
-    if x.size == 0:
-        raise EmptyObservations("observation sequence is empty")
-    dens = _density_matrix(params, x)
-    total = 0.0
-    w = params.delta * dens[0]
-    for t in range(x.size):
-        if t > 0:
-            w = (w @ params.gamma) * dens[t]
-        c = w.sum()
-        if c <= 0.0 or not math.isfinite(c):
-            raise NumericalUnderflow(f"observation {t} has zero density under every state")
-        w = w / c
-        total += math.log(c)
-    return total
+    return float(_forward(params, obs)[2].sum())
 
 
 def posterior_pairs(params: HmmParams, obs: Sequence[float],

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .billiard import WALLS, ParticleState, TrajectoryLog, Vec2, cell_centers
+from .billiard import WALLS, ParticleState, TrajectoryLog, Vec2
 from .sweep import SlopeObservation, SweepResult
 
 
@@ -55,14 +55,7 @@ def write_trajectory_csv(log: TrajectoryLog, path: Path | str) -> None:
 def read_trajectory_csv(path: Path | str) -> dict:
     """Columns k, x, y, t as arrays and wall as strings ('' on the k=0 row),
     the keyword arguments of trajectory_rows_text."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRAJECTORY_HEADER.split(","):
-            raise ValueError(f"unexpected trajectory header {header}")
-        rows = [row for row in reader if row]
-    if any(len(row) != 5 for row in rows):
-        raise ValueError("trajectory row without exactly 5 fields")
+    rows = _csv_rows(path, TRAJECTORY_HEADER)
     k, x, y, t, wall = zip(*rows) if rows else ((),) * 5
     return {
         "k": np.array([int(v) for v in k], dtype=np.int64),
@@ -90,19 +83,12 @@ def _state_from_json(doc: dict) -> ParticleState:
 
 
 def trajectory_json_doc(log: TrajectoryLog) -> dict:
-    x, y, t, vx, vy = (c.tolist() for c in (log.x, log.y, log.t, log.vx, log.vy))
-    cx, cy = (c.tolist() for c in cell_centers(log.x, log.y))
-    walls = [_WALL_NAMES[c] for c in log.wall.tolist()]
+    """What trajectory.csv does not hold: the initial state, the post-bounce
+    velocity columns and the truncation."""
     return {
         "initial": _state_to_json(log.initial),
-        "events": [
-            {"point": [px, py], "time": pt, "wall": w, "obstacle_center": [ox, oy], "index": k}
-            for k, (px, py, pt, w, ox, oy) in enumerate(zip(x, y, t, walls, cx, cy), start=1)
-        ],
-        "post_collision_states": [
-            {"position": [px, py], "velocity": [u, v], "elapsed_time": pt}
-            for px, py, u, v, pt in zip(x, y, vx, vy, t)
-        ],
+        "vx": log.vx.tolist(),
+        "vy": log.vy.tolist(),
         "truncated": log.truncated,
         "truncation_reason": log.truncation_reason,
     }
@@ -112,19 +98,23 @@ def write_trajectory_json(log: TrajectoryLog, path: Path | str) -> None:
     write_json(trajectory_json_doc(log), path)
 
 
-def read_trajectory_json(path: Path | str) -> TrajectoryLog:
-    """The log of a trajectory.json: hit points, times and walls from its
-    events, post-bounce velocities from its post-collision states."""
-    doc = json.loads(Path(path).read_text())
-    events, posts = doc["events"], doc["post_collision_states"]
+def read_trajectory(csv_path: Path | str, json_path: Path | str) -> TrajectoryLog:
+    """The log of a trajectory.csv and its trajectory.json: hit points, times
+    and walls from the CSV, velocities and truncation from the JSON."""
+    cols = read_trajectory_csv(csv_path)
+    doc = json.loads(Path(json_path).read_text())
+    initial = _state_from_json(doc["initial"])
+    if [*cols["x"][:1], *cols["y"][:1], *cols["t"][:1]] != [*initial.position,
+                                                            initial.elapsed_time]:
+        raise ValueError("trajectory.csv row k=0 is not the initial state of trajectory.json")
     return TrajectoryLog(
-        initial=_state_from_json(doc["initial"]),
-        x=np.array([e["point"][0] for e in events], dtype=float),
-        y=np.array([e["point"][1] for e in events], dtype=float),
-        t=np.array([e["time"] for e in events], dtype=float),
-        wall=np.array([_WALL_NAMES.index(e["wall"]) for e in events], dtype=np.int8),
-        vx=np.array([p["velocity"][0] for p in posts], dtype=float),
-        vy=np.array([p["velocity"][1] for p in posts], dtype=float),
+        initial=initial,
+        x=cols["x"][1:],
+        y=cols["y"][1:],
+        t=cols["t"][1:],
+        wall=np.array([_WALL_NAMES.index(w) for w in cols["wall"][1:]], dtype=np.int8),
+        vx=np.array(doc["vx"], dtype=float),
+        vy=np.array(doc["vy"], dtype=float),
         truncated=doc["truncated"],
         truncation_reason=doc["truncation_reason"],
     )
@@ -147,19 +137,11 @@ def write_sweep_csv(result: SweepResult, path: Path | str) -> None:
 
 
 def read_sweep_csv(path: Path | str) -> list[SlopeObservation]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != SWEEP_HEADER.split(","):
-            raise ValueError(f"unexpected sweep header {reader.fieldnames}")
-        return [
-            SlopeObservation(
-                t=int(rec["t"]),
-                slope=float(rec["slope"]),
-                min_distance=float(rec["D"]),
-                log_min_distance=float(rec["logD"]),
-            )
-            for rec in reader
-        ]
+    return [
+        SlopeObservation(t=int(t), slope=float(slope), min_distance=float(d),
+                         log_min_distance=float(log_d))
+        for t, slope, d, log_d in _csv_rows(path, SWEEP_HEADER)
+    ]
 
 
 def sweep_meta_doc(result: SweepResult, elapsed_seconds: float) -> dict:
@@ -218,13 +200,8 @@ def residuals_csv_text(ts: Iterable[int], xs: Iterable[float], us: Iterable[floa
 
 
 def read_residuals_csv(path: Path | str) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RESIDUALS_HEADER.split(","):
-            raise ValueError(f"unexpected residuals header {reader.fieldnames}")
-        return [
-            {"t": int(r["t"]), "x": float(r["x"]), "u": float(r["u"])} for r in reader
-        ]
+    return [{"t": int(t), "x": float(x), "u": float(u)}
+            for t, x, u in _csv_rows(path, RESIDUALS_HEADER)]
 
 
 def histogram_json_doc(counts: np.ndarray) -> dict:
@@ -236,7 +213,22 @@ def histogram_json_doc(counts: np.ndarray) -> dict:
     }
 
 
-# -- generic JSON helpers -----------------------------------------------------
+# -- generic CSV and JSON helpers ---------------------------------------------
+
+def _csv_rows(path: Path | str, header: str) -> list[list[str]]:
+    """The non-blank rows under `header`; ValueError unless the file starts
+    with that header and every row has its number of fields."""
+    names = header.split(",")
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first != names:
+            raise ValueError(f"unexpected header {first}, want {header}")
+        rows = [row for row in reader if row]
+    if any(len(row) != len(names) for row in rows):
+        raise ValueError(f"row without exactly {len(names)} fields")
+    return rows
+
 
 def write_json(doc: dict, path: Path | str) -> None:
     Path(path).write_text(json_text(doc))

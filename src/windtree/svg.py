@@ -1,7 +1,8 @@
 """Minimal SVG rendering of a trajectory for eyeballing against figures.
 
-One polyline for the path, grey squares for every obstacle inside the
-trajectory's bounding region. Static markup only.
+One polyline for the path over the obstacle forest, drawn as one rect
+filled with a pattern whose tile is one period-2 cell holding one grey
+square. Static markup only.
 """
 
 from __future__ import annotations
@@ -29,19 +30,23 @@ def trajectory_svg_text(log: TrajectoryLog) -> str:
 
     width = (x1 - x0) * scale
     height = (y1 - y0) * scale
+    # One tile is the period-2 cell whose top-left corner is the even lattice
+    # point at or beyond the canvas' top-left, with its obstacle centered in
+    # it. Tile numbers keep every digit (shortest round-trip form), so the
+    # squares do not drift over the tiles that cross the canvas.
+    tile_x, tile_y = to_px(2.0 * math.floor(x0 / 2.0), 2.0 * math.ceil(y1 / 2.0))
+    side = scale  # obstacle squares have unit side
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.2f} {height:.2f}">',
+        f'<defs><pattern id="forest" patternUnits="userSpaceOnUse" x="{tile_x!r}" '
+        f'y="{tile_y!r}" width="{2 * side!r}" height="{2 * side!r}">',
+        f'<rect x="{side / 2!r}" y="{side / 2!r}" width="{side!r}" '
+        f'height="{side!r}" fill="#d0d0d0" stroke="#909090" stroke-width="0.5"/>',
+        '</pattern></defs>',
         f'<rect width="{width:.2f}" height="{height:.2f}" fill="white"/>',
+        f'<rect width="{width:.2f}" height="{height:.2f}" fill="url(#forest)"/>',
     ]
-    side = scale  # obstacle squares have unit side
-    for cx in _odd_range(x0, x1):
-        for cy in _odd_range(y0, y1):
-            px, py = to_px(cx - 0.5, cy + 0.5)
-            parts.append(
-                f'<rect x="{px:.2f}" y="{py:.2f}" width="{side:.2f}" '
-                f'height="{side:.2f}" fill="#d0d0d0" stroke="#909090" stroke-width="0.5"/>'
-            )
     coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in map(to_px, xs, ys))
     parts.append(
         f'<polyline points="{coords}" fill="none" stroke="#d03020" stroke-width="1.2"/>'
@@ -50,14 +55,6 @@ def trajectory_svg_text(log: TrajectoryLog) -> str:
     parts.append(f'<circle cx="{sx:.2f}" cy="{sy:.2f}" r="3" fill="#2040c0"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _odd_range(lo: float, hi: float):
-    c = 2 * math.floor((lo - 1.0) / 2.0) + 1  # greatest odd <= lo
-    while c <= hi + 1:
-        if c + 0.5 >= lo and c - 0.5 <= hi:
-            yield c
-        c += 2
 
 
 def write_trajectory_svg(log: TrajectoryLog, path: Path | str) -> None:

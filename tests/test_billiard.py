@@ -26,7 +26,6 @@ from windtree.billiard import (
     next_collision,
     point_in_obstacle,
     reflect,
-    segment_blocked,
     simulate,
     state_from_slope,
     step_rays,
@@ -257,7 +256,7 @@ class TestInvariants:
         log = simulate(state_from_slope(1.732), 300)
         prev = log.initial.position
         for point in map(Vec2, log.x.tolist(), log.y.tolist()):
-            assert not segment_blocked(prev, point)
+            assert not segment_enters_interior(prev, point)
             prev = point
 
     @given(st.sampled_from([1.414, 1.618, 1.732, 2.0, 0.3, 5.0]))

@@ -3,29 +3,31 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from windtree import io
+from windtree import io, svg
 from windtree.billiard import simulate, state_from_slope
 from windtree.cli import main
 from windtree.sweep import SweepSpec, build_sweep
 
-# SHA-256 of the `simulate --collisions 500` artifacts, as written when the
-# trajectory was still a list of per-event objects; 1.464 has 5 corner events.
+# SHA-256 of the `simulate --collisions 500` artifacts; 1.464 has 5 corner
+# events. The trajectory.csv and summary.json digests have held since the
+# trajectory was a list of per-event objects.
 SIMULATE_DIGESTS = {
     "1.414": {
         "trajectory.csv": "089de7bbdb50220e82bf674bb96a2a0528e5c466f4ca5abc9fc0fb654846bb3b",
-        "trajectory.json": "f25f40ae5ec4f3abe0fa2973679fa0ee4f6d82caaedae9cfea3bf09b8ac12a2c",
-        "trajectory.svg": "232dbdda05ca4d756bb873114be801ca619125c0af3c0a5428aafc63f6eb8f0d",
+        "trajectory.json": "4a0d116954dc5c8379dce36d21dada3bb00329196aafddf9353f42ea75053f8b",
+        "trajectory.svg": "bae5fd878380998a4d6f63add1afa69d77a30ecbc885a757a68f6db3fcb04933",
         "summary.json": "7b49e21b88c8138166e081d1b99760da2a8f1ccb41fda12e9a9d9adf827725e5",
     },
     "1.464": {
         "trajectory.csv": "04fc32801771bfc3931f5f152631d29742d80036d3059d4ece5af2aa2ebef62c",
-        "trajectory.json": "830c67540ebc5596a9521b46995b040d498c2db705ece37f410b3253eaa8878b",
-        "trajectory.svg": "0f8206e86f5030e3499f5f52e742990af08fcd88685476e736892d3ffbabfe0f",
+        "trajectory.json": "e6194560e33f3aa70f1d2f5d27b2aeefd5b06f5817242bab3fa17a03a40887be",
+        "trajectory.svg": "da2a2b3abaf6130d9e7dec7d605912f354ca9891e73293e8a4e239fbe9e6f05a",
         "summary.json": "d2cf7ac2974a293986a9f3fecaee8e33238058e865de6503fec12aabdca90554",
     },
 }
@@ -75,7 +77,7 @@ class TestSimulateCommand:
         rc = main(["simulate", "--out", str(tmp_path), "--slope", "1.618",
                    "--collisions", "25"])
         assert rc == 0
-        log = io.read_trajectory_json(tmp_path / "trajectory.json")
+        log = io.read_trajectory(tmp_path / "trajectory.csv", tmp_path / "trajectory.json")
         fresh = simulate(state_from_slope(1.618), 25)
         assert len(log) == len(fresh) == 25
         for name in ("x", "y", "t", "wall", "vx", "vy"):
@@ -239,12 +241,63 @@ class TestDiagnoseCommand:
         path = tmp_path / "trajectory.json"
         doc = json.loads(path.read_text())
         if edit == "speed":
-            doc["post_collision_states"][2]["velocity"][0] *= 1.01
+            doc["vx"][2] *= 1.01
         else:
-            del doc["post_collision_states"][2]
+            del doc["vx"][2], doc["vy"][2]
         path.write_text(json.dumps(doc))
         assert main(["diagnose", "--out", str(tmp_path)]) == 4
         assert "FAIL trajectory speeds unit" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit", ["bad_number", "short_row"])
+    @pytest.mark.parametrize("name", ["sweep.csv", "residuals.csv"])
+    def test_unparsable_sweep_or_residuals_row_fails_round_trip(self, tmp_path, capsys,
+                                                                 name, edit):
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 0
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        assert lines[2].startswith("2,")
+        lines[2] = "2x" + lines[2][1:] if edit == "bad_number" else lines[2].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert f"FAIL {name} round-trip" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("slope, collisions", [("1.414", "0"), ("1e-7", "5"),
+                                                   ("1.464", "500")])
+    def test_trajectory_replays_on_the_collision_kernel(self, tmp_path, capsys,
+                                                        slope, collisions):
+        assert main(["simulate", "--out", str(tmp_path), "--slope", slope,
+                     "--collisions", collisions]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        # no strike, a corridor that truncates before its first strike, corners
+        expected = {"1.414": (0, False, 0), "1e-7": (0, True, 0), "1.464": (500, False, 5)}
+        assert (summary["n_collisions"], summary["truncated"],
+                summary["corner_events"]) == expected[slope]
+        assert main(["diagnose", "--out", str(tmp_path)]) == 0
+        assert "ok   trajectory replays on the collision kernel" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit", ["csv_x", "json_vx"])
+    def test_edited_trajectory_fails_replay(self, tmp_path, capsys, edit):
+        assert main(["simulate", "--out", str(tmp_path), "--slope", "1.464",
+                     "--collisions", "40"]) == 0
+        # the last row: no later strike starts from it, so only the edited
+        # column itself can disagree with the replay
+        if edit == "csv_x":
+            path = tmp_path / "trajectory.csv"
+            lines = path.read_text().splitlines()
+            k, x, rest = lines[-1].split(",", 2)
+            lines[-1] = ",".join([k, io.fmt(float(x) + 1e-6), rest])
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            path = tmp_path / "trajectory.json"
+            doc = json.loads(path.read_text())
+            doc["vx"][-1] *= 1.0000001
+            io.write_json(doc, path)
+        capsys.readouterr()
+        assert main(["diagnose", "--out", str(tmp_path)]) == 4
+        assert "FAIL trajectory replays on the collision kernel" in capsys.readouterr().out
 
     def test_empty_directory_is_config_error(self, tmp_path):
         assert main(["diagnose", "--out", str(tmp_path)]) == 2
@@ -276,6 +329,12 @@ class TestConfigHandling:
         assert doc["hmm"] == {"m": 3, "gamma_diag_init": 0.8, "max_iters": 15,
                               "tol": 0.0, "residual_variant": "conditional"}
 
+    def test_checked_in_reference_config_is_the_defaults(self):
+        from windtree.config import PipelineConfig
+
+        path = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
+        assert json.loads(path.read_text()) == PipelineConfig().to_doc()
+
     def test_defaults_are_the_reference_pipeline(self):
         from windtree.config import PipelineConfig
 
@@ -297,6 +356,30 @@ class TestArtifactFormats:
         parsed = {"k": [int(v) for v in k], "x": [float(v) for v in x],
                   "y": [float(v) for v in y], "t": [float(v) for v in t], "wall": wall}
         assert io.trajectory_rows_text(**parsed) == text
+
+    @pytest.mark.parametrize("slope", [1.414, 2.0])
+    def test_svg_pattern_tiles_the_obstacle_grid(self, slope):
+        log = simulate(state_from_slope(slope), 500)
+        text = svg.trajectory_svg_text(log)
+        pattern = re.search(r'<pattern id="forest" patternUnits="userSpaceOnUse" '
+                            r'x="(\S+)" y="(\S+)" width="(\S+)" height="(\S+)">\n'
+                            r'<rect x="(\S+)" y="(\S+)" width="(\S+)" height="(\S+)"', text)
+        tile_x, tile_y, tile_w, tile_h, dx, dy, side_w, side_h = map(float, pattern.groups())
+        # an obstacle's top-left corner is to_px(cx - 0.5, cy + 0.5) on this canvas
+        xs = [0.0, *log.x.tolist()]
+        ys = [0.0, *log.y.tolist()]
+        x0, x1 = min(xs) - svg._PAD, max(xs) + svg._PAD
+        y0, y1 = min(ys) - svg._PAD, max(ys) + svg._PAD
+        scale = svg._CANVAS / max(x1 - x0, y1 - y0)
+        assert tile_w == tile_h == 2 * scale and side_w == side_h == scale
+        far = (2 * math.floor((x1 - 1) / 2) + 1, 2 * math.ceil((y0 - 1) / 2) + 1)
+        for cx, cy in [(1, 1), (-1, 3), far]:
+            want_x, want_y = (cx - 0.5 - x0) * scale, (y1 - cy - 0.5) * scale
+            for want, origin, size in [(want_x, tile_x + dx, tile_w),
+                                       (want_y, tile_y + dy, tile_h)]:
+                tiles = (want - origin) / size
+                assert abs(tiles - round(tiles)) * size <= 0.01, (cx, cy)
+        assert text.count("<rect") == 3
 
     def test_sweep_csv_text_roundtrip(self):
         result = build_sweep(SweepSpec(count=5, k_min=10, k_max=40))

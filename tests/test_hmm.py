@@ -18,8 +18,6 @@ from windtree.hmm import (
     ResidualVariant,
     baum_welch,
     default_init,
-    emission_density,
-    emission_log_density,
     forward_backward,
     log_likelihood,
     posterior_pairs,
@@ -63,23 +61,31 @@ def enumerate_paths(params, obs):
     return float(total), (state / total).astype(float), (pair / total).astype(float)
 
 
+def density(params, j, x):
+    """Normal density of state j at x, as the recursions see it."""
+    return float(_density_matrix(params, np.array([x]))[0, j])
+
+
 class TestEmissionDensity:
     def test_standard_normal_peak(self):
         p = HmmParams([1.0], [[1.0]], [0.0], [1.0])
-        assert emission_density(p, 0, 0.0) == pytest.approx(0.3989422804014327, abs=1e-10)
+        assert density(p, 0, 0.0) == pytest.approx(0.3989422804014327, abs=1e-10)
 
     def test_peak_scales_with_sigma(self):
         p = HmmParams([1.0], [[1.0]], [2.0], [0.5])
-        assert emission_density(p, 0, 2.0) == pytest.approx(0.7978845608028654, abs=1e-10)
+        assert density(p, 0, 2.0) == pytest.approx(0.7978845608028654, abs=1e-10)
 
     def test_three_sigma_tail(self):
         p = HmmParams([1.0], [[1.0]], [0.0], [1.0])
-        assert emission_density(p, 0, 3.0) == pytest.approx(0.0044318484119380075, abs=1e-12)
+        assert density(p, 0, 3.0) == pytest.approx(0.0044318484119380075, abs=1e-12)
 
     def test_log_form_agrees(self):
+        # a 1-state model's log-likelihood of one observation is its log density
         p = HmmParams([1.0], [[1.0]], [0.7], [1.3])
-        assert emission_log_density(p, 0, -0.2) == pytest.approx(
-            math.log(emission_density(p, 0, -0.2)), abs=1e-12)
+        z = (-0.2 - 0.7) / 1.3
+        log_form = -0.5 * z * z - math.log(1.3) - 0.5 * math.log(2.0 * math.pi)
+        assert log_likelihood(p, [-0.2]) == pytest.approx(log_form, abs=1e-12)
+        assert log_form == pytest.approx(math.log(density(p, 0, -0.2)), abs=1e-12)
 
 
 class TestLogLikelihood:
@@ -134,7 +140,7 @@ class TestForwardBackward:
         p = random_params(rng, 3)
         x = 0.37
         tables = forward_backward(p, [x])
-        w = p.delta * np.array([emission_density(p, j, x) for j in range(3)])
+        w = p.delta * np.array([density(p, j, x) for j in range(3)])
         np.testing.assert_allclose(tables.alpha_hat[0], w / w.sum(), rtol=1e-12)
         assert tables.log_likelihood == pytest.approx(math.log(w.sum()), abs=1e-12)
 
