@@ -1,33 +1,24 @@
 #!/usr/bin/env python3
 """Reproduce the full experiment: 300-slope sweep, 3-state fit, diagnostics.
 
-Writes the same artifacts as the CLI (sweep.csv, model.json, residuals.csv,
-histogram.json) and prints the fitted parameter table next to the published
-one. Expect the recurrent-state mean to sit higher than the published
--0.613: collision points can never come closer to the origin than
-sqrt(2)/2, so the published value must have been sampled between
+Runs `windtree sweep` and `windtree fit` on the built-in reference config,
+so the artifacts (sweep.csv, sweep_meta.json, model.json, residuals.csv,
+histogram.json) are the CLI's, and prints the fitted parameter table next
+to the published one. Expect the recurrent-state mean to sit higher than
+the published -0.613: collision points can never come closer to the origin
+than sqrt(2)/2, so the published value must have been sampled between
 collisions. The structure (three states, tight recurrent band, dominant
 divergent band) is what should match.
 """
 
 import argparse
+import json
 import sys
-import time
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from windtree import io
-from windtree.hmm import (
-    ResidualVariant,
-    baum_welch,
-    default_init,
-    pseudo_residuals,
-    residual_histogram,
-)
-from windtree.sweep import SweepSpec, build_sweep
+from windtree import cli
 
 PUBLISHED = {
     "mu": (-0.613, 1.9753, 4.7825),
@@ -44,51 +35,32 @@ def main() -> int:
     parser.add_argument("--iters", type=int, default=15)
     args = parser.parse_args()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
-    spec = SweepSpec()
-    print(f"sweeping {spec.count} slopes {spec.slope_at(1)} .. {spec.end_slope} "
-          f"(window: collisions {spec.k_min}..{spec.k_max})")
-    started = time.perf_counter()
-    result = build_sweep(spec, jobs=args.jobs)
-    sweep_seconds = time.perf_counter() - started
-    print(f"  {len(result.observations)} observations, "
-          f"{len(result.failures)} failures, {sweep_seconds:.1f}s")
-    io.write_sweep_csv(result, out / "sweep.csv")
-    io.write_json(io.sweep_meta_doc(result, sweep_seconds), out / "sweep_meta.json")
+    for argv in (["sweep", "--out", str(out), "--jobs", str(args.jobs)],
+                 ["fit", "--out", str(out), "--iters", str(args.iters)]):
+        code = cli.main(argv)
+        if code != cli.EXIT_OK:
+            return code
 
-    xs = result.log_series()
-    init = default_init(xs, 3, 0.8)
-    report = baum_welch(xs, init, max_iters=args.iters)
-    p = report.params
-    print(f"\nfitted 3-state model after {report.iterations} EM iterations "
-          f"(loglik {report.loglik_trace[0]:.2f} -> {report.loglik_trace[-1]:.2f})")
+    model = json.loads((out / "model.json").read_text())
+    trace = model["loglik_trace"]
+    print(f"\nfitted 3-state model after {model['metadata']['iterations']} EM iterations "
+          f"(loglik {trace[0]:.2f} -> {trace[-1]:.2f})")
     print(f"{'state':>5} {'mean':>10} {'sd':>10} {'published mean':>15} {'published sd':>13}")
     for j in range(3):
-        print(f"{j + 1:>5} {p.mu[j]:>10.4f} {p.sigma[j]:>10.5f} "
+        print(f"{j + 1:>5} {model['mu'][j]:>10.4f} {model['sigma'][j]:>10.5f} "
               f"{PUBLISHED['mu'][j]:>15.4f} {PUBLISHED['sigma'][j]:>13.5f}")
     print("\ntransition matrix (rows: from-state):")
-    for row in p.gamma:
+    for row in model["gamma"]:
         print("   " + "  ".join(f"{v:7.4f}" for v in row))
     print("published:")
     for row in PUBLISHED["gamma"]:
         print("   " + "  ".join(f"{v:7.4f}" for v in row))
 
-    io.write_json(
-        io.model_json_doc(report, residual_variant="conditional",
-                          gamma_diag_init=0.8, max_iters=args.iters, tol=0.0,
-                          update_delta=True),
-        out / "model.json",
-    )
-
-    residuals = pseudo_residuals(p, xs, ResidualVariant.CONDITIONAL)
-    counts = residual_histogram(residuals, bins=10)
-    (out / "residuals.csv").write_text(
-        io.residuals_csv_text([o.t for o in result.observations], xs, residuals.u))
-    io.write_json(io.histogram_json_doc(counts), out / "histogram.json")
+    counts = json.loads((out / "histogram.json").read_text())["counts"]
     lo, hi = PUBLISHED["hist_extremes"]
-    print(f"\npseudo-residual histogram (10 bins): {counts.tolist()}")
-    print(f"  extremes {counts.min()}/{counts.max()} "
+    print(f"\npseudo-residual histogram (10 bins): {counts}")
+    print(f"  extremes {min(counts)}/{max(counts)} "
           f"(published {lo}/{hi}); uniform target 30 per bin")
     print(f"\nartifacts in {out}/")
     return 0

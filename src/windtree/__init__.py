@@ -13,7 +13,6 @@ from .billiard import (
     distance_series,
     locate_cell,
     next_collision,
-    reflect,
     simulate,
     state_from_angle,
     state_from_slope,
@@ -52,7 +51,7 @@ from .sweep import (
 __all__ = [
     "CollisionEvent", "DegenerateVelocity", "NoHitWithinHorizon",
     "ParticleState", "TrajectoryLog", "Vec2", "Wall",
-    "distance_series", "locate_cell", "next_collision", "reflect",
+    "distance_series", "locate_cell", "next_collision",
     "simulate", "state_from_angle", "state_from_slope",
     "HmmConfig", "PipelineConfig", "SimulateConfig",
     "FitReport", "ForwardBackwardTables", "HmmParams", "PosteriorTables",

@@ -154,9 +154,6 @@ class TrajectoryLog:
         """(n, 2) array of collision points."""
         return np.column_stack([self.x, self.y])
 
-    def event_times(self) -> np.ndarray:
-        return self.t
-
     def position_at_time(self, t: float) -> Vec2:
         """Position at path-time t, linearly interpolated between logged events.
 
@@ -216,13 +213,8 @@ def _nearest_odd_array(x: np.ndarray) -> np.ndarray:
     return nearest.astype(np.int64)
 
 
-def reflect(v: Vec2, wall: Wall) -> Vec2:
-    """Specular reflection on an axis-aligned wall; corners reverse both components."""
-    x, y = _reflect_components(v[0], v[1], WALLS.index(wall))
-    return unit(x, y)
-
-
 def _reflect_components(vx: float, vy: float, wall: int) -> tuple[float, float]:
+    """Specular reflection on an axis-aligned wall; corners reverse both components."""
     if wall == _LEFT or wall == _RIGHT:
         return -vx, vy
     if wall == _BOTTOM or wall == _TOP:

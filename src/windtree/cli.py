@@ -8,6 +8,7 @@ machine-readable error JSON on stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -190,6 +191,27 @@ def cmd_diagnose(config: PipelineConfig, out: Path) -> int:
     def check(name: str, ok: bool, detail: str = "") -> None:
         checks.append((name, ok, detail))
 
+    def read_json(path: Path):
+        """The parsed artifact after its round-trip check; None when the file
+        is not JSON."""
+        try:
+            raw = path.read_text()
+            doc = json.loads(raw)
+        except ValueError as exc:  # a file that does not parse cannot round-trip
+            check(f"{path.name} round-trip", False, f"not JSON: {exc}")
+            return None
+        check(f"{path.name} round-trip", io.json_text(doc) == raw)
+        return doc
+
+    @contextlib.contextmanager
+    def fields_of(path: Path):
+        """Fail one check, instead of raising, when the checks in the block
+        find a field of the document missing or of the wrong type."""
+        try:
+            yield
+        except (KeyError, TypeError, ValueError) as exc:
+            check(f"{path.name} fields", False, f"{type(exc).__name__}: {exc}")
+
     found_any = False
 
     traj_csv = out / "trajectory.csv"
@@ -213,13 +235,15 @@ def cmd_diagnose(config: PipelineConfig, out: Path) -> int:
     traj_json = out / "trajectory.json"
     if traj_json.exists():
         found_any = True
-        check("trajectory.json round-trip", io.json_roundtrips(traj_json))
+        doc = read_json(traj_json)
         if not traj_csv.exists():
             check("trajectory.csv round-trip", False, "missing beside trajectory.json")
-        elif cols is not None:
+        elif cols is not None and doc is not None:
+            # ValueError includes DegenerateVelocity; TypeError is a field
+            # of the wrong type, or a document that is not an object
             try:
-                log = io.read_trajectory(traj_csv, traj_json)
-            except (ValueError, KeyError) as exc:  # ValueError includes DegenerateVelocity
+                log = io.read_trajectory(cols, doc)
+            except (ValueError, KeyError, TypeError) as exc:
                 check("trajectory speeds unit", False, f"{type(exc).__name__}: {exc}")
             else:
                 speeds = np.hypot(log.vx, log.vy)
@@ -247,31 +271,32 @@ def cmd_diagnose(config: PipelineConfig, out: Path) -> int:
             check("sweep D positive finite",
                   all(o.min_distance > 0 and math.isfinite(o.min_distance) for o in obs))
             meta_path = out / "sweep_meta.json"
-            if meta_path.exists():
-                check("sweep_meta.json round-trip", io.json_roundtrips(meta_path))
-                meta = json.loads(meta_path.read_text())
-                spec = SweepSpec(**meta["spec"])
-                check("sweep slopes on the arithmetic grid",
-                      all(abs(o.slope - spec.slope_at(o.t)) <= 1e-12 for o in obs))
+            meta = read_json(meta_path) if meta_path.exists() else None
+            if meta is not None:
+                with fields_of(meta_path):
+                    spec = SweepSpec(**meta["spec"])
+                    check("sweep slopes on the arithmetic grid",
+                          all(abs(o.slope - spec.slope_at(o.t)) <= 1e-12 for o in obs))
 
     model_path = out / "model.json"
     if model_path.exists():
         found_any = True
-        check("model.json round-trip", io.json_roundtrips(model_path))
-        doc = json.loads(model_path.read_text())
-        delta = np.array(doc["delta"])
-        gamma = np.array(doc["gamma"])
-        check("model delta is a distribution",
-              bool(np.all(delta >= 0) and abs(delta.sum() - 1.0) <= 1e-12))
-        check("model gamma rows stochastic",
-              bool(np.all(gamma >= 0)
-                   and np.all(np.abs(gamma.sum(axis=1) - 1.0) <= 1e-12)))
-        check("model sigmas positive", all(s > 0 for s in doc["sigma"]))
-        check("model means sorted ascending",
-              all(b >= a for a, b in zip(doc["mu"], doc["mu"][1:])))
-        trace = doc["loglik_trace"]
-        check("model loglik trace non-decreasing",
-              all(b >= a - 1e-9 for a, b in zip(trace, trace[1:])))
+        doc = read_json(model_path)
+        if doc is not None:
+            with fields_of(model_path):
+                delta = np.array(doc["delta"])
+                gamma = np.array(doc["gamma"])
+                check("model delta is a distribution",
+                      bool(np.all(delta >= 0) and abs(delta.sum() - 1.0) <= 1e-12))
+                check("model gamma rows stochastic",
+                      bool(np.all(gamma >= 0)
+                           and np.all(np.abs(gamma.sum(axis=1) - 1.0) <= 1e-12)))
+                check("model sigmas positive", all(s > 0 for s in doc["sigma"]))
+                check("model means sorted ascending",
+                      all(b >= a for a, b in zip(doc["mu"], doc["mu"][1:])))
+                trace = doc["loglik_trace"]
+                check("model loglik trace non-decreasing",
+                      all(b >= a - 1e-9 for a, b in zip(trace, trace[1:])))
 
     res_path = out / "residuals.csv"
     if res_path.exists():
@@ -287,11 +312,11 @@ def cmd_diagnose(config: PipelineConfig, out: Path) -> int:
                                         [r["u"] for r in rows]) == res_path.read_text())
             check("residuals in [0, 1]", all(0.0 <= r["u"] <= 1.0 for r in rows))
             hist_path = out / "histogram.json"
-            if hist_path.exists():
-                check("histogram.json round-trip", io.json_roundtrips(hist_path))
-                hist = json.loads(hist_path.read_text())
-                check("histogram counts sum to residual rows",
-                      sum(hist["counts"]) == len(rows) == hist["total"])
+            hist = read_json(hist_path) if hist_path.exists() else None
+            if hist is not None:
+                with fields_of(hist_path):
+                    check("histogram counts sum to residual rows",
+                          sum(hist["counts"]) == len(rows) == hist["total"])
 
     if not found_any:
         return _fail(EXIT_CONFIG, f"no artifacts found under {out}")

@@ -188,17 +188,17 @@ def posterior_pairs(params: HmmParams, obs: Sequence[float],
     if tables is None:
         tables = forward_backward(params, x)
     dens = _density_matrix(params, x)
-    T, m = dens.shape
 
     state = tables.alpha_hat * tables.beta_hat
     state /= state.sum(axis=1, keepdims=True)
 
-    pair = np.empty((T - 1, m, m))
-    for t in range(T - 1):
-        joint = (tables.alpha_hat[t][:, None]
-                 * params.gamma
-                 * (dens[t + 1] * tables.beta_hat[t + 1])[None, :])
-        pair[t] = joint * math.exp(-tables.log_c[t + 1])
+    # math.exp as in the backward pass: np.exp can differ from it in the
+    # last bit, and such bits move the fitted model
+    scale = np.fromiter(map(math.exp, -tables.log_c[1:]), dtype=float, count=x.size - 1)
+    pair = ((tables.alpha_hat[:-1, :, None]
+             * params.gamma[None]
+             * (dens[1:] * tables.beta_hat[1:])[:, None, :])
+            * scale[:, None, None])
     return PosteriorTables(state_prob=state, pair_prob=pair)
 
 

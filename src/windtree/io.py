@@ -98,11 +98,10 @@ def write_trajectory_json(log: TrajectoryLog, path: Path | str) -> None:
     write_json(trajectory_json_doc(log), path)
 
 
-def read_trajectory(csv_path: Path | str, json_path: Path | str) -> TrajectoryLog:
-    """The log of a trajectory.csv and its trajectory.json: hit points, times
-    and walls from the CSV, velocities and truncation from the JSON."""
-    cols = read_trajectory_csv(csv_path)
-    doc = json.loads(Path(json_path).read_text())
+def read_trajectory(cols: dict, doc: dict) -> TrajectoryLog:
+    """The log of a trajectory.csv, parsed by read_trajectory_csv, joined with
+    its trajectory.json document: hit points, times and walls from the CSV,
+    velocities and truncation from the JSON."""
     initial = _state_from_json(doc["initial"])
     if [*cols["x"][:1], *cols["y"][:1], *cols["t"][:1]] != [*initial.position,
                                                             initial.elapsed_time]:
@@ -236,9 +235,3 @@ def write_json(doc: dict, path: Path | str) -> None:
 
 def json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
-
-
-def json_roundtrips(path: Path | str) -> bool:
-    """True when parsing and re-serializing the file reproduces its bytes."""
-    raw = Path(path).read_text()
-    return json_text(json.loads(raw)) == raw

@@ -24,8 +24,8 @@ from windtree.billiard import (
     distance_series,
     locate_cell,
     next_collision,
+    _reflect_components,
     point_in_obstacle,
-    reflect,
     simulate,
     state_from_slope,
     step_rays,
@@ -78,21 +78,21 @@ class TestLocateCell:
 
 class TestReflect:
     def test_vertical_wall(self):
-        assert reflect(Vec2(0.6, 0.8), Wall.LEFT) == Vec2(-0.6, 0.8)
+        assert _reflect_components(0.6, 0.8, WALLS.index(Wall.LEFT)) == (-0.6, 0.8)
 
     def test_horizontal_wall(self):
-        assert reflect(Vec2(0.6, 0.8), Wall.BOTTOM) == Vec2(0.6, -0.8)
+        assert _reflect_components(0.6, 0.8, WALLS.index(Wall.BOTTOM)) == (0.6, -0.8)
 
     def test_corner_reverses_both(self):
-        assert reflect(Vec2(0.6, 0.8), Wall.CORNER) == Vec2(-0.6, -0.8)
+        assert _reflect_components(0.6, 0.8, WALLS.index(Wall.CORNER)) == (-0.6, -0.8)
 
     @given(st.floats(-math.pi, math.pi), st.sampled_from(list(Wall)))
     def test_unit_norm_and_involution(self, theta, wall):
-        v = Vec2(math.cos(theta), math.sin(theta))
-        r = reflect(v, wall)
-        assert abs(r.norm() - 1.0) <= 1e-12
-        rr = reflect(r, wall)
-        assert math.hypot(rr.x - v.x, rr.y - v.y) <= 1e-12
+        vx, vy = math.cos(theta), math.sin(theta)
+        rx, ry = _reflect_components(vx, vy, WALLS.index(wall))
+        assert abs(math.hypot(rx, ry) - 1.0) <= 1e-12
+        rrx, rry = _reflect_components(rx, ry, WALLS.index(wall))
+        assert math.hypot(rrx - vx, rry - vy) <= 1e-12
 
 
 class TestNextCollision:
@@ -193,7 +193,7 @@ class TestSimulate:
 
     def test_times_strictly_increase(self):
         log = simulate(state_from_slope(1.618), 500)
-        times = log.event_times()
+        times = log.t
         assert np.all(np.diff(times) > 0)
 
     def test_initial_inside_obstacle_rejected(self):
@@ -325,7 +325,7 @@ def test_trajectory_log_rows_checked_like_particle_states():
 def test_trajectory_log_event_arrays():
     log = simulate(state_from_slope(1.618), 20)
     assert log.event_points().shape == (20, 2)
-    assert log.event_times().shape == (20,)
+    assert log.t.shape == (20,)
     assert log.corner_count() == 0
 
 

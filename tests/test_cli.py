@@ -32,6 +32,27 @@ SIMULATE_DIGESTS = {
     },
 }
 
+# SHA-256 of the `fit --states m` artifacts on the reference sweep.csv. The
+# digests were taken while posterior_pairs still built the pair tensor one
+# observation at a time; the broadcast must keep every fitted bit.
+FIT_DIGESTS = {
+    2: {
+        "model.json": "8f6d58572dab70beb48d145015648dedbd0524dad9a7c5a606fe53366a15828d",
+        "residuals.csv": "14b6d10c423ff2f2e2b4faa0feefbd285ebfd614dbb87319f3567c84d7d7197e",
+        "histogram.json": "08cba2539e717fbe7cd5ee02213fd4daad160548f5abbe5d2253cca3b4a11321",
+    },
+    3: {
+        "model.json": "a00548b9c5c5c39ddd671c33a7e696950d57bb3de4508ec5c9f426eb8b102fba",
+        "residuals.csv": "bd1a823d4d1c5beba8702ee0c64de879a1a78683fda603fed9cc788f9bfeaafe",
+        "histogram.json": "dbfbe749e924fb0cfe97bcd487efd6c6d6c497fd4235f4a04e6c8b88d701b810",
+    },
+    4: {
+        "model.json": "8ff1f24ff032d38cbca942857bf8a467d1ceeb81bcb8c8f090345d7a24b5dca2",
+        "residuals.csv": "5a613767a894ea4815fe648f9aac3fcb5b33b8c7f8f7afd55c8303c75ed8b32f",
+        "histogram.json": "87efb83167bc924b0ad446ec8f430e8e6ceec13e7d52996dd5229f6a478e5fd9",
+    },
+}
+
 SMALL_CONFIG = {
     "sweep": {"slope_start": 1.5, "slope_step": 0.01, "count": 10,
               "k_min": 20, "k_max": 60},
@@ -77,7 +98,8 @@ class TestSimulateCommand:
         rc = main(["simulate", "--out", str(tmp_path), "--slope", "1.618",
                    "--collisions", "25"])
         assert rc == 0
-        log = io.read_trajectory(tmp_path / "trajectory.csv", tmp_path / "trajectory.json")
+        log = io.read_trajectory(io.read_trajectory_csv(tmp_path / "trajectory.csv"),
+                                 json.loads((tmp_path / "trajectory.json").read_text()))
         fresh = simulate(state_from_slope(1.618), 25)
         assert len(log) == len(fresh) == 25
         for name in ("x", "y", "t", "wall", "vx", "vy"):
@@ -194,6 +216,14 @@ class TestFitCommand:
         assert main(["fit", "--out", str(sweep_dir), "--states", "2"]) == 0
         assert (sweep_dir / "model.json").read_bytes() == first
 
+    @pytest.mark.parametrize("states", sorted(FIT_DIGESTS))
+    def test_artifacts_are_pinned(self, tmp_path, reference_sweep, states):
+        io.write_sweep_csv(reference_sweep[0], tmp_path / "sweep.csv")
+        assert main(["fit", "--out", str(tmp_path), "--states", str(states)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in FIT_DIGESTS[states]}
+        assert digests == FIT_DIGESTS[states]
+
     def test_missing_csv_is_config_error(self, tmp_path):
         assert main(["fit", "--out", str(tmp_path)]) == 2
 
@@ -247,6 +277,43 @@ class TestDiagnoseCommand:
         path.write_text(json.dumps(doc))
         assert main(["diagnose", "--out", str(tmp_path)]) == 4
         assert "FAIL trajectory speeds unit" in capsys.readouterr().out
+
+    def test_trajectory_csv_is_parsed_once(self, tmp_path, monkeypatch):
+        assert main(["simulate", "--out", str(tmp_path), "--collisions", "5"]) == 0
+        calls = []
+        read_csv = io.read_trajectory_csv
+        monkeypatch.setattr(io, "read_trajectory_csv",
+                            lambda path: calls.append(path) or read_csv(path))
+        assert main(["diagnose", "--out", str(tmp_path)]) == 0
+        assert calls == [tmp_path / "trajectory.csv"]
+
+    @pytest.mark.parametrize("fault", ["not_json", "missing_key"])
+    @pytest.mark.parametrize("name, key", [("trajectory.json", "initial"),
+                                           ("sweep_meta.json", "spec"),
+                                           ("model.json", "delta"),
+                                           ("histogram.json", "counts")])
+    def test_bad_json_artifact_fails_a_check(self, tmp_path, capsys, name, key, fault):
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        for command in ("simulate", "sweep", "fit"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        path = tmp_path / name
+        if fault == "not_json":
+            path.write_text("{")
+        else:
+            doc = json.loads(path.read_text())
+            del doc[key]
+            io.write_json(doc, path)
+        capsys.readouterr()
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 4
+        out = capsys.readouterr().out
+        if fault == "not_json":
+            assert f"FAIL {name} round-trip (not JSON: " in out
+        else:
+            assert f"ok   {name} round-trip" in out
+            assert re.search(rf"^FAIL .*\(KeyError: '{key}'\)$", out, re.MULTILINE)
+        # the other artifacts are still checked
+        assert "ok   trajectory.csv round-trip" in out
+        assert "ok   residuals.csv round-trip" in out
 
     @pytest.mark.parametrize("edit", ["bad_number", "short_row"])
     @pytest.mark.parametrize("name", ["sweep.csv", "residuals.csv"])
@@ -399,4 +466,5 @@ class TestArtifactFormats:
         doc = {"a": [1.0, math.pi], "b": {"c": "x"}}
         path = tmp_path / "doc.json"
         io.write_json(doc, path)
-        assert io.json_roundtrips(path)
+        raw = path.read_text()
+        assert io.json_text(json.loads(raw)) == raw
