@@ -8,7 +8,6 @@ machine-readable error JSON on stdout.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import sys
@@ -94,8 +93,8 @@ def cmd_simulate(config: PipelineConfig, out: Path) -> int:
     except (ValueError, billiard.DegenerateVelocity) as exc:
         return _fail(EXIT_SIMULATION, f"simulation failed: {exc}")
 
-    io.write_trajectory_csv(log, out / "trajectory.csv")
-    io.write_trajectory_json(log, out / "trajectory.json")
+    io.write_artifact(io.trajectory_columns(log), out / "trajectory.csv")
+    io.write_artifact(io.trajectory_json_doc(log), out / "trajectory.json")
     svg.write_trajectory_svg(log, out / "trajectory.svg")
 
     summary: dict = {
@@ -118,7 +117,7 @@ def cmd_simulate(config: PipelineConfig, out: Path) -> int:
         summary["motion"] = {"label": motion.label.value, "evidence": motion.evidence}
     except InsufficientData as exc:
         summary["motion"] = {"label": None, "reason": str(exc)}
-    io.write_json(summary, out / "summary.json")
+    io.write_artifact(summary, out / "summary.json")
     print(f"wrote trajectory ({len(log)} events) to {out}")
     return EXIT_OK
 
@@ -133,8 +132,8 @@ def cmd_sweep(config: PipelineConfig, out: Path) -> int:
         return _fail(EXIT_SIMULATION, f"sweep worker died: {exc}")
     elapsed = time.perf_counter() - started
 
-    io.write_sweep_csv(result, out / "sweep.csv")
-    io.write_json(io.sweep_meta_doc(result, elapsed), out / "sweep_meta.json")
+    io.write_artifact(io.sweep_columns(result), out / "sweep.csv")
+    io.write_artifact(io.sweep_meta_doc(result, elapsed), out / "sweep_meta.json")
     n_fail = len(result.failures)
     print(f"wrote {len(result.observations)} observations "
           f"({n_fail} failures) to {out} in {elapsed:.1f}s")
@@ -146,13 +145,13 @@ def cmd_sweep(config: PipelineConfig, out: Path) -> int:
 def cmd_fit(config: PipelineConfig, out: Path, observations: str | None) -> int:
     obs_path = Path(observations) if observations else out / "sweep.csv"
     try:
-        rows = io.read_sweep_csv(obs_path)
-    except (OSError, ValueError, KeyError) as exc:
+        obs = io.parse_csv(obs_path.read_text(), io.SWEEP_CSV)
+    except (OSError, ValueError) as exc:
         return _fail(EXIT_CONFIG, f"cannot read observations {obs_path}: {exc}")
-    if len(rows) < config.hmm.m:
+    ts, xs = obs["t"], obs["logD"]
+    if len(xs) < config.hmm.m:
         return _fail(EXIT_CONFIG,
-                     f"{obs_path} has {len(rows)} rows, need >= {config.hmm.m}")
-    xs = np.array([r.log_min_distance for r in rows])
+                     f"{obs_path} has {len(xs)} rows, need >= {config.hmm.m}")
 
     try:
         init = hmm.default_init(xs, config.hmm.m, config.hmm.gamma_diag_init)
@@ -163,7 +162,7 @@ def cmd_fit(config: PipelineConfig, out: Path, observations: str | None) -> int:
     except (hmm.NumericalUnderflow, ValueError) as exc:
         return _fail(EXIT_FIT, f"fit failed: {exc}")
 
-    io.write_json(
+    io.write_artifact(
         io.model_json_doc(
             report,
             residual_variant=config.hmm.residual_variant,
@@ -174,151 +173,117 @@ def cmd_fit(config: PipelineConfig, out: Path, observations: str | None) -> int:
         ),
         out / "model.json",
     )
-    (out / "residuals.csv").write_text(
-        io.residuals_csv_text([r.t for r in rows], xs, residuals.u)
-    )
-    io.write_json(io.histogram_json_doc(counts), out / "histogram.json")
-    print(f"fitted {config.hmm.m}-state model on {len(rows)} observations; "
+    io.write_artifact({"t": ts, "x": xs, "u": residuals.u}, out / "residuals.csv")
+    io.write_artifact(io.histogram_json_doc(counts), out / "histogram.json")
+    print(f"fitted {config.hmm.m}-state model on {len(xs)} observations; "
           f"final loglik {report.loglik_trace[-1]:.4f}; "
           f"means {np.round(report.params.mu, 4).tolist()}")
     return EXIT_OK
 
 
+def _trajectory_checks(cols, _):
+    xs, ys, ts = cols["x"], cols["y"], cols["t"]
+    yield "trajectory times strictly increasing", bool(np.all(ts[1:] > ts[:-1]))
+    cx, cy = billiard.cell_centers(xs[1:], ys[1:])
+    gap = np.maximum(np.abs(xs[1:] - cx), np.abs(ys[1:] - cy))
+    yield "trajectory points on obstacle boundaries", bool(np.all(np.abs(gap - 0.5) <= 1e-9))
+
+
+def _trajectory_join_checks(doc, cols):
+    vx, vy = np.asarray(doc["vx"], dtype=float), np.asarray(doc["vy"], dtype=float)
+    # one unit post-bounce velocity per strike row of the CSV
+    yield "trajectory speeds unit", (len(vx) == len(vy) == len(cols["t"]) - 1
+                                     and bool(np.all(np.abs(np.hypot(vx, vy) - 1.0) <= 1e-9)))
+    log = io.read_trajectory(cols, doc)
+    # each logged strike again, from the state before it
+    rays, walls = billiard.step_rays(billiard.strike_origins(log))
+    replayed = (rays.x, rays.y, rays.t, walls, rays.vx, rays.vy)
+    logged = (log.x, log.y, log.t, log.wall, log.vx, log.vy)
+    yield "trajectory replays on the collision kernel", all(
+        a.tobytes() == b.tobytes() for a, b in zip(replayed, logged))
+
+
+def _sweep_checks(cols, _):
+    ds, log_ds = cols["D"].tolist(), cols["logD"].tolist()
+    yield "sweep logD = ln(D)", all(abs(b - math.log(a)) <= 1e-12 for a, b in zip(ds, log_ds))
+    yield "sweep D positive finite", all(d > 0 and math.isfinite(d) for d in ds)
+
+
+def _sweep_grid_checks(meta, cols):
+    spec = SweepSpec(**meta["spec"])
+    yield "sweep slopes on the arithmetic grid", all(
+        abs(slope - spec.slope_at(t)) <= 1e-12
+        for t, slope in zip(cols["t"].tolist(), cols["slope"].tolist()))
+
+
+def _model_checks(doc, _):
+    delta = np.array(doc["delta"])
+    gamma = np.array(doc["gamma"])
+    yield "model delta is a distribution", bool(np.all(delta >= 0)
+                                                and abs(delta.sum() - 1.0) <= 1e-12)
+    yield "model gamma rows stochastic", bool(
+        np.all(gamma >= 0) and np.all(np.abs(gamma.sum(axis=1) - 1.0) <= 1e-12))
+    yield "model sigmas positive", all(s > 0 for s in doc["sigma"])
+    yield "model means sorted ascending", all(b >= a for a, b in zip(doc["mu"], doc["mu"][1:]))
+    trace = doc["loglik_trace"]
+    yield "model loglik trace non-decreasing", all(b >= a - 1e-9
+                                                   for a, b in zip(trace, trace[1:]))
+
+
+def _residuals_checks(cols, _):
+    u = cols["u"]
+    yield "residuals in [0, 1]", bool(np.all((u >= 0.0) & (u <= 1.0)))
+
+
+def _histogram_checks(hist, cols):
+    yield "histogram counts sum to residual rows", (
+        sum(hist["counts"]) == len(cols["t"]) == hist["total"])
+
+
+# artifact -> (the artifact its checks also read, or None; its content checks).
+# A check of two files runs only where both parsed; it comes after the later one.
+DIAGNOSTICS = {
+    "trajectory.csv": (None, _trajectory_checks),
+    "trajectory.json": ("trajectory.csv", _trajectory_join_checks),
+    "sweep.csv": (None, _sweep_checks),
+    "sweep_meta.json": ("sweep.csv", _sweep_grid_checks),
+    "model.json": (None, _model_checks),
+    "residuals.csv": (None, _residuals_checks),
+    "histogram.json": ("residuals.csv", _histogram_checks),
+}
+
+
 def cmd_diagnose(config: PipelineConfig, out: Path) -> int:
-    """Re-read persisted artifacts and re-check their invariants."""
+    """Re-read persisted artifacts and re-check their invariants.
+
+    Each artifact is read and parsed once and must re-render to its own
+    bytes; its content checks then run on the parsed document.
+    """
     checks: list[tuple[str, bool, str]] = []
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        checks.append((name, ok, detail))
-
-    def read_json(path: Path):
-        """The parsed artifact after its round-trip check; None when the file
-        is not JSON."""
+    docs = {}
+    for name in io.ARTIFACTS:
+        path = out / name
+        if not path.exists():
+            continue
+        partner, content_checks = DIAGNOSTICS.get(name, (None, None))
+        if partner is not None and not (out / partner).exists():
+            checks.append((f"{partner} round-trip", False, f"missing beside {name}"))
         try:
             raw = path.read_text()
-            doc = json.loads(raw)
+            docs[name] = doc = io.parse_artifact(name, raw)
         except ValueError as exc:  # a file that does not parse cannot round-trip
-            check(f"{path.name} round-trip", False, f"not JSON: {exc}")
-            return None
-        check(f"{path.name} round-trip", io.json_text(doc) == raw)
-        return doc
-
-    @contextlib.contextmanager
-    def fields_of(path: Path):
-        """Fail one check, instead of raising, when the checks in the block
-        find a field of the document missing or of the wrong type."""
+            checks.append((f"{name} round-trip", False, f"not {path.suffix[1:].upper()}: {exc}"))
+            continue
+        checks.append((f"{name} round-trip", io.render_artifact(name, doc) == raw, ""))
+        if content_checks is None or (partner is not None and partner not in docs):
+            continue
         try:
-            yield
-        except (KeyError, TypeError, ValueError) as exc:
-            check(f"{path.name} fields", False, f"{type(exc).__name__}: {exc}")
+            for check_name, ok in content_checks(doc, docs.get(partner)):
+                checks.append((check_name, ok, ""))
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError includes DegenerateVelocity
+            checks.append((f"{name} fields", False, f"{type(exc).__name__}: {exc}"))
 
-    found_any = False
-
-    traj_csv = out / "trajectory.csv"
-    cols = None
-    if traj_csv.exists():
-        found_any = True
-        try:
-            cols = io.read_trajectory_csv(traj_csv)
-        except ValueError as exc:  # a row that does not parse cannot round-trip
-            check("trajectory.csv round-trip", False, str(exc))
-        else:
-            check("trajectory.csv round-trip",
-                  io.trajectory_rows_text(**cols) == traj_csv.read_text())
-            xs, ys, ts = cols["x"], cols["y"], cols["t"]
-            check("trajectory times strictly increasing", bool(np.all(ts[1:] > ts[:-1])))
-            cx, cy = billiard.cell_centers(xs[1:], ys[1:])
-            gap = np.maximum(np.abs(xs[1:] - cx), np.abs(ys[1:] - cy))
-            check("trajectory points on obstacle boundaries",
-                  bool(np.all(np.abs(gap - 0.5) <= 1e-9)))
-
-    traj_json = out / "trajectory.json"
-    if traj_json.exists():
-        found_any = True
-        doc = read_json(traj_json)
-        if not traj_csv.exists():
-            check("trajectory.csv round-trip", False, "missing beside trajectory.json")
-        elif cols is not None and doc is not None:
-            # ValueError includes DegenerateVelocity; TypeError is a field
-            # of the wrong type, or a document that is not an object
-            try:
-                log = io.read_trajectory(cols, doc)
-            except (ValueError, KeyError, TypeError) as exc:
-                check("trajectory speeds unit", False, f"{type(exc).__name__}: {exc}")
-            else:
-                speeds = np.hypot(log.vx, log.vy)
-                check("trajectory speeds unit", bool(np.all(np.abs(speeds - 1.0) <= 1e-9)))
-                # each logged strike again, from the state before it
-                rays, walls = billiard.step_rays(billiard.strike_origins(log))
-                replayed = (rays.x, rays.y, rays.t, walls, rays.vx, rays.vy)
-                logged = (log.x, log.y, log.t, log.wall, log.vx, log.vy)
-                check("trajectory replays on the collision kernel",
-                      all(a.tobytes() == b.tobytes() for a, b in zip(replayed, logged)))
-
-    sweep_csv = out / "sweep.csv"
-    if sweep_csv.exists():
-        found_any = True
-        try:
-            obs = io.read_sweep_csv(sweep_csv)
-        except ValueError as exc:  # a row that does not parse cannot round-trip
-            check("sweep.csv round-trip", False, str(exc))
-        else:
-            check("sweep.csv round-trip",
-                  io.sweep_csv_text(obs) == sweep_csv.read_text())
-            check("sweep logD = ln(D)",
-                  all(abs(o.log_min_distance - math.log(o.min_distance)) <= 1e-12
-                      for o in obs))
-            check("sweep D positive finite",
-                  all(o.min_distance > 0 and math.isfinite(o.min_distance) for o in obs))
-            meta_path = out / "sweep_meta.json"
-            meta = read_json(meta_path) if meta_path.exists() else None
-            if meta is not None:
-                with fields_of(meta_path):
-                    spec = SweepSpec(**meta["spec"])
-                    check("sweep slopes on the arithmetic grid",
-                          all(abs(o.slope - spec.slope_at(o.t)) <= 1e-12 for o in obs))
-
-    model_path = out / "model.json"
-    if model_path.exists():
-        found_any = True
-        doc = read_json(model_path)
-        if doc is not None:
-            with fields_of(model_path):
-                delta = np.array(doc["delta"])
-                gamma = np.array(doc["gamma"])
-                check("model delta is a distribution",
-                      bool(np.all(delta >= 0) and abs(delta.sum() - 1.0) <= 1e-12))
-                check("model gamma rows stochastic",
-                      bool(np.all(gamma >= 0)
-                           and np.all(np.abs(gamma.sum(axis=1) - 1.0) <= 1e-12)))
-                check("model sigmas positive", all(s > 0 for s in doc["sigma"]))
-                check("model means sorted ascending",
-                      all(b >= a for a, b in zip(doc["mu"], doc["mu"][1:])))
-                trace = doc["loglik_trace"]
-                check("model loglik trace non-decreasing",
-                      all(b >= a - 1e-9 for a, b in zip(trace, trace[1:])))
-
-    res_path = out / "residuals.csv"
-    if res_path.exists():
-        found_any = True
-        try:
-            rows = io.read_residuals_csv(res_path)
-        except ValueError as exc:  # a row that does not parse cannot round-trip
-            check("residuals.csv round-trip", False, str(exc))
-        else:
-            check("residuals.csv round-trip",
-                  io.residuals_csv_text([r["t"] for r in rows],
-                                        [r["x"] for r in rows],
-                                        [r["u"] for r in rows]) == res_path.read_text())
-            check("residuals in [0, 1]", all(0.0 <= r["u"] <= 1.0 for r in rows))
-            hist_path = out / "histogram.json"
-            hist = read_json(hist_path) if hist_path.exists() else None
-            if hist is not None:
-                with fields_of(hist_path):
-                    check("histogram counts sum to residual rows",
-                          sum(hist["counts"]) == len(rows) == hist["total"])
-
-    if not found_any:
+    if not checks:
         return _fail(EXIT_CONFIG, f"no artifacts found under {out}")
     failed = 0
     for name, ok, detail in checks:

@@ -1,22 +1,29 @@
 """Readers and writers for the pipeline artifacts.
 
+Each CSV artifact is described once, by its columns and their types; one
+renderer (`csv_text`) and one parser (`parse_csv`) work on a dict of
+columns for all of them. `ARTIFACTS` lists every text file the commands
+write, so that writing one (`write_artifact`) and re-reading it
+(`parse_artifact`, `render_artifact`) go through the same codec.
+
 CSV numbers are rendered with 17 significant digits, which is enough for a
 parse/re-serialize cycle to reproduce the file byte for byte. JSON floats
 use Python's shortest round-trip representation, which preserves values
-exactly as well.
+exactly as well. Every file is written to `<name>.tmp` and moved into place
+with `os.replace`, so a file is either its old or its new content.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from .billiard import WALLS, ParticleState, TrajectoryLog, Vec2
-from .sweep import SlopeObservation, SweepResult
+from .sweep import SweepResult
 
 
 def fmt(x: float) -> str:
@@ -24,45 +31,120 @@ def fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# -- the codec -------------------------------------------------------------
+
+# Each CSV artifact: its header's column names, in order, and their types.
+TRAJECTORY_CSV = {"k": int, "x": float, "y": float, "t": float, "wall": str}
+SWEEP_CSV = {"t": int, "slope": float, "D": float, "logD": float}
+RESIDUALS_CSV = {"t": int, "x": float, "u": float}
+
+# The text artifacts the commands write, in the order diagnose checks them:
+# a CSV by its columns, a JSON document by None.
+ARTIFACTS = {
+    "trajectory.csv": TRAJECTORY_CSV,
+    "trajectory.json": None,
+    "summary.json": None,
+    "sweep.csv": SWEEP_CSV,
+    "sweep_meta.json": None,
+    "model.json": None,
+    "residuals.csv": RESIDUALS_CSV,
+    "histogram.json": None,
+}
+
+
+def csv_text(columns: dict, spec: dict) -> str:
+    """CSV text of `columns` (name -> sequence), one row per index, under
+    the header of `spec`; floats with 17 significant digits."""
+    cells = []
+    for name, kind in spec.items():
+        values = columns[name]
+        values = values.tolist() if isinstance(values, np.ndarray) else values
+        cells.append(list(map(fmt if kind is float else str, values)))
+    return "\n".join([",".join(spec), *map(",".join, zip(*cells, strict=True))]) + "\n"
+
+
+def parse_csv(text: str, spec: dict) -> dict:
+    """The columns of a CSV text under the header of `spec`: int and float
+    columns as arrays, str columns as lists. Blank rows are skipped;
+    ValueError for another header, a row with another number of fields or
+    a value its column's type does not parse or int64 does not hold."""
+    names = list(spec)
+    reader = csv.reader(text.splitlines())
+    first = next(reader, None)
+    if first != names:
+        raise ValueError(f"unexpected header {first}, want {','.join(names)}")
+    rows = [row for row in reader if row]
+    if any(len(row) != len(names) for row in rows):
+        raise ValueError(f"row without exactly {len(names)} fields")
+    columns = zip(*rows) if rows else [()] * len(names)
+    return {name: _parse_column(values, kind)
+            for (name, kind), values in zip(spec.items(), columns)}
+
+
+def _parse_column(values, kind):
+    if kind is str:
+        return list(values)
+    try:
+        return np.array([kind(v) for v in values], dtype=np.int64 if kind is int else float)
+    except OverflowError as exc:  # an int beyond int64
+        raise ValueError(str(exc)) from None
+
+
+def parse_artifact(name: str, text: str):
+    """The document of the artifact called `name`: a dict of columns for a
+    CSV, the parsed JSON otherwise."""
+    spec = ARTIFACTS[name]
+    return json.loads(text) if spec is None else parse_csv(text, spec)
+
+
+def render_artifact(name: str, doc) -> str:
+    """The text of the artifact called `name`; parse_artifact's inverse."""
+    spec = ARTIFACTS[name]
+    return json_text(doc) if spec is None else csv_text(doc, spec)
+
+
+def write_artifact(doc, path: Path | str) -> None:
+    """Write `doc` as the artifact named by the file name of `path`."""
+    atomic_write(render_artifact(Path(path).name, doc), path)
+
+
+def write_json(doc: dict, path: Path | str) -> None:
+    atomic_write(json_text(doc), path)
+
+
+def json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+
+
+def atomic_write(text: str, path: Path | str) -> None:
+    """Write `text` to `<path>.tmp`, then move it onto `path`: a reader
+    sees the old file or the new one, never a part. If either step fails,
+    the old file stays as it was and the temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # -- trajectory ------------------------------------------------------------
 
-TRAJECTORY_HEADER = "k,x,y,t,wall"
 _WALL_NAMES = [w.value for w in WALLS]
 
 
-def trajectory_csv_text(log: TrajectoryLog) -> str:
+def trajectory_columns(log: TrajectoryLog) -> dict:
+    """The trajectory.csv columns of a log: the initial state as row k=0
+    (wall ''), then one row per strike."""
     init = log.initial
-    return trajectory_rows_text(
-        k=range(len(log) + 1),
-        x=[init.position.x, *log.x.tolist()],
-        y=[init.position.y, *log.y.tolist()],
-        t=[init.elapsed_time, *log.t.tolist()],
-        wall=["", *(_WALL_NAMES[c] for c in log.wall.tolist())],
-    )
-
-
-def trajectory_rows_text(k, x, y, t, wall) -> str:
-    """CSV text of trajectory columns, one row per index k."""
-    lines = [TRAJECTORY_HEADER]
-    lines += [f"{a},{fmt(b)},{fmt(c)},{fmt(d)},{e}" for a, b, c, d, e in zip(k, x, y, t, wall)]
-    return "\n".join(lines) + "\n"
-
-
-def write_trajectory_csv(log: TrajectoryLog, path: Path | str) -> None:
-    Path(path).write_text(trajectory_csv_text(log))
-
-
-def read_trajectory_csv(path: Path | str) -> dict:
-    """Columns k, x, y, t as arrays and wall as strings ('' on the k=0 row),
-    the keyword arguments of trajectory_rows_text."""
-    rows = _csv_rows(path, TRAJECTORY_HEADER)
-    k, x, y, t, wall = zip(*rows) if rows else ((),) * 5
     return {
-        "k": np.array([int(v) for v in k], dtype=np.int64),
-        "x": np.array([float(v) for v in x]),
-        "y": np.array([float(v) for v in y]),
-        "t": np.array([float(v) for v in t]),
-        "wall": list(wall),
+        "k": range(len(log) + 1),
+        "x": [init.position.x, *log.x.tolist()],
+        "y": [init.position.y, *log.y.tolist()],
+        "t": [init.elapsed_time, *log.t.tolist()],
+        "wall": ["", *(_WALL_NAMES[c] for c in log.wall.tolist())],
     }
 
 
@@ -94,13 +176,9 @@ def trajectory_json_doc(log: TrajectoryLog) -> dict:
     }
 
 
-def write_trajectory_json(log: TrajectoryLog, path: Path | str) -> None:
-    write_json(trajectory_json_doc(log), path)
-
-
 def read_trajectory(cols: dict, doc: dict) -> TrajectoryLog:
-    """The log of a trajectory.csv, parsed by read_trajectory_csv, joined with
-    its trajectory.json document: hit points, times and walls from the CSV,
+    """The log of parsed trajectory.csv columns joined with its parsed
+    trajectory.json document: hit points, times and walls from the CSV,
     velocities and truncation from the JSON."""
     initial = _state_from_json(doc["initial"])
     if [*cols["x"][:1], *cols["y"][:1], *cols["t"][:1]] != [*initial.position,
@@ -119,28 +197,17 @@ def read_trajectory(cols: dict, doc: dict) -> TrajectoryLog:
     )
 
 
-# -- sweep ------------------------------------------------------------------
+# -- sweep -----------------------------------------------------------------
 
-SWEEP_HEADER = "t,slope,D,logD"
-
-
-def sweep_csv_text(observations: Iterable[SlopeObservation]) -> str:
-    lines = [SWEEP_HEADER]
-    for o in observations:
-        lines.append(f"{o.t},{fmt(o.slope)},{fmt(o.min_distance)},{fmt(o.log_min_distance)}")
-    return "\n".join(lines) + "\n"
-
-
-def write_sweep_csv(result: SweepResult, path: Path | str) -> None:
-    Path(path).write_text(sweep_csv_text(result.observations))
-
-
-def read_sweep_csv(path: Path | str) -> list[SlopeObservation]:
-    return [
-        SlopeObservation(t=int(t), slope=float(slope), min_distance=float(d),
-                         log_min_distance=float(log_d))
-        for t, slope, d, log_d in _csv_rows(path, SWEEP_HEADER)
-    ]
+def sweep_columns(result: SweepResult) -> dict:
+    """The sweep.csv columns of a sweep's observations."""
+    obs = result.observations
+    return {
+        "t": [o.t for o in obs],
+        "slope": [o.slope for o in obs],
+        "D": [o.min_distance for o in obs],
+        "logD": [o.log_min_distance for o in obs],
+    }
 
 
 def sweep_meta_doc(result: SweepResult, elapsed_seconds: float) -> dict:
@@ -162,7 +229,7 @@ def sweep_meta_doc(result: SweepResult, elapsed_seconds: float) -> dict:
     }
 
 
-# -- model, residuals, histogram ---------------------------------------------
+# -- model, histogram ------------------------------------------------------
 
 def model_json_doc(report, *, residual_variant: str, gamma_diag_init: float,
                    max_iters: int, tol: float, update_delta: bool) -> dict:
@@ -188,21 +255,6 @@ def model_json_doc(report, *, residual_variant: str, gamma_diag_init: float,
     }
 
 
-RESIDUALS_HEADER = "t,x,u"
-
-
-def residuals_csv_text(ts: Iterable[int], xs: Iterable[float], us: Iterable[float]) -> str:
-    lines = [RESIDUALS_HEADER]
-    for t, x, u in zip(ts, xs, us):
-        lines.append(f"{t},{fmt(x)},{fmt(u)}")
-    return "\n".join(lines) + "\n"
-
-
-def read_residuals_csv(path: Path | str) -> list[dict]:
-    return [{"t": int(t), "x": float(x), "u": float(u)}
-            for t, x, u in _csv_rows(path, RESIDUALS_HEADER)]
-
-
 def histogram_json_doc(counts: np.ndarray) -> dict:
     counts = np.asarray(counts)
     return {
@@ -210,28 +262,3 @@ def histogram_json_doc(counts: np.ndarray) -> dict:
         "counts": [int(c) for c in counts],
         "total": int(counts.sum()),
     }
-
-
-# -- generic CSV and JSON helpers ---------------------------------------------
-
-def _csv_rows(path: Path | str, header: str) -> list[list[str]]:
-    """The non-blank rows under `header`; ValueError unless the file starts
-    with that header and every row has its number of fields."""
-    names = header.split(",")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first != names:
-            raise ValueError(f"unexpected header {first}, want {header}")
-        rows = [row for row in reader if row]
-    if any(len(row) != len(names) for row in rows):
-        raise ValueError(f"row without exactly {len(names)} fields")
-    return rows
-
-
-def write_json(doc: dict, path: Path | str) -> None:
-    Path(path).write_text(json_text(doc))
-
-
-def json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"

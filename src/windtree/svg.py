@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+from . import io
 from .billiard import TrajectoryLog
 
 _CANVAS = 900.0
@@ -58,4 +59,4 @@ def trajectory_svg_text(log: TrajectoryLog) -> str:
 
 
 def write_trajectory_svg(log: TrajectoryLog, path: Path | str) -> None:
-    Path(path).write_text(trajectory_svg_text(log))
+    io.atomic_write(trajectory_svg_text(log), path)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 from pathlib import Path
 
@@ -61,6 +62,10 @@ SMALL_CONFIG = {
 }
 
 
+def read_artifact(path):
+    return io.parse_artifact(path.name, path.read_text())
+
+
 def write_config(tmp_path, doc) -> str:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -72,7 +77,7 @@ class TestSimulateCommand:
         rc = main(["simulate", "--out", str(tmp_path), "--slope", "2.0",
                    "--collisions", "1"])
         assert rc == 0
-        cols = io.read_trajectory_csv(tmp_path / "trajectory.csv")
+        cols = read_artifact(tmp_path / "trajectory.csv")
         assert list(cols) == ["k", "x", "y", "t", "wall"]
         assert [cols[name][0] for name in cols] == [0, 0.0, 0.0, 0.0, ""]
         assert cols["k"][1] == 1 and cols["wall"][1] == "Left"
@@ -82,7 +87,7 @@ class TestSimulateCommand:
     def test_zero_collisions(self, tmp_path):
         rc = main(["simulate", "--out", str(tmp_path), "--collisions", "0"])
         assert rc == 0
-        cols = io.read_trajectory_csv(tmp_path / "trajectory.csv")
+        cols = read_artifact(tmp_path / "trajectory.csv")
         assert cols["k"].tolist() == [0]
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["n_collisions"] == 0
@@ -98,7 +103,7 @@ class TestSimulateCommand:
         rc = main(["simulate", "--out", str(tmp_path), "--slope", "1.618",
                    "--collisions", "25"])
         assert rc == 0
-        log = io.read_trajectory(io.read_trajectory_csv(tmp_path / "trajectory.csv"),
+        log = io.read_trajectory(read_artifact(tmp_path / "trajectory.csv"),
                                  json.loads((tmp_path / "trajectory.json").read_text()))
         fresh = simulate(state_from_slope(1.618), 25)
         assert len(log) == len(fresh) == 25
@@ -120,8 +125,8 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, SMALL_CONFIG)
         rc = main(["sweep", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 0
-        obs = io.read_sweep_csv(tmp_path / "sweep.csv")
-        assert len(obs) == 10
+        obs = read_artifact(tmp_path / "sweep.csv")
+        assert len(obs["t"]) == 10
         meta = json.loads((tmp_path / "sweep_meta.json").read_text())
         assert meta["log_base"] == "e" and meta["failures"] == []
 
@@ -167,7 +172,7 @@ class TestSweepCommand:
                         "k_min": 5, "k_max": 20}
         cfg = write_config(tmp_path, doc)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert len(io.read_sweep_csv(tmp_path / "sweep.csv")) == 1
+        assert len(read_artifact(tmp_path / "sweep.csv")["t"]) == 1
 
     def test_majority_failures_exit_nonzero(self, tmp_path, monkeypatch):
         import windtree.cli as cli_mod
@@ -198,16 +203,15 @@ class TestFitCommand:
         assert len(model["loglik_trace"]) == 5
         trace = model["loglik_trace"]
         assert all(b >= a - 1e-9 for a, b in zip(trace, trace[1:]))
-        rows = io.read_residuals_csv(sweep_dir / "residuals.csv")
+        rows = read_artifact(sweep_dir / "residuals.csv")
         hist = json.loads((sweep_dir / "histogram.json").read_text())
-        assert sum(hist["counts"]) == len(rows) == 10
+        assert sum(hist["counts"]) == len(rows["t"]) == 10
 
     def test_single_state_fit_is_sample_mean(self, sweep_dir):
         rc = main(["fit", "--out", str(sweep_dir), "--states", "1", "--iters", "3"])
         assert rc == 0
         model = json.loads((sweep_dir / "model.json").read_text())
-        obs = io.read_sweep_csv(sweep_dir / "sweep.csv")
-        xs = np.array([o.log_min_distance for o in obs])
+        xs = read_artifact(sweep_dir / "sweep.csv")["logD"]
         assert model["mu"][0] == pytest.approx(xs.mean(), abs=1e-9)
 
     def test_refit_is_byte_identical(self, sweep_dir):
@@ -218,7 +222,7 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("states", sorted(FIT_DIGESTS))
     def test_artifacts_are_pinned(self, tmp_path, reference_sweep, states):
-        io.write_sweep_csv(reference_sweep[0], tmp_path / "sweep.csv")
+        io.write_artifact(io.sweep_columns(reference_sweep[0]), tmp_path / "sweep.csv")
         assert main(["fit", "--out", str(tmp_path), "--states", str(states)]) == 0
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in FIT_DIGESTS[states]}
@@ -240,9 +244,12 @@ class TestDiagnoseCommand:
                      "--collisions", "40"]) == 0
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 0
+        # every artifact is in place and no temporary file is left behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["config.json", "trajectory.svg", *io.ARTIFACTS])
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "diagnostics passed" in out
+        assert "all 22 diagnostics passed" in out
 
     def test_tampered_artifact_fails(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)
@@ -281,17 +288,19 @@ class TestDiagnoseCommand:
     def test_trajectory_csv_is_parsed_once(self, tmp_path, monkeypatch):
         assert main(["simulate", "--out", str(tmp_path), "--collisions", "5"]) == 0
         calls = []
-        read_csv = io.read_trajectory_csv
-        monkeypatch.setattr(io, "read_trajectory_csv",
-                            lambda path: calls.append(path) or read_csv(path))
+        parse_csv = io.parse_csv
+        monkeypatch.setattr(io, "parse_csv",
+                            lambda text, spec: calls.append(spec) or parse_csv(text, spec))
         assert main(["diagnose", "--out", str(tmp_path)]) == 0
-        assert calls == [tmp_path / "trajectory.csv"]
+        assert calls == [io.TRAJECTORY_CSV]
 
-    @pytest.mark.parametrize("fault", ["not_json", "missing_key"])
-    @pytest.mark.parametrize("name, key", [("trajectory.json", "initial"),
-                                           ("sweep_meta.json", "spec"),
-                                           ("model.json", "delta"),
-                                           ("histogram.json", "counts")])
+    @pytest.mark.parametrize("name, key, fault", [
+        *((name, key, fault) for fault in ("not_json", "missing_key")
+          for name, key in [("trajectory.json", "initial"), ("sweep_meta.json", "spec"),
+                            ("model.json", "delta"), ("histogram.json", "counts")]),
+        # summary.json has no content checks, so only its round-trip can fail
+        ("summary.json", None, "not_json"),
+    ])
     def test_bad_json_artifact_fails_a_check(self, tmp_path, capsys, name, key, fault):
         cfg = write_config(tmp_path, SMALL_CONFIG)
         for command in ("simulate", "sweep", "fit"):
@@ -315,7 +324,21 @@ class TestDiagnoseCommand:
         assert "ok   trajectory.csv round-trip" in out
         assert "ok   residuals.csv round-trip" in out
 
-    @pytest.mark.parametrize("edit", ["bad_number", "short_row"])
+    def test_bad_sidecar_beside_a_missing_csv_fails_round_trip(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 0
+        for name in ("sweep_meta.json", "histogram.json"):
+            (tmp_path / name).write_text("{")
+        for name in ("sweep.csv", "residuals.csv"):
+            (tmp_path / name).unlink()
+        capsys.readouterr()
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 4
+        out = capsys.readouterr().out
+        assert "FAIL sweep_meta.json round-trip" in out
+        assert "FAIL histogram.json round-trip" in out
+
+    @pytest.mark.parametrize("edit", ["bad_number", "short_row", "int_beyond_int64"])
     @pytest.mark.parametrize("name", ["sweep.csv", "residuals.csv"])
     def test_unparsable_sweep_or_residuals_row_fails_round_trip(self, tmp_path, capsys,
                                                                  name, edit):
@@ -325,7 +348,9 @@ class TestDiagnoseCommand:
         path = tmp_path / name
         lines = path.read_text().splitlines()
         assert lines[2].startswith("2,")
-        lines[2] = "2x" + lines[2][1:] if edit == "bad_number" else lines[2].rsplit(",", 1)[0]
+        lines[2] = {"bad_number": "2x" + lines[2][1:],
+                    "short_row": lines[2].rsplit(",", 1)[0],
+                    "int_beyond_int64": str(2**63) + lines[2][1:]}[edit]
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 4
@@ -415,14 +440,36 @@ class TestConfigHandling:
 
 
 class TestArtifactFormats:
-    def test_trajectory_csv_text_roundtrip(self):
-        log = simulate(state_from_slope(1.732), 30)
-        text = io.trajectory_csv_text(log)
-        assert text.splitlines()[0] == "k,x,y,t,wall"
-        k, x, y, t, wall = zip(*(r.split(",") for r in text.splitlines()[1:]))
-        parsed = {"k": [int(v) for v in k], "x": [float(v) for v in x],
-                  "y": [float(v) for v in y], "t": [float(v) for v in t], "wall": wall}
-        assert io.trajectory_rows_text(**parsed) == text
+    @pytest.mark.parametrize("name", ["trajectory.csv", "sweep.csv", "residuals.csv"])
+    def test_csv_text_roundtrip(self, name):
+        spec = io.ARTIFACTS[name]
+        header = {"trajectory.csv": "k,x,y,t,wall", "sweep.csv": "t,slope,D,logD",
+                  "residuals.csv": "t,x,u"}[name]
+        if name == "trajectory.csv":
+            columns = io.trajectory_columns(simulate(state_from_slope(1.732), 30))
+        elif name == "sweep.csv":
+            result = build_sweep(SweepSpec(count=5, k_min=10, k_max=40))
+            columns = io.sweep_columns(result)
+        else:
+            rng = np.random.default_rng(5)
+            columns = {"t": range(1, 21), "x": rng.normal(size=20), "u": rng.random(20)}
+        # then one row each of -0.0, the smallest subnormal and a 17-digit value
+        extra = {int: [10**6, 10**6 + 1, 10**6 + 2], float: [-0.0, 5e-324, 0.1 + 0.2],
+                 str: ["Top", "Corner", "Left"]}
+        columns = {key: [*columns[key], *extra[kind]] for key, kind in spec.items()}
+        text = io.csv_text(columns, spec)
+        assert text.splitlines()[0] == header
+        parsed = io.parse_csv(text, spec)
+        assert io.csv_text(parsed, spec) == text
+        for key, kind in spec.items():
+            if kind is float:
+                assert parsed[key].tobytes() == np.array(columns[key]).tobytes(), key
+            else:
+                assert list(parsed[key]) == list(columns[key]), key
+        if name == "sweep.csv":
+            for D, logD, obs in zip(parsed["D"], parsed["logD"], result.observations):
+                assert D == obs.min_distance
+                assert abs(logD - math.log(D)) <= 1e-12
 
     @pytest.mark.parametrize("slope", [1.414, 2.0])
     def test_svg_pattern_tiles_the_obstacle_grid(self, slope):
@@ -448,14 +495,19 @@ class TestArtifactFormats:
                 assert abs(tiles - round(tiles)) * size <= 0.01, (cx, cy)
         assert text.count("<rect") == 3
 
-    def test_sweep_csv_text_roundtrip(self):
-        result = build_sweep(SweepSpec(count=5, k_min=10, k_max=40))
-        text = io.sweep_csv_text(result.observations)
-        assert text.splitlines()[0] == "t,slope,D,logD"
-        for line, obs in zip(text.splitlines()[1:], result.observations):
-            _, _, D, logD = line.split(",")
-            assert float(D) == obs.min_distance
-            assert abs(float(logD) - math.log(float(D))) <= 1e-12
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "residuals.csv"
+        io.write_artifact({"t": [1], "x": [0.5], "u": [0.25]}, path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            io.write_artifact({"t": [1, 2], "x": [0.5, 1.5], "u": [0.25, 0.75]}, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_fmt_keeps_17_significant_digits(self):
         values = [math.pi, 1.0 / 3.0, 1234567.89012345, 5e-324, -0.0]
