@@ -94,7 +94,6 @@ def cmd_simulate(config: PipelineConfig, out: Path) -> int:
         return _fail(EXIT_SIMULATION, f"simulation failed: {exc}")
 
     io.write_artifact(io.trajectory_columns(log), out / "trajectory.csv")
-    io.write_artifact(io.trajectory_json_doc(log), out / "trajectory.json")
     svg.write_trajectory_svg(log, out / "trajectory.svg")
 
     summary: dict = {
@@ -169,7 +168,6 @@ def cmd_fit(config: PipelineConfig, out: Path, observations: str | None) -> int:
             gamma_diag_init=config.hmm.gamma_diag_init,
             max_iters=config.hmm.max_iters,
             tol=config.hmm.tol,
-            update_delta=True,
         ),
         out / "model.json",
     )
@@ -182,19 +180,15 @@ def cmd_fit(config: PipelineConfig, out: Path, observations: str | None) -> int:
 
 
 def _trajectory_checks(cols, _):
-    xs, ys, ts = cols["x"], cols["y"], cols["t"]
+    ks, xs, ys, ts = cols["k"], cols["x"], cols["y"], cols["t"]
+    yield "trajectory k counts rows", ks.tolist() == list(range(len(ks)))
     yield "trajectory times strictly increasing", bool(np.all(ts[1:] > ts[:-1]))
     cx, cy = billiard.cell_centers(xs[1:], ys[1:])
     gap = np.maximum(np.abs(xs[1:] - cx), np.abs(ys[1:] - cy))
     yield "trajectory points on obstacle boundaries", bool(np.all(np.abs(gap - 0.5) <= 1e-9))
-
-
-def _trajectory_join_checks(doc, cols):
-    vx, vy = np.asarray(doc["vx"], dtype=float), np.asarray(doc["vy"], dtype=float)
-    # one unit post-bounce velocity per strike row of the CSV
-    yield "trajectory speeds unit", (len(vx) == len(vy) == len(cols["t"]) - 1
-                                     and bool(np.all(np.abs(np.hypot(vx, vy) - 1.0) <= 1e-9)))
-    log = io.read_trajectory(cols, doc)
+    yield "trajectory speeds unit", bool(
+        np.all(np.abs(np.hypot(cols["vx"], cols["vy"]) - 1.0) <= 1e-9))
+    log = io.read_trajectory(cols)
     # each logged strike again, from the state before it
     rays, walls = billiard.step_rays(billiard.strike_origins(log))
     replayed = (rays.x, rays.y, rays.t, walls, rays.vx, rays.vy)
@@ -231,7 +225,8 @@ def _model_checks(doc, _):
 
 
 def _residuals_checks(cols, _):
-    u = cols["u"]
+    ts, u = cols["t"], cols["u"]
+    yield "residuals t strictly increasing", bool(np.all(ts[1:] > ts[:-1]))
     yield "residuals in [0, 1]", bool(np.all((u >= 0.0) & (u <= 1.0)))
 
 
@@ -244,7 +239,6 @@ def _histogram_checks(hist, cols):
 # A check of two files runs only where both parsed; it comes after the later one.
 DIAGNOSTICS = {
     "trajectory.csv": (None, _trajectory_checks),
-    "trajectory.json": ("trajectory.csv", _trajectory_join_checks),
     "sweep.csv": (None, _sweep_checks),
     "sweep_meta.json": ("sweep.csv", _sweep_grid_checks),
     "model.json": (None, _model_checks),

@@ -19,6 +19,7 @@ from scipy.stats import norm
 
 PROB_TOL = 1e-12        # slack for probability-vector and row-sum checks
 DEGENERATE_MASS = 1e-8  # a state owning less posterior mass is frozen
+LLOYD_ROUNDS = 50       # at most this many k-means rounds in default_init
 
 
 class EmptyObservations(ValueError):
@@ -202,16 +203,15 @@ def posterior_pairs(params: HmmParams, obs: Sequence[float],
     return PosteriorTables(state_prob=state, pair_prob=pair)
 
 
-def default_init(obs: Sequence[float], m: int, gamma_diag: float = 0.8,
-                 lloyd_rounds: int = 50) -> HmmParams:
+def default_init(obs: Sequence[float], m: int, gamma_diag: float = 0.8) -> HmmParams:
     """Deterministic EM starting point.
 
     The transition matrix gets `gamma_diag` on the diagonal with the rest
     spread evenly off-diagonal; the initial distribution is uniform. Means
-    come from quantile seeds refined by Lloyd assignment rounds (plain
-    1-d k-means, no randomness), with per-group standard deviations;
-    equal-count splits alone leave badly unbalanced clusters merged, which
-    a short EM run cannot then separate.
+    come from quantile seeds refined by at most LLOYD_ROUNDS Lloyd
+    assignment rounds (plain 1-d k-means, no randomness), with per-group
+    standard deviations; equal-count splits alone leave badly unbalanced
+    clusters merged, which a short EM run cannot then separate.
     """
     x = np.sort(np.asarray(obs, dtype=float))
     if x.size < m:
@@ -227,7 +227,7 @@ def default_init(obs: Sequence[float], m: int, gamma_diag: float = 0.8,
 
     centers = np.quantile(x, (np.arange(m) + 0.5) / m)
     labels = np.zeros(x.size, dtype=int)
-    for _ in range(lloyd_rounds):
+    for _ in range(LLOYD_ROUNDS):
         new_labels = np.argmin(np.abs(x[:, None] - centers[None, :]), axis=1)
         if np.array_equal(new_labels, labels):
             break
@@ -250,13 +250,12 @@ def _sigma_floor(obs: np.ndarray) -> float:
 
 
 def baum_welch(obs: Sequence[float], init: HmmParams, max_iters: int = 15,
-               tol: float = 0.0, update_delta: bool = True) -> FitReport:
+               tol: float = 0.0) -> FitReport:
     """Fit by EM: forward/backward posteriors, then closed-form updates.
 
     Runs exactly `max_iters` iterations unless `tol` > 0 and the
-    log-likelihood gain drops below it. With a single observation sequence
-    the delta update (posterior of the first state) is of limited value;
-    pass update_delta=False to keep the initial delta fixed.
+    log-likelihood gain drops below it. Delta is updated to the posterior
+    of the first state.
 
     States with posterior mass below DEGENERATE_MASS are frozen at their
     current parameters and reported in the fit warnings.
@@ -286,7 +285,7 @@ def baum_welch(obs: Sequence[float], init: HmmParams, max_iters: int = 15,
                 f"degenerate (posterior mass < {DEGENERATE_MASS:g}); frozen"
             )
 
-        delta = post.state_prob[0] if update_delta else params.delta
+        delta = post.state_prob[0]
         pair_sum = post.pair_prob.sum(axis=0)
         out_mass = post.state_prob[:-1].sum(axis=0)
         gamma = params.gamma.copy()

@@ -34,7 +34,8 @@ def fmt(x: float) -> str:
 # -- the codec -------------------------------------------------------------
 
 # Each CSV artifact: its header's column names, in order, and their types.
-TRAJECTORY_CSV = {"k": int, "x": float, "y": float, "t": float, "wall": str}
+TRAJECTORY_CSV = {"k": int, "x": float, "y": float, "t": float, "wall": str,
+                  "vx": float, "vy": float}
 SWEEP_CSV = {"t": int, "slope": float, "D": float, "logD": float}
 RESIDUALS_CSV = {"t": int, "x": float, "u": float}
 
@@ -42,7 +43,6 @@ RESIDUALS_CSV = {"t": int, "x": float, "u": float}
 # a CSV by its columns, a JSON document by None.
 ARTIFACTS = {
     "trajectory.csv": TRAJECTORY_CSV,
-    "trajectory.json": None,
     "summary.json": None,
     "sweep.csv": SWEEP_CSV,
     "sweep_meta.json": None,
@@ -137,7 +137,7 @@ _WALL_NAMES = [w.value for w in WALLS]
 
 def trajectory_columns(log: TrajectoryLog) -> dict:
     """The trajectory.csv columns of a log: the initial state as row k=0
-    (wall ''), then one row per strike."""
+    (wall ''), then one row per strike with its post-bounce velocity."""
     init = log.initial
     return {
         "k": range(len(log) + 1),
@@ -145,55 +145,28 @@ def trajectory_columns(log: TrajectoryLog) -> dict:
         "y": [init.position.y, *log.y.tolist()],
         "t": [init.elapsed_time, *log.t.tolist()],
         "wall": ["", *(_WALL_NAMES[c] for c in log.wall.tolist())],
+        "vx": [init.velocity.x, *log.vx.tolist()],
+        "vy": [init.velocity.y, *log.vy.tolist()],
     }
 
 
-def _state_to_json(state: ParticleState) -> dict:
-    return {
-        "position": [state.position.x, state.position.y],
-        "velocity": [state.velocity.x, state.velocity.y],
-        "elapsed_time": state.elapsed_time,
-    }
-
-
-def _state_from_json(doc: dict) -> ParticleState:
-    return ParticleState(
-        position=Vec2(*doc["position"]),
-        velocity=Vec2(*doc["velocity"]),
-        elapsed_time=doc["elapsed_time"],
-    )
-
-
-def trajectory_json_doc(log: TrajectoryLog) -> dict:
-    """What trajectory.csv does not hold: the initial state, the post-bounce
-    velocity columns and the truncation."""
-    return {
-        "initial": _state_to_json(log.initial),
-        "vx": log.vx.tolist(),
-        "vy": log.vy.tolist(),
-        "truncated": log.truncated,
-        "truncation_reason": log.truncation_reason,
-    }
-
-
-def read_trajectory(cols: dict, doc: dict) -> TrajectoryLog:
-    """The log of parsed trajectory.csv columns joined with its parsed
-    trajectory.json document: hit points, times and walls from the CSV,
-    velocities and truncation from the JSON."""
-    initial = _state_from_json(doc["initial"])
-    if [*cols["x"][:1], *cols["y"][:1], *cols["t"][:1]] != [*initial.position,
-                                                            initial.elapsed_time]:
-        raise ValueError("trajectory.csv row k=0 is not the initial state of trajectory.json")
+def read_trajectory(cols: dict) -> TrajectoryLog:
+    """The log of parsed trajectory.csv columns: the initial state from row
+    k=0, the strikes from the rows after it. The table does not hold the
+    truncation; summary.json does."""
+    if not len(cols["k"]):
+        raise ValueError("trajectory.csv has no k=0 row")
+    x, y, t, vx, vy = (cols[name] for name in ("x", "y", "t", "vx", "vy"))
     return TrajectoryLog(
-        initial=initial,
-        x=cols["x"][1:],
-        y=cols["y"][1:],
-        t=cols["t"][1:],
+        initial=ParticleState(position=Vec2(float(x[0]), float(y[0])),
+                              velocity=Vec2(float(vx[0]), float(vy[0])),
+                              elapsed_time=float(t[0])),
+        x=x[1:],
+        y=y[1:],
+        t=t[1:],
         wall=np.array([_WALL_NAMES.index(w) for w in cols["wall"][1:]], dtype=np.int8),
-        vx=np.array(doc["vx"], dtype=float),
-        vy=np.array(doc["vy"], dtype=float),
-        truncated=doc["truncated"],
-        truncation_reason=doc["truncation_reason"],
+        vx=vx[1:],
+        vy=vy[1:],
     )
 
 
@@ -232,7 +205,7 @@ def sweep_meta_doc(result: SweepResult, elapsed_seconds: float) -> dict:
 # -- model, histogram ------------------------------------------------------
 
 def model_json_doc(report, *, residual_variant: str, gamma_diag_init: float,
-                   max_iters: int, tol: float, update_delta: bool) -> dict:
+                   max_iters: int, tol: float) -> dict:
     p = report.params
     return {
         "m": p.m,
@@ -249,7 +222,7 @@ def model_json_doc(report, *, residual_variant: str, gamma_diag_init: float,
             "tol": tol,
             "iterations": report.iterations,
             "residual_variant": residual_variant,
-            "update_delta": update_delta,
+            "update_delta": True,
             "warnings": list(report.warnings),
         },
     }

@@ -34,10 +34,15 @@ from .billiard import (
 # Thresholds calibrated on the exemplar slopes (see classify_motion): a
 # wandering-but-recurrent orbit re-approaches its start to within ~2 units
 # over 500 collisions while divergent orbits stay two orders of magnitude
-# farther out; periodic drift cycles run to ~450 collisions per repeat.
+# farther out; periodic drift cycles run to ~450 collisions per repeat,
+# and a cycle repeats its y-coordinates within EPS_QUASI.
 EPS_RECUR = 5.0
+EPS_QUASI = 1.0
 QUASI_WINDOW = 480
 MIN_OVERLAP = 25
+# growth_exponent fits GROWTH_POINTS log-spaced counts from GROWTH_START on.
+GROWTH_POINTS = 25
+GROWTH_START = 100
 
 
 class CorridorTruncation(Exception):
@@ -200,60 +205,56 @@ def build_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     )
 
 
-def classify_motion(log: TrajectoryLog, eps: float = 1.0,
-                    quasi_window: int = QUASI_WINDOW, *,
-                    eps_recur: float = EPS_RECUR,
-                    min_overlap: int = MIN_OVERLAP) -> MotionClass:
+def classify_motion(log: TrajectoryLog) -> MotionClass:
     """Label a trajectory Recurrent, QuasiPeriodicDivergent, or RapidDivergent.
 
     Recurrent: some collision in the final half of the log comes back
-    within eps_recur of the starting point. Quasi-periodic divergent: some
-    lag tau <= quasi_window translates the tail of the y-coordinate series
-    onto itself within eps (at least min_overlap events compared); this is
-    exactly how a drift cycle whose displacement is horizontal shows up.
-    Everything else is rapid divergence.
+    within EPS_RECUR of the starting point. Quasi-periodic divergent: some
+    lag tau <= QUASI_WINDOW translates the tail of the y-coordinate series
+    onto itself within EPS_QUASI (at least MIN_OVERLAP events compared);
+    this is exactly how a drift cycle whose displacement is horizontal shows
+    up. Everything else is rapid divergence.
     """
     n = len(log)
-    if n < 2 * min_overlap:
-        raise InsufficientData(f"need at least {2 * min_overlap} events, have {n}")
+    if n < 2 * MIN_OVERLAP:
+        raise InsufficientData(f"need at least {2 * MIN_OVERLAP} events, have {n}")
     start = log.initial.position
     d_start = np.hypot(log.x - start.x, log.y - start.y)
     min_return = float(d_start[n // 2:].min())
     evidence = {
         "min_return_distance": min_return,
-        "eps_recur": eps_recur,
+        "eps_recur": EPS_RECUR,
         "final_distance": float(d_start[-1]),
         "max_distance": float(d_start.max()),
         "quasi_period": None,
         "quasi_max_dev": None,
-        "eps": eps,
+        "eps": EPS_QUASI,
     }
-    if min_return < eps_recur:
+    if min_return < EPS_RECUR:
         return MotionClass(label=MotionLabel.RECURRENT, evidence=evidence)
 
     y = log.y
     best_dev = math.inf
-    for tau in range(1, min(quasi_window, n - min_overlap) + 1):
+    for tau in range(1, min(QUASI_WINDOW, n - MIN_OVERLAP) + 1):
         w = min(n - tau, n // 2)
         dev = float(np.abs(y[n - w:] - y[n - w - tau:n - tau]).max())
         if dev < best_dev:
             best_dev = dev
             evidence["quasi_max_dev"] = dev
             evidence["quasi_period"] = tau
-        if dev <= eps:
+        if dev <= EPS_QUASI:
             return MotionClass(label=MotionLabel.QUASI_PERIODIC_DIVERGENT, evidence=evidence)
     return MotionClass(label=MotionLabel.RAPID_DIVERGENT, evidence=evidence)
 
 
-def growth_exponent(times: Sequence[float], distances: Sequence[float],
-                    n_points: int = 25, k_start: int = 100) -> float:
+def growth_exponent(times: Sequence[float], distances: Sequence[float]) -> float:
     """Slope of log running-max distance against log time at log-spaced counts."""
     t = np.asarray(times, dtype=float)
     d = np.asarray(distances, dtype=float)
-    if t.size != d.size or t.size < k_start:
-        raise ValueError("need aligned series with at least k_start entries")
+    if t.size != d.size or t.size < GROWTH_START:
+        raise ValueError(f"need aligned series with at least {GROWTH_START} entries")
     running = np.maximum.accumulate(d)
-    ks = np.unique(np.geomspace(k_start, t.size, n_points).astype(int)) - 1
+    ks = np.unique(np.geomspace(GROWTH_START, t.size, GROWTH_POINTS).astype(int)) - 1
     logs_t = np.log(t[ks])
     logs_d = np.log(running[ks])
     slope, _intercept = np.polyfit(logs_t, logs_d, 1)

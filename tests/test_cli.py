@@ -16,18 +16,19 @@ from windtree.cli import main
 from windtree.sweep import SweepSpec, build_sweep
 
 # SHA-256 of the `simulate --collisions 500` artifacts; 1.464 has 5 corner
-# events. The trajectory.csv and summary.json digests have held since the
-# trajectory was a list of per-event objects.
+# events. The summary.json digests have held since the trajectory was a
+# list of per-event objects. The trajectory.csv digests were taken when the
+# velocity columns joined the table: its first five columns are the earlier
+# table's, and vx, vy carry the same bits the initial state and velocity
+# columns had in the former trajectory.json.
 SIMULATE_DIGESTS = {
     "1.414": {
-        "trajectory.csv": "089de7bbdb50220e82bf674bb96a2a0528e5c466f4ca5abc9fc0fb654846bb3b",
-        "trajectory.json": "4a0d116954dc5c8379dce36d21dada3bb00329196aafddf9353f42ea75053f8b",
+        "trajectory.csv": "a72aac0c2e0b763516aee9cbd2c7c6d5a60db0eec4b03ec0442873ae92b7b486",
         "trajectory.svg": "bae5fd878380998a4d6f63add1afa69d77a30ecbc885a757a68f6db3fcb04933",
         "summary.json": "7b49e21b88c8138166e081d1b99760da2a8f1ccb41fda12e9a9d9adf827725e5",
     },
     "1.464": {
-        "trajectory.csv": "04fc32801771bfc3931f5f152631d29742d80036d3059d4ece5af2aa2ebef62c",
-        "trajectory.json": "e6194560e33f3aa70f1d2f5d27b2aeefd5b06f5817242bab3fa17a03a40887be",
+        "trajectory.csv": "6c65f4b1e772c26404c2fc4c31e48607cffebe59ef294a2a09f78d6e85495c85",
         "trajectory.svg": "da2a2b3abaf6130d9e7dec7d605912f354ca9891e73293e8a4e239fbe9e6f05a",
         "summary.json": "d2cf7ac2974a293986a9f3fecaee8e33238058e865de6503fec12aabdca90554",
     },
@@ -78,8 +79,9 @@ class TestSimulateCommand:
                    "--collisions", "1"])
         assert rc == 0
         cols = read_artifact(tmp_path / "trajectory.csv")
-        assert list(cols) == ["k", "x", "y", "t", "wall"]
-        assert [cols[name][0] for name in cols] == [0, 0.0, 0.0, 0.0, ""]
+        assert list(cols) == ["k", "x", "y", "t", "wall", "vx", "vy"]
+        assert [cols[name][0] for name in cols] == [0, 0.0, 0.0, 0.0, "",
+                                                    *state_from_slope(2.0).velocity]
         assert cols["k"][1] == 1 and cols["wall"][1] == "Left"
         assert cols["x"][1] == 0.5 and abs(cols["y"][1] - 1.0) <= 1e-12
         assert (tmp_path / "trajectory.svg").read_text().startswith("<svg")
@@ -99,14 +101,14 @@ class TestSimulateCommand:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["motion"]["label"] == "Recurrent"
 
-    def test_trajectory_json_roundtrip(self, tmp_path):
+    def test_trajectory_csv_roundtrip(self, tmp_path):
         rc = main(["simulate", "--out", str(tmp_path), "--slope", "1.618",
                    "--collisions", "25"])
         assert rc == 0
-        log = io.read_trajectory(read_artifact(tmp_path / "trajectory.csv"),
-                                 json.loads((tmp_path / "trajectory.json").read_text()))
+        log = io.read_trajectory(read_artifact(tmp_path / "trajectory.csv"))
         fresh = simulate(state_from_slope(1.618), 25)
         assert len(log) == len(fresh) == 25
+        assert log.initial == fresh.initial
         for name in ("x", "y", "t", "wall", "vx", "vy"):
             assert getattr(log, name).tobytes() == getattr(fresh, name).tobytes(), name
 
@@ -249,7 +251,7 @@ class TestDiagnoseCommand:
             ["config.json", "trajectory.svg", *io.ARTIFACTS])
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "all 22 diagnostics passed" in out
+        assert "all 23 diagnostics passed" in out
 
     def test_tampered_artifact_fails(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)
@@ -272,18 +274,31 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--out", str(tmp_path)]) == 4
         assert "FAIL trajectory.csv round-trip" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("edit", ["speed", "drop_state"])
-    def test_bad_trajectory_json_fails_speed_check(self, tmp_path, capsys, edit):
+    def test_non_unit_speed_fails_speed_check(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path), "--collisions", "5"]) == 0
-        path = tmp_path / "trajectory.json"
-        doc = json.loads(path.read_text())
-        if edit == "speed":
-            doc["vx"][2] *= 1.01
-        else:
-            del doc["vx"][2], doc["vy"][2]
-        path.write_text(json.dumps(doc))
+        path = tmp_path / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        *rest, vx, vy = lines[3].split(",")
+        lines[3] = ",".join([*rest, io.fmt(float(vx) * 1.01), vy])
+        path.write_text("\n".join(lines) + "\n")
         assert main(["diagnose", "--out", str(tmp_path)]) == 4
         assert "FAIL trajectory speeds unit" in capsys.readouterr().out
+
+    def test_trajectory_without_rows_fails_fields(self, tmp_path, capsys):
+        (tmp_path / "trajectory.csv").write_text(",".join(io.TRAJECTORY_CSV) + "\n")
+        assert main(["diagnose", "--out", str(tmp_path)]) == 4
+        assert ("FAIL trajectory.csv fields (ValueError: trajectory.csv has no k=0 row)"
+                in capsys.readouterr().out)
+
+    def test_renumbered_trajectory_row_fails_k_check(self, tmp_path, capsys):
+        assert main(["simulate", "--out", str(tmp_path), "--collisions", "5"]) == 0
+        path = tmp_path / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        assert lines[4].startswith("3,")
+        lines[4] = "99" + lines[4][1:]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["diagnose", "--out", str(tmp_path)]) == 4
+        assert "FAIL trajectory k counts rows" in capsys.readouterr().out
 
     def test_trajectory_csv_is_parsed_once(self, tmp_path, monkeypatch):
         assert main(["simulate", "--out", str(tmp_path), "--collisions", "5"]) == 0
@@ -296,8 +311,8 @@ class TestDiagnoseCommand:
 
     @pytest.mark.parametrize("name, key, fault", [
         *((name, key, fault) for fault in ("not_json", "missing_key")
-          for name, key in [("trajectory.json", "initial"), ("sweep_meta.json", "spec"),
-                            ("model.json", "delta"), ("histogram.json", "counts")]),
+          for name, key in [("sweep_meta.json", "spec"), ("model.json", "delta"),
+                            ("histogram.json", "counts")]),
         # summary.json has no content checks, so only its round-trip can fail
         ("summary.json", None, "not_json"),
     ])
@@ -356,6 +371,19 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 4
         assert f"FAIL {name} round-trip" in capsys.readouterr().out
 
+    def test_renumbered_residuals_row_fails_t_check(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 0
+        path = tmp_path / "residuals.csv"
+        lines = path.read_text().splitlines()
+        assert lines[2].startswith("2,")
+        lines[2] = "7" + lines[2][1:]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert "FAIL residuals t strictly increasing" in capsys.readouterr().out
+
     @pytest.mark.parametrize("slope, collisions", [("1.414", "0"), ("1e-7", "5"),
                                                    ("1.464", "500")])
     def test_trajectory_replays_on_the_collision_kernel(self, tmp_path, capsys,
@@ -370,23 +398,20 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--out", str(tmp_path)]) == 0
         assert "ok   trajectory replays on the collision kernel" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("edit", ["csv_x", "json_vx"])
+    @pytest.mark.parametrize("edit", ["csv_x", "csv_vx"])
     def test_edited_trajectory_fails_replay(self, tmp_path, capsys, edit):
         assert main(["simulate", "--out", str(tmp_path), "--slope", "1.464",
                      "--collisions", "40"]) == 0
         # the last row: no later strike starts from it, so only the edited
         # column itself can disagree with the replay
-        if edit == "csv_x":
-            path = tmp_path / "trajectory.csv"
-            lines = path.read_text().splitlines()
-            k, x, rest = lines[-1].split(",", 2)
-            lines[-1] = ",".join([k, io.fmt(float(x) + 1e-6), rest])
-            path.write_text("\n".join(lines) + "\n")
-        else:
-            path = tmp_path / "trajectory.json"
-            doc = json.loads(path.read_text())
-            doc["vx"][-1] *= 1.0000001
-            io.write_json(doc, path)
+        path = tmp_path / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        row = lines[-1].split(",")
+        column = {"csv_x": 1, "csv_vx": 5}[edit]
+        value = float(row[column])
+        row[column] = io.fmt(value + 1e-6 if edit == "csv_x" else value * 1.0000001)
+        lines[-1] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["diagnose", "--out", str(tmp_path)]) == 4
         assert "FAIL trajectory replays on the collision kernel" in capsys.readouterr().out
@@ -443,7 +468,7 @@ class TestArtifactFormats:
     @pytest.mark.parametrize("name", ["trajectory.csv", "sweep.csv", "residuals.csv"])
     def test_csv_text_roundtrip(self, name):
         spec = io.ARTIFACTS[name]
-        header = {"trajectory.csv": "k,x,y,t,wall", "sweep.csv": "t,slope,D,logD",
+        header = {"trajectory.csv": "k,x,y,t,wall,vx,vy", "sweep.csv": "t,slope,D,logD",
                   "residuals.csv": "t,x,u"}[name]
         if name == "trajectory.csv":
             columns = io.trajectory_columns(simulate(state_from_slope(1.732), 30))

@@ -275,13 +275,6 @@ class TestBaumWelch:
                             max_iters=200, tol=1e-6)
         assert report.iterations < 200
 
-    def test_fixed_delta_option(self):
-        rng = np.random.default_rng(18)
-        obs = rng.normal(0, 1, 50)
-        init = default_init(obs, 2)
-        report = baum_welch(obs, init, max_iters=3, update_delta=False)
-        np.testing.assert_allclose(sorted(report.params.delta), sorted(init.delta))
-
     def test_init_validates(self):
         with pytest.raises(ValueError):
             default_init([1.0, 2.0], 3)
