@@ -274,12 +274,14 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--out", str(tmp_path)]) == 4
         assert "FAIL trajectory.csv round-trip" in capsys.readouterr().out
 
-    def test_non_unit_speed_fails_speed_check(self, tmp_path, capsys):
+    # line 1 is the initial state (k=0), line 3 a strike
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_non_unit_speed_fails_speed_check(self, tmp_path, capsys, line):
         assert main(["simulate", "--out", str(tmp_path), "--collisions", "5"]) == 0
         path = tmp_path / "trajectory.csv"
         lines = path.read_text().splitlines()
-        *rest, vx, vy = lines[3].split(",")
-        lines[3] = ",".join([*rest, io.fmt(float(vx) * 1.01), vy])
+        *rest, vx, vy = lines[line].split(",")
+        lines[line] = ",".join([*rest, io.fmt(float(vx) * 1.01), vy])
         path.write_text("\n".join(lines) + "\n")
         assert main(["diagnose", "--out", str(tmp_path)]) == 4
         assert "FAIL trajectory speeds unit" in capsys.readouterr().out

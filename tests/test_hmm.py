@@ -275,6 +275,16 @@ class TestBaumWelch:
                             max_iters=200, tol=1e-6)
         assert report.iterations < 200
 
+    def test_delta_is_first_state_posterior(self):
+        rng = np.random.default_rng(18)
+        obs = rng.normal(0, 1, 50)
+        init = default_init(obs, 2)
+        report = baum_welch(obs, init, max_iters=1)
+        first = posterior_pairs(init, obs).state_prob[0]
+        np.testing.assert_allclose(report.params.delta, first[list(report.state_order)],
+                                   rtol=0, atol=1e-15)
+        assert not np.allclose(report.params.delta, init.delta)
+
     def test_init_validates(self):
         with pytest.raises(ValueError):
             default_init([1.0, 2.0], 3)
