@@ -4,7 +4,17 @@ The likelihood of an observation sequence is the matrix product
 delta P(x1) . Gamma P(x2) ... Gamma P(xT) 1, with P(x) the diagonal matrix
 of per-state normal densities. That product underflows long before T = 300,
 so every routine here works with row-normalized forward vectors and
-accumulated log scale factors; backward vectors reuse the same factors.
+accumulated log scale factors.
+
+Neither pass steps through time in Python. The forward vectors are the
+prefix products of the (T, m, m) stack Gamma P(x_t), and the backward
+vectors the prefix products of the reversed, transposed stack. A doubling
+scan computes every prefix in ceil(log2 T) batched matrix products,
+rescaling each product to unit entry sum, at O(T m^2) memory. The results
+agree with the one-step-at-a-time recursion to about 1e-12 relative.
+A block product can underflow to 0 where that recursion would not; a
+model with transition probabilities of 1e-200 does it in the tests. The
+scan then raises NumericalUnderflow naming the pass and observation.
 """
 
 from __future__ import annotations
@@ -90,6 +100,7 @@ class ForwardBackwardTables:
     beta_hat: np.ndarray     # (T, m)
     log_c: np.ndarray        # (T,)
     log_likelihood: float
+    dens: np.ndarray         # (T, m) per-state densities of the observations
 
 
 @dataclass
@@ -128,52 +139,101 @@ def _density_matrix(params: HmmParams, obs: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * params.sigma[None, :])
 
 
+def _scan(prods: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products prods[0] @ prods[1] @ ... @ prods[t] of a
+    (T, m, m) stack, in place, each rescaled to unit entry sum.
+
+    A doubling (Hillis-Steele) scan: after the step of stride s, entry t
+    holds the product of the input's entries max(0, t - 2s + 1) .. t, so
+    ceil(log2 T) batched products cover every prefix. A product whose
+    entries have all underflowed to 0 comes out as NaN.
+    """
+    with np.errstate(invalid="ignore"):
+        prods /= prods.sum(axis=(1, 2), keepdims=True)
+        step = np.empty_like(prods)
+        s = 1
+        while s < len(prods):
+            np.matmul(prods[:-s], prods[s:], out=step[s:])
+            np.divide(step[s:], step[s:].sum(axis=(1, 2), keepdims=True), out=prods[s:])
+            s *= 2
+    return prods
+
+
 def _forward(params: HmmParams, obs: Sequence[float]):
-    """The scaled forward recursion: the (T, m) densities, the row-normalized
-    forward vectors alpha_hat and the log scale factors log_c."""
+    """The scaled forward pass: the (T, m) densities, the row-normalized
+    forward vectors alpha_hat and the log scale factors log_c.
+
+    alpha_t is proportional to (delta D_0)(Gamma D_1)...(Gamma D_t), with
+    D_t = diag(dens[t]). The scan gives its direction at t - 1, and one
+    vectorized step (alpha_hat[t - 1] @ Gamma) * dens[t] gives c_t as a sum
+    of nonnegative terms.
+    """
     x = np.asarray(obs, dtype=float)
     if x.size == 0:
         raise EmptyObservations("observation sequence is empty")
     dens = _density_matrix(params, x)
-    T, m = dens.shape
 
-    alpha_hat = np.empty((T, m))
-    log_c = np.empty(T)
-    w = params.delta * dens[0]
-    for t in range(T):
-        if t > 0:
-            w = (alpha_hat[t - 1] @ params.gamma) * dens[t]
-        c = w.sum()
-        if c <= 0.0 or not math.isfinite(c):
+    # row 0 of mats[0] is delta D_0 and its other rows are 0, so row 0 of
+    # every prefix product is the forward direction
+    mats = params.gamma * dens[:, None, :]
+    mats[0] = 0.0
+    mats[0, 0] = params.delta * dens[0]
+    prior = _scan(mats[:-1])[:, 0]
+    w = dens.copy()
+    w[0] *= params.delta
+    w[1:] *= prior @ params.gamma
+    c = w.sum(axis=1)
+    bad = np.flatnonzero(~((c > 0.0) & np.isfinite(c)))
+    if bad.size:
+        t = int(bad[0])
+        if t > 0 and not np.all(np.isfinite(prior[t - 1])):
             raise NumericalUnderflow(
-                f"observation {t} has zero density under every state"
+                f"the scaled forward product to observation {t - 1} "
+                f"leaves the floating-point range"
             )
-        alpha_hat[t] = w / c
-        log_c[t] = math.log(c)
-    return dens, alpha_hat, log_c
+        raise NumericalUnderflow(
+            f"observation {t} has zero density under every state"
+        )
+    return dens, w / c[:, None], np.log(c)
 
 
 def forward_backward(params: HmmParams, obs: Sequence[float]) -> ForwardBackwardTables:
-    """Scaled forward/backward recursions over the observation sequence."""
-    dens, alpha_hat, log_c = _forward(params, obs)
-    T, m = dens.shape
+    """Scaled forward/backward tables of the observation sequence.
 
-    beta_hat = np.empty((T, m))
-    beta_hat[T - 1] = 1.0
-    for t in range(T - 2, -1, -1):
-        b = params.gamma @ (dens[t + 1] * beta_hat[t + 1])
-        beta_hat[t] = b * math.exp(-log_c[t + 1])
+    beta_t is proportional to (Gamma D_{t+1})...(Gamma D_{T-1}) 1. Its
+    transpose is the prefix product of the reversed stack D_s Gamma^T
+    seeded with 1^T, so the same scan gives its direction, scaled so that
+    alpha_hat[t] @ beta_hat[t] == 1.
+    """
+    dens, alpha_hat, log_c = _forward(params, obs)
+
+    beta_hat = np.ones_like(alpha_hat)
+    if len(dens) > 1:
+        mats = params.gamma.T * dens[:0:-1, :, None]
+        seed = mats[0].sum(axis=0)
+        mats[0] = 0.0
+        mats[0, 0] = seed
+        with np.errstate(divide="ignore", invalid="ignore"):
+            beta_hat[:-1] = _scan(mats)[::-1, 0]
+            beta_hat[:-1] /= (alpha_hat[:-1] * beta_hat[:-1]).sum(axis=1, keepdims=True)
+        if not np.all(np.isfinite(beta_hat)):
+            t = int(np.flatnonzero(~np.isfinite(beta_hat).all(axis=1))[-1])
+            raise NumericalUnderflow(
+                f"the scaled backward product from observation {t + 1} "
+                f"leaves the floating-point range"
+            )
 
     return ForwardBackwardTables(
         alpha_hat=alpha_hat,
         beta_hat=beta_hat,
         log_c=log_c,
         log_likelihood=float(log_c.sum()),
+        dens=dens,
     )
 
 
 def log_likelihood(params: HmmParams, obs: Sequence[float]) -> float:
-    """Log of the matrix-product likelihood, via the scaled forward recursion."""
+    """Log of the matrix-product likelihood, via the scaled forward pass."""
     return float(_forward(params, obs)[2].sum())
 
 
@@ -185,21 +245,16 @@ def posterior_pairs(params: HmmParams, obs: Sequence[float],
     beta_hat[t+1, k] / c_{t+1}, the scaled form of the joint posterior of
     consecutive hidden states.
     """
-    x = np.asarray(obs, dtype=float)
     if tables is None:
-        tables = forward_backward(params, x)
-    dens = _density_matrix(params, x)
+        tables = forward_backward(params, obs)
 
     state = tables.alpha_hat * tables.beta_hat
     state /= state.sum(axis=1, keepdims=True)
 
-    # math.exp as in the backward pass: np.exp can differ from it in the
-    # last bit, and such bits move the fitted model
-    scale = np.fromiter(map(math.exp, -tables.log_c[1:]), dtype=float, count=x.size - 1)
     pair = ((tables.alpha_hat[:-1, :, None]
              * params.gamma[None]
-             * (dens[1:] * tables.beta_hat[1:])[:, None, :])
-            * scale[:, None, None])
+             * (tables.dens[1:] * tables.beta_hat[1:])[:, None, :])
+            * np.exp(-tables.log_c[1:])[:, None, None])
     return PosteriorTables(state_prob=state, pair_prob=pair)
 
 

@@ -156,6 +156,8 @@ def read_trajectory(cols: dict) -> TrajectoryLog:
     truncation; summary.json does."""
     if not len(cols["k"]):
         raise ValueError("trajectory.csv has no k=0 row")
+    if cols["wall"][0]:
+        raise ValueError(f"trajectory.csv row k=0 names wall {cols['wall'][0]!r}")
     x, y, t, vx, vy = (cols[name] for name in ("x", "y", "t", "vx", "vy"))
     return TrajectoryLog(
         initial=ParticleState(position=Vec2(float(x[0]), float(y[0])),

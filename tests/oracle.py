@@ -1,11 +1,18 @@
-"""Independent geometry oracles for the billiard tests.
+"""Independent oracles for the billiard and HMM tests.
 
-Everything here avoids the production intersection code on purpose: the
-obstacle-membership predicate plus brute-force ray marching and bisection
-are the ground truth the event-driven solver is checked against.
+Everything here avoids the production algorithms on purpose. For the
+billiard, the obstacle-membership predicate plus brute-force ray marching
+and bisection are the ground truth the event-driven solver is checked
+against. For the HMM, the scaled recursion stepping one observation at a
+time over the production densities is the reference the time-parallel
+scan is checked against.
 """
 
+import math
+
 import numpy as np
+
+from windtree.hmm import NumericalUnderflow, _density_matrix
 
 MARCH_STEP = 1e-4
 BISECT_TOL = 1e-8
@@ -87,3 +94,36 @@ def segment_enters_interior(p, q, samples=2000, margin=1e-9):
     deep_x = np.abs(xs - nearest_odd(xs)) < 0.5 - margin
     deep_y = np.abs(ys - nearest_odd(ys)) < 0.5 - margin
     return bool(np.any(deep_x & deep_y))
+
+
+def sequential_forward_backward(params, obs):
+    """The scaled forward and backward recursions, one observation per step.
+
+    Returns (alpha_hat, beta_hat, log_c) with the conventions of
+    `windtree.hmm.ForwardBackwardTables`, and raises NumericalUnderflow
+    naming the first observation whose scale factor is not positive and
+    finite.
+    """
+    dens = _density_matrix(params, np.asarray(obs, dtype=float))
+    T, m = dens.shape
+
+    alpha_hat = np.empty((T, m))
+    log_c = np.empty(T)
+    w = params.delta * dens[0]
+    for t in range(T):
+        if t > 0:
+            w = (alpha_hat[t - 1] @ params.gamma) * dens[t]
+        c = w.sum()
+        if c <= 0.0 or not math.isfinite(c):
+            raise NumericalUnderflow(
+                f"observation {t} has zero density under every state"
+            )
+        alpha_hat[t] = w / c
+        log_c[t] = math.log(c)
+
+    beta_hat = np.empty((T, m))
+    beta_hat[T - 1] = 1.0
+    for t in range(T - 2, -1, -1):
+        b = params.gamma @ (dens[t + 1] * beta_hat[t + 1])
+        beta_hat[t] = b * math.exp(-log_c[t + 1])
+    return alpha_hat, beta_hat, log_c

@@ -25,9 +25,13 @@ from windtree.hmm import (
     residual_histogram,
     stationary_distribution,
 )
+from windtree import hmm
 from windtree.hmm import _density_matrix
 
+from oracle import sequential_forward_backward
+
 LOG_STD_NORM_PEAK = -0.9189385332046727  # ln(1/sqrt(2 pi))
+EPS = 1e-200
 
 
 def random_params(rng, m):
@@ -180,6 +184,80 @@ class TestForwardBackward:
         assert tables.log_likelihood == pytest.approx(math.log(L), abs=1e-12)
 
 
+def published_params():
+    """The paper's 3-state table; gamma has a zero in every row."""
+    return HmmParams(delta=[0.0, 1.0, 0.0],
+                     gamma=[[0.0, 1.0, 0.0], [0.1262, 0.0, 0.8738], [0.0, 1.0, 0.0]],
+                     mu=[-0.613, 1.9753, 4.7825], sigma=[0.13139, 0.10825, 1.1217])
+
+
+def draw_series(rng, params, T):
+    """Observations of a state path drawn from params, started in state 1."""
+    states = [1]
+    for _ in range(T - 1):
+        states.append(rng.choice(params.m, p=params.gamma[states[-1]]))
+    return rng.normal(params.mu[states], params.sigma[states])
+
+
+def assert_matches_sequential(params, obs):
+    alpha, beta, log_c = sequential_forward_backward(params, obs)
+    tables = forward_backward(params, obs)
+    np.testing.assert_allclose(tables.alpha_hat, alpha, rtol=1e-12, atol=0)
+    # an absolute error in log c_t is a relative error in c_t
+    np.testing.assert_allclose(tables.log_c, log_c, rtol=1e-12, atol=1e-12)
+    assert tables.log_likelihood == pytest.approx(log_c.sum(), rel=1e-12)
+    np.testing.assert_allclose(tables.beta_hat, beta, rtol=1e-10, atol=0)
+
+
+class TestScanMatchesSequential:
+    """The time-parallel scan against the one-step-at-a-time recursion."""
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 300, 3000])
+    def test_random_models(self, T):
+        rng = np.random.default_rng(T)
+        for m in range(1, 6):
+            p = random_params(rng, m)
+            assert_matches_sequential(p, rng.normal(0.0, 2.0, T))
+
+    def test_published_gamma_with_structural_zeros(self):
+        p = published_params()
+        assert_matches_sequential(p, draw_series(np.random.default_rng(21), p, 3000))
+
+    def test_identity_gamma(self):
+        rng = np.random.default_rng(22)
+        p = HmmParams([0.2, 0.3, 0.5], np.eye(3), [-1.0, 0.0, 1.0], [1.0, 0.5, 2.0])
+        assert_matches_sequential(p, rng.normal(0.0, 1.0, 300))
+
+    def test_underflow_at_the_same_observation(self):
+        # the chain must alternate, but the second observation sits on state 0
+        p = HmmParams([1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]], [0.0, 10.0], [0.01, 0.01])
+        obs = [0.0, 0.0, 10.0, 0.0]
+        with pytest.raises(NumericalUnderflow) as loop:
+            sequential_forward_backward(p, obs)
+        with pytest.raises(NumericalUnderflow) as scan:
+            forward_backward(p, obs)
+        assert str(scan.value) == str(loop.value) == (
+            "observation 1 has zero density under every state")
+
+    # With transition probabilities of 1e-200, a block product can underflow
+    # to 0 where the one-step recursion, which spreads the small factors
+    # over several steps, still has a finite likelihood.
+    @pytest.mark.parametrize("gamma, runs, message", [
+        ([[1.0, EPS, 0.0], [0.0, 1.0, EPS], [EPS, 0.0, 1.0]],
+         [(0.0, 64), (10.0, 128)],
+         "the scaled forward product to observation 94 leaves the floating-point range"),
+        ([[0.5, EPS, 0.5], [EPS, 1.0, EPS], [0.25, EPS, 0.75]],
+         [(5.0, 128), (10.0, 128), (5.0, 64), (10.0, 128)],
+         "the scaled backward product from observation 2 leaves the floating-point range"),
+    ], ids=["forward", "backward"])
+    def test_product_out_of_range_is_reported(self, gamma, runs, message):
+        p = HmmParams(np.full(3, 1.0 / 3.0), gamma, [0.0, 5.0, 10.0], [1.0, 1.0, 1.0])
+        obs = np.concatenate([np.full(n, x) for x, n in runs])
+        with pytest.raises(NumericalUnderflow) as err:
+            forward_backward(p, obs)
+        assert str(err.value) == message
+
+
 class TestPosteriorPairs:
     def test_matches_enumeration_t3(self):
         rng = np.random.default_rng(12)
@@ -201,6 +279,16 @@ class TestPosteriorPairs:
         p = HmmParams([1.0, 0.0], np.eye(2), [0.0, 10.0], [1.0, 1.0])
         post = posterior_pairs(p, [0.1, -0.2, 0.3])
         np.testing.assert_allclose(post.state_prob[:, 0], 1.0, atol=1e-15)
+
+    def test_reuses_the_tables_densities(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        p = random_params(rng, 3)
+        obs = rng.normal(0, 2, 30)
+        tables = forward_backward(p, obs)
+        want = posterior_pairs(p, obs, tables)
+        monkeypatch.setattr(hmm, "_density_matrix", None)
+        got = posterior_pairs(p, obs, tables)
+        np.testing.assert_array_equal(got.pair_prob, want.pair_prob)
 
     def test_pair_marginalizes_to_state(self):
         rng = np.random.default_rng(13)
