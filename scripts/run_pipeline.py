@@ -59,9 +59,9 @@ def main() -> int:
 
     counts = json.loads((out / "histogram.json").read_text())["counts"]
     lo, hi = PUBLISHED["hist_extremes"]
-    print(f"\npseudo-residual histogram (10 bins): {counts}")
+    print(f"\npseudo-residual histogram ({len(counts)} bins): {counts}")
     print(f"  extremes {min(counts)}/{max(counts)} "
-          f"(published {lo}/{hi}); uniform target 30 per bin")
+          f"(published {lo}/{hi}); uniform target {sum(counts) / len(counts):g} per bin")
     print(f"\nartifacts in {out}/")
     return 0
 

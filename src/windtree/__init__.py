@@ -23,8 +23,6 @@ from .hmm import (
     ForwardBackwardTables,
     HmmParams,
     PosteriorTables,
-    PseudoResiduals,
-    ResidualVariant,
     baum_welch,
     default_init,
     forward_backward,
@@ -55,8 +53,7 @@ __all__ = [
     "simulate", "state_from_angle", "state_from_slope",
     "HmmConfig", "PipelineConfig", "SimulateConfig",
     "FitReport", "ForwardBackwardTables", "HmmParams", "PosteriorTables",
-    "PseudoResiduals", "ResidualVariant", "baum_welch", "default_init",
-    "forward_backward", "log_likelihood",
+    "baum_welch", "default_init", "forward_backward", "log_likelihood",
     "posterior_pairs", "pseudo_residuals", "residual_histogram",
     "CorridorTruncation", "InsufficientData", "MotionClass", "MotionLabel",
     "SlopeObservation", "SweepResult", "SweepSpec", "build_sweep",

@@ -153,25 +153,15 @@ def cmd_fit(config: PipelineConfig, out: Path, observations: str | None) -> int:
                      f"{obs_path} has {len(xs)} rows, need >= {config.hmm.m}")
 
     try:
-        init = hmm.default_init(xs, config.hmm.m, config.hmm.gamma_diag_init)
-        report = hmm.baum_welch(xs, init, max_iters=config.hmm.max_iters,
-                                tol=config.hmm.tol)
-        residuals = hmm.pseudo_residuals(report.params, xs, config.hmm.variant)
-        counts = hmm.residual_histogram(residuals, bins=10)
+        init = hmm.default_init(xs, config.hmm.m)
+        report = hmm.baum_welch(xs, init, max_iters=config.hmm.max_iters)
+        u = hmm.pseudo_residuals(report.params, xs)
+        counts = hmm.residual_histogram(u)
     except (hmm.NumericalUnderflow, ValueError) as exc:
         return _fail(EXIT_FIT, f"fit failed: {exc}")
 
-    io.write_artifact(
-        io.model_json_doc(
-            report,
-            residual_variant=config.hmm.residual_variant,
-            gamma_diag_init=config.hmm.gamma_diag_init,
-            max_iters=config.hmm.max_iters,
-            tol=config.hmm.tol,
-        ),
-        out / "model.json",
-    )
-    io.write_artifact({"t": ts, "x": xs, "u": residuals.u}, out / "residuals.csv")
+    io.write_artifact(io.model_json_doc(report), out / "model.json")
+    io.write_artifact({"t": ts, "x": xs, "u": u}, out / "residuals.csv")
     io.write_artifact(io.histogram_json_doc(counts), out / "histogram.json")
     print(f"fitted {config.hmm.m}-state model on {len(xs)} observations; "
           f"final loglik {report.loglik_trace[-1]:.4f}; "
@@ -208,20 +198,20 @@ def _sweep_grid_checks(meta, cols):
     yield "sweep slopes on the arithmetic grid", all(
         abs(slope - spec.slope_at(t)) <= 1e-12
         for t, slope in zip(cols["t"].tolist(), cols["slope"].tolist()))
+    yield "sweep_meta completed counts sweep rows", meta["completed"] == len(cols["t"])
 
 
 def _model_checks(doc, _):
-    delta = np.array(doc["delta"])
-    gamma = np.array(doc["gamma"])
-    yield "model delta is a distribution", bool(np.all(delta >= 0)
-                                                and abs(delta.sum() - 1.0) <= 1e-12)
-    yield "model gamma rows stochastic", bool(
-        np.all(gamma >= 0) and np.all(np.abs(gamma.sum(axis=1) - 1.0) <= 1e-12))
-    yield "model sigmas positive", all(s > 0 for s in doc["sigma"])
+    # HmmParams checks the shapes, finiteness, probability sums and sigma > 0;
+    # its ValueError fails "model.json fields"
+    params = hmm.HmmParams(doc["delta"], doc["gamma"], doc["mu"], doc["sigma"])
+    yield "model m counts the states", doc["m"] == params.m
     yield "model means sorted ascending", all(b >= a for a, b in zip(doc["mu"], doc["mu"][1:]))
     trace = doc["loglik_trace"]
     yield "model loglik trace non-decreasing", all(b >= a - 1e-9
                                                    for a, b in zip(trace, trace[1:]))
+    yield "model iterations count the loglik trace", (
+        doc["metadata"]["iterations"] == len(trace))
 
 
 def _residuals_checks(cols, _):
@@ -233,6 +223,8 @@ def _residuals_checks(cols, _):
 def _histogram_checks(hist, cols):
     yield "histogram counts sum to residual rows", (
         sum(hist["counts"]) == len(cols["t"]) == hist["total"])
+    yield f"histogram has {hmm.HIST_BINS} bins", (
+        hist["bins"] == len(hist["counts"]) == hmm.HIST_BINS)
 
 
 # artifact -> (the artifact its checks also read, or None; its content checks).

@@ -1,9 +1,11 @@
 """Pipeline configuration: one JSON file, every field overridable by a flag.
 
 Defaults reproduce the published pipeline: 300 slopes from 1.4140 in steps
-of 0.0025, recurrence window between the 500th and 1000th collision, a
-3-state model initialized with 0.8 transition diagonals and fitted for 15
-EM iterations with conditional residuals.
+of 0.0025, recurrence window between the 500th and 1000th collision, and a
+3-state model fitted for 15 EM iterations. The rest of the fit is fixed in
+`hmm`: the starting transition diagonal (GAMMA_DIAG), the residuals (each
+observation conditioned on all the others) and their HIST_BINS bins. A key
+the dataclasses do not name, such as a removed one, is a ConfigError.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .hmm import ResidualVariant
 from .sweep import SweepSpec
 
 
@@ -23,27 +24,13 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class HmmConfig:
     m: int = 3
-    gamma_diag_init: float = 0.8
     max_iters: int = 15
-    tol: float = 0.0
-    residual_variant: str = "conditional"
 
     def __post_init__(self):
         if self.m < 1:
             raise ConfigError("hmm.m must be >= 1")
         if self.max_iters < 1:
             raise ConfigError("hmm.max_iters must be >= 1")
-        try:
-            ResidualVariant(self.residual_variant)
-        except ValueError:
-            raise ConfigError(
-                f"hmm.residual_variant must be one of "
-                f"{[v.value for v in ResidualVariant]}, got {self.residual_variant!r}"
-            ) from None
-
-    @property
-    def variant(self) -> ResidualVariant:
-        return ResidualVariant(self.residual_variant)
 
 
 @dataclass(frozen=True)

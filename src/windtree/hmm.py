@@ -15,13 +15,15 @@ agree with the one-step-at-a-time recursion to about 1e-12 relative.
 A block product can underflow to 0 where that recursion would not; a
 model with transition probabilities of 1e-200 does it in the tests. The
 scan then raises NumericalUnderflow naming the pass and observation.
+
+The fit is checked with ordinary pseudo-residuals, each observation
+conditioned on all the others, counted over HIST_BINS equal bins of [0, 1].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +32,8 @@ from scipy.stats import norm
 PROB_TOL = 1e-12        # slack for probability-vector and row-sum checks
 DEGENERATE_MASS = 1e-8  # a state owning less posterior mass is frozen
 LLOYD_ROUNDS = 50       # at most this many k-means rounds in default_init
+GAMMA_DIAG = 0.8        # default_init's transition-matrix diagonal
+HIST_BINS = 10          # equal-width bins of [0, 1] in residual_histogram
 
 
 class EmptyObservations(ValueError):
@@ -38,11 +42,6 @@ class EmptyObservations(ValueError):
 
 class NumericalUnderflow(ArithmeticError):
     """Some observation has zero density under every state."""
-
-
-class ResidualVariant(Enum):
-    CONDITIONAL = "conditional"
-    MARGINAL = "marginal"
 
 
 @dataclass(frozen=True)
@@ -120,14 +119,6 @@ class FitReport:
     iterations: int
     state_order: tuple[int, ...]
     warnings: list[str] = field(default_factory=list)
-
-
-@dataclass
-class PseudoResiduals:
-    """Probability-integral-transform residuals, one per observation."""
-
-    u: np.ndarray
-    variant: ResidualVariant
 
 
 def _density_matrix(params: HmmParams, obs: np.ndarray) -> np.ndarray:
@@ -258,10 +249,10 @@ def posterior_pairs(params: HmmParams, obs: Sequence[float],
     return PosteriorTables(state_prob=state, pair_prob=pair)
 
 
-def default_init(obs: Sequence[float], m: int, gamma_diag: float = 0.8) -> HmmParams:
+def default_init(obs: Sequence[float], m: int) -> HmmParams:
     """Deterministic EM starting point.
 
-    The transition matrix gets `gamma_diag` on the diagonal with the rest
+    The transition matrix gets GAMMA_DIAG on the diagonal with the rest
     spread evenly off-diagonal; the initial distribution is uniform. Means
     come from quantile seeds refined by at most LLOYD_ROUNDS Lloyd
     assignment rounds (plain 1-d k-means, no randomness), with per-group
@@ -271,14 +262,11 @@ def default_init(obs: Sequence[float], m: int, gamma_diag: float = 0.8) -> HmmPa
     x = np.sort(np.asarray(obs, dtype=float))
     if x.size < m:
         raise ValueError(f"need at least {m} observations to initialize {m} states")
-    if not 0.0 < gamma_diag <= 1.0:
-        raise ValueError("gamma_diag must lie in (0, 1]")
     if m == 1:
         gamma = np.ones((1, 1))
     else:
-        off = (1.0 - gamma_diag) / (m - 1)
-        gamma = np.full((m, m), off)
-        np.fill_diagonal(gamma, gamma_diag)
+        gamma = np.full((m, m), (1.0 - GAMMA_DIAG) / (m - 1))
+        np.fill_diagonal(gamma, GAMMA_DIAG)
 
     centers = np.quantile(x, (np.arange(m) + 0.5) / m)
     labels = np.zeros(x.size, dtype=int)
@@ -304,12 +292,10 @@ def _sigma_floor(obs: np.ndarray) -> float:
     return 1e-6 * sd if sd > 0 else 1e-12
 
 
-def baum_welch(obs: Sequence[float], init: HmmParams, max_iters: int = 15,
-               tol: float = 0.0) -> FitReport:
+def baum_welch(obs: Sequence[float], init: HmmParams, max_iters: int = 15) -> FitReport:
     """Fit by EM: forward/backward posteriors, then closed-form updates.
 
-    Runs exactly `max_iters` iterations unless `tol` > 0 and the
-    log-likelihood gain drops below it. Delta is updated to the posterior
+    Runs exactly `max_iters` iterations. Delta is updated to the posterior
     of the first state.
 
     States with posterior mass below DEGENERATE_MASS are frozen at their
@@ -325,12 +311,10 @@ def baum_welch(obs: Sequence[float], init: HmmParams, max_iters: int = 15,
     params = init
     trace: list[float] = []
     warnings: list[str] = []
-    iterations = 0
     for it in range(max_iters):
         tables = forward_backward(params, x)
         post = posterior_pairs(params, x, tables)
         trace.append(tables.log_likelihood)
-        iterations = it + 1
 
         mass = post.state_prob.sum(axis=0)
         frozen = mass < DEGENERATE_MASS
@@ -355,64 +339,36 @@ def baum_welch(obs: Sequence[float], init: HmmParams, max_iters: int = 15,
         sigma[~frozen] = np.maximum(np.sqrt(var / mass[~frozen]), floor)
 
         params = HmmParams(delta=delta, gamma=gamma, mu=mu, sigma=sigma)
-        if tol > 0.0 and len(trace) >= 2 and trace[-1] - trace[-2] < tol:
-            break
 
     order = tuple(int(i) for i in np.argsort(params.mu, kind="stable"))
     return FitReport(
         params=params.permuted(order),
         loglik_trace=trace,
-        iterations=iterations,
+        iterations=len(trace),
         state_order=order,
         warnings=warnings,
     )
 
 
-def stationary_distribution(gamma: np.ndarray) -> np.ndarray:
-    """Stationary row vector of a row-stochastic matrix (pi @ gamma = pi)."""
-    gamma = np.asarray(gamma, dtype=float)
-    m = gamma.shape[0]
-    a = np.vstack([gamma.T - np.eye(m), np.ones(m)])
-    b = np.zeros(m + 1)
-    b[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
+def pseudo_residuals(params: HmmParams, obs: Sequence[float]) -> np.ndarray:
+    """Uniform residuals u_t = Pr(X_t <= x_t | X_s = x_s for all s != t).
 
-
-def pseudo_residuals(params: HmmParams, obs: Sequence[float],
-                     variant: ResidualVariant = ResidualVariant.CONDITIONAL) -> PseudoResiduals:
-    """Uniform residuals u_t = Pr(X(t) <= x_t) under the fitted model.
-
-    CONDITIONAL conditions each observation on all the others: the mixture
-    weights are the posterior state probabilities computed with x_t removed,
-    proportional to (alpha_hat[t-1] @ gamma) * beta_hat[t]. MARGINAL uses
-    the stationary distribution of gamma as fixed weights.
+    The mixture weights are the posterior state probabilities computed with
+    x_t removed, proportional to (alpha_hat[t-1] @ gamma) * beta_hat[t].
     """
     x = np.asarray(obs, dtype=float)
     if x.size == 0:
         raise EmptyObservations("observation sequence is empty")
-    T = x.size
     cdf = norm.cdf((x[:, None] - params.mu[None, :]) / params.sigma[None, :])
-
-    if variant is ResidualVariant.MARGINAL:
-        weights = np.tile(stationary_distribution(params.gamma), (T, 1))
-    else:
-        tables = forward_backward(params, x)
-        weights = np.empty((T, params.m))
-        weights[0] = params.delta * tables.beta_hat[0]
-        if T > 1:
-            pred = tables.alpha_hat[:-1] @ params.gamma
-            weights[1:] = pred * tables.beta_hat[1:]
-        weights /= weights.sum(axis=1, keepdims=True)
-
-    u = np.clip((weights * cdf).sum(axis=1), 0.0, 1.0)
-    return PseudoResiduals(u=u, variant=variant)
+    tables = forward_backward(params, x)
+    weights = tables.beta_hat.copy()
+    weights[0] *= params.delta
+    weights[1:] *= tables.alpha_hat[:-1] @ params.gamma
+    weights /= weights.sum(axis=1, keepdims=True)
+    return np.clip((weights * cdf).sum(axis=1), 0.0, 1.0)
 
 
-def residual_histogram(residuals: PseudoResiduals, bins: int = 10) -> np.ndarray:
-    """Counts over equal-width bins of [0, 1]; u = 1 falls in the last bin."""
-    if bins < 2:
-        raise ValueError("need at least 2 bins")
-    counts, _ = np.histogram(residuals.u, bins=bins, range=(0.0, 1.0))
+def residual_histogram(u: np.ndarray) -> np.ndarray:
+    """Counts over HIST_BINS equal-width bins of [0, 1]; u = 1 falls in the last bin."""
+    counts, _ = np.histogram(u, bins=HIST_BINS, range=(0.0, 1.0))
     return counts

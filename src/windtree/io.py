@@ -206,8 +206,7 @@ def sweep_meta_doc(result: SweepResult, elapsed_seconds: float) -> dict:
 
 # -- model, histogram ------------------------------------------------------
 
-def model_json_doc(report, *, residual_variant: str, gamma_diag_init: float,
-                   max_iters: int, tol: float) -> dict:
+def model_json_doc(report) -> dict:
     p = report.params
     return {
         "m": p.m,
@@ -218,13 +217,7 @@ def model_json_doc(report, *, residual_variant: str, gamma_diag_init: float,
         "loglik_trace": list(report.loglik_trace),
         "state_order": list(report.state_order),
         "metadata": {
-            "init_scheme": "quantile-seeded k-means groups",
-            "gamma_diag_init": gamma_diag_init,
-            "max_iters": max_iters,
-            "tol": tol,
             "iterations": report.iterations,
-            "residual_variant": residual_variant,
-            "update_delta": True,
             "warnings": list(report.warnings),
         },
     }

@@ -29,6 +29,6 @@ def reference_series(reference_sweep):
 def reference_fit(reference_series):
     """Default-pipeline 3-state fit (15 EM iterations) plus fit time."""
     started = time.perf_counter()
-    init = default_init(reference_series, 3, 0.8)
+    init = default_init(reference_series, 3)
     report = baum_welch(reference_series, init, max_iters=15)
     return report, time.perf_counter() - started

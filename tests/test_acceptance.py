@@ -202,7 +202,7 @@ def test_criterion_8_diffusion_exponent():
 def test_criterion_9_residual_diagnostics(reference_series, reference_fit):
     report_obj, _seconds = reference_fit
     residuals = pseudo_residuals(report_obj.params, reference_series)
-    counts = residual_histogram(residuals, bins=10)
+    counts = residual_histogram(residuals)
     stat = float((((counts - 30.0) ** 2) / 30.0).sum())
     gate = float(chi2.ppf(0.999, 9))
     ok = (counts.sum() == 300 and counts.min() >= 5 and counts.max() <= 70

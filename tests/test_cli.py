@@ -35,25 +35,26 @@ SIMULATE_DIGESTS = {
 }
 
 # SHA-256 of the `fit --states m` artifacts on the reference sweep.csv. The
-# model.json and residuals.csv digests were taken when the forward and
-# backward recursions became a doubling scan over time, which moves their
-# last bits. Against the sequential recursion on the same sweep.csv, for
-# m = 2, 3 and 4, the fitted mu, sigma, gamma, delta and loglik trace and
-# the residuals u moved by at most 1.2e-13. The histogram.json digests have
+# residuals.csv digests were taken when the forward and backward recursions
+# became a doubling scan over time, which moved their last bits by at most
+# 1.2e-13 against the sequential recursion. The histogram.json digests have
 # held since posterior_pairs built the pair tensor one observation at a time.
+# The model.json digests were taken when its metadata shrank to iterations
+# and warnings; for m = 2, 3 and 4 every other key of model.json kept the
+# values of the doubling-scan fit.
 FIT_DIGESTS = {
     2: {
-        "model.json": "f36ec6a05e1f2d0bca0d58eda0235b327fe70296a783fe3f1a81b4963281cefc",
+        "model.json": "89c8f2697c31b138c63b2a7590df4c222e742f64d7cf9a98ea89f3e992520987",
         "residuals.csv": "67493900f022cba4191b3d8a13fb1647966f31cd69e5e330bfe90b8dd92e93e2",
         "histogram.json": "08cba2539e717fbe7cd5ee02213fd4daad160548f5abbe5d2253cca3b4a11321",
     },
     3: {
-        "model.json": "e23334b5b257a1366ffc731c89f0864f2dff5a0e4a289156ddc534379b5b3ee7",
+        "model.json": "78b7319f2b45fdc528aeba25e968d98ee8e4a887ad2614beac8e73ae6db783a6",
         "residuals.csv": "103db2fb349d5907d2aa9d75a53bc51d711e136ae253778a827131e14c4ae420",
         "histogram.json": "dbfbe749e924fb0cfe97bcd487efd6c6d6c497fd4235f4a04e6c8b88d701b810",
     },
     4: {
-        "model.json": "724a9e5718f4a43cf03d8e1584c5240aaf6891b5c4b108dacafd73743706473a",
+        "model.json": "35f644d0665c90eae1a60ee932719e203fa66984acee6f8bdf2ae7f553b90b9e",
         "residuals.csv": "fd8a3dd59f28d58810ad263c0e09174739ea2b4af7fe424299e0fab1cdec2f3b",
         "histogram.json": "87efb83167bc924b0ad446ec8f430e8e6ceec13e7d52996dd5229f6a478e5fd9",
     },
@@ -255,7 +256,7 @@ class TestDiagnoseCommand:
             ["config.json", "trajectory.svg", *io.ARTIFACTS])
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "all 23 diagnostics passed" in out
+        assert "all 24 diagnostics passed" in out
 
     def test_tampered_artifact_fails(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)
@@ -357,6 +358,32 @@ class TestDiagnoseCommand:
         assert "ok   trajectory.csv round-trip" in out
         assert "ok   residuals.csv round-trip" in out
 
+    # each edit keeps the file parsable and leaves every other file as written
+    @pytest.mark.parametrize("name, edit, failure", [
+        ("model.json", lambda d: d.update(m=7), "FAIL model m counts the states"),
+        ("model.json", lambda d: d["gamma"].append([0.5, 0.5]),
+         "FAIL model.json fields (ValueError: inconsistent parameter shapes)"),
+        ("model.json", lambda d: d["metadata"].update(iterations=99),
+         "FAIL model iterations count the loglik trace"),
+        ("histogram.json", lambda d: d.update(bins=3), "FAIL histogram has 10 bins"),
+        ("sweep_meta.json", lambda d: d.update(completed=99),
+         "FAIL sweep_meta completed counts sweep rows"),
+    ], ids=["model_m", "gamma_row", "iterations", "bins", "completed"])
+    def test_inconsistent_json_artifact_fails(self, tmp_path, capsys, name, edit, failure):
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 0
+        path = tmp_path / name
+        doc = json.loads(path.read_text())
+        edit(doc)
+        io.write_json(doc, path)
+        capsys.readouterr()
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 4
+        out = capsys.readouterr().out
+        assert f"ok   {name} round-trip" in out
+        assert failure in out
+        assert out.count("FAIL") == 1
+
     def test_bad_sidecar_beside_a_missing_csv_fails_round_trip(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_CONFIG)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -453,16 +480,20 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, {"swep": {}})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
 
-    def test_bad_variant_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, {"hmm": {"residual_variant": "upside-down"}})
+    # fit options that are constants of the hmm module, not config keys
+    @pytest.mark.parametrize("key, value", [("residual_variant", "conditional"),
+                                            ("gamma_diag_init", 0.8), ("tol", 0.0)])
+    def test_removed_hmm_key_rejected(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {"hmm": {key: value}})
         assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
+        error = json.loads(capsys.readouterr().out)
+        assert error["exit_code"] == 2 and key in error["error"]
 
     def test_checked_in_reference_config_loads(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
         doc = json.loads(path.read_text())
         assert doc["sweep"]["count"] == 300
-        assert doc["hmm"] == {"m": 3, "gamma_diag_init": 0.8, "max_iters": 15,
-                              "tol": 0.0, "residual_variant": "conditional"}
+        assert doc["hmm"] == {"m": 3, "max_iters": 15}
 
     def test_checked_in_reference_config_is_the_defaults(self):
         from windtree.config import PipelineConfig
@@ -477,9 +508,7 @@ class TestConfigHandling:
         assert (config.sweep.slope_start, config.sweep.slope_step,
                 config.sweep.count, config.sweep.k_min,
                 config.sweep.k_max) == (1.4140, 0.0025, 300, 500, 1000)
-        assert (config.hmm.m, config.hmm.gamma_diag_init, config.hmm.max_iters,
-                config.hmm.tol, config.hmm.residual_variant) == \
-               (3, 0.8, 15, 0.0, "conditional")
+        assert (config.hmm.m, config.hmm.max_iters) == (3, 15)
 
 
 class TestArtifactFormats:
