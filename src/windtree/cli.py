@@ -206,6 +206,8 @@ def _model_checks(doc, _):
     # its ValueError fails "model.json fields"
     params = hmm.HmmParams(doc["delta"], doc["gamma"], doc["mu"], doc["sigma"])
     yield "model m counts the states", doc["m"] == params.m
+    yield "model state_order is a permutation of its states", (
+        sorted(doc["state_order"]) == list(range(params.m)))
     yield "model means sorted ascending", all(b >= a for a, b in zip(doc["mu"], doc["mu"][1:]))
     trace = doc["loglik_trace"]
     yield "model loglik trace non-decreasing", all(b >= a - 1e-9
@@ -220,6 +222,18 @@ def _residuals_checks(cols, _):
     yield "residuals in [0, 1]", bool(np.all((u >= 0.0) & (u <= 1.0)))
 
 
+def _residuals_model_checks(cols, doc):
+    params = hmm.HmmParams(doc["delta"], doc["gamma"], doc["mu"], doc["sigma"])
+    x = cols["x"]
+    tables = hmm.forward_backward(params, x)
+    yield "residuals u recomputed from the model", bool(
+        np.all(np.abs(hmm.pseudo_residuals(params, x, tables) - cols["u"]) <= 1e-12))
+    # the trace ends at the parameters before the last EM update, which
+    # cannot lower the likelihood
+    yield "model loglik on the residual series reaches its trace", (
+        tables.log_likelihood >= doc["loglik_trace"][-1] - 1e-9)
+
+
 def _histogram_checks(hist, cols):
     yield "histogram counts sum to residual rows", (
         sum(hist["counts"]) == len(cols["t"]) == hist["total"])
@@ -227,15 +241,16 @@ def _histogram_checks(hist, cols):
         hist["bins"] == len(hist["counts"]) == hmm.HIST_BINS)
 
 
-# artifact -> (the artifact its checks also read, or None; its content checks).
-# A check of two files runs only where both parsed; it comes after the later one.
+# artifact -> its content checks, each with the artifact it also reads, or
+# None. A check of two files comes after the later file, and runs only
+# where both parsed and the earlier file's own checks could read its fields.
 DIAGNOSTICS = {
-    "trajectory.csv": (None, _trajectory_checks),
-    "sweep.csv": (None, _sweep_checks),
-    "sweep_meta.json": ("sweep.csv", _sweep_grid_checks),
-    "model.json": (None, _model_checks),
-    "residuals.csv": (None, _residuals_checks),
-    "histogram.json": ("residuals.csv", _histogram_checks),
+    "trajectory.csv": [(None, _trajectory_checks)],
+    "sweep.csv": [(None, _sweep_checks)],
+    "sweep_meta.json": [("sweep.csv", _sweep_grid_checks)],
+    "model.json": [(None, _model_checks)],
+    "residuals.csv": [(None, _residuals_checks), ("model.json", _residuals_model_checks)],
+    "histogram.json": [("residuals.csv", _histogram_checks)],
 }
 
 
@@ -251,9 +266,10 @@ def cmd_diagnose(config: PipelineConfig, out: Path) -> int:
         path = out / name
         if not path.exists():
             continue
-        partner, content_checks = DIAGNOSTICS.get(name, (None, None))
-        if partner is not None and not (out / partner).exists():
-            checks.append((f"{partner} round-trip", False, f"missing beside {name}"))
+        entries = DIAGNOSTICS.get(name, [])
+        for partner, _ in entries:
+            if partner is not None and not (out / partner).exists():
+                checks.append((f"{partner} round-trip", False, f"missing beside {name}"))
         try:
             raw = path.read_text()
             docs[name] = doc = io.parse_artifact(name, raw)
@@ -261,13 +277,18 @@ def cmd_diagnose(config: PipelineConfig, out: Path) -> int:
             checks.append((f"{name} round-trip", False, f"not {path.suffix[1:].upper()}: {exc}"))
             continue
         checks.append((f"{name} round-trip", io.render_artifact(name, doc) == raw, ""))
-        if content_checks is None or (partner is not None and partner not in docs):
-            continue
-        try:
-            for check_name, ok in content_checks(doc, docs.get(partner)):
-                checks.append((check_name, ok, ""))
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError includes DegenerateVelocity
-            checks.append((f"{name} fields", False, f"{type(exc).__name__}: {exc}"))
+        for partner, content_checks in entries:
+            if partner is not None and partner not in docs:
+                continue
+            try:
+                for check_name, ok in content_checks(doc, docs.get(partner)):
+                    checks.append((check_name, ok, ""))
+            # ValueError includes DegenerateVelocity and EmptyObservations
+            except (LookupError, TypeError, ValueError, hmm.NumericalUnderflow) as exc:
+                checks.append((f"{name} fields", False, f"{type(exc).__name__}: {exc}"))
+                if partner is None:  # no later check reads a file whose fields failed
+                    del docs[name]
+                    break
 
     if not checks:
         return _fail(EXIT_CONFIG, f"no artifacts found under {out}")

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -35,27 +37,29 @@ SIMULATE_DIGESTS = {
 }
 
 # SHA-256 of the `fit --states m` artifacts on the reference sweep.csv. The
-# residuals.csv digests were taken when the forward and backward recursions
-# became a doubling scan over time, which moved their last bits by at most
-# 1.2e-13 against the sequential recursion. The histogram.json digests have
-# held since posterior_pairs built the pair tensor one observation at a time.
+# residuals.csv digests were taken when the normal CDF became
+# erfc(-z sqrt(1/2)) / 2 from the standard library: against the previous
+# CDF, 48, 49 and 50 of the 300 u values (m = 2, 3, 4) moved, by at most
+# 2.2e-16, and model.json and histogram.json kept their bytes. The
+# histogram.json digests have held since posterior_pairs built the pair
+# tensor one observation at a time.
 # The model.json digests were taken when its metadata shrank to iterations
 # and warnings; for m = 2, 3 and 4 every other key of model.json kept the
 # values of the doubling-scan fit.
 FIT_DIGESTS = {
     2: {
         "model.json": "89c8f2697c31b138c63b2a7590df4c222e742f64d7cf9a98ea89f3e992520987",
-        "residuals.csv": "67493900f022cba4191b3d8a13fb1647966f31cd69e5e330bfe90b8dd92e93e2",
+        "residuals.csv": "ac6b9aaa1407ab1d96458dff8b1526d7f2bb81240e21dd83c5667c4291e1e5a4",
         "histogram.json": "08cba2539e717fbe7cd5ee02213fd4daad160548f5abbe5d2253cca3b4a11321",
     },
     3: {
         "model.json": "78b7319f2b45fdc528aeba25e968d98ee8e4a887ad2614beac8e73ae6db783a6",
-        "residuals.csv": "103db2fb349d5907d2aa9d75a53bc51d711e136ae253778a827131e14c4ae420",
+        "residuals.csv": "b27e7b8bd5bf131fa1b8b240b5623aa5bc9f4f564d56f6f7003689f9e5e7ad27",
         "histogram.json": "dbfbe749e924fb0cfe97bcd487efd6c6d6c497fd4235f4a04e6c8b88d701b810",
     },
     4: {
         "model.json": "35f644d0665c90eae1a60ee932719e203fa66984acee6f8bdf2ae7f553b90b9e",
-        "residuals.csv": "fd8a3dd59f28d58810ad263c0e09174739ea2b4af7fe424299e0fab1cdec2f3b",
+        "residuals.csv": "052c954413927bb390ee48e3b3e9f7f5d67c416c80f0bf92f7217d4087d4e278",
         "histogram.json": "87efb83167bc924b0ad446ec8f430e8e6ceec13e7d52996dd5229f6a478e5fd9",
     },
 }
@@ -256,7 +260,7 @@ class TestDiagnoseCommand:
             ["config.json", "trajectory.svg", *io.ARTIFACTS])
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "all 24 diagnostics passed" in out
+        assert "all 27 diagnostics passed" in out
 
     def test_tampered_artifact_fails(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)
@@ -365,10 +369,17 @@ class TestDiagnoseCommand:
          "FAIL model.json fields (ValueError: inconsistent parameter shapes)"),
         ("model.json", lambda d: d["metadata"].update(iterations=99),
          "FAIL model iterations count the loglik trace"),
+        ("model.json", lambda d: d.update(state_order=[5, 5]),
+         "FAIL model state_order is a permutation of its states"),
+        # still non-decreasing and of the right length, but above what the
+        # stored model attains on the residuals' series
+        ("model.json", lambda d: d.update(loglik_trace=[v + 1e-6 for v in d["loglik_trace"]]),
+         "FAIL model loglik on the residual series reaches its trace"),
         ("histogram.json", lambda d: d.update(bins=3), "FAIL histogram has 10 bins"),
         ("sweep_meta.json", lambda d: d.update(completed=99),
          "FAIL sweep_meta completed counts sweep rows"),
-    ], ids=["model_m", "gamma_row", "iterations", "bins", "completed"])
+    ], ids=["model_m", "gamma_row", "iterations", "state_order", "loglik_trace", "bins",
+            "completed"])
     def test_inconsistent_json_artifact_fails(self, tmp_path, capsys, name, edit, failure):
         cfg = write_config(tmp_path, SMALL_CONFIG)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -428,6 +439,31 @@ class TestDiagnoseCommand:
         capsys.readouterr()
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 4
         assert "FAIL residuals t strictly increasing" in capsys.readouterr().out
+
+    # an x far from every state has zero density under the model, which
+    # fails the recompute without keeping the histogram from its checks
+    @pytest.mark.parametrize("edit, failure", [
+        ("u", "FAIL residuals u recomputed from the model"),
+        ("x", "FAIL residuals.csv fields (NumericalUnderflow: observation 1 has zero "
+              "density under every state)"),
+    ])
+    def test_edited_residual_fails_recompute(self, tmp_path, capsys, edit, failure):
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 0
+        path = tmp_path / "residuals.csv"
+        lines = path.read_text().splitlines()
+        t, x, u = lines[2].split(",")
+        lines[2] = ",".join([t, x, io.fmt(float(u) + 1e-10)] if edit == "u"
+                            else [t, io.fmt(1e6), u])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 4
+        out = capsys.readouterr().out
+        assert "ok   residuals.csv round-trip" in out
+        assert failure in out
+        assert "ok   histogram counts sum to residual rows" in out
+        assert out.count("FAIL") == 1
 
     @pytest.mark.parametrize("slope, collisions", [("1.414", "0"), ("1e-7", "5"),
                                                    ("1.464", "500")])
@@ -592,3 +628,14 @@ class TestArtifactFormats:
         io.write_json(doc, path)
         raw = path.read_text()
         assert io.json_text(json.loads(raw)) == raw
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle: importing scipy.stats costs about 1 s, which
+    # every fresh windtree process, sweep workers included, would pay
+    code = ("import windtree.cli, sys; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=Path(__file__).resolve().parent.parent,
+                          env={**os.environ, "PYTHONPATH": "src"}, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2
+from scipy.stats import chi2, norm
 
 from windtree.hmm import (
     EmptyObservations,
@@ -385,6 +385,15 @@ class TestPseudoResiduals:
     def test_single_state_upper_tail(self):
         p = HmmParams([1.0], [[1.0]], [0.0], [1.0])
         assert pseudo_residuals(p, [1.959964])[0] == pytest.approx(0.975, abs=1e-6)
+
+    def test_single_state_is_the_normal_cdf(self):
+        # one state makes u_t = Phi(x_t), with scipy's norm.cdf the oracle;
+        # beyond |z| of about 38.5 the state density underflows to 0
+        z = np.linspace(-37.0, 37.0, 7401)
+        u = pseudo_residuals(HmmParams([1.0], [[1.0]], [0.0], [1.0]), z)
+        np.testing.assert_allclose(u, norm.cdf(z), rtol=1e-12, atol=0.0)
+        assert np.all(np.diff(u) >= 0.0)
+        assert np.all((u >= 0.0) & (u <= 1.0))
 
     @given(st.integers(0, 1000))
     @settings(max_examples=25)
