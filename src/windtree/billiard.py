@@ -462,13 +462,19 @@ def truncation_reason(horizon: float, collisions: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Lockstep batch: the same first-hit walk, classification and reflection as
+# Lockstep batch: the same first hit, classification and reflection as
 # simulate, run over many rays at once with numpy. Every operation is the
 # scalar kernel's IEEE operation applied elementwise, so each ray follows its
 # scalar trajectory bit for bit.
 # ---------------------------------------------------------------------------
 
-LOCKSTEP_CELLS = 8     # cells walked in lockstep; the reference grid needs <= 4
+LOCKSTEP_CELLS = 4     # candidate block: the cells (a, b) ahead with a + b < this
+# the block's offsets (a, b), in cells along each axis of travel, as columns
+_BLOCK_A, _BLOCK_B = (np.array(column, dtype=float)[:, None] for column in zip(
+    *[(a, b) for a in range(LOCKSTEP_CELLS) for b in range(LOCKSTEP_CELLS - a)]))
+# whether a wall code flips vx (vy); the last entry is NO_HIT's, index -1
+_FLIP_X = np.array([True, True, False, False, True, False])
+_FLIP_Y = np.array([False, False, True, True, True, False])
 
 
 class Rays(NamedTuple):
@@ -489,92 +495,67 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
     and gets the code NO_HIT. Each ray's result is bitwise the next event and
     post-bounce state of `simulate` from the same state.
 
-    The cell walk runs in lockstep for LOCKSTEP_CELLS cells. Rays still
-    unresolved then, and rays with a zero velocity component, are finished
-    by the scalar walk from the same state, which gives the same answer.
+    Instead of walking cells in order, each ray tests one fixed block of
+    candidate obstacles at once: the cells a steps along x and b steps along
+    y ahead of its start cell, in its direction of travel, with a, b >= 0
+    and a + b < LOCKSTEP_CELLS. The slab times are _first_hit's expressions,
+    and the ray takes the valid candidate with the smallest t_near. This is
+    the walk's first hit:
+      - a valid candidate is an obstacle the ray really crosses, so the
+        scalar walk visits its cell;
+      - a ray moves monotonically in x and y, so the block is closed under
+        "earlier along the ray": any obstacle met before a candidate is
+        itself a candidate;
+      - along any ray, obstacles are at least 1 apart in path length, so the
+        smallest t_near is the one the walk meets first;
+      - the walk's t_entry <= horizon follows from t_near <= horizon.
+    Rays with no valid candidate, and rays with a velocity component so
+    small (zero, say) that 1/vx * 1/vy is not finite, are finished by the
+    scalar walk from the same state, which gives the same answer.
     """
     x, y, vx, vy, t = rays
     n = len(x)
-    s = np.zeros(n)
-    hx = x.copy()
-    hy = y.copy()
-    walls = np.full(n, NO_HIT, dtype=np.int8)
-
-    pending = (vx != 0.0) & (vy != 0.0)
     # inf and nan arise only on rays the scalar walk finishes, or exactly as
     # Python float arithmetic gives them without warning
     with np.errstate(all="ignore"):
         inv_vx = 1.0 / vx
         inv_vy = 1.0 / vy
-        ix = np.floor(x * 0.5)
-        iy = np.floor(y * 0.5)
-        pos_x = vx > 0.0
-        pos_y = vy > 0.0
-        step_x = np.where(pos_x, 1.0, -1.0)
-        step_y = np.where(pos_y, 1.0, -1.0)
-        t_max_x = np.where(pos_x, 2.0 * ix + 2.0 - x, 2.0 * ix - x) * inv_vx
-        t_max_y = np.where(pos_y, 2.0 * iy + 2.0 - y, 2.0 * iy - y) * inv_vy
-        t_delta_x = np.abs(2.0 * inv_vx)
-        t_delta_y = np.abs(2.0 * inv_vy)
-        t_entry = np.zeros(n)
-        # the entry planes and center of each ray's hit cell
-        hit_tx1 = np.zeros(n)
-        hit_ty1 = np.zeros(n)
-        hit_cx = np.zeros(n)
-        hit_cy = np.zeros(n)
-        walked = np.zeros(n, dtype=bool)
-
-        for _ in range(LOCKSTEP_CELLS):
-            if not pending.any():
-                break
-            cx = 2.0 * ix + 1.0
-            cy = 2.0 * iy + 1.0
-            tx1 = (cx - 0.5 - x) * inv_vx
-            tx2 = (cx + 0.5 - x) * inv_vx
-            swap = tx1 > tx2
-            tx1, tx2 = np.where(swap, tx2, tx1), np.where(swap, tx1, tx2)
-            ty1 = (cy - 0.5 - y) * inv_vy
-            ty2 = (cy + 0.5 - y) * inv_vy
-            swap = ty1 > ty2
-            ty1, ty2 = np.where(swap, ty2, ty1), np.where(swap, ty1, ty2)
-            t_near = np.where(tx1 > ty1, tx1, ty1)
-            t_far = np.where(tx2 < ty2, tx2, ty2)
-            # a ray past the horizon stays pending; the scalar walk rejects it
-            hit = (pending & (t_entry <= horizon) & (MIN_FLIGHT <= t_near)
-                   & (t_near < t_far) & (t_near <= horizon))
-            s[hit] = t_near[hit]
-            hit_tx1[hit] = tx1[hit]
-            hit_ty1[hit] = ty1[hit]
-            hit_cx[hit] = cx[hit]
-            hit_cy[hit] = cy[hit]
-            walked |= hit
-            pending &= ~hit
-            along_x = t_max_x < t_max_y
-            along_y = t_max_y < t_max_x
-            # neither: an exact cell-corner crossing steps both axes
-            move_x = ~along_y
-            move_y = ~along_x
-            t_entry = np.where(along_y, t_max_y, t_max_x)
-            t_max_x = np.where(move_x, t_max_x + t_delta_x, t_max_x)
-            t_max_y = np.where(move_y, t_max_y + t_delta_y, t_max_y)
-            ix = np.where(move_x, ix + step_x, ix)
-            iy = np.where(move_y, iy + step_y, iy)
-
-    if walked.any():
-        _classify_walked(walked, x, y, vx, vy, s, hit_tx1, hit_ty1, hit_cx, hit_cy,
-                         hx, hy, walls)
+        step_x = np.where(vx > 0.0, 1.0, -1.0)
+        step_y = np.where(vy > 0.0, 1.0, -1.0)
+        # (block, ray) arrays; the near plane of a cell is its center minus
+        # half a step, which is _first_hit's swapped slab bound bitwise
+        cx = 2.0 * (np.floor(x * 0.5) + _BLOCK_A * step_x) + 1.0
+        cy = 2.0 * (np.floor(y * 0.5) + _BLOCK_B * step_y) + 1.0
+        half_x = 0.5 * step_x
+        half_y = 0.5 * step_y
+        tx1 = (cx - half_x - x) * inv_vx
+        tx2 = (cx + half_x - x) * inv_vx
+        ty1 = (cy - half_y - y) * inv_vy
+        ty2 = (cy + half_y - y) * inv_vy
+        # np.maximum and np.minimum differ from _first_hit's comparisons only
+        # on nan and signed zeros, which no valid candidate has
+        t_near = np.maximum(tx1, ty1)
+        valid = ((MIN_FLIGHT <= t_near) & (t_near < np.minimum(tx2, ty2))
+                 & (t_near <= horizon) & np.isfinite(inv_vx * inv_vy))
+        # flat index of each ray's first hit; take is cheaper than
+        # take_along_axis on arrays this small
+        first = np.where(valid, t_near, np.inf).argmin(axis=0) * n + np.arange(n)
+        s = t_near.take(first)
+        walked = valid.take(first)
+        hx, hy, walls = _classify_hits(x, y, vx, vy, s, tx1.take(first), ty1.take(first),
+                                       cx.take(first), cy.take(first))
     for i in np.flatnonzero(~walked):
         hit = _first_hit(float(x[i]), float(y[i]), float(vx[i]), float(vy[i]), horizon)
-        if hit is not None:
+        if hit is None:
+            s[i], hx[i], hy[i], walls[i] = 0.0, x[i], y[i], NO_HIT
+        else:
             s[i], hx[i], hy[i], walls[i] = hit[:4]
 
     struck = walls != NO_HIT
-    flip_x = (walls == _LEFT) | (walls == _RIGHT) | (walls == _CORNER)
-    flip_y = (walls == _BOTTOM) | (walls == _TOP) | (walls == _CORNER)
-    rx = np.where(flip_x, -vx, vx)
-    ry = np.where(flip_y, -vy, vy)
+    rx = np.where(_FLIP_X[walls], -vx, vx)
+    ry = np.where(_FLIP_Y[walls], -vy, vy)
     # math.hypot, as in simulate: np.hypot is not guaranteed to round alike
-    norm = np.array([math.hypot(a, b) for a, b in zip(rx.tolist(), ry.tolist())])
+    norm = np.fromiter(map(math.hypot, rx.tolist(), ry.tolist()), float, n)
     next_rays = Rays(
         x=hx,
         y=hy,
@@ -585,10 +566,8 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
     return next_rays, walls
 
 
-def _classify_walked(walked, x, y, vx, vy, s, tx1, ty1, cx, cy, hx, hy, walls):
-    """_classify_hit over the rays marked `walked`, writing hx, hy and walls."""
-    x, y, vx, vy, s = x[walked], y[walked], vx[walked], vy[walked], s[walked]
-    tx1, ty1, cx, cy = tx1[walked], ty1[walked], cx[walked], cy[walked]
+def _classify_hits(x, y, vx, vy, s, tx1, ty1, cx, cy):
+    """_classify_hit elementwise: the snapped hit points and the wall codes."""
     vertical = tx1 > ty1
     horizontal = ty1 > tx1
     # through the corner point itself when neither
@@ -607,9 +586,8 @@ def _classify_walked(walked, x, y, vx, vy, s, tx1, ty1, cx, cy, hx, hy, walls):
     near_hi = ~near_lo & (np.abs(along - hi) <= CORNER_TOL)
     snapped = np.where(near_lo, lo, np.where(near_hi, hi, along))
     corner = (vertical | horizontal) & (near_lo | near_hi)
-    hx[walked] = np.where(horizontal, snapped, px)
-    hy[walked] = np.where(vertical, snapped, py)
-    walls[walked] = np.where(corner, _CORNER, code)
+    return (np.where(horizontal, snapped, px), np.where(vertical, snapped, py),
+            np.where(corner, _CORNER, code).astype(np.int8))
 
 
 def strike_origins(log: TrajectoryLog) -> Rays:

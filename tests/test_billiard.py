@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from windtree import billiard
 from windtree.billiard import (
     DEFAULT_HORIZON,
     LOCKSTEP_CELLS,
@@ -386,11 +387,27 @@ axis_rays = st.one_of(
 ).filter(is_free)
 
 
+@pytest.fixture
+def scalar_walks(monkeypatch):
+    """The argument tuples of every call to the scalar first-hit walk."""
+    calls = []
+    walk = billiard._first_hit
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(billiard, "_first_hit", counted)
+    return calls
+
+
 class TestStepRays:
-    def test_reference_grid_ties_simulate(self):
+    def test_reference_grid_ties_simulate(self, scalar_walks):
         spec = SweepSpec()
         states = [state_from_slope(spec.slope_at(t)) for t in range(1, spec.count + 1)]
         batched = batched_events(states, spec.k_max)
+        # every strike of the sweep lies in the candidate block
+        assert scalar_walks == []
         corners = 0
         for state, events in zip(states, batched):
             scalar = scalar_events(state, spec.k_max)
@@ -405,12 +422,54 @@ class TestStepRays:
     def test_mixed_batches_tie_simulate(self, states, horizon):
         assert_kernels_tie(states, 40, horizon)
 
-    def test_near_axis_ray_finishes_on_scalar_walk(self):
+    def test_near_axis_ray_finishes_on_scalar_walk(self, scalar_walks):
         state = free_state(0.0, 0.0, 1e-3)
         (events,) = batched_events([state], 1)
-        # the first strike lies beyond the lockstep cells
+        # the candidate block's cells span x in [0, 2 * LOCKSTEP_CELLS); the
+        # first strike lies far beyond it
         assert events[0, 0] > 2.0 * LOCKSTEP_CELLS
+        assert len(scalar_walks) == 1
         assert_kernels_tie([state, *map(state_from_slope, CORNER_SLOPES[:2])], 20)
+
+    # From the origin along the gap below the row y in [0.5, 1.5], the ray
+    # first strikes the bottom wall of the obstacle centered (2a + 1, 1), a
+    # cells ahead: a = LOCKSTEP_CELLS - 1 is the block's farthest cell along
+    # x, and a = LOCKSTEP_CELLS is the first cell beyond the block.
+    @pytest.mark.parametrize("ahead, walks", [(LOCKSTEP_CELLS - 1, 0), (LOCKSTEP_CELLS, 1)])
+    def test_block_edge(self, scalar_walks, ahead, walks):
+        state = state_from_slope(0.5 / (2 * ahead + 1))
+        (events,) = batched_events([state], 1)
+        assert len(scalar_walks) == walks
+        x, y, _, wall = events[0]
+        assert locate_cell(Vec2(x, y)) == (2 * ahead + 1, 1)
+        assert (y, WALLS[int(wall)]) == (0.5, Wall.BOTTOM)
+        assert_kernels_tie([state], 20)
+
+    def test_empty_batch(self):
+        rays, walls = step_rays(Rays(*(np.zeros(0) for _ in Rays._fields)))
+        assert [len(column) for column in rays] == [0] * len(Rays._fields)
+        assert walls.shape == (0,)
+
+    @pytest.mark.parametrize("mx, my", [(-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)])
+    def test_mirrored_reference_batch_mirrors_bitwise(self, mx, my):
+        # a mirror maps LEFT<->RIGHT (x) and BOTTOM<->TOP (y); CORNER and
+        # NO_HIT (index -1, the last entry) stay
+        codes = [Wall.RIGHT, Wall.LEFT] if mx < 0 else [Wall.LEFT, Wall.RIGHT]
+        codes += [Wall.TOP, Wall.BOTTOM] if my < 0 else [Wall.BOTTOM, Wall.TOP]
+        wall_map = np.array([WALLS.index(w) for w in codes] + [WALLS.index(Wall.CORNER), NO_HIT])
+        spec = SweepSpec()
+        velocities = [state_from_slope(spec.slope_at(t)).velocity
+                      for t in range(1, spec.count + 1)]
+        rays = Rays(*(np.array(c) for c in zip(*[(0.0, 0.0, v.x, v.y, 0.0) for v in velocities])))
+        mirrored = Rays(mx * rays.x, my * rays.y, mx * rays.vx, my * rays.vy, rays.t)
+        for _ in range(200):
+            rays, walls = step_rays(rays)
+            mirrored, mirrored_walls = step_rays(mirrored)
+            for a, b in ((mx * rays.x, mirrored.x), (my * rays.y, mirrored.y),
+                         (mx * rays.vx, mirrored.vx), (my * rays.vy, mirrored.vy),
+                         (rays.t, mirrored.t)):
+                assert a.tobytes() == b.tobytes()
+            assert np.array_equal(wall_map[walls], mirrored_walls)
 
     def test_corridor_ray_truncates_like_simulate(self):
         corridor = state_from_slope(1e-7)

@@ -110,6 +110,13 @@ class TestBuildSweep:
         assert result.observations == [recurrence_statistic(spec.slope_at(t), spec, t=t)
                                        for t in range(2, spec.count + 1)]
 
+    def test_all_corridor_sweep_is_one_gap(self):
+        # the lockstep batch runs on with zero rays after its only ray leaves
+        result = build_sweep(SweepSpec(slope_start=1e-7, slope_step=0.05, count=1,
+                                       k_min=10, k_max=20))
+        assert [f.t for f in result.failures] == [1]
+        assert result.observations == []
+
 
 def _three_means(xs, rounds=60):
     centers = np.quantile(xs, [1 / 6, 3 / 6, 5 / 6])
