@@ -6,15 +6,31 @@ of per-state normal densities. That product underflows long before T = 300,
 so every routine here works with row-normalized forward vectors and
 accumulated log scale factors.
 
-Neither pass steps through time in Python. The forward vectors are the
-prefix products of the (T, m, m) stack Gamma P(x_t), and the backward
-vectors the prefix products of the reversed, transposed stack. A doubling
-scan computes every prefix in ceil(log2 T) batched matrix products,
-rescaling each product to unit entry sum, at O(T m^2) memory. The results
-agree with the one-step-at-a-time recursion to about 1e-12 relative.
-A block product can underflow to 0 where that recursion would not; a
-model with transition probabilities of 1e-200 does it in the tests. The
-scan then raises NumericalUnderflow naming the pass and observation.
+Neither pass steps through time in Python. Each is the row recursion
+r_t = r_{t-1} M_t / c_t, with c_t the entry sum of r_{t-1} M_t, over a
+stack of m x m matrices: Gamma P(x_t) for the forward rows, and the
+reversed, transposed stack P(x_s) Gamma^T for the backward ones. A
+two-level scan (Blelloch, "Prefix sums and their applications", 1990)
+runs both passes together on blocks of SCAN_BLOCK steps: the product of
+each block, a doubling scan over the block products that gives every block
+its entry row, then the recursion inside all blocks at once. That is
+O(T m^3) work in about 60 batched numpy calls plus 3 for each of the
+ceil(log2(T / SCAN_BLOCK)) doubling levels, and O(T m^2) memory: the
+(2, T, m, m) stack, padded to whole blocks and built once, plus the
+(2, T / SCAN_BLOCK, m, m) block products. Inside a block each step is one
+vector-matrix product, as in the one-step recursion (tests/oracle.py). On
+random models alpha_hat and log c agree with it to about 1e-15 and
+beta_hat to about 1e-12 relative.
+
+A product rescaled as a whole keeps its entries within about 320 decades
+of its largest, while the recursion rescales one row at a time. With
+transition probabilities below about 1e-70, or long runs in which the
+states' densities differ by many orders of magnitude, an entry row can lose
+an entry that the recursion keeps. The last row of each block and the next
+block's entry row are one vector computed both ways, so every block seam
+is compared entry by entry to SEAM_RTOL. Where one disagrees,
+NumericalUnderflow names the pass and the seam's observation, rather than
+the pass returning tables that disagree with the recursion.
 
 The fit is checked with ordinary pseudo-residuals, each observation
 conditioned on all the others, counted over HIST_BINS equal bins of [0, 1].
@@ -39,6 +55,9 @@ LLOYD_ROUNDS = 50       # at most this many k-means rounds in default_init
 GAMMA_DIAG = 0.8        # default_init's transition-matrix diagonal
 HIST_BINS = 10          # equal-width bins of [0, 1] in residual_histogram
 SQRT_HALF = math.sqrt(0.5)  # Phi(z) = erfc(-z * SQRT_HALF) / 2
+SCAN_BLOCK = 8          # steps per block of the two-level row scan
+SEAM_RTOL = 1e-12       # a block seam's two rows agree to this relative to each entry,
+SEAM_ATOL = np.finfo(float).tiny  # give or take the smallest normal double
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -138,89 +157,170 @@ def _density_matrix(params: HmmParams, obs: np.ndarray) -> np.ndarray:
 
 
 def _scan(prods: np.ndarray) -> np.ndarray:
-    """Inclusive prefix products prods[0] @ prods[1] @ ... @ prods[t] of a
-    (T, m, m) stack, in place, each rescaled to unit entry sum.
+    """Inclusive prefix products along axis -3 of a (..., n, m, m) stack of
+    unit-entry-sum matrices, in place, each rescaled to unit entry sum.
 
     A doubling (Hillis-Steele) scan: after the step of stride s, entry t
     holds the product of the input's entries max(0, t - 2s + 1) .. t, so
-    ceil(log2 T) batched products cover every prefix. A product whose
+    ceil(log2 n) batched products cover every prefix. A product whose
     entries have all underflowed to 0 comes out as NaN.
     """
-    with np.errstate(invalid="ignore"):
-        prods /= prods.sum(axis=(1, 2), keepdims=True)
-        step = np.empty_like(prods)
-        s = 1
-        while s < len(prods):
-            np.matmul(prods[:-s], prods[s:], out=step[s:])
-            np.divide(step[s:], step[s:].sum(axis=(1, 2), keepdims=True), out=prods[s:])
-            s *= 2
+    step = np.empty_like(prods)
+    s = 1
+    while s < prods.shape[-3]:
+        np.matmul(prods[..., :-s, :, :], prods[..., s:, :, :], out=step[..., s:, :, :])
+        np.divide(step[..., s:, :, :], step[..., s:, :, :].sum(axis=(-2, -1), keepdims=True),
+                  out=prods[..., s:, :, :])
+        s *= 2
     return prods
 
 
-def _forward(params: HmmParams, obs: Sequence[float]):
-    """The scaled forward pass: the (T, m) densities, the row-normalized
-    forward vectors alpha_hat and the log scale factors log_c.
+def _entry_rows(blocks: np.ndarray) -> np.ndarray:
+    """Entry rows (K, B, 1, m) of the row recursion for the (K, B, L, m, m)
+    blocks: e_0 for block 0, and row 0 of the prefix product of the block
+    products before it for every other block.
+
+    Every factor, then every product, is rescaled to unit entry sum. A
+    factor rescaled first keeps densities near the bottom of the
+    floating-point range from underflowing in the product. The block
+    products are freed on return, before the rows are allocated, so the
+    passes never hold both.
+    """
+    K, B, L, m, _ = blocks.shape
+    prods = blocks[:, :, 0] / blocks[:, :, 0].sum(axis=(-2, -1), keepdims=True)
+    for j in range(1, L):
+        prods = prods @ (blocks[:, :, j] / blocks[:, :, j].sum(axis=(-2, -1), keepdims=True))
+        prods /= prods.sum(axis=(-2, -1), keepdims=True)
+    entry = np.zeros((K, B, 1, m))
+    entry[:, 0, 0, 0] = 1.0
+    entry[:, 1:] = _scan(prods[:, :-1])[:, :, :1]
+    return entry
+
+
+def _row_scan(stack: np.ndarray):
+    """The row recursion w = r @ M_t, c_t = sum(w), r = w / c_t from r = e_0,
+    over each stack k of a (K, n, m, m) array, n a multiple of SCAN_BLOCK.
+
+    Returns the rows (K, n, m), the sums c (K, n) and seam_ok (K, B - 1)
+    over the B = n / SCAN_BLOCK blocks. Each block's entry row comes from
+    the block products, by the doubling scan over them, and the recursion
+    then runs inside every block at once. Seam b is row (b + 1) SCAN_BLOCK
+    - 1, computed once as the last row of block b and once as the entry
+    row of block b + 1; seam_ok says whether the two agree in every entry.
+    """
+    K, n, m, _ = stack.shape
+    L = SCAN_BLOCK
+    B = n // L
+    blocks = stack.reshape(K, B, L, m, m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        entry = _entry_rows(blocks)
+        rows = np.empty((K, B, L, 1, m))
+        c = np.empty((K, B, L, 1, 1))
+        r = entry
+        for j in range(L):
+            w = r @ blocks[:, :, j]
+            np.sum(w, axis=-1, keepdims=True, out=c[:, :, j])
+            r = np.divide(w, c[:, :, j], out=rows[:, :, j])
+
+        last, nxt = rows[:, :-1, L - 1, 0], entry[:, 1:, 0]
+        seam_ok = (np.abs(last - nxt) <= SEAM_RTOL * np.abs(nxt) + SEAM_ATOL).all(axis=-1)
+    return rows.reshape(K, n, m), c.reshape(K, n), seam_ok
+
+
+def _passes(params: HmmParams, obs: Sequence[float], K: int):
+    """The densities (T, m), rows (K, n, m) and forward sums c (T,) of the
+    forward pass alone (K = 1) or of both passes (K = 2).
 
     alpha_t is proportional to (delta D_0)(Gamma D_1)...(Gamma D_t), with
-    D_t = diag(dens[t]). The scan gives its direction at t - 1, and one
-    vectorized step (alpha_hat[t - 1] @ Gamma) * dens[t] gives c_t as a sum
-    of nonnegative terms.
+    D_t = diag(dens[t]). Row 0 of the forward stack's first matrix is
+    delta D_0 and its other rows are 0, so the rows from e_0 are alpha_hat
+    and their sums the scale factors c_t. beta_t is proportional to
+    (Gamma D_{t+1})...(Gamma D_{T-1}) 1, so the backward stack is D_s Gamma^T
+    for s = T - 1 down to 1, seeded the same way with 1^T D_{T-1} Gamma^T;
+    its rows are the directions of beta_{T-2}, ..., beta_0. Identity
+    matrices pad both to whole blocks.
+
+    Raises NumericalUnderflow at the first observation whose scale factor
+    is not positive and finite, unless a forward seam before it disagrees,
+    and then at the first disagreeing backward seam.
     """
     x = np.asarray(obs, dtype=float)
     if x.size == 0:
         raise EmptyObservations("observation sequence is empty")
     dens = _density_matrix(params, x)
+    T, m = dens.shape
 
-    # row 0 of mats[0] is delta D_0 and its other rows are 0, so row 0 of
-    # every prefix product is the forward direction
-    mats = params.gamma * dens[:, None, :]
-    mats[0] = 0.0
-    mats[0, 0] = params.delta * dens[0]
-    prior = _scan(mats[:-1])[:, 0]
-    w = dens.copy()
-    w[0] *= params.delta
-    w[1:] *= prior @ params.gamma
-    c = w.sum(axis=1)
+    stack = np.empty((K, -(-T // SCAN_BLOCK) * SCAN_BLOCK, m, m))
+    np.multiply(params.gamma, dens[:, None, :], out=stack[0, :T])
+    stack[0, 0] = 0.0
+    stack[0, 0, 0] = params.delta * dens[0]
+    stack[0, T:] = np.eye(m)
+    if K == 2:
+        np.multiply(params.gamma.T, dens[:0:-1, :, None], out=stack[1, :T - 1])
+        if T > 1:
+            seed = stack[1, 0].sum(axis=0)
+            stack[1, 0] = 0.0
+            stack[1, 0, 0] = seed
+        stack[1, T - 1:] = np.eye(m)
+    rows, c, seam_ok = _row_scan(stack)
+
+    c = c[0, :T]
     bad = np.flatnonzero(~((c > 0.0) & np.isfinite(c)))
+    s = _first_bad_seam(seam_ok[0], int(bad[0]) if bad.size else T - 1)
+    if s is not None:
+        raise NumericalUnderflow(
+            f"the scaled forward product to observation {s} "
+            f"leaves the floating-point range"
+        )
     if bad.size:
-        t = int(bad[0])
-        if t > 0 and not np.all(np.isfinite(prior[t - 1])):
+        raise NumericalUnderflow(
+            f"observation {int(bad[0])} has zero density under every state"
+        )
+    if K == 2 and T > 1:
+        s = _first_bad_seam(seam_ok[1], T - 2)
+        if s is not None:
             raise NumericalUnderflow(
-                f"the scaled forward product to observation {t - 1} "
+                f"the scaled backward product from observation {T - 1 - s} "
                 f"leaves the floating-point range"
             )
-        raise NumericalUnderflow(
-            f"observation {t} has zero density under every state"
-        )
-    return dens, w / c[:, None], np.log(c)
+    return dens, rows, c
+
+
+def _first_bad_seam(seam_ok: np.ndarray, end: int) -> Optional[int]:
+    """Row of the first disagreeing seam before row `end`, or None. Seams
+    from `end` on feed no row that is used or that has not already failed."""
+    bad = np.flatnonzero(~seam_ok[: end // SCAN_BLOCK])
+    return int((bad[0] + 1) * SCAN_BLOCK - 1) if bad.size else None
 
 
 def forward_backward(params: HmmParams, obs: Sequence[float]) -> ForwardBackwardTables:
     """Scaled forward/backward tables of the observation sequence.
 
-    beta_t is proportional to (Gamma D_{t+1})...(Gamma D_{T-1}) 1. Its
-    transpose is the prefix product of the reversed stack D_s Gamma^T
-    seeded with 1^T, so the same scan gives its direction, scaled so that
+    beta_t is proportional to (Gamma D_{t+1})...(Gamma D_{T-1}) 1; the
+    backward rows give its direction, scaled so that
     alpha_hat[t] @ beta_hat[t] == 1.
     """
-    dens, alpha_hat, log_c = _forward(params, obs)
+    dens, rows, c = _passes(params, obs, 2)
+    T = len(dens)
+    alpha_hat = rows[0, :T]
 
     beta_hat = np.ones_like(alpha_hat)
-    if len(dens) > 1:
-        mats = params.gamma.T * dens[:0:-1, :, None]
-        seed = mats[0].sum(axis=0)
-        mats[0] = 0.0
-        mats[0, 0] = seed
+    if T > 1:
+        back = rows[1, T - 2::-1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            beta_hat[:-1] = _scan(mats)[::-1, 0]
-            beta_hat[:-1] /= (alpha_hat[:-1] * beta_hat[:-1]).sum(axis=1, keepdims=True)
-        if not np.all(np.isfinite(beta_hat)):
-            t = int(np.flatnonzero(~np.isfinite(beta_hat).all(axis=1))[-1])
+            np.divide(back, (alpha_hat[:-1] * back).sum(axis=1, keepdims=True), out=beta_hat[:-1])
+        # a subnormal entry of a row keeps only its absolute precision, which
+        # the rescaling must not lift into the normal range
+        lost = ~np.isfinite(beta_hat)
+        lost[:-1] |= (back > 0.0) & (back < SEAM_ATOL) & (beta_hat[:-1] >= SEAM_ATOL)
+        if lost.any():
+            t = int(np.flatnonzero(lost.any(axis=1))[-1])
             raise NumericalUnderflow(
                 f"the scaled backward product from observation {t + 1} "
                 f"leaves the floating-point range"
             )
 
+    log_c = np.log(c)
     return ForwardBackwardTables(
         alpha_hat=alpha_hat,
         beta_hat=beta_hat,
@@ -232,7 +332,7 @@ def forward_backward(params: HmmParams, obs: Sequence[float]) -> ForwardBackward
 
 def log_likelihood(params: HmmParams, obs: Sequence[float]) -> float:
     """Log of the matrix-product likelihood, via the scaled forward pass."""
-    return float(_forward(params, obs)[2].sum())
+    return float(np.log(_passes(params, obs, 1)[2]).sum())
 
 
 def posterior_pairs(params: HmmParams, obs: Sequence[float],
@@ -249,10 +349,10 @@ def posterior_pairs(params: HmmParams, obs: Sequence[float],
     state = tables.alpha_hat * tables.beta_hat
     state /= state.sum(axis=1, keepdims=True)
 
-    pair = ((tables.alpha_hat[:-1, :, None]
-             * params.gamma[None]
-             * (tables.dens[1:] * tables.beta_hat[1:])[:, None, :])
-            * np.exp(-tables.log_c[1:])[:, None, None])
+    # one (T - 1, m, m) array, multiplied in place
+    pair = tables.alpha_hat[:-1, :, None] * params.gamma[None]
+    pair *= (tables.dens[1:] * tables.beta_hat[1:])[:, None, :]
+    pair *= np.exp(-tables.log_c[1:])[:, None, None]
     return PosteriorTables(state_prob=state, pair_prob=pair)
 
 
@@ -346,6 +446,7 @@ def baum_welch(obs: Sequence[float], init: HmmParams, max_iters: int = 15) -> Fi
         sigma[~frozen] = np.maximum(np.sqrt(var / mass[~frozen]), floor)
 
         params = HmmParams(delta=delta, gamma=gamma, mu=mu, sigma=sigma)
+        del tables, post  # freed before the next iteration's passes allocate
 
     order = tuple(int(i) for i in np.argsort(params.mu, kind="stable"))
     return FitReport(

@@ -4,8 +4,15 @@ Everything here avoids the production algorithms on purpose. For the
 billiard, the obstacle-membership predicate plus brute-force ray marching
 and bisection are the ground truth the event-driven solver is checked
 against. For the HMM, the scaled recursion stepping one observation at a
-time over the production densities is the reference the time-parallel
-scan is checked against.
+time over the production densities is the reference the two-level scan is
+checked against. The scan runs this recursion itself inside blocks of
+`hmm.SCAN_BLOCK` steps, but enters each block from a row built out of
+matrix products over all earlier blocks, and those products can lose
+entries this recursion keeps. The scan compares the two rows at every
+block seam, where a block's last row meets the next block's entry row. If
+they disagree it must raise NumericalUnderflow, never return tables that
+disagree with these. The scan holds a (2, T, m, m) stack of matrices where
+this recursion holds O(T m) numbers.
 """
 
 import math

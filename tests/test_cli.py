@@ -37,29 +37,26 @@ SIMULATE_DIGESTS = {
 }
 
 # SHA-256 of the `fit --states m` artifacts on the reference sweep.csv. The
-# residuals.csv digests were taken when the normal CDF became
-# erfc(-z sqrt(1/2)) / 2 from the standard library: against the previous
-# CDF, 48, 49 and 50 of the 300 u values (m = 2, 3, 4) moved, by at most
-# 2.2e-16, and model.json and histogram.json kept their bytes. The
-# histogram.json digests have held since posterior_pairs built the pair
-# tensor one observation at a time.
-# The model.json digests were taken when its metadata shrank to iterations
-# and warnings; for m = 2, 3 and 4 every other key of model.json kept the
-# values of the doubling-scan fit.
+# model.json and residuals.csv digests were taken when both HMM passes became
+# one two-level scan over blocks of 8 steps: against the doubling scan over
+# all T, for m = 2, 3 and 4, mu moved by at most 1.3e-15, sigma 1.4e-15,
+# gamma 6.1e-16 and the loglik trace 1.1e-13, and 123, 204 and 279 of the
+# 300 u values moved, by at most 1.0e-15. The histogram.json digests have
+# held since posterior_pairs built the pair tensor one observation at a time.
 FIT_DIGESTS = {
     2: {
-        "model.json": "89c8f2697c31b138c63b2a7590df4c222e742f64d7cf9a98ea89f3e992520987",
-        "residuals.csv": "ac6b9aaa1407ab1d96458dff8b1526d7f2bb81240e21dd83c5667c4291e1e5a4",
+        "model.json": "438e9d95df31f4460cc705dde0ccb32b5b394a3e9940e4e55ea4e44376180a38",
+        "residuals.csv": "fa5d449785f8c61127553b48e3e648ee7286a896fee439918ffc7951b869c41c",
         "histogram.json": "08cba2539e717fbe7cd5ee02213fd4daad160548f5abbe5d2253cca3b4a11321",
     },
     3: {
-        "model.json": "78b7319f2b45fdc528aeba25e968d98ee8e4a887ad2614beac8e73ae6db783a6",
-        "residuals.csv": "b27e7b8bd5bf131fa1b8b240b5623aa5bc9f4f564d56f6f7003689f9e5e7ad27",
+        "model.json": "a31e184cd16057d6e80cefe6f7240dea3f7702670c7810d6ad6d7dcf6c8d9084",
+        "residuals.csv": "82df7189764e3f79d007ce819565fa83aa251e79b5b6a7161bc7e17db7d7560a",
         "histogram.json": "dbfbe749e924fb0cfe97bcd487efd6c6d6c497fd4235f4a04e6c8b88d701b810",
     },
     4: {
-        "model.json": "35f644d0665c90eae1a60ee932719e203fa66984acee6f8bdf2ae7f553b90b9e",
-        "residuals.csv": "052c954413927bb390ee48e3b3e9f7f5d67c416c80f0bf92f7217d4087d4e278",
+        "model.json": "dee021cae5fc46c7a6bb2eb98a0d214777a70e0b30887e236bf3bbd1fd67aad9",
+        "residuals.csv": "094aecd65809979ee247ebfde5877aa264ebb534ccd41a5758dea9408052d415",
         "histogram.json": "87efb83167bc924b0ad446ec8f430e8e6ceec13e7d52996dd5229f6a478e5fd9",
     },
 }

@@ -209,7 +209,9 @@ def assert_matches_sequential(params, obs):
 class TestScanMatchesSequential:
     """The time-parallel scan against the one-step-at-a-time recursion."""
 
-    @pytest.mark.parametrize("T", [1, 2, 3, 300, 3000])
+    # T - 1 of 7, 8, 9, 16 and 64 puts the last forward or backward step at
+    # either side of a block edge of the two-level scan (8 steps a block)
+    @pytest.mark.parametrize("T", [1, 2, 3, 8, 9, 10, 17, 65, 300, 3000])
     def test_random_models(self, T):
         rng = np.random.default_rng(T)
         for m in range(1, 6):
@@ -236,23 +238,72 @@ class TestScanMatchesSequential:
         assert str(scan.value) == str(loop.value) == (
             "observation 1 has zero density under every state")
 
-    # With transition probabilities of 1e-200, a block product can underflow
-    # to 0 where the one-step recursion, which spreads the small factors
-    # over several steps, still has a finite likelihood.
+    # A product rescaled as a whole loses the entries more than about 320
+    # decades below its largest, which the one-step recursion keeps; the
+    # block seams catch the entry rows that lost one. With transition
+    # probabilities of 1e-200 the forward rows go wrong first, in the second
+    # case too: there alpha_hat[192, 1] came out 5e-206 against the
+    # recursion's 1.4e-145. In the last two cases no probability is small,
+    # but beta_t's entries span more than the floating-point range; in the
+    # fourth, the first subnormal entry of a backward row falls inside a
+    # block, where the doubling scan over all T returned beta_hat entries
+    # of 7.9e-299 as 0.
     @pytest.mark.parametrize("gamma, runs, message", [
         ([[1.0, EPS, 0.0], [0.0, 1.0, EPS], [EPS, 0.0, 1.0]],
          [(0.0, 64), (10.0, 128)],
-         "the scaled forward product to observation 94 leaves the floating-point range"),
+         "the scaled forward product to observation 71 leaves the floating-point range"),
         ([[0.5, EPS, 0.5], [EPS, 1.0, EPS], [0.25, EPS, 0.75]],
          [(5.0, 128), (10.0, 128), (5.0, 64), (10.0, 128)],
-         "the scaled backward product from observation 2 leaves the floating-point range"),
-    ], ids=["forward", "backward"])
+         "the scaled forward product to observation 191 leaves the floating-point range"),
+        ([[0.0, 1.0, 0.0], [2 / 3, 1 / 3, 0.0], [2 / 3, 0.0, 1 / 3]],
+         [(5.0, 32), (10.0, 64)],
+         "the scaled backward product from observation 24 leaves the floating-point range"),
+        ([[0.0, 1.0, 0.0], [2 / 3, 1 / 3, 0.0], [2 / 3, 0.0, 1 / 3]],
+         [(5.0, 9), (10.0, 64)],
+         "the scaled backward product from observation 16 leaves the floating-point range"),
+    ], ids=["forward", "backward", "backward-range", "backward-subnormal"])
     def test_product_out_of_range_is_reported(self, gamma, runs, message):
         p = HmmParams(np.full(3, 1.0 / 3.0), gamma, [0.0, 5.0, 10.0], [1.0, 1.0, 1.0])
         obs = np.concatenate([np.full(n, x) for x, n in runs])
         with pytest.raises(NumericalUnderflow) as err:
             forward_backward(p, obs)
         assert str(err.value) == message
+
+    @staticmethod
+    def cyclic_model(e):
+        return HmmParams(np.full(3, 1.0 / 3.0), [[1.0, e, 0.0], [0.0, 1.0, e], [e, 0.0, 1.0]],
+                         [0.0, 5.0, 10.0], [1.0, 1.0, 1.0])
+
+    def test_small_transition_probabilities_match(self):
+        obs = np.concatenate([np.zeros(64), np.full(128, 10.0)])
+        assert_matches_sequential(self.cyclic_model(1e-60), obs)
+
+    def test_small_transition_probabilities_never_return_wrong_tables(self):
+        # here a doubling scan over all T returned finite tables with 37 of
+        # the 576 entries of alpha_hat or beta_hat off by up to 100%, such as
+        # alpha_hat[96, 1] = 0 against the recursion's 2.3e-23
+        obs = np.concatenate([np.zeros(64), np.full(128, 10.0)])
+        with pytest.raises(NumericalUnderflow, match="forward product to observation 79 "):
+            forward_backward(self.cyclic_model(4.2e-152), obs)
+
+    def test_batch_rows_match_single_stacks_bitwise(self):
+        # each stack of a batch sees the arithmetic it sees alone
+        rng = np.random.default_rng(24)
+        stacks = []
+        for _ in range(3):
+            p = random_params(rng, 3)
+            stacks.append(p.gamma * _density_matrix(p, rng.normal(0.0, 2.0, 200))[:, None, :])
+        batch = hmm._row_scan(np.stack(stacks))
+        for k, stack in enumerate(stacks):
+            single = hmm._row_scan(stack[None].copy())
+            for got, want in zip(batch, single):
+                np.testing.assert_array_equal(got[k], want[0])
+
+    def test_likelihood_pass_matches_both_passes_bitwise(self):
+        rng = np.random.default_rng(25)
+        p = random_params(rng, 4)
+        obs = rng.normal(0.0, 2.0, 3000)
+        assert log_likelihood(p, obs) == forward_backward(p, obs).log_likelihood
 
 
 class TestPosteriorPairs:
