@@ -4,11 +4,12 @@
 Runs `windtree sweep` and `windtree fit` on the built-in reference config,
 so the artifacts (sweep.csv, sweep_meta.json, model.json, residuals.csv,
 histogram.json) are the CLI's, and prints the fitted parameter table next
-to the published one. Expect the recurrent-state mean to sit higher than
-the published -0.613: collision points can never come closer to the origin
-than sqrt(2)/2, so the published value must have been sampled between
-collisions. The structure (three states, tight recurrent band, dominant
-divergent band) is what should match.
+to the published one. On the reference config only the recurrent state's
+sd matches the published table (0.131). Its mean sits at -0.036 against
+-0.613: collision points never come closer to the origin than sqrt(2)/2,
+so a collision-indexed statistic stays above log(sqrt(2)/2) = -0.347. The
+means of states 2 and 3 (4.12 and 6.03 against 1.975 and 4.78) and the
+strict alternation of the published transition matrix are not reproduced.
 """
 
 import argparse

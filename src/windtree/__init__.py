@@ -11,7 +11,6 @@ from .billiard import (
     Vec2,
     Wall,
     distance_series,
-    locate_cell,
     next_collision,
     simulate,
     state_from_angle,
@@ -26,7 +25,6 @@ from .hmm import (
     baum_welch,
     default_init,
     forward_backward,
-    log_likelihood,
     posterior_pairs,
     pseudo_residuals,
     residual_histogram,
@@ -36,29 +34,26 @@ from .sweep import (
     InsufficientData,
     MotionClass,
     MotionLabel,
-    SlopeObservation,
     SweepResult,
     SweepSpec,
     build_sweep,
     classify_motion,
     estimate_diffusion_exponent,
     growth_exponent,
-    recurrence_statistic,
 )
 
 __all__ = [
     "CollisionEvent", "DegenerateVelocity", "NoHitWithinHorizon",
     "ParticleState", "TrajectoryLog", "Vec2", "Wall",
-    "distance_series", "locate_cell", "next_collision",
+    "distance_series", "next_collision",
     "simulate", "state_from_angle", "state_from_slope",
     "HmmConfig", "PipelineConfig", "SimulateConfig",
     "FitReport", "ForwardBackwardTables", "HmmParams", "PosteriorTables",
-    "baum_welch", "default_init", "forward_backward", "log_likelihood",
+    "baum_welch", "default_init", "forward_backward",
     "posterior_pairs", "pseudo_residuals", "residual_histogram",
     "CorridorTruncation", "InsufficientData", "MotionClass", "MotionLabel",
-    "SlopeObservation", "SweepResult", "SweepSpec", "build_sweep",
+    "SweepResult", "SweepSpec", "build_sweep",
     "classify_motion", "estimate_diffusion_exponent", "growth_exponent",
-    "recurrence_statistic",
 ]
 
 __version__ = "0.1.0"

@@ -154,57 +154,20 @@ class TrajectoryLog:
         """(n, 2) array of collision points."""
         return np.column_stack([self.x, self.y])
 
-    def position_at_time(self, t: float) -> Vec2:
-        """Position at path-time t, linearly interpolated between logged events.
 
-        Beyond the last event the final free flight is extrapolated.
-        """
-        if t < self.initial.elapsed_time:
-            raise ValueError("time precedes the initial state")
-        i = int(np.searchsorted(self.t, t))  # first event at or after t
-        if i == 0:
-            (px, py), pt = self.initial.position, self.initial.elapsed_time
-        else:
-            px, py, pt = float(self.x[i - 1]), float(self.y[i - 1]), float(self.t[i - 1])
-        if i == len(self):
-            v = self.final_state().velocity
-            dt = t - pt
-            return Vec2(px + dt * v.x, py + dt * v.y)
-        seg = float(self.t[i]) - pt
-        u = 0.0 if seg == 0.0 else (t - pt) / seg
-        return Vec2(px + u * (float(self.x[i]) - px), py + u * (float(self.y[i]) - py))
-
-
-def locate_cell(p: Vec2) -> tuple[int, int]:
-    """Odd-integer center of the period-2 cell containing p.
+def cell_centers(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Odd-integer centers of the period-2 cells holding the points (x, y),
+    as two int arrays (0-d for scalar coordinates).
 
     Each cell [2i, 2i+2) x [2j, 2j+2) holds the obstacle centered at
     (2i+1, 2j+1). Points exactly between two centers (even coordinates)
     round half away from zero; the origin itself resolves to +1.
     """
-    return (_nearest_odd(p[0]), _nearest_odd(p[1]))
-
-
-def _nearest_odd(x: float) -> int:
-    lo = 2 * math.floor((x - 1.0) / 2.0) + 1  # greatest odd <= x
-    hi = lo + 2
-    d_lo = x - lo
-    d_hi = hi - x
-    if d_lo < d_hi:
-        return lo
-    if d_hi < d_lo:
-        return hi
-    # x is an even integer: round half away from zero, +1 at the origin
-    return lo if x < 0 else hi
-
-
-def cell_centers(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """locate_cell over arrays of points: the centers as two int arrays."""
     return _nearest_odd_array(x), _nearest_odd_array(y)
 
 
-def _nearest_odd_array(x: np.ndarray) -> np.ndarray:
-    """_nearest_odd elementwise, with the same comparisons and tie rule."""
+def _nearest_odd_array(x) -> np.ndarray:
+    """The odd integer nearest each entry of x, ties as in cell_centers."""
     lo = 2.0 * np.floor((x - 1.0) / 2.0) + 1.0
     hi = lo + 2.0
     d_lo = x - lo
@@ -389,9 +352,8 @@ def next_collision(state: ParticleState, horizon: float = DEFAULT_HORIZON) -> Co
 
 def point_in_obstacle(x: float, y: float, shrink: float = 0.0) -> bool:
     """True when (x, y) lies strictly inside an obstacle shrunk by `shrink`."""
-    cx = _nearest_odd(x)
-    cy = _nearest_odd(y)
-    return abs(x - cx) < 0.5 - shrink and abs(y - cy) < 0.5 - shrink
+    cx, cy = cell_centers(x, y)
+    return bool(abs(x - cx) < 0.5 - shrink and abs(y - cy) < 0.5 - shrink)
 
 
 def _normalize_on_wall(px, py, vx, vy):
@@ -399,8 +361,7 @@ def _normalize_on_wall(px, py, vx, vy):
     the position sits on (within WALL_TOL). Needed so velocity-reversed
     post-collision states retrace instead of tunneling; not a logged event.
     """
-    cx = float(_nearest_odd(px))
-    cy = float(_nearest_odd(py))
+    cx, cy = map(float, cell_centers(px, py))
     in_x_span = (cx - 0.5) - WALL_TOL <= px <= (cx + 0.5) + WALL_TOL
     in_y_span = (cy - 0.5) - WALL_TOL <= py <= (cy + 0.5) + WALL_TOL
     flip_x = in_y_span and (

@@ -131,10 +131,10 @@ def cmd_sweep(config: PipelineConfig, out: Path) -> int:
         return _fail(EXIT_SIMULATION, f"sweep worker died: {exc}")
     elapsed = time.perf_counter() - started
 
-    io.write_artifact(io.sweep_columns(result), out / "sweep.csv")
+    io.write_artifact(result.columns, out / "sweep.csv")
     io.write_artifact(io.sweep_meta_doc(result, elapsed), out / "sweep_meta.json")
     n_fail = len(result.failures)
-    print(f"wrote {len(result.observations)} observations "
+    print(f"wrote {len(result.columns['t'])} observations "
           f"({n_fail} failures) to {out} in {elapsed:.1f}s")
     if n_fail > 0.10 * config.sweep.count:
         return _fail(EXIT_SIMULATION, f"{n_fail} of {config.sweep.count} slopes failed")

@@ -227,9 +227,9 @@ def _row_scan(stack: np.ndarray):
     return rows.reshape(K, n, m), c.reshape(K, n), seam_ok
 
 
-def _passes(params: HmmParams, obs: Sequence[float], K: int):
-    """The densities (T, m), rows (K, n, m) and forward sums c (T,) of the
-    forward pass alone (K = 1) or of both passes (K = 2).
+def _passes(params: HmmParams, obs: Sequence[float]):
+    """The densities (T, m), the rows (2, n, m) of the forward and the
+    backward pass and the forward sums c (T,).
 
     alpha_t is proportional to (delta D_0)(Gamma D_1)...(Gamma D_t), with
     D_t = diag(dens[t]). Row 0 of the forward stack's first matrix is
@@ -250,18 +250,17 @@ def _passes(params: HmmParams, obs: Sequence[float], K: int):
     dens = _density_matrix(params, x)
     T, m = dens.shape
 
-    stack = np.empty((K, -(-T // SCAN_BLOCK) * SCAN_BLOCK, m, m))
+    stack = np.empty((2, -(-T // SCAN_BLOCK) * SCAN_BLOCK, m, m))
     np.multiply(params.gamma, dens[:, None, :], out=stack[0, :T])
     stack[0, 0] = 0.0
     stack[0, 0, 0] = params.delta * dens[0]
     stack[0, T:] = np.eye(m)
-    if K == 2:
-        np.multiply(params.gamma.T, dens[:0:-1, :, None], out=stack[1, :T - 1])
-        if T > 1:
-            seed = stack[1, 0].sum(axis=0)
-            stack[1, 0] = 0.0
-            stack[1, 0, 0] = seed
-        stack[1, T - 1:] = np.eye(m)
+    np.multiply(params.gamma.T, dens[:0:-1, :, None], out=stack[1, :T - 1])
+    if T > 1:
+        seed = stack[1, 0].sum(axis=0)
+        stack[1, 0] = 0.0
+        stack[1, 0, 0] = seed
+    stack[1, T - 1:] = np.eye(m)
     rows, c, seam_ok = _row_scan(stack)
 
     c = c[0, :T]
@@ -276,7 +275,7 @@ def _passes(params: HmmParams, obs: Sequence[float], K: int):
         raise NumericalUnderflow(
             f"observation {int(bad[0])} has zero density under every state"
         )
-    if K == 2 and T > 1:
+    if T > 1:
         s = _first_bad_seam(seam_ok[1], T - 2)
         if s is not None:
             raise NumericalUnderflow(
@@ -300,7 +299,7 @@ def forward_backward(params: HmmParams, obs: Sequence[float]) -> ForwardBackward
     backward rows give its direction, scaled so that
     alpha_hat[t] @ beta_hat[t] == 1.
     """
-    dens, rows, c = _passes(params, obs, 2)
+    dens, rows, c = _passes(params, obs)
     T = len(dens)
     alpha_hat = rows[0, :T]
 
@@ -328,11 +327,6 @@ def forward_backward(params: HmmParams, obs: Sequence[float]) -> ForwardBackward
         log_likelihood=float(log_c.sum()),
         dens=dens,
     )
-
-
-def log_likelihood(params: HmmParams, obs: Sequence[float]) -> float:
-    """Log of the matrix-product likelihood, via the scaled forward pass."""
-    return float(np.log(_passes(params, obs, 1)[2]).sum())
 
 
 def posterior_pairs(params: HmmParams, obs: Sequence[float],

@@ -16,6 +16,7 @@ with `os.replace`, so a file is either its old or its new content.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -174,32 +175,12 @@ def read_trajectory(cols: dict) -> TrajectoryLog:
 
 # -- sweep -----------------------------------------------------------------
 
-def sweep_columns(result: SweepResult) -> dict:
-    """The sweep.csv columns of a sweep's observations."""
-    obs = result.observations
-    return {
-        "t": [o.t for o in obs],
-        "slope": [o.slope for o in obs],
-        "D": [o.min_distance for o in obs],
-        "logD": [o.log_min_distance for o in obs],
-    }
-
-
 def sweep_meta_doc(result: SweepResult, elapsed_seconds: float) -> dict:
-    spec = result.spec
     return {
-        "spec": {
-            "slope_start": spec.slope_start,
-            "slope_step": spec.slope_step,
-            "count": spec.count,
-            "k_min": spec.k_min,
-            "k_max": spec.k_max,
-        },
+        "spec": dataclasses.asdict(result.spec),
         "log_base": "e",
-        "completed": len(result.observations),
-        "failures": [
-            {"t": f.t, "slope": f.slope, "reason": f.reason} for f in result.failures
-        ],
+        "completed": len(result.columns["t"]),
+        "failures": [dataclasses.asdict(f) for f in result.failures],
         "elapsed_seconds": elapsed_seconds,
     }
 

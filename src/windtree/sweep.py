@@ -83,16 +83,6 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class SlopeObservation:
-    """One sweep sample: the slope, its recurrence statistic, and its log."""
-
-    t: int
-    slope: float
-    min_distance: float
-    log_min_distance: float
-
-
-@dataclass(frozen=True)
 class SweepFailure:
     t: int
     slope: float
@@ -101,12 +91,13 @@ class SweepFailure:
 
 @dataclass
 class SweepResult:
-    spec: SweepSpec
-    observations: list[SlopeObservation]
-    failures: list[SweepFailure] = field(default_factory=list)
+    """The sweep.csv columns of the completed grid samples, as arrays keyed
+    as in io.SWEEP_CSV (t, slope, D, logD), and a gap record per sample
+    that gave no observation."""
 
-    def log_series(self) -> np.ndarray:
-        return np.array([o.log_min_distance for o in self.observations])
+    spec: SweepSpec
+    columns: dict[str, np.ndarray]
+    failures: list[SweepFailure] = field(default_factory=list)
 
 
 class MotionLabel(Enum):
@@ -121,39 +112,20 @@ class MotionClass:
     evidence: dict
 
 
-def recurrence_statistic(slope: float, spec: SweepSpec, t: int = 1) -> SlopeObservation:
-    """Minimum origin distance over collisions k_min..k_max for one slope."""
-    _check_slope(slope)
-    log = simulate(state_from_slope(slope), spec.k_max)
-    if len(log) < spec.k_max:
-        raise CorridorTruncation(
-            f"slope {slope!r}: {log.truncation_reason or 'trajectory too short'}"
-        )
-    d = distance_series(log)
-    return _observation(t, slope, float(d[spec.k_min - 1:spec.k_max].min()))
-
-
 def _check_slope(slope: float) -> None:
     if not math.isfinite(slope) or slope == 0.0:
         raise ValueError("slope must be finite and nonzero")
 
 
-def _observation(t: int, slope: float, dmin: float) -> SlopeObservation:
-    if not (dmin > 0 and math.isfinite(dmin)):
-        raise ValueError(f"slope {slope!r}: non-positive recurrence statistic {dmin!r}")
-    return SlopeObservation(
-        t=t, slope=slope, min_distance=dmin, log_min_distance=math.log(dmin)
-    )
-
-
 def _sweep_span(spec: SweepSpec, first: int, last: int) -> SweepResult:
     """Recurrence statistic of grid samples first..last, all rays in lockstep.
 
-    Each ray gives bitwise the observation of recurrence_statistic; only
-    O(rays) state is kept between collisions.
+    Each ray gives bitwise the minimum of simulate's collision distances
+    over the window; only O(rays) state is kept between collisions. A
+    sample whose minimum is not positive and finite has no logarithm and
+    becomes a gap record.
     """
-    ts = range(first, last + 1)
-    slopes = [spec.slope_at(t) for t in ts]
+    slopes = [spec.slope_at(t) for t in range(first, last + 1)]
     for slope in slopes:
         _check_slope(slope)
     velocities = [state_from_slope(slope).velocity for slope in slopes]
@@ -162,32 +134,38 @@ def _sweep_span(spec: SweepSpec, first: int, last: int) -> SweepResult:
                 vy=np.array([v.y for v in velocities]), t=np.zeros(n))
     rows = np.arange(n)  # grid sample of each live ray
     dmin = np.full(n, math.inf)
-    failures = []
+    gaps = []  # (grid sample, reason)
     for k in range(1, spec.k_max + 1):
         rays, walls = step_rays(rays)
         live = walls != NO_HIT
         if not live.all():
             reason = truncation_reason(DEFAULT_HORIZON, k - 1)
-            failures += [SweepFailure(t=ts[row], slope=slopes[row],
-                                      reason=f"slope {slopes[row]!r}: {reason}")
-                         for row in rows[~live]]
+            gaps += [(row, reason) for row in rows[~live].tolist()]
             rays = Rays(*(a[live] for a in rays))
             rows, dmin = rows[live], dmin[live]
         if k >= spec.k_min:
             dmin = np.minimum(dmin, np.hypot(rays.x, rays.y))
-    observations = [_observation(ts[row], slopes[row], d)
-                    for row, d in zip(rows.tolist(), dmin.tolist())]
-    failures.sort(key=lambda f: f.t)
-    return SweepResult(spec=spec, observations=observations, failures=failures)
+    ok = (dmin > 0.0) & np.isfinite(dmin)
+    gaps += [(row, f"non-positive recurrence statistic {d!r}")
+             for row, d in zip(rows[~ok].tolist(), dmin[~ok].tolist())]
+    rows, dmin = rows[ok], dmin[ok]
+    failures = [SweepFailure(t=first + row, slope=slopes[row],
+                             reason=f"slope {slopes[row]!r}: {reason}")
+                for row, reason in sorted(gaps)]
+    # math.log one value at a time: np.log is not guaranteed to round alike
+    columns = {"t": first + rows, "slope": np.array(slopes)[rows], "D": dmin,
+               "logD": np.array([math.log(d) for d in dmin.tolist()], dtype=float)}
+    return SweepResult(spec=spec, columns=columns, failures=failures)
 
 
 def build_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Evaluate the recurrence statistic over the whole slope grid.
 
-    Slopes failing with a corridor truncation become explicit gap records
-    instead of observations. With jobs > 1 the grid is cut into contiguous
-    chunks, one lockstep batch per worker process. Results are assembled in
-    slope order and are identical for any jobs count.
+    Slopes failing with a corridor truncation or a non-positive statistic
+    become explicit gap records instead of observations. With jobs > 1 the
+    grid is cut into contiguous chunks, one lockstep batch per worker
+    process. Results are assembled in slope order and are identical for
+    any jobs count.
     """
     if jobs <= 1:
         return _sweep_span(spec, 1, spec.count)
@@ -200,7 +178,8 @@ def build_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
         parts = list(pool.map(_sweep_span, [spec] * len(firsts), firsts, lasts))
     return SweepResult(
         spec=spec,
-        observations=[o for part in parts for o in part.observations],
+        columns={name: np.concatenate([part.columns[name] for part in parts])
+                 for name in parts[0].columns},
         failures=[f for part in parts for f in part.failures],
     )
 

@@ -13,13 +13,19 @@ block seam, where a block's last row meets the next block's entry row. If
 they disagree it must raise NumericalUnderflow, never return tables that
 disagree with these. The scan holds a (2, T, m, m) stack of matrices where
 this recursion holds O(T m) numbers.
+
+Two references run on the production scalar kernel instead: the one-slope
+recurrence statistic on `simulate`, which the lockstep sweep must match
+bit for bit, and the interpolated position along a logged trajectory.
 """
 
 import math
 
 import numpy as np
 
+from windtree.billiard import Vec2, distance_series, simulate, state_from_slope
 from windtree.hmm import NumericalUnderflow, _density_matrix
+from windtree.sweep import CorridorTruncation
 
 MARCH_STEP = 1e-4
 BISECT_TOL = 1e-8
@@ -134,3 +140,36 @@ def sequential_forward_backward(params, obs):
         b = params.gamma @ (dens[t + 1] * beta_hat[t + 1])
         beta_hat[t] = b * math.exp(-log_c[t + 1])
     return alpha_hat, beta_hat, log_c
+
+
+def recurrence_statistic(slope, spec, t=1):
+    """The sweep.csv row (t, slope, D, logD) of one slope from `simulate`:
+    D is the minimum origin distance over collisions k_min..k_max."""
+    log = simulate(state_from_slope(slope), spec.k_max)
+    if len(log) < spec.k_max:
+        raise CorridorTruncation(
+            f"slope {slope!r}: {log.truncation_reason or 'trajectory too short'}"
+        )
+    dmin = float(distance_series(log)[spec.k_min - 1:spec.k_max].min())
+    return {"t": t, "slope": slope, "D": dmin, "logD": math.log(dmin)}
+
+
+def position_at_time(log, t):
+    """Position at path-time t, linearly interpolated between logged events.
+
+    Beyond the last event the final free flight is extrapolated.
+    """
+    if t < log.initial.elapsed_time:
+        raise ValueError("time precedes the initial state")
+    i = int(np.searchsorted(log.t, t))  # first event at or after t
+    if i == 0:
+        (px, py), pt = log.initial.position, log.initial.elapsed_time
+    else:
+        px, py, pt = float(log.x[i - 1]), float(log.y[i - 1]), float(log.t[i - 1])
+    if i == len(log):
+        v = log.final_state().velocity
+        dt = t - pt
+        return Vec2(px + dt * v.x, py + dt * v.y)
+    seg = float(log.t[i]) - pt
+    u = 0.0 if seg == 0.0 else (t - pt) / seg
+    return Vec2(px + u * (float(log.x[i]) - px), py + u * (float(log.y[i]) - py))

@@ -1,23 +1,32 @@
-"""The benchmark's workloads against the CLI and config they drive.
+"""The benchmark's workloads against the program they drive.
 
-Each workload is built as bench/run.py builds it, but no operation runs:
-every CLI command it would send must parse, and every config file it
-writes must load. A key or flag the benchmark sends and the program no
-longer takes fails here, not in a benchmark run.
+Each workload is built as bench/run.py builds it, but no timed operation
+runs: every CLI command it would send must parse, and every config file it
+writes must load. The API the benchmark calls directly runs once on a tiny
+input: the exponent workload's layer probe, and one sweep and one
+trajectory under the span tracer, whose counters read the results. A key,
+flag or name the benchmark uses and the program no longer has fails here,
+not in a benchmark run.
 """
 
 from functools import partial
 from pathlib import Path
 
-from windtree import cli
+import pytest
+
+from windtree import billiard, cli, sweep
 from windtree.config import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_workload_commands_parse_and_configs_load(tmp_path, monkeypatch):
+@pytest.fixture()
+def bench_path(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+
+
+def test_workload_commands_parse_and_configs_load(tmp_path, bench_path):
     import workloads
 
     parser = cli.build_parser()
@@ -31,3 +40,25 @@ def test_workload_commands_parse_and_configs_load(tmp_path, monkeypatch):
             load_config(args.config)
             commands.add(args.command)
     assert commands == {"simulate", "sweep", "fit", "diagnose"}
+
+
+def test_exponent_layer_probe_runs(tmp_path, bench_path):
+    import workloads
+
+    probes = workloads.Exponent(ROOT, 0, tmp_path).layer_probes()
+    assert probes["billiard.next_collision_us"] > 0.0
+
+
+def test_traced_counters_read_the_results(bench_path, ray_on_origin):
+    import spans
+
+    ray_on_origin(1, 5)  # one gap record
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        sweep.build_sweep(sweep.SweepSpec(count=3, k_min=5, k_max=10))
+        billiard.simulate(billiard.state_from_slope(1.414), 20)
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.summary(), 1.0)
+    assert (metrics["sweep.gaps"], metrics["billiard.collisions"]) == (1, 20)

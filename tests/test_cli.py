@@ -182,6 +182,20 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert len(read_artifact(tmp_path / "sweep.csv")["t"]) == 1
 
+    # one gap in 10 is within the 10% the sweep may lose; one in 5 is not
+    @pytest.mark.parametrize("count, code", [(10, 0), (5, 3)])
+    def test_non_positive_statistic_is_a_gap(self, tmp_path, ray_on_origin, count, code):
+        doc = dict(SMALL_CONFIG, sweep=dict(SMALL_CONFIG["sweep"], count=count))
+        cfg = write_config(tmp_path, doc)
+        ray_on_origin(1, SMALL_CONFIG["sweep"]["k_min"])
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == code
+        assert read_artifact(tmp_path / "sweep.csv")["t"].tolist() == [
+            t for t in range(1, count + 1) if t != 2]
+        meta = json.loads((tmp_path / "sweep_meta.json").read_text())
+        assert meta["completed"] == count - 1
+        assert [(f["t"], f["reason"]) for f in meta["failures"]] == [
+            (2, "slope 1.51: non-positive recurrence statistic 0.0")]
+
     def test_majority_failures_exit_nonzero(self, tmp_path, monkeypatch):
         import windtree.cli as cli_mod
         from windtree.sweep import SweepFailure, SweepResult
@@ -189,7 +203,8 @@ class TestSweepCommand:
         def all_fail(spec, jobs=1):
             failures = [SweepFailure(t, spec.slope_at(t), "synthetic corridor")
                         for t in range(1, spec.count + 1)]
-            return SweepResult(spec=spec, observations=[], failures=failures)
+            return SweepResult(spec=spec, columns={name: [] for name in io.SWEEP_CSV},
+                               failures=failures)
 
         monkeypatch.setattr(cli_mod, "build_sweep", all_fail)
         cfg = write_config(tmp_path, SMALL_CONFIG)
@@ -230,7 +245,7 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("states", sorted(FIT_DIGESTS))
     def test_artifacts_are_pinned(self, tmp_path, reference_sweep, states):
-        io.write_artifact(io.sweep_columns(reference_sweep[0]), tmp_path / "sweep.csv")
+        io.write_artifact(reference_sweep[0].columns, tmp_path / "sweep.csv")
         assert main(["fit", "--out", str(tmp_path), "--states", str(states)]) == 0
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in FIT_DIGESTS[states]}
@@ -554,7 +569,7 @@ class TestArtifactFormats:
             columns = io.trajectory_columns(simulate(state_from_slope(1.732), 30))
         elif name == "sweep.csv":
             result = build_sweep(SweepSpec(count=5, k_min=10, k_max=40))
-            columns = io.sweep_columns(result)
+            columns = result.columns
         else:
             rng = np.random.default_rng(5)
             columns = {"t": range(1, 21), "x": rng.normal(size=20), "u": rng.random(20)}
@@ -572,8 +587,8 @@ class TestArtifactFormats:
             else:
                 assert list(parsed[key]) == list(columns[key]), key
         if name == "sweep.csv":
-            for D, logD, obs in zip(parsed["D"], parsed["logD"], result.observations):
-                assert D == obs.min_distance
+            for D, logD, d in zip(parsed["D"], parsed["logD"], result.columns["D"]):
+                assert D == d
                 assert abs(logD - math.log(D)) <= 1e-12
 
     @pytest.mark.parametrize("slope", [1.414, 2.0])

@@ -17,7 +17,6 @@ from windtree.hmm import (
     baum_welch,
     default_init,
     forward_backward,
-    log_likelihood,
     posterior_pairs,
     pseudo_residuals,
     residual_histogram,
@@ -85,37 +84,38 @@ class TestEmissionDensity:
         p = HmmParams([1.0], [[1.0]], [0.7], [1.3])
         z = (-0.2 - 0.7) / 1.3
         log_form = -0.5 * z * z - math.log(1.3) - 0.5 * math.log(2.0 * math.pi)
-        assert log_likelihood(p, [-0.2]) == pytest.approx(log_form, abs=1e-12)
+        assert forward_backward(p, [-0.2]).log_likelihood == pytest.approx(log_form, abs=1e-12)
         assert log_form == pytest.approx(math.log(density(p, 0, -0.2)), abs=1e-12)
 
 
 class TestLogLikelihood:
     def test_single_state_single_observation(self):
         p = HmmParams([1.0], [[1.0]], [0.0], [1.0])
-        assert log_likelihood(p, [0.0]) == pytest.approx(LOG_STD_NORM_PEAK, abs=1e-10)
+        assert forward_backward(p, [0.0]).log_likelihood == pytest.approx(
+            LOG_STD_NORM_PEAK, abs=1e-10)
 
     def test_single_state_factorizes(self):
         p = HmmParams([1.0], [[1.0]], [0.0], [1.0])
-        assert log_likelihood(p, [0.0, 0.0]) == pytest.approx(
+        assert forward_backward(p, [0.0, 0.0]).log_likelihood == pytest.approx(
             2.0 * LOG_STD_NORM_PEAK, abs=1e-10)
 
     def test_two_state_mixture(self):
         p = HmmParams([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [0.0, 1.0], [1.0, 1.0])
         # both components evaluate the standard normal at 0.5
         want = math.log(0.3520653267642995)
-        assert log_likelihood(p, [0.5]) == pytest.approx(want, abs=1e-10)
+        assert forward_backward(p, [0.5]).log_likelihood == pytest.approx(want, abs=1e-10)
         assert want == pytest.approx(-1.0439385332046727, abs=1e-10)
 
     def test_empty_observations(self):
         p = HmmParams([1.0], [[1.0]], [0.0], [1.0])
         with pytest.raises(EmptyObservations):
-            log_likelihood(p, [])
+            forward_backward(p, [])
 
     def test_no_underflow_at_t300(self):
         rng = np.random.default_rng(3)
         p = random_params(rng, 3)
         obs = rng.normal(0.0, 2.0, 300)
-        ll = log_likelihood(p, obs)
+        ll = forward_backward(p, obs).log_likelihood
         assert math.isfinite(ll)
 
     def test_matches_extended_precision_product_to_t20(self):
@@ -132,7 +132,8 @@ class TestLogLikelihood:
             for t in range(1, T):
                 v = (v @ gamma) * dens[t]
             direct = float(np.log(v.sum()))
-            assert log_likelihood(p, obs) == pytest.approx(direct, rel=1e-10, abs=1e-10)
+            assert forward_backward(p, obs).log_likelihood == pytest.approx(
+                direct, rel=1e-10, abs=1e-10)
 
 
 class TestForwardBackward:
@@ -299,11 +300,6 @@ class TestScanMatchesSequential:
             for got, want in zip(batch, single):
                 np.testing.assert_array_equal(got[k], want[0])
 
-    def test_likelihood_pass_matches_both_passes_bitwise(self):
-        rng = np.random.default_rng(25)
-        p = random_params(rng, 4)
-        obs = rng.normal(0.0, 2.0, 3000)
-        assert log_likelihood(p, obs) == forward_backward(p, obs).log_likelihood
 
 
 class TestPosteriorPairs:

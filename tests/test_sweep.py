@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from windtree.billiard import ParticleState, Vec2, simulate, state_from_slope, unit
 from windtree.sweep import (
+    SweepFailure,
     CorridorTruncation,
     InsufficientData,
     MotionLabel,
@@ -17,8 +18,9 @@ from windtree.sweep import (
     classify_motion,
     estimate_diffusion_exponent,
     growth_exponent,
-    recurrence_statistic,
 )
+
+from oracle import recurrence_statistic
 
 
 class TestSweepSpec:
@@ -50,20 +52,20 @@ class TestRecurrenceStatistic:
     def test_single_event_window(self):
         # k_min = k_max = 1 reduces to the first collision distance
         obs = recurrence_statistic(2.0, SweepSpec(count=1, k_min=1, k_max=1))
-        assert abs(obs.min_distance - math.sqrt(1.25)) <= 1e-12
-        assert abs(obs.log_min_distance - math.log(math.sqrt(1.25))) <= 1e-12
+        assert abs(obs["D"] - math.sqrt(1.25)) <= 1e-12
+        assert abs(obs["logD"] - math.log(math.sqrt(1.25))) <= 1e-12
 
     def test_recurrent_band_small_statistic(self):
         obs = recurrence_statistic(1.414, SweepSpec())
-        assert obs.log_min_distance < 0.5
+        assert obs["logD"] < 0.5
 
     def test_rapid_band_large_statistic(self):
         obs = recurrence_statistic(1.618, SweepSpec())
-        assert 4.5 < obs.log_min_distance < 7.0
+        assert 4.5 < obs["logD"] < 7.0
 
     def test_log_is_natural(self):
         obs = recurrence_statistic(1.618, SweepSpec(k_min=10, k_max=50))
-        assert abs(obs.log_min_distance - math.log(obs.min_distance)) <= 1e-12
+        assert abs(obs["logD"] - math.log(obs["D"])) <= 1e-12
 
     def test_corridor_slope_raises(self):
         with pytest.raises((CorridorTruncation, ValueError)):
@@ -73,17 +75,28 @@ class TestRecurrenceStatistic:
 class TestBuildSweep:
     def test_single_observation(self):
         result = build_sweep(SweepSpec(count=1, k_min=5, k_max=10))
-        assert len(result.observations) == 1
-        assert result.observations[0].slope == 1.4140
+        assert len(result.columns["t"]) == 1
+        assert result.columns["slope"][0] == 1.4140
 
     def test_default_sweep_shape(self, reference_sweep):
         result, _elapsed = reference_sweep
-        assert len(result.observations) == 300
+        assert list(result.columns) == ["t", "slope", "D", "logD"]
+        assert result.columns["t"].tolist() == list(range(1, 301))
         assert result.failures == []
-        assert result.observations[0].slope == 1.4140
-        assert abs(result.observations[-1].slope - 2.1615) <= 1e-12
-        xs = result.log_series()
+        assert result.columns["slope"][0] == 1.4140
+        assert abs(result.columns["slope"][-1] - 2.1615) <= 1e-12
+        xs = result.columns["logD"]
         assert np.all(np.isfinite(xs))
+
+    def test_mirrored_grid_gives_the_same_statistics_bitwise(self, reference_sweep):
+        # reflecting the slopes in the x axis reflects every trajectory, and
+        # with it every collision point, exactly
+        result = reference_sweep[0]
+        mirrored = build_sweep(SweepSpec(slope_start=-1.4140, slope_step=-0.0025))
+        assert mirrored.failures == []
+        assert mirrored.columns["slope"].tobytes() == (-result.columns["slope"]).tobytes()
+        for name in ("D", "logD"):
+            assert mirrored.columns[name].tobytes() == result.columns[name].tobytes(), name
 
     def test_three_separated_clusters(self, reference_series):
         centers = _three_means(reference_series)
@@ -97,7 +110,10 @@ class TestBuildSweep:
         serial = build_sweep(spec, jobs=1)
         again = build_sweep(spec, jobs=1)
         parallel = build_sweep(spec, jobs=3)
-        assert serial.observations == again.observations == parallel.observations
+        for name, column in serial.columns.items():
+            assert column.dtype == again.columns[name].dtype == parallel.columns[name].dtype
+            assert (column.tobytes() == again.columns[name].tobytes()
+                    == parallel.columns[name].tobytes()), name
 
     def test_failed_slopes_become_gap_records(self):
         # t=1 runs along the corridor y = 0 and meets nothing within the horizon
@@ -107,15 +123,31 @@ class TestBuildSweep:
         with pytest.raises(CorridorTruncation) as scalar:
             recurrence_statistic(spec.slope_at(1), spec, t=1)
         assert result.failures[0].reason == str(scalar.value)
-        assert result.observations == [recurrence_statistic(spec.slope_at(t), spec, t=t)
-                                       for t in range(2, spec.count + 1)]
+        rows = [recurrence_statistic(spec.slope_at(t), spec, t=t)
+                for t in range(2, spec.count + 1)]
+        assert {name: column.tolist() for name, column in result.columns.items()} == {
+            name: [row[name] for row in rows] for name in result.columns}
+
+    def test_non_positive_statistic_becomes_gap_record(self, ray_on_origin):
+        spec = SweepSpec(count=12, k_min=50, k_max=120)
+        clean = build_sweep(spec)
+        ray_on_origin(3, spec.k_min)
+        result = build_sweep(spec)
+        slope = spec.slope_at(4)
+        assert result.failures == [SweepFailure(
+            t=4, slope=slope, reason=f"slope {slope!r}: non-positive recurrence statistic 0.0")]
+        # every other sample keeps its row bitwise
+        kept = clean.columns["t"] != 4
+        for name, column in clean.columns.items():
+            assert result.columns[name].tobytes() == column[kept].tobytes(), name
 
     def test_all_corridor_sweep_is_one_gap(self):
         # the lockstep batch runs on with zero rays after its only ray leaves
         result = build_sweep(SweepSpec(slope_start=1e-7, slope_step=0.05, count=1,
                                        k_min=10, k_max=20))
         assert [f.t for f in result.failures] == [1]
-        assert result.observations == []
+        assert {name: len(column) for name, column in result.columns.items()} == {
+            "t": 0, "slope": 0, "D": 0, "logD": 0}
 
 
 def _three_means(xs, rounds=60):
