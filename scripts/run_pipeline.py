@@ -45,7 +45,7 @@ def main() -> int:
 
     model = json.loads((out / "model.json").read_text())
     trace = model["loglik_trace"]
-    print(f"\nfitted 3-state model after {model['metadata']['iterations']} EM iterations "
+    print(f"\nfitted 3-state model after {len(trace)} EM iterations "
           f"(loglik {trace[0]:.2f} -> {trace[-1]:.2f})")
     print(f"{'state':>5} {'mean':>10} {'sd':>10} {'published mean':>15} {'published sd':>13}")
     for j in range(3):

@@ -1,8 +1,8 @@
 """Command-line pipeline: simulate, sweep, fit, diagnose.
 
 Exit codes: 0 success, 2 configuration or input error, 3 simulation
-failure, 4 fit or diagnostic failure. Failures also emit a one-line
-machine-readable error JSON on stdout.
+failure, 4 fit or diagnostic failure. Failures, usage errors among them,
+also emit a one-line machine-readable error JSON on stdout.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import billiard, hmm, io, svg
-from .billiard import distance_series
 from .config import ConfigError, PipelineConfig, apply_overrides, load_config
 from .sweep import InsufficientData, SweepSpec, build_sweep, classify_motion
 
@@ -28,32 +27,39 @@ EXIT_SIMULATION = 3
 EXIT_FIT = 4
 
 
+# Each flag that sets a config field: the field (its argparse dest) and its
+# type. COMMANDS gives each command the flags it reads besides --out and
+# --jobs; only sweep reads --jobs, but the benchmark passes it to all four.
+FLAGS = {"--out": ("output_dir", str), "--jobs": ("jobs", int),
+         "--slope": ("simulate.slope", float), "--collisions": ("simulate.n_collisions", int),
+         "--states": ("hmm.m", int), "--iters": ("hmm.max_iters", int)}
+COMMANDS = {
+    "simulate": ("run one trajectory, write CSV/JSON/SVG", ["--slope", "--collisions"]),
+    "sweep": ("compute the recurrence statistic over the slope grid", []),
+    "fit": ("fit the hidden Markov model to a sweep CSV", ["--states", "--iters"]),
+    "diagnose": ("re-check invariants of persisted artifacts", []),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 2 like any other bad input
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="windtree",
-        description="Periodic wind-tree billiard experiments and HMM fit",
-    )
+    parser = _Parser(prog="windtree",
+                     description="Periodic wind-tree billiard experiments and HMM fit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--jobs", type=int, default=None, help="parallel workers for sweeps")
-        p.add_argument("--slope", type=float, default=None, help="initial slope for simulate")
-        p.add_argument("--collisions", type=int, default=None, help="collisions for simulate")
-        p.add_argument("--states", type=int, default=None, help="number of hidden states")
-        p.add_argument("--iters", type=int, default=None, help="EM iterations")
-
-    p_sim = sub.add_parser("simulate", help="run one trajectory, write CSV/JSON/SVG")
-    add_common(p_sim)
-    p_sweep = sub.add_parser("sweep", help="compute the recurrence statistic over the slope grid")
-    add_common(p_sweep)
-    p_fit = sub.add_parser("fit", help="fit the hidden Markov model to a sweep CSV")
-    add_common(p_fit)
-    p_fit.add_argument("observations", nargs="?", default=None,
-                       help="sweep CSV to fit (default: <out>/sweep.csv)")
-    p_diag = sub.add_parser("diagnose", help="re-check invariants of persisted artifacts")
-    add_common(p_diag)
+        for flag in ["--out", "--jobs", *flags]:
+            dest, kind = FLAGS[flag]
+            p.add_argument(flag, dest=dest, type=kind, default=argparse.SUPPRESS,
+                           metavar=flag[2:].upper(), help=f"sets config {dest}")
+        if command == "fit":
+            p.add_argument("observations", nargs="?", default=None,
+                           help="sweep CSV to fit (default: <out>/sweep.csv)")
     return parser
 
 
@@ -63,27 +69,22 @@ def _fail(code: int, message: str) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        config = apply_overrides(
-            config, out=args.out, jobs=args.jobs, slope=args.slope,
-            collisions=args.collisions, states=args.states, iters=args.iters,
-        )
+        args = vars(build_parser().parse_args(argv))
+        overrides = {dest: args[dest] for dest, _ in FLAGS.values() if dest in args}
+        config = apply_overrides(load_config(args["config"]), overrides)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, str(exc))
     out = Path(config.output_dir)
-    if args.command == "diagnose":
+    if args["command"] == "diagnose":
         return cmd_diagnose(config, out)
     out.mkdir(parents=True, exist_ok=True)
 
-    if args.command == "simulate":
+    if args["command"] == "simulate":
         return cmd_simulate(config, out)
-    if args.command == "sweep":
+    if args["command"] == "sweep":
         return cmd_sweep(config, out)
-    if args.command == "fit":
-        return cmd_fit(config, out, args.observations)
-    return _fail(EXIT_CONFIG, f"unknown command {args.command!r}")
+    return cmd_fit(config, out, args["observations"])
 
 
 def cmd_simulate(config: PipelineConfig, out: Path) -> int:
@@ -102,15 +103,7 @@ def cmd_simulate(config: PipelineConfig, out: Path) -> int:
         "n_collisions": len(log),
         "truncated": log.truncated,
         "truncation_reason": log.truncation_reason,
-        "final_position": [log.final_state().position.x, log.final_state().position.y],
-        "corner_events": log.corner_count(),
     }
-    if len(log):
-        d = distance_series(log)
-        summary["distance"] = {
-            "first": float(d[0]), "last": float(d[-1]),
-            "min": float(d.min()), "max": float(d.max()),
-        }
     try:
         motion = classify_motion(log)
         summary["motion"] = {"label": motion.label.value, "evidence": motion.evidence}
@@ -162,7 +155,7 @@ def cmd_fit(config: PipelineConfig, out: Path, observations: str | None) -> int:
 
     io.write_artifact(io.model_json_doc(report), out / "model.json")
     io.write_artifact({"t": ts, "x": xs, "u": u}, out / "residuals.csv")
-    io.write_artifact(io.histogram_json_doc(counts), out / "histogram.json")
+    io.write_artifact({"counts": counts.tolist()}, out / "histogram.json")
     print(f"fitted {config.hmm.m}-state model on {len(xs)} observations; "
           f"final loglik {report.loglik_trace[-1]:.4f}; "
           f"means {np.round(report.params.mu, 4).tolist()}")
@@ -185,6 +178,15 @@ def _trajectory_checks(cols, _):
     logged = (log.x, log.y, log.t, log.wall, log.vx, log.vy)
     yield "trajectory replays on the collision kernel", all(
         a.tobytes() == b.tobytes() for a, b in zip(replayed, logged))
+
+
+def _summary_checks(summary, cols):
+    n = summary["n_collisions"]
+    yield "summary n_collisions counts trajectory strikes", n == len(cols["k"]) - 1
+    yield "summary truncated exactly when short of the requested collisions", (
+        summary["truncated"] is (n < summary["n_collisions_requested"]))
+    yield "summary truncation_reason given exactly when truncated", (
+        (summary["truncation_reason"] is not None) is summary["truncated"])
 
 
 def _sweep_checks(cols, _):
@@ -212,8 +214,6 @@ def _model_checks(doc, _):
     trace = doc["loglik_trace"]
     yield "model loglik trace non-decreasing", all(b >= a - 1e-9
                                                    for a, b in zip(trace, trace[1:]))
-    yield "model iterations count the loglik trace", (
-        doc["metadata"]["iterations"] == len(trace))
 
 
 def _residuals_checks(cols, _):
@@ -235,10 +235,8 @@ def _residuals_model_checks(cols, doc):
 
 
 def _histogram_checks(hist, cols):
-    yield "histogram counts sum to residual rows", (
-        sum(hist["counts"]) == len(cols["t"]) == hist["total"])
-    yield f"histogram has {hmm.HIST_BINS} bins", (
-        hist["bins"] == len(hist["counts"]) == hmm.HIST_BINS)
+    yield "histogram counts sum to residual rows", sum(hist["counts"]) == len(cols["t"])
+    yield f"histogram has {hmm.HIST_BINS} bins", len(hist["counts"]) == hmm.HIST_BINS
 
 
 # artifact -> its content checks, each with the artifact it also reads, or
@@ -246,6 +244,7 @@ def _histogram_checks(hist, cols):
 # where both parsed and the earlier file's own checks could read its fields.
 DIAGNOSTICS = {
     "trajectory.csv": [(None, _trajectory_checks)],
+    "summary.json": [("trajectory.csv", _summary_checks)],
     "sweep.csv": [(None, _sweep_checks)],
     "sweep_meta.json": [("sweep.csv", _sweep_grid_checks)],
     "model.json": [(None, _model_checks)],

@@ -1,17 +1,20 @@
-"""Pipeline configuration: one JSON file, every field overridable by a flag.
+"""Pipeline configuration: one JSON file, some fields overridable by flags.
 
 Defaults reproduce the published pipeline: 300 slopes from 1.4140 in steps
 of 0.0025, recurrence window between the 500th and 1000th collision, and a
 3-state model fitted for 15 EM iterations. The rest of the fit is fixed in
 `hmm`: the starting transition diagonal (GAMMA_DIAG), the residuals (each
-observation conditioned on all the others) and their HIST_BINS bins. A key
-the dataclasses do not name, such as a removed one, is a ConfigError.
+observation conditioned on all the others) and their HIST_BINS bins. The
+dataclass fields are the config keys and their types: a key they do not
+name, such as a removed one, or a value of another type is a ConfigError.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 from .sweep import SweepSpec
@@ -61,22 +64,35 @@ class PipelineConfig:
 
 def config_from_doc(doc: dict) -> PipelineConfig:
     """Build a config from a (possibly partial) JSON document."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    known = {"sweep", "hmm", "simulate", "output_dir", "jobs"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     try:
-        return PipelineConfig(
-            sweep=SweepSpec(**doc.get("sweep", {})),
-            hmm=HmmConfig(**doc.get("hmm", {})),
-            simulate=SimulateConfig(**doc.get("simulate", {})),
-            output_dir=doc.get("output_dir", "out"),
-            jobs=int(doc.get("jobs", 1)),
-        )
-    except (TypeError, ValueError) as exc:
+        return _build(PipelineConfig, doc, "")
+    except (ValueError, OverflowError) as exc:  # or an int beyond a float field's range
         raise ConfigError(f"bad config: {exc}") from exc
+
+
+_field_types = functools.cache(typing.get_type_hints)  # evaluating them is slow
+
+
+def _build(cls, doc, prefix: str):
+    """An instance of the dataclass `cls` from the JSON object `doc`, each
+    value checked against its field's type; `prefix` names the block."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{prefix.rstrip('.') or 'config document'} must be a JSON object")
+    types = _field_types(cls)
+    if unknown := set(doc) - set(types):
+        raise ConfigError(f"unknown config fields: {sorted(prefix + k for k in unknown)}")
+    values = {}
+    for key, value in doc.items():
+        kind, name = types[key], prefix + key
+        if is_dataclass(kind):
+            values[key] = _build(kind, value, name + ".")
+        # bool is an int to Python but not a number to a config
+        elif isinstance(value, bool) or not isinstance(
+                value, (int, float) if kind is float else kind):
+            raise ConfigError(f"{name} must be of type {kind.__name__}, got {json.dumps(value)}")
+        else:
+            values[key] = float(value) if kind is float else value
+    return cls(**values)
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
@@ -91,20 +107,14 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     return config_from_doc(doc)
 
 
-def apply_overrides(config: PipelineConfig, *, out=None, jobs=None, slope=None,
-                    collisions=None, states=None, iters=None) -> PipelineConfig:
-    """Fold command-line flags over a loaded config."""
+def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
+    """Fold command-line flags, a {field path: value} mapping such as
+    {"hmm.m": 4}, over a loaded config."""
     doc = config.to_doc()
-    if out is not None:
-        doc["output_dir"] = out
-    if jobs is not None:
-        doc["jobs"] = jobs
-    if slope is not None:
-        doc["simulate"]["slope"] = slope
-    if collisions is not None:
-        doc["simulate"]["n_collisions"] = collisions
-    if states is not None:
-        doc["hmm"]["m"] = states
-    if iters is not None:
-        doc["hmm"]["max_iters"] = iters
+    for path, value in overrides.items():
+        *blocks, key = path.split(".")
+        node = doc
+        for block in blocks:
+            node = node[block]
+        node[key] = value
     return config_from_doc(doc)

@@ -142,9 +142,12 @@ class FitReport:
 
     params: HmmParams
     loglik_trace: list[float]
-    iterations: int
     state_order: tuple[int, ...]
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.loglik_trace)
 
 
 def _density_matrix(params: HmmParams, obs: np.ndarray) -> np.ndarray:
@@ -446,7 +449,6 @@ def baum_welch(obs: Sequence[float], init: HmmParams, max_iters: int = 15) -> Fi
     return FitReport(
         params=params.permuted(order),
         loglik_trace=trace,
-        iterations=len(trace),
         state_order=order,
         warnings=warnings,
     )

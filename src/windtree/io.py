@@ -185,7 +185,7 @@ def sweep_meta_doc(result: SweepResult, elapsed_seconds: float) -> dict:
     }
 
 
-# -- model, histogram ------------------------------------------------------
+# -- model -----------------------------------------------------------------
 
 def model_json_doc(report) -> dict:
     p = report.params
@@ -197,17 +197,5 @@ def model_json_doc(report) -> dict:
         "sigma": p.sigma.tolist(),
         "loglik_trace": list(report.loglik_trace),
         "state_order": list(report.state_order),
-        "metadata": {
-            "iterations": report.iterations,
-            "warnings": list(report.warnings),
-        },
-    }
-
-
-def histogram_json_doc(counts: np.ndarray) -> dict:
-    counts = np.asarray(counts)
-    return {
-        "bins": int(counts.size),
-        "counts": [int(c) for c in counts],
-        "total": int(counts.sum()),
+        "metadata": {"warnings": list(report.warnings)},
     }

@@ -241,7 +241,6 @@ def growth_exponent(times: Sequence[float], distances: Sequence[float]) -> float
 
 
 def estimate_diffusion_exponent(directions: Sequence[float], n_collisions: int,
-                                horizon: float = DEFAULT_HORIZON,
                                 min_successes: int = 5) -> float:
     """Median distance-growth exponent over a set of direction angles.
 
@@ -256,7 +255,7 @@ def estimate_diffusion_exponent(directions: Sequence[float], n_collisions: int,
         raise ValueError("need at least 10^4 collisions per direction")
     exponents = []
     for theta in directions:
-        log = simulate(state_from_angle(theta), n_collisions, horizon=horizon)
+        log = simulate(state_from_angle(theta), n_collisions)
         if len(log) < n_collisions:
             continue
         exponents.append(growth_exponent(log.t, distance_series(log)))

@@ -2,11 +2,14 @@
 
 Each workload is built as bench/run.py builds it, but no timed operation
 runs: every CLI command it would send must parse, and every config file it
-writes must load. The API the benchmark calls directly runs once on a tiny
-input: the exponent workload's layer probe, and one sweep and one
-trajectory under the span tracer, whose counters read the results. A key,
-flag or name the benchmark uses and the program no longer has fails here,
-not in a benchmark run.
+writes must load. One iteration of the pipeline, trajectory and fit
+workloads runs as bench/run.py runs it, and every operation must pass the
+workload's own check of its output, which reads artifact fields such as
+summary.json's n_collisions and model.json's m. The API the benchmark calls
+directly runs once on a tiny input: the exponent workload's layer probe,
+and one sweep and one trajectory under the span tracer, whose counters read
+the results. A key, flag, field or name the benchmark uses and the program
+no longer has fails here, not in a benchmark run.
 """
 
 from functools import partial
@@ -40,6 +43,15 @@ def test_workload_commands_parse_and_configs_load(tmp_path, bench_path):
             load_config(args.config)
             commands.add(args.command)
     assert commands == {"simulate", "sweep", "fit", "diagnose"}
+
+
+@pytest.mark.parametrize("name", ["pipeline", "trajectory", "fit"])
+def test_workload_iteration_passes_its_checks(tmp_path, bench_path, name):
+    import run
+    import workloads
+
+    _, errors = run.run_iteration(workloads.WORKLOADS[name](ROOT, 0, tmp_path))
+    assert errors == []
 
 
 def test_exponent_layer_probe_runs(tmp_path, bench_path):

@@ -15,49 +15,54 @@ import pytest
 from windtree import io, svg
 from windtree.billiard import simulate, state_from_slope
 from windtree.cli import main
+from windtree.config import PipelineConfig, config_from_doc
 from windtree.sweep import SweepSpec, build_sweep
 
 # SHA-256 of the `simulate --collisions 500` artifacts; 1.464 has 5 corner
-# events. The summary.json digests have held since the trajectory was a
-# list of per-event objects. The trajectory.csv digests were taken when the
-# velocity columns joined the table: its first five columns are the earlier
-# table's, and vx, vy carry the same bits the initial state and velocity
-# columns had in the former trajectory.json.
+# events. The summary.json digests were taken when it dropped the fields
+# that copy trajectory.csv (final_position, corner_events, distance); every
+# value it kept has held since the trajectory was a list of per-event
+# objects. The trajectory.csv digests were taken when the velocity columns
+# joined the table: its first five columns are the earlier table's, and
+# vx, vy carry the same bits the initial state and velocity columns had in
+# the former trajectory.json.
 SIMULATE_DIGESTS = {
     "1.414": {
         "trajectory.csv": "a72aac0c2e0b763516aee9cbd2c7c6d5a60db0eec4b03ec0442873ae92b7b486",
         "trajectory.svg": "bae5fd878380998a4d6f63add1afa69d77a30ecbc885a757a68f6db3fcb04933",
-        "summary.json": "7b49e21b88c8138166e081d1b99760da2a8f1ccb41fda12e9a9d9adf827725e5",
+        "summary.json": "c4807eefb67601bec8ad878378d7c2af25a549794aa51ab5ac80af45540e2888",
     },
     "1.464": {
         "trajectory.csv": "6c65f4b1e772c26404c2fc4c31e48607cffebe59ef294a2a09f78d6e85495c85",
         "trajectory.svg": "da2a2b3abaf6130d9e7dec7d605912f354ca9891e73293e8a4e239fbe9e6f05a",
-        "summary.json": "d2cf7ac2974a293986a9f3fecaee8e33238058e865de6503fec12aabdca90554",
+        "summary.json": "028b1504492eeae1668ed3ea1521b0a0e4d92507f5befe533d2e93804579dfa8",
     },
 }
 
 # SHA-256 of the `fit --states m` artifacts on the reference sweep.csv. The
-# model.json and residuals.csv digests were taken when both HMM passes became
-# one two-level scan over blocks of 8 steps: against the doubling scan over
-# all T, for m = 2, 3 and 4, mu moved by at most 1.3e-15, sigma 1.4e-15,
-# gamma 6.1e-16 and the loglik trace 1.1e-13, and 123, 204 and 279 of the
-# 300 u values moved, by at most 1.0e-15. The histogram.json digests have
-# held since posterior_pairs built the pair tensor one observation at a time.
+# residuals.csv digests were taken when both HMM passes became one two-level
+# scan over blocks of 8 steps: against the doubling scan over all T, for
+# m = 2, 3 and 4, mu moved by at most 1.3e-15, sigma 1.4e-15, gamma 6.1e-16
+# and the loglik trace 1.1e-13, and 123, 204 and 279 of the 300 u values
+# moved, by at most 1.0e-15. The model.json and histogram.json digests were
+# taken when they dropped metadata.iterations and bins, total, which copy the
+# length of loglik_trace and the length and sum of counts; no value they kept
+# moved.
 FIT_DIGESTS = {
     2: {
-        "model.json": "438e9d95df31f4460cc705dde0ccb32b5b394a3e9940e4e55ea4e44376180a38",
+        "model.json": "d20e341525722d3d681ad9b283352dd8aea6950904ad76c092731aad32d8e267",
         "residuals.csv": "fa5d449785f8c61127553b48e3e648ee7286a896fee439918ffc7951b869c41c",
-        "histogram.json": "08cba2539e717fbe7cd5ee02213fd4daad160548f5abbe5d2253cca3b4a11321",
+        "histogram.json": "e1174e311c691cb2ad507fb58cc3f400bd42c2eedf131ff75888c9d4822ca8f2",
     },
     3: {
-        "model.json": "a31e184cd16057d6e80cefe6f7240dea3f7702670c7810d6ad6d7dcf6c8d9084",
+        "model.json": "26a9a28bed331f3f8a02b894119ff5ebbef96b2e7422c44546f7772d71e11b0e",
         "residuals.csv": "82df7189764e3f79d007ce819565fa83aa251e79b5b6a7161bc7e17db7d7560a",
-        "histogram.json": "dbfbe749e924fb0cfe97bcd487efd6c6d6c497fd4235f4a04e6c8b88d701b810",
+        "histogram.json": "1c90f37dd7764d4b7ecea3733e55754bbac1b3ae197df846f301c3251dc1b6b4",
     },
     4: {
-        "model.json": "dee021cae5fc46c7a6bb2eb98a0d214777a70e0b30887e236bf3bbd1fd67aad9",
+        "model.json": "31f9736e2eb2544207728769d7436860850a240158778fca0b22eb1d390849a1",
         "residuals.csv": "094aecd65809979ee247ebfde5877aa264ebb534ccd41a5758dea9408052d415",
-        "histogram.json": "87efb83167bc924b0ad446ec8f430e8e6ceec13e7d52996dd5229f6a478e5fd9",
+        "histogram.json": "65572258c11b0d217ad91cc9929e5daee283070e479c4c45bfcc2ba4e56a522f",
     },
 }
 
@@ -67,6 +72,21 @@ SMALL_CONFIG = {
     "hmm": {"m": 2, "max_iters": 5},
     "simulate": {"slope": 2.0, "n_collisions": 1},
 }
+
+
+def config_keys(doc=None, prefix=""):
+    """Every config key as a dotted path, with its default value."""
+    doc = PipelineConfig().to_doc() if doc is None else doc
+    keys = {}
+    for key, value in doc.items():
+        keys.update(config_keys(value, f"{prefix}{key}.") if isinstance(value, dict)
+                    else {prefix + key: value})
+    return keys
+
+
+# values of another type than the field's default: a float for an int, true,
+# a string (a number for a str field) and null
+WRONG_TYPES = {int: [2.5, True, "3", None], float: [True, "3", None], str: [3, True, None]}
 
 
 def read_artifact(path):
@@ -272,7 +292,7 @@ class TestDiagnoseCommand:
             ["config.json", "trajectory.svg", *io.ARTIFACTS])
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "all 27 diagnostics passed" in out
+        assert "all 29 diagnostics passed" in out
 
     def test_tampered_artifact_fails(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)
@@ -348,8 +368,8 @@ class TestDiagnoseCommand:
         *((name, key, fault) for fault in ("not_json", "missing_key")
           for name, key in [("sweep_meta.json", "spec"), ("model.json", "delta"),
                             ("histogram.json", "counts")]),
-        # summary.json has no content checks, so only its round-trip can fail
         ("summary.json", None, "not_json"),
+        ("summary.json", "n_collisions", "missing_key"),
     ])
     def test_bad_json_artifact_fails_a_check(self, tmp_path, capsys, name, key, fault):
         cfg = write_config(tmp_path, SMALL_CONFIG)
@@ -379,23 +399,30 @@ class TestDiagnoseCommand:
         ("model.json", lambda d: d.update(m=7), "FAIL model m counts the states"),
         ("model.json", lambda d: d["gamma"].append([0.5, 0.5]),
          "FAIL model.json fields (ValueError: inconsistent parameter shapes)"),
-        ("model.json", lambda d: d["metadata"].update(iterations=99),
-         "FAIL model iterations count the loglik trace"),
         ("model.json", lambda d: d.update(state_order=[5, 5]),
          "FAIL model state_order is a permutation of its states"),
         # still non-decreasing and of the right length, but above what the
         # stored model attains on the residuals' series
         ("model.json", lambda d: d.update(loglik_trace=[v + 1e-6 for v in d["loglik_trace"]]),
          "FAIL model loglik on the residual series reaches its trace"),
-        ("histogram.json", lambda d: d.update(bins=3), "FAIL histogram has 10 bins"),
+        # three bins, the same total
+        ("histogram.json", lambda d: d.update(counts=[sum(d["counts"]), 0, 0]),
+         "FAIL histogram has 10 bins"),
         ("sweep_meta.json", lambda d: d.update(completed=99),
          "FAIL sweep_meta completed counts sweep rows"),
-    ], ids=["model_m", "gamma_row", "iterations", "state_order", "loglik_trace", "bins",
-            "completed"])
+        # SMALL_CONFIG simulates one collision, which completes
+        ("summary.json", lambda d: d.update(n_collisions=7),
+         "FAIL summary n_collisions counts trajectory strikes"),
+        ("summary.json", lambda d: d.update(n_collisions_requested=5),
+         "FAIL summary truncated exactly when short of the requested collisions"),
+        ("summary.json", lambda d: d.update(truncation_reason="horizon"),
+         "FAIL summary truncation_reason given exactly when truncated"),
+    ], ids=["model_m", "gamma_row", "state_order", "loglik_trace", "bins", "completed",
+            "n_collisions", "truncated", "truncation_reason"])
     def test_inconsistent_json_artifact_fails(self, tmp_path, capsys, name, edit, failure):
         cfg = write_config(tmp_path, SMALL_CONFIG)
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 0
+        for command in ("simulate", "sweep", "fit"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
         path = tmp_path / name
         doc = json.loads(path.read_text())
         edit(doc)
@@ -484,10 +511,10 @@ class TestDiagnoseCommand:
         assert main(["simulate", "--out", str(tmp_path), "--slope", slope,
                      "--collisions", collisions]) == 0
         summary = json.loads((tmp_path / "summary.json").read_text())
+        corners = read_artifact(tmp_path / "trajectory.csv")["wall"].count("Corner")
         # no strike, a corridor that truncates before its first strike, corners
         expected = {"1.414": (0, False, 0), "1e-7": (0, True, 0), "1.464": (500, False, 5)}
-        assert (summary["n_collisions"], summary["truncated"],
-                summary["corner_events"]) == expected[slope]
+        assert (summary["n_collisions"], summary["truncated"], corners) == expected[slope]
         assert main(["diagnose", "--out", str(tmp_path)]) == 0
         assert "ok   trajectory replays on the collision kernel" in capsys.readouterr().out
 
@@ -537,6 +564,71 @@ class TestConfigHandling:
         error = json.loads(capsys.readouterr().out)
         assert error["exit_code"] == 2 and key in error["error"]
 
+    def test_config_has_eleven_keys(self):
+        assert len(config_keys()) == 11
+
+    @pytest.mark.parametrize("key, value", [
+        (key, value) for key, default in config_keys().items()
+        for value in WRONG_TYPES[type(default)]])
+    def test_wrong_type_is_config_error(self, tmp_path, capsys, key, value):
+        *blocks, name = key.split(".")
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        node = doc
+        for block in blocks:
+            node = node.setdefault(block, {})
+        node[name] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        error = json.loads(capsys.readouterr().out)
+        assert error["exit_code"] == 2 and f"{key} must be of type" in error["error"]
+
+    # each of these ran on a wrong value or ended in a traceback (exit 1)
+    # before the loader checked types
+    @pytest.mark.parametrize("command, doc, key", [
+        ("sweep", {"sweep": {"count": 2.5}}, "sweep.count"),
+        ("sweep", {"jobs": 2.9}, "jobs"),
+        ("sweep", {"sweep": {"count": True}}, "sweep.count"),
+        ("fit", {"hmm": {"max_iters": 2.5}}, "hmm.max_iters"),
+        ("simulate", {"simulate": {"slope": None}}, "simulate.slope"),
+    ])
+    def test_mistyped_value_exits_two(self, tmp_path, capsys, command, doc, key):
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        error = json.loads(capsys.readouterr().out)
+        assert error["exit_code"] == 2 and key in error["error"]
+
+    def test_integer_for_a_float_field_is_accepted(self, tmp_path):
+        config = config_from_doc({"sweep": {"slope_start": 2, "slope_step": 1},
+                                  "simulate": {"slope": 2}})
+        values = (config.sweep.slope_start, config.sweep.slope_step, config.simulate.slope)
+        assert values == (2.0, 1.0, 2.0) and all(type(v) is float for v in values)
+        cfg = write_config(tmp_path, {"simulate": {"slope": 2, "n_collisions": 1}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["slope"] == 2.0
+
+    # a value argparse cannot convert, and flags a command does not read
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep", "--jobs", "abc"], "--jobs"),
+        (["sweep", "--states", "3"], "--states"),
+        (["sweep", "--states", "7", "--slope", "9"], "--states"),
+        (["simulate", "--iters", "3"], "--iters"),
+        (["fit", "--collisions", "3"], "--collisions"),
+        (["diagnose", "--slope", "2"], "--slope"),
+    ])
+    def test_usage_error_is_config_error(self, tmp_path, capsys, argv, flag):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.out.splitlines()
+        error = json.loads(line)
+        assert error["exit_code"] == 2 and flag in error["error"]
+        assert captured.err == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--help"])
+        assert exc.value.code == 0
+        assert "--states" in capsys.readouterr().out
+
     def test_checked_in_reference_config_loads(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
         doc = json.loads(path.read_text())
@@ -544,14 +636,10 @@ class TestConfigHandling:
         assert doc["hmm"] == {"m": 3, "max_iters": 15}
 
     def test_checked_in_reference_config_is_the_defaults(self):
-        from windtree.config import PipelineConfig
-
         path = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
         assert json.loads(path.read_text()) == PipelineConfig().to_doc()
 
     def test_defaults_are_the_reference_pipeline(self):
-        from windtree.config import PipelineConfig
-
         config = PipelineConfig()
         assert (config.sweep.slope_start, config.sweep.slope_step,
                 config.sweep.count, config.sweep.k_min,

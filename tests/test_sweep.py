@@ -221,4 +221,4 @@ class TestGrowthExponent:
     def test_estimator_requires_enough_completed_directions(self):
         # axis-parallel directions are all corridors, so nothing completes
         with pytest.raises(CorridorTruncation):
-            estimate_diffusion_exponent([0.0] * 12, 10_000, horizon=1e3)
+            estimate_diffusion_exponent([0.0] * 12, 10_000)
