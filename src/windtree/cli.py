@@ -8,6 +8,7 @@ also emit a one-line machine-readable error JSON on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -19,7 +20,15 @@ import numpy as np
 
 from . import billiard, hmm, io, svg
 from .config import ConfigError, PipelineConfig, apply_overrides, load_config
-from .sweep import InsufficientData, SweepSpec, build_sweep, classify_motion
+from .sweep import (
+    MIN_OVERLAP,
+    InsufficientData,
+    MotionLabel,
+    SweepSpec,
+    build_sweep,
+    classify_motion,
+    motion_distances,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,6 +55,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+# Built once per process: each parse fills a fresh Namespace, and flags a
+# command does not read are never set (default SUPPRESS), so one command's
+# flags cannot reach the next.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="windtree",
                      description="Periodic wind-tree billiard experiments and HMM fit")
@@ -141,6 +154,9 @@ def cmd_fit(config: PipelineConfig, out: Path, observations: str | None) -> int:
     except (OSError, ValueError) as exc:
         return _fail(EXIT_CONFIG, f"cannot read observations {obs_path}: {exc}")
     ts, xs = obs["t"], obs["logD"]
+    if not np.isfinite(xs).all():
+        i = int(np.argmin(np.isfinite(xs)))
+        return _fail(EXIT_CONFIG, f"{obs_path} row t={ts[i]} has non-finite logD {xs[i]}")
     if len(xs) < config.hmm.m:
         return _fail(EXIT_CONFIG,
                      f"{obs_path} has {len(xs)} rows, need >= {config.hmm.m}")
@@ -187,6 +203,20 @@ def _summary_checks(summary, cols):
         summary["truncated"] is (n < summary["n_collisions_requested"]))
     yield "summary truncation_reason given exactly when truncated", (
         (summary["truncation_reason"] is not None) is summary["truncated"])
+    motion, too_short = summary["motion"], len(cols["k"]) - 1 < 2 * MIN_OVERLAP
+    yield f"summary motion label null exactly under {2 * MIN_OVERLAP} strikes", (
+        (motion["label"] is None) is too_short)
+    if motion["label"] is None or too_short:
+        return
+    # the label's own evidence; the lag scan behind the quasi-periodic fields
+    # is not redone
+    label, evidence = MotionLabel(motion["label"]), motion["evidence"]
+    yield "summary motion distances recomputed from trajectory.csv", (
+        (evidence["min_return_distance"], evidence["final_distance"], evidence["max_distance"])
+        == motion_distances(io.read_trajectory(cols)))
+    yield "summary motion Recurrent exactly when min_return_distance < eps_recur", (
+        (label is MotionLabel.RECURRENT)
+        is (evidence["min_return_distance"] < evidence["eps_recur"]))
 
 
 def _sweep_checks(cols, _):

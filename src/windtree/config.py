@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
@@ -66,7 +67,7 @@ def config_from_doc(doc: dict) -> PipelineConfig:
     """Build a config from a (possibly partial) JSON document."""
     try:
         return _build(PipelineConfig, doc, "")
-    except (ValueError, OverflowError) as exc:  # or an int beyond a float field's range
+    except ValueError as exc:
         raise ConfigError(f"bad config: {exc}") from exc
 
 
@@ -90,9 +91,23 @@ def _build(cls, doc, prefix: str):
         elif isinstance(value, bool) or not isinstance(
                 value, (int, float) if kind is float else kind):
             raise ConfigError(f"{name} must be of type {kind.__name__}, got {json.dumps(value)}")
+        elif kind is float:
+            values[key] = _finite_float(value, name)
         else:
-            values[key] = float(value) if kind is float else value
+            values[key] = value
     return cls(**values)
+
+
+def _finite_float(value, name: str) -> float:
+    """`value` as a float; ConfigError for JSON's NaN and +-Infinity and for
+    an integer beyond the float range."""
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be within the float range") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {json.dumps(value)}")
+    return number
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
@@ -102,7 +117,7 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer of more digits than int() reads
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_doc(doc)
 

@@ -28,7 +28,7 @@ from .sweep import SweepResult
 
 
 def fmt(x: float) -> str:
-    """17-significant-digit decimal rendering."""
+    """17-significant-digit decimal rendering, as csv_text renders floats."""
     return f"{x:.17g}"
 
 
@@ -55,13 +55,12 @@ ARTIFACTS = {
 
 def csv_text(columns: dict, spec: dict) -> str:
     """CSV text of `columns` (name -> sequence), one row per index, under
-    the header of `spec`; floats with 17 significant digits."""
-    cells = []
-    for name, kind in spec.items():
-        values = columns[name]
-        values = values.tolist() if isinstance(values, np.ndarray) else values
-        cells.append(list(map(fmt if kind is float else str, values)))
-    return "\n".join([",".join(spec), *map(",".join, zip(*cells, strict=True))]) + "\n"
+    the header of `spec`: floats as `fmt` renders them, other values as
+    `str` does, each row through one %-template."""
+    template = ",".join("%.17g" if kind is float else "%s" for kind in spec.values())
+    rows = zip(*(v.tolist() if isinstance(v, np.ndarray) else v
+                 for v in (columns[name] for name in spec)), strict=True)
+    return "\n".join([",".join(spec), *(template % row for row in rows)]) + "\n"
 
 
 def parse_csv(text: str, spec: dict) -> dict:

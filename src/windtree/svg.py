@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+import numpy as np
+
 from . import io
 from .billiard import TrajectoryLog
 
@@ -18,15 +20,15 @@ _PAD = 1.5
 
 
 def trajectory_svg_text(log: TrajectoryLog) -> str:
-    xs = [log.initial.position.x, *log.x.tolist()]
-    ys = [log.initial.position.y, *log.y.tolist()]
-    x0, x1 = min(xs) - _PAD, max(xs) + _PAD
-    y0, y1 = min(ys) - _PAD, max(ys) + _PAD
+    xs = np.concatenate(([log.initial.position.x], log.x))
+    ys = np.concatenate(([log.initial.position.y], log.y))
+    x0, x1 = float(xs.min()) - _PAD, float(xs.max()) + _PAD
+    y0, y1 = float(ys.min()) - _PAD, float(ys.max()) + _PAD
     span = max(x1 - x0, y1 - y0)
     scale = _CANVAS / span
 
-    def to_px(x: float, y: float) -> tuple[float, float]:
-        # SVG y axis points down
+    def to_px(x, y):
+        # SVG y axis points down; floats or arrays alike
         return (x - x0) * scale, (y1 - y) * scale
 
     width = (x1 - x0) * scale
@@ -48,12 +50,12 @@ def trajectory_svg_text(log: TrajectoryLog) -> str:
         f'<rect width="{width:.2f}" height="{height:.2f}" fill="white"/>',
         f'<rect width="{width:.2f}" height="{height:.2f}" fill="url(#forest)"/>',
     ]
-    coords = " ".join(f"{px:.2f},{py:.2f}" for px, py in map(to_px, xs, ys))
+    px, py = to_px(xs, ys)
+    coords = " ".join(map("%.2f,%.2f".__mod__, zip(px.tolist(), py.tolist())))
     parts.append(
         f'<polyline points="{coords}" fill="none" stroke="#d03020" stroke-width="1.2"/>'
     )
-    sx, sy = to_px(xs[0], ys[0])
-    parts.append(f'<circle cx="{sx:.2f}" cy="{sy:.2f}" r="3" fill="#2040c0"/>')
+    parts.append(f'<circle cx="{px[0]:.2f}" cy="{py[0]:.2f}" r="3" fill="#2040c0"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -17,6 +17,7 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .billiard import (
     DEFAULT_HORIZON,
@@ -40,6 +41,10 @@ EPS_RECUR = 5.0
 EPS_QUASI = 1.0
 QUASI_WINDOW = 480
 MIN_OVERLAP = 25
+# classify_motion compares LAG_BLOCK_ELEMENTS // (n // 2) lags of an
+# n-strike log at once (at least one), so a block's temporaries hold at most
+# this many numbers, or n // 2 where one lag alone needs more.
+LAG_BLOCK_ELEMENTS = 2**15
 # growth_exponent fits GROWTH_POINTS log-spaced counts from GROWTH_START on.
 GROWTH_POINTS = 25
 GROWTH_START = 100
@@ -193,18 +198,21 @@ def classify_motion(log: TrajectoryLog) -> MotionClass:
     onto itself within EPS_QUASI (at least MIN_OVERLAP events compared);
     this is exactly how a drift cycle whose displacement is horizontal shows
     up. Everything else is rapid divergence.
+
+    The deviation of lag tau is the largest |y[i] - y[i - tau]| over the
+    last min(n - tau, n // 2) events; the evidence keeps the first lag of
+    least deviation up to the first lag within EPS_QUASI, where the scan
+    stops.
     """
     n = len(log)
     if n < 2 * MIN_OVERLAP:
         raise InsufficientData(f"need at least {2 * MIN_OVERLAP} events, have {n}")
-    start = log.initial.position
-    d_start = np.hypot(log.x - start.x, log.y - start.y)
-    min_return = float(d_start[n // 2:].min())
+    min_return, final, largest = motion_distances(log)
     evidence = {
         "min_return_distance": min_return,
         "eps_recur": EPS_RECUR,
-        "final_distance": float(d_start[-1]),
-        "max_distance": float(d_start.max()),
+        "final_distance": final,
+        "max_distance": largest,
         "quasi_period": None,
         "quasi_max_dev": None,
         "eps": EPS_QUASI,
@@ -212,18 +220,42 @@ def classify_motion(log: TrajectoryLog) -> MotionClass:
     if min_return < EPS_RECUR:
         return MotionClass(label=MotionLabel.RECURRENT, evidence=evidence)
 
-    y = log.y
+    h = n // 2
+    tail = log.y[n - h:]
+    # Row n - tau of `windows` lines y[n - h - tau:n - tau] up with the tail.
+    # Past tau = n - h that slice would start before y, so y is padded with
+    # h zeros in front; the same row of `real` masks the padding out.
+    windows = sliding_window_view(np.concatenate((np.zeros(h), log.y[:n - 1])), h)
+    real = sliding_window_view(np.arange(n + h - 1) >= h, h)
+    last = min(QUASI_WINDOW, n - MIN_OVERLAP)
+    block = max(1, LAG_BLOCK_ELEMENTS // h)
     best_dev = math.inf
-    for tau in range(1, min(QUASI_WINDOW, n - MIN_OVERLAP) + 1):
-        w = min(n - tau, n // 2)
-        dev = float(np.abs(y[n - w:] - y[n - w - tau:n - tau]).max())
-        if dev < best_dev:
-            best_dev = dev
-            evidence["quasi_max_dev"] = dev
-            evidence["quasi_period"] = tau
-        if dev <= EPS_QUASI:
+    for first in range(1, last + 1, block):
+        taus = np.arange(first, min(first + block, last + 1))
+        rows = slice(n - taus[-1], n - first + 1)
+        devs = tail - windows[rows][::-1]
+        devs = np.abs(devs, out=devs).max(axis=1, initial=0.0, where=real[rows][::-1])
+        within = np.flatnonzero(devs <= EPS_QUASI)
+        if within.size:
+            devs = devs[:within[0] + 1]
+        i = int(devs.argmin())  # first lag of the block's least deviation
+        if devs[i] < best_dev:
+            best_dev = float(devs[i])
+            evidence["quasi_max_dev"] = best_dev
+            evidence["quasi_period"] = int(taus[i])
+        if within.size:
             return MotionClass(label=MotionLabel.QUASI_PERIODIC_DIVERGENT, evidence=evidence)
     return MotionClass(label=MotionLabel.RAPID_DIVERGENT, evidence=evidence)
+
+
+def motion_distances(log: TrajectoryLog) -> tuple[float, float, float]:
+    """classify_motion's min_return_distance, final_distance and
+    max_distance: the strikes' distances from the starting point, least over
+    the final half of the strikes, last and largest. The log must hold at
+    least one strike."""
+    start = log.initial.position
+    d_start = np.hypot(log.x - start.x, log.y - start.y)
+    return float(d_start[len(log) // 2:].min()), float(d_start[-1]), float(d_start.max())
 
 
 def growth_exponent(times: Sequence[float], distances: Sequence[float]) -> float:

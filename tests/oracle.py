@@ -17,6 +17,10 @@ this recursion holds O(T m) numbers.
 Two references run on the production scalar kernel instead: the one-slope
 recurrence statistic on `simulate`, which the lockstep sweep must match
 bit for bit, and the interpolated position along a logged trajectory.
+
+`classify_motion` computes the deviations of a block of lags at once,
+from a zero-padded copy of the y series under a mask; the per-lag loop it
+replaced is kept here, and its label and evidence must match bit for bit.
 """
 
 import math
@@ -25,7 +29,16 @@ import numpy as np
 
 from windtree.billiard import Vec2, distance_series, simulate, state_from_slope
 from windtree.hmm import NumericalUnderflow, _density_matrix
-from windtree.sweep import CorridorTruncation
+from windtree.sweep import (
+    EPS_QUASI,
+    EPS_RECUR,
+    MIN_OVERLAP,
+    QUASI_WINDOW,
+    CorridorTruncation,
+    InsufficientData,
+    MotionClass,
+    MotionLabel,
+)
 
 MARCH_STEP = 1e-4
 BISECT_TOL = 1e-8
@@ -173,3 +186,38 @@ def position_at_time(log, t):
     seg = float(log.t[i]) - pt
     u = 0.0 if seg == 0.0 else (t - pt) / seg
     return Vec2(px + u * (float(log.x[i]) - px), py + u * (float(log.y[i]) - py))
+
+
+def sequential_classify_motion(log):
+    """`classify_motion` as it ran before its lags were scanned in blocks:
+    one numpy reduction per lag, over unpadded slices."""
+    n = len(log)
+    if n < 2 * MIN_OVERLAP:
+        raise InsufficientData(f"need at least {2 * MIN_OVERLAP} events, have {n}")
+    start = log.initial.position
+    d_start = np.hypot(log.x - start.x, log.y - start.y)
+    min_return = float(d_start[n // 2:].min())
+    evidence = {
+        "min_return_distance": min_return,
+        "eps_recur": EPS_RECUR,
+        "final_distance": float(d_start[-1]),
+        "max_distance": float(d_start.max()),
+        "quasi_period": None,
+        "quasi_max_dev": None,
+        "eps": EPS_QUASI,
+    }
+    if min_return < EPS_RECUR:
+        return MotionClass(label=MotionLabel.RECURRENT, evidence=evidence)
+
+    y = log.y
+    best_dev = math.inf
+    for tau in range(1, min(QUASI_WINDOW, n - MIN_OVERLAP) + 1):
+        w = min(n - tau, n // 2)
+        dev = float(np.abs(y[n - w:] - y[n - w - tau:n - tau]).max())
+        if dev < best_dev:
+            best_dev = dev
+            evidence["quasi_max_dev"] = dev
+            evidence["quasi_period"] = tau
+        if dev <= EPS_QUASI:
+            return MotionClass(label=MotionLabel.QUASI_PERIODIC_DIVERGENT, evidence=evidence)
+    return MotionClass(label=MotionLabel.RAPID_DIVERGENT, evidence=evidence)

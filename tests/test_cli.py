@@ -14,7 +14,7 @@ import pytest
 
 from windtree import io, svg
 from windtree.billiard import simulate, state_from_slope
-from windtree.cli import main
+from windtree.cli import build_parser, main
 from windtree.config import PipelineConfig, config_from_doc
 from windtree.sweep import SweepSpec, build_sweep
 
@@ -83,6 +83,11 @@ def config_keys(doc=None, prefix=""):
                     else {prefix + key: value})
     return keys
 
+
+# simulate flags for a 500-collision trajectory of each motion class that
+# diagnose can check without the lag scan
+RAPID = ["--collisions", "500"]
+RECURRENT = ["--slope", "1.414", "--collisions", "500"]
 
 # values of another type than the field's default: a float for an int, true,
 # a string (a number for a str field) and null
@@ -274,6 +279,24 @@ class TestFitCommand:
     def test_missing_csv_is_config_error(self, tmp_path):
         assert main(["fit", "--out", str(tmp_path)]) == 2
 
+    # values float() parses but no state has a density at; the error names
+    # the first of the two bad rows
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_observation_is_config_error(self, sweep_dir, capsys, value):
+        path = sweep_dir / "sweep.csv"
+        lines = path.read_text().splitlines()
+        assert lines[4].startswith("4,")
+        lines[4] = lines[4].rsplit(",", 1)[0] + "," + value
+        lines[7] = lines[7].rsplit(",", 1)[0] + ",nan"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["fit", "--out", str(sweep_dir)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {
+            "error": f"{path} row t=4 has non-finite logD {value}", "exit_code": 2}
+        assert captured.err == ""
+        assert not (sweep_dir / "model.json").exists()
+
     def test_malformed_csv_is_config_error(self, tmp_path):
         bad = tmp_path / "sweep.csv"
         bad.write_text("a,b\n1,2\n")
@@ -292,7 +315,7 @@ class TestDiagnoseCommand:
             ["config.json", "trajectory.svg", *io.ARTIFACTS])
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "all 29 diagnostics passed" in out
+        assert "all 30 diagnostics passed" in out
 
     def test_tampered_artifact_fails(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)
@@ -394,35 +417,64 @@ class TestDiagnoseCommand:
         assert "ok   trajectory.csv round-trip" in out
         assert "ok   residuals.csv round-trip" in out
 
-    # each edit keeps the file parsable and leaves every other file as written
-    @pytest.mark.parametrize("name, edit, failure", [
-        ("model.json", lambda d: d.update(m=7), "FAIL model m counts the states"),
+    # each edit keeps the file parsable and leaves every other file as written;
+    # `simulate` holds the flags simulate runs with besides SMALL_CONFIG's
+    @pytest.mark.parametrize("name, edit, failure, simulate", [
+        ("model.json", lambda d: d.update(m=7), "FAIL model m counts the states", []),
         ("model.json", lambda d: d["gamma"].append([0.5, 0.5]),
-         "FAIL model.json fields (ValueError: inconsistent parameter shapes)"),
+         "FAIL model.json fields (ValueError: inconsistent parameter shapes)", []),
         ("model.json", lambda d: d.update(state_order=[5, 5]),
-         "FAIL model state_order is a permutation of its states"),
+         "FAIL model state_order is a permutation of its states", []),
         # still non-decreasing and of the right length, but above what the
         # stored model attains on the residuals' series
         ("model.json", lambda d: d.update(loglik_trace=[v + 1e-6 for v in d["loglik_trace"]]),
-         "FAIL model loglik on the residual series reaches its trace"),
+         "FAIL model loglik on the residual series reaches its trace", []),
         # three bins, the same total
         ("histogram.json", lambda d: d.update(counts=[sum(d["counts"]), 0, 0]),
-         "FAIL histogram has 10 bins"),
+         "FAIL histogram has 10 bins", []),
         ("sweep_meta.json", lambda d: d.update(completed=99),
-         "FAIL sweep_meta completed counts sweep rows"),
+         "FAIL sweep_meta completed counts sweep rows", []),
         # SMALL_CONFIG simulates one collision, which completes
         ("summary.json", lambda d: d.update(n_collisions=7),
-         "FAIL summary n_collisions counts trajectory strikes"),
+         "FAIL summary n_collisions counts trajectory strikes", []),
         ("summary.json", lambda d: d.update(n_collisions_requested=5),
-         "FAIL summary truncated exactly when short of the requested collisions"),
+         "FAIL summary truncated exactly when short of the requested collisions", []),
         ("summary.json", lambda d: d.update(truncation_reason="horizon"),
-         "FAIL summary truncation_reason given exactly when truncated"),
+         "FAIL summary truncation_reason given exactly when truncated", []),
+        # one strike is too few to classify; slope 2.0 diverges rapidly over
+        # 500 collisions and 1.414 returns
+        ("summary.json", lambda d: d["motion"].update(label="Recurrent"),
+         "FAIL summary motion label null exactly under 50 strikes", []),
+        ("summary.json", lambda d: d["motion"].update(label=None),
+         "FAIL summary motion label null exactly under 50 strikes", RAPID),
+        ("summary.json", lambda d: d["motion"]["evidence"].update(
+            final_distance=d["motion"]["evidence"]["final_distance"] * (1 + 2**-52)),
+         "FAIL summary motion distances recomputed from trajectory.csv", RAPID),
+        ("summary.json", lambda d: d["motion"]["evidence"].update(max_distance=1e6),
+         "FAIL summary motion distances recomputed from trajectory.csv", RAPID),
+        # below eps_recur, but not below the recomputed minimum
+        ("summary.json", lambda d: d["motion"]["evidence"].update(min_return_distance=4.0),
+         "FAIL summary motion distances recomputed from trajectory.csv", RECURRENT),
+        ("summary.json", lambda d: d["motion"].update(label="Recurrent"),
+         "FAIL summary motion Recurrent exactly when min_return_distance < eps_recur", RAPID),
+        ("summary.json", lambda d: d["motion"].update(label="RapidDivergent"),
+         "FAIL summary motion Recurrent exactly when min_return_distance < eps_recur",
+         RECURRENT),
+        ("summary.json", lambda d: d["motion"]["evidence"].update(eps_recur=1e6),
+         "FAIL summary motion Recurrent exactly when min_return_distance < eps_recur", RAPID),
+        ("summary.json", lambda d: d["motion"].update(label="Periodic"),
+         "FAIL summary.json fields (ValueError: 'Periodic' is not a valid MotionLabel)",
+         RAPID),
     ], ids=["model_m", "gamma_row", "state_order", "loglik_trace", "bins", "completed",
-            "n_collisions", "truncated", "truncation_reason"])
-    def test_inconsistent_json_artifact_fails(self, tmp_path, capsys, name, edit, failure):
+            "n_collisions", "truncated", "truncation_reason", "label_too_few_strikes",
+            "label_null", "final_distance", "max_distance", "min_return_distance",
+            "label_recurrent", "label_divergent", "eps_recur", "label_unknown"])
+    def test_inconsistent_json_artifact_fails(self, tmp_path, capsys, name, edit, failure,
+                                              simulate):
         cfg = write_config(tmp_path, SMALL_CONFIG)
         for command in ("simulate", "sweep", "fit"):
-            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+            extra = simulate if command == "simulate" else []
+            assert main([command, "--config", cfg, "--out", str(tmp_path), *extra]) == 0
         path = tmp_path / name
         doc = json.loads(path.read_text())
         edit(doc)
@@ -551,6 +603,13 @@ class TestConfigHandling:
         bad.write_text("{nope")
         assert main(["sweep", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
+    def test_integer_beyond_the_digit_limit_is_config_error(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError for more digits than int() reads
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"simulate": {"slope": 1' + "0" * 5000 + "}}")
+        assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().out)["exit_code"] == 2
+
     def test_unknown_field_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"swep": {}})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -597,6 +656,23 @@ class TestConfigHandling:
         error = json.loads(capsys.readouterr().out)
         assert error["exit_code"] == 2 and key in error["error"]
 
+    # JSON's NaN and Infinity, which json.loads reads, and an integer beyond
+    # the float range; the first two once ran on (exit 3) and the last
+    # failed without naming its key
+    @pytest.mark.parametrize("key, value", [
+        *((key, value) for key, default in config_keys().items() if type(default) is float
+          for value in (math.nan, math.inf, -math.inf)),
+        pytest.param("simulate.slope", 10**400, id="simulate.slope-401_digits")])
+    def test_out_of_range_float_is_config_error(self, tmp_path, capsys, key, value):
+        block, name = key.split(".")
+        doc = json.loads(json.dumps(SMALL_CONFIG))
+        doc[block][name] = value
+        cfg = write_config(tmp_path, doc)
+        # each block's key is read by the command of the same name
+        assert main([block, "--config", cfg, "--out", str(tmp_path)]) == 2
+        error = json.loads(capsys.readouterr().out)
+        assert error["exit_code"] == 2 and key in error["error"]
+
     def test_integer_for_a_float_field_is_accepted(self, tmp_path):
         config = config_from_doc({"sweep": {"slope_start": 2, "slope_step": 1},
                                   "simulate": {"slope": 2}})
@@ -622,6 +698,21 @@ class TestConfigHandling:
         error = json.loads(line)
         assert error["exit_code"] == 2 and flag in error["error"]
         assert captured.err == ""
+
+    def test_one_parser_carries_no_flag_to_the_next_command(self, tmp_path):
+        assert build_parser() is build_parser()  # one parser for the process
+        cfg = write_config(tmp_path, dict(SMALL_CONFIG, hmm={"m": 3, "max_iters": 5}))
+        args = ["--config", cfg, "--out", str(tmp_path)]
+        assert main(["sweep", *args]) == 0
+        assert main(["fit", *args, "--states", "2"]) == 0
+        assert json.loads((tmp_path / "model.json").read_text())["m"] == 2
+        assert "hmm.m" not in vars(build_parser().parse_args(["fit", *args]))
+        assert main(["fit", *args]) == 0
+        assert json.loads((tmp_path / "model.json").read_text())["m"] == 3
+        assert main(["simulate", *args]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert (summary["slope"], summary["n_collisions_requested"]) == (2.0, 1)
+        assert main(["diagnose", *args]) == 0
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -678,6 +769,21 @@ class TestArtifactFormats:
             for D, logD, d in zip(parsed["D"], parsed["logD"], result.columns["D"]):
                 assert D == d
                 assert abs(logD - math.log(D)) <= 1e-12
+
+    def test_csv_text_renders_each_value_as_fmt_and_str_do(self):
+        spec = io.TRAJECTORY_CSV
+        floats = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072009e-308,
+                  1e308, -1.7976931348623157e308, 0.1 + 0.2, 3, -7, 2**53 + 1, True,
+                  np.float64(0.1), np.float32(0.1), np.int64(-5), np.float64(-0.0)]
+        n = len(floats)
+        columns = {"k": [*range(n - 2), np.int64(2**62), True],
+                   "x": floats, "y": floats[::-1], "t": np.array(floats, dtype=float),
+                   "wall": ["", "Top", np.str_("Corner"), *(["Left"] * (n - 3))],
+                   "vx": np.array(floats[::-1], dtype=float), "vy": [np.float64(v) for v in floats]}
+        rows = zip(*(columns[name] for name in spec))
+        want = "".join(",".join(io.fmt(v) if kind is float else str(v)
+                                for v, kind in zip(row, spec.values())) + "\n" for row in rows)
+        assert io.csv_text(columns, spec) == ",".join(spec) + "\n" + want
 
     @pytest.mark.parametrize("slope", [1.414, 2.0])
     def test_svg_pattern_tiles_the_obstacle_grid(self, slope):

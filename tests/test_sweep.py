@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from windtree.billiard import ParticleState, Vec2, simulate, state_from_slope, unit
+from windtree.billiard import (
+    ParticleState,
+    TrajectoryLog,
+    Vec2,
+    simulate,
+    state_from_slope,
+    unit,
+)
 from windtree.sweep import (
+    LAG_BLOCK_ELEMENTS,
     SweepFailure,
     CorridorTruncation,
     InsufficientData,
@@ -20,7 +28,7 @@ from windtree.sweep import (
     growth_exponent,
 )
 
-from oracle import recurrence_statistic
+from oracle import recurrence_statistic, sequential_classify_motion
 
 
 class TestSweepSpec:
@@ -182,12 +190,58 @@ class TestClassifyMotion:
         with pytest.raises(InsufficientData):
             classify_motion(simulate(state_from_slope(1.414), 10))
 
+    @given(st.floats(1.0, 3.0), st.integers(50, 3000))
+    def test_block_scan_matches_the_lag_loop(self, slope, n):
+        log = simulate(state_from_slope(slope), n)
+        try:
+            want = sequential_classify_motion(log)
+        except InsufficientData:  # a corridor that truncates early
+            with pytest.raises(InsufficientData):
+                classify_motion(log)
+            return
+        assert classify_motion(log) == want
+
+    # the drift cycle repeats every `period` strikes: the scan stops there,
+    # at the seam between two blocks of lags, or past n - n // 2, where the
+    # compared tail is shorter than n // 2 and the padding is masked out
+    @pytest.mark.parametrize("n, blocks, offset", [
+        (500, 1, 0), (500, 1, 1), (500, 1, 2), (500, 2, 1), (3000, 1, 1), (3000, 2, 1)])
+    def test_block_scan_stops_at_a_block_seam(self, n, blocks, offset):
+        period = blocks * (LAG_BLOCK_ELEMENTS // (n // 2)) + offset
+        cycle = np.random.default_rng(period).uniform(0.0, 100.0, period)
+        log = _drifting_log(cycle[np.arange(n) % period])
+        motion = classify_motion(log)
+        assert motion == sequential_classify_motion(log)
+        assert motion.label is MotionLabel.QUASI_PERIODIC_DIVERGENT
+        assert (motion.evidence["quasi_period"], motion.evidence["quasi_max_dev"]) == (period, 0.0)
+
+    def test_block_scan_stops_at_the_first_lag_within_eps(self):
+        # every other cycle is raised by 0.75: lag 40 deviates by 0.75 and
+        # lag 80, in the same block of lags, by 0
+        k = np.arange(500)
+        cycle = np.random.default_rng(40).uniform(0.0, 100.0, 40)
+        log = _drifting_log(cycle[k % 40] + 0.75 * (k // 40 % 2))
+        motion = classify_motion(log)
+        assert motion == sequential_classify_motion(log)
+        assert motion.evidence["quasi_period"] == 40
+        assert abs(motion.evidence["quasi_max_dev"] - 0.75) <= 1e-12
+
     @given(st.sampled_from([1.414, 1.618, 1.732]))
     def test_mirror_invariance(self, slope):
         fwd = classify_motion(simulate(state_from_slope(slope), 500))
         mirrored_state = ParticleState(Vec2(0.0, 0.0), unit(1.0, -slope))
         mir = classify_motion(simulate(mirrored_state, 500))
         assert fwd.label is mir.label
+
+
+def _drifting_log(y):
+    """A log of strikes at x = 10, 11, ..., far enough from the start never
+    to count as a return, at heights y."""
+    n = len(y)
+    return TrajectoryLog(initial=ParticleState(Vec2(0.0, 0.0), Vec2(1.0, 0.0)),
+                         x=10.0 + np.arange(n), y=np.asarray(y, dtype=float),
+                         t=1.0 + np.arange(n), wall=np.zeros(n, dtype=np.int8),
+                         vx=np.ones(n), vy=np.zeros(n))
 
 
 class TestGrowthExponent:
