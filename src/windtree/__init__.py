@@ -9,7 +9,6 @@ from .billiard import (
     ParticleState,
     TrajectoryLog,
     Vec2,
-    Wall,
     distance_series,
     next_collision,
     simulate,
@@ -44,7 +43,7 @@ from .sweep import (
 
 __all__ = [
     "CollisionEvent", "DegenerateVelocity", "NoHitWithinHorizon",
-    "ParticleState", "TrajectoryLog", "Vec2", "Wall",
+    "ParticleState", "TrajectoryLog", "Vec2",
     "distance_series", "next_collision",
     "simulate", "state_from_angle", "state_from_slope",
     "HmmConfig", "PipelineConfig", "SimulateConfig",

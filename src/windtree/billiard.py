@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -33,17 +32,15 @@ class DegenerateVelocity(ValueError):
     """Velocity norm deviates from 1 by more than SPEED_TOL."""
 
 
-class Wall(Enum):
-    LEFT = "Left"
-    RIGHT = "Right"
-    BOTTOM = "Bottom"
-    TOP = "Top"
-    CORNER = "Corner"
-
-
-WALLS = tuple(Wall)    # wall codes (int8 columns, kernel results) index this tuple
+# The wall names; a wall code (int8 columns, kernel results) indexes this tuple.
+WALLS = ("Left", "Right", "Bottom", "Top", "Corner")
 _LEFT, _RIGHT, _BOTTOM, _TOP, _CORNER = range(len(WALLS))
 NO_HIT = -1            # wall code of a ray that met nothing within the horizon
+# Whether a strike on each wall flips (vx, vy), indexed by wall code: a side
+# flips one component and a corner retro-reflects. NO_HIT's row is last, at
+# index -1, and flips nothing.
+_FLIPS = ((True, False), (True, False), (False, True), (False, True), (True, True),
+          (False, False))
 
 
 class Vec2(NamedTuple):
@@ -80,9 +77,9 @@ class ParticleState:
             )
 
 
-def state_from_slope(slope: float, position: Vec2 = Vec2(0.0, 0.0)) -> ParticleState:
-    """Particle at `position` moving with velocity proportional to (1, slope)."""
-    return ParticleState(position=position, velocity=unit(1.0, slope))
+def state_from_slope(slope: float) -> ParticleState:
+    """Particle at the origin moving with velocity proportional to (1, slope)."""
+    return ParticleState(position=Vec2(0.0, 0.0), velocity=unit(1.0, slope))
 
 
 def state_from_angle(theta: float, position: Vec2 = Vec2(0.0, 0.0)) -> ParticleState:
@@ -92,13 +89,13 @@ def state_from_angle(theta: float, position: Vec2 = Vec2(0.0, 0.0)) -> ParticleS
 
 @dataclass(frozen=True)
 class CollisionEvent:
-    """One wall strike: where, when (cumulative path length), and how."""
+    """One wall strike: where, when (cumulative path length), and on which
+    wall, by its name in WALLS."""
 
     point: Vec2
     time: float
-    wall: Wall
+    wall: str
     obstacle_center: tuple[int, int]
-    index: int
 
 
 @dataclass(eq=False)
@@ -141,12 +138,6 @@ class TrajectoryLog:
     def __len__(self) -> int:
         return len(self.t)
 
-    def final_state(self) -> ParticleState:
-        if not len(self):
-            return self.initial
-        return ParticleState(Vec2(float(self.x[-1]), float(self.y[-1])),
-                             Vec2(float(self.vx[-1]), float(self.vy[-1])), float(self.t[-1]))
-
     def corner_count(self) -> int:
         return int(np.count_nonzero(self.wall == _CORNER))
 
@@ -174,15 +165,6 @@ def _nearest_odd_array(x) -> np.ndarray:
     d_hi = hi - x
     nearest = np.where(d_lo < d_hi, lo, np.where((d_hi < d_lo) | (x >= 0), hi, lo))
     return nearest.astype(np.int64)
-
-
-def _reflect_components(vx: float, vy: float, wall: int) -> tuple[float, float]:
-    """Specular reflection on an axis-aligned wall; corners reverse both components."""
-    if wall == _LEFT or wall == _RIGHT:
-        return -vx, vy
-    if wall == _BOTTOM or wall == _TOP:
-        return vx, -vy
-    return -vx, -vy
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +314,6 @@ def next_collision(state: ParticleState, horizon: float = DEFAULT_HORIZON) -> Co
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if abs(state.velocity.norm() - 1.0) > SPEED_TOL:
-        raise DegenerateVelocity(f"|velocity| = {state.velocity.norm()!r}")
     hit = _first_hit(state.position.x, state.position.y,
                      state.velocity.x, state.velocity.y, horizon)
     if hit is None:
@@ -346,7 +326,6 @@ def next_collision(state: ParticleState, horizon: float = DEFAULT_HORIZON) -> Co
         time=state.elapsed_time + s,
         wall=WALLS[wall],
         obstacle_center=(int(cx), int(cy)),
-        index=1,
     )
 
 
@@ -400,7 +379,9 @@ def simulate(initial: ParticleState, n_collisions: int,
             break
         s, px, py, wall = hit[:4]
         t += s
-        rx, ry = _reflect_components(vx, vy, wall)
+        flip_x, flip_y = _FLIPS[wall]
+        rx = -vx if flip_x else vx
+        ry = -vy if flip_y else vy
         n = math.hypot(rx, ry)
         vx, vy = rx / n, ry / n
         xs.append(px)
@@ -433,9 +414,7 @@ LOCKSTEP_CELLS = 4     # candidate block: the cells (a, b) ahead with a + b < th
 # the block's offsets (a, b), in cells along each axis of travel, as columns
 _BLOCK_A, _BLOCK_B = (np.array(column, dtype=float)[:, None] for column in zip(
     *[(a, b) for a in range(LOCKSTEP_CELLS) for b in range(LOCKSTEP_CELLS - a)]))
-# whether a wall code flips vx (vy); the last entry is NO_HIT's, index -1
-_FLIP_X = np.array([True, True, False, False, True, False])
-_FLIP_Y = np.array([False, False, True, True, True, False])
+_FLIP_X, _FLIP_Y = np.array(_FLIPS).T   # _FLIPS as columns, for wall code arrays
 
 
 class Rays(NamedTuple):

@@ -154,6 +154,10 @@ def cmd_fit(config: PipelineConfig, out: Path, observations: str | None) -> int:
     except (OSError, ValueError) as exc:
         return _fail(EXIT_CONFIG, f"cannot read observations {obs_path}: {exc}")
     ts, xs = obs["t"], obs["logD"]
+    if (ts[1:] <= ts[:-1]).any():
+        i = int(np.argmax(ts[1:] <= ts[:-1])) + 1
+        return _fail(EXIT_CONFIG, f"{obs_path} row t={ts[i]} is not greater than "
+                                  f"t={ts[i - 1]} of the row before it")
     if not np.isfinite(xs).all():
         i = int(np.argmin(np.isfinite(xs)))
         return _fail(EXIT_CONFIG, f"{obs_path} row t={ts[i]} has non-finite logD {xs[i]}")
@@ -194,16 +198,17 @@ def _trajectory_checks(cols, _):
     logged = (log.x, log.y, log.t, log.wall, log.vx, log.vy)
     yield "trajectory replays on the collision kernel", all(
         a.tobytes() == b.tobytes() for a, b in zip(replayed, logged))
+    return log
 
 
-def _summary_checks(summary, cols):
+def _summary_checks(summary, log):
     n = summary["n_collisions"]
-    yield "summary n_collisions counts trajectory strikes", n == len(cols["k"]) - 1
+    yield "summary n_collisions counts trajectory strikes", n == len(log)
     yield "summary truncated exactly when short of the requested collisions", (
         summary["truncated"] is (n < summary["n_collisions_requested"]))
     yield "summary truncation_reason given exactly when truncated", (
         (summary["truncation_reason"] is not None) is summary["truncated"])
-    motion, too_short = summary["motion"], len(cols["k"]) - 1 < 2 * MIN_OVERLAP
+    motion, too_short = summary["motion"], len(log) < 2 * MIN_OVERLAP
     yield f"summary motion label null exactly under {2 * MIN_OVERLAP} strikes", (
         (motion["label"] is None) is too_short)
     if motion["label"] is None or too_short:
@@ -213,7 +218,7 @@ def _summary_checks(summary, cols):
     label, evidence = MotionLabel(motion["label"]), motion["evidence"]
     yield "summary motion distances recomputed from trajectory.csv", (
         (evidence["min_return_distance"], evidence["final_distance"], evidence["max_distance"])
-        == motion_distances(io.read_trajectory(cols)))
+        == motion_distances(log))
     yield "summary motion Recurrent exactly when min_return_distance < eps_recur", (
         (label is MotionLabel.RECURRENT)
         is (evidence["min_return_distance"] < evidence["eps_recur"]))
@@ -244,6 +249,7 @@ def _model_checks(doc, _):
     trace = doc["loglik_trace"]
     yield "model loglik trace non-decreasing", all(b >= a - 1e-9
                                                    for a, b in zip(trace, trace[1:]))
+    return params, trace
 
 
 def _residuals_checks(cols, _):
@@ -252,8 +258,8 @@ def _residuals_checks(cols, _):
     yield "residuals in [0, 1]", bool(np.all((u >= 0.0) & (u <= 1.0)))
 
 
-def _residuals_model_checks(cols, doc):
-    params = hmm.HmmParams(doc["delta"], doc["gamma"], doc["mu"], doc["sigma"])
+def _residuals_model_checks(cols, model):
+    params, trace = model
     x = cols["x"]
     tables = hmm.forward_backward(params, x)
     yield "residuals u recomputed from the model", bool(
@@ -261,7 +267,7 @@ def _residuals_model_checks(cols, doc):
     # the trace ends at the parameters before the last EM update, which
     # cannot lower the likelihood
     yield "model loglik on the residual series reaches its trace", (
-        tables.log_likelihood >= doc["loglik_trace"][-1] - 1e-9)
+        tables.log_likelihood >= trace[-1] - 1e-9)
 
 
 def _histogram_checks(hist, cols):
@@ -272,6 +278,9 @@ def _histogram_checks(hist, cols):
 # artifact -> its content checks, each with the artifact it also reads, or
 # None. A check of two files comes after the later file, and runs only
 # where both parsed and the earlier file's own checks could read its fields.
+# A check yields (name, passed) pairs. What it returns, if not None, later
+# checks read of its artifact in place of the parsed document, so the
+# trajectory's log and the model's parameters are each built once.
 DIAGNOSTICS = {
     "trajectory.csv": [(None, _trajectory_checks)],
     "summary.json": [("trajectory.csv", _summary_checks)],
@@ -309,9 +318,14 @@ def cmd_diagnose(config: PipelineConfig, out: Path) -> int:
         for partner, content_checks in entries:
             if partner is not None and partner not in docs:
                 continue
+            run = content_checks(doc, docs.get(partner))
             try:
-                for check_name, ok in content_checks(doc, docs.get(partner)):
+                while True:
+                    check_name, ok = next(run)
                     checks.append((check_name, ok, ""))
+            except StopIteration as done:
+                if done.value is not None:
+                    docs[name] = done.value
             # ValueError includes DegenerateVelocity and EmptyObservations
             except (LookupError, TypeError, ValueError, hmm.NumericalUnderflow) as exc:
                 checks.append((f"{name} fields", False, f"{type(exc).__name__}: {exc}"))

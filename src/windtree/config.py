@@ -59,9 +59,6 @@ class PipelineConfig:
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
 
-    def to_doc(self) -> dict:
-        return asdict(self)
-
 
 def config_from_doc(doc: dict) -> PipelineConfig:
     """Build a config from a (possibly partial) JSON document."""
@@ -125,7 +122,7 @@ def load_config(path: str | Path | None) -> PipelineConfig:
 def apply_overrides(config: PipelineConfig, overrides: dict) -> PipelineConfig:
     """Fold command-line flags, a {field path: value} mapping such as
     {"hmm.m": 4}, over a loaded config."""
-    doc = config.to_doc()
+    doc = asdict(config)
     for path, value in overrides.items():
         *blocks, key = path.split(".")
         node = doc

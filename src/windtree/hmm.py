@@ -332,17 +332,14 @@ def forward_backward(params: HmmParams, obs: Sequence[float]) -> ForwardBackward
     )
 
 
-def posterior_pairs(params: HmmParams, obs: Sequence[float],
-                    tables: Optional[ForwardBackwardTables] = None) -> PosteriorTables:
-    """Smoothed state and pair probabilities from the scaled tables.
+def posterior_pairs(params: HmmParams, tables: ForwardBackwardTables) -> PosteriorTables:
+    """Smoothed state and pair probabilities from the scaled tables of an
+    observation sequence under `params`.
 
     pair_prob[t, j, k] = alpha_hat[t, j] gamma[j, k] p_k(x_{t+1})
     beta_hat[t+1, k] / c_{t+1}, the scaled form of the joint posterior of
     consecutive hidden states.
     """
-    if tables is None:
-        tables = forward_backward(params, obs)
-
     state = tables.alpha_hat * tables.beta_hat
     state /= state.sum(axis=1, keepdims=True)
 
@@ -417,7 +414,7 @@ def baum_welch(obs: Sequence[float], init: HmmParams, max_iters: int = 15) -> Fi
     warnings: list[str] = []
     for it in range(max_iters):
         tables = forward_backward(params, x)
-        post = posterior_pairs(params, x, tables)
+        post = posterior_pairs(params, tables)
         trace.append(tables.log_likelihood)
 
         mass = post.state_prob.sum(axis=0)

@@ -27,11 +27,6 @@ from .billiard import WALLS, ParticleState, TrajectoryLog, Vec2
 from .sweep import SweepResult
 
 
-def fmt(x: float) -> str:
-    """17-significant-digit decimal rendering, as csv_text renders floats."""
-    return f"{x:.17g}"
-
-
 # -- the codec -------------------------------------------------------------
 
 # Each CSV artifact: its header's column names, in order, and their types.
@@ -55,8 +50,8 @@ ARTIFACTS = {
 
 def csv_text(columns: dict, spec: dict) -> str:
     """CSV text of `columns` (name -> sequence), one row per index, under
-    the header of `spec`: floats as `fmt` renders them, other values as
-    `str` does, each row through one %-template."""
+    the header of `spec`: floats with 17 significant digits ("%.17g"),
+    other values as `str` does, each row through one %-template."""
     template = ",".join("%.17g" if kind is float else "%s" for kind in spec.values())
     rows = zip(*(v.tolist() if isinstance(v, np.ndarray) else v
                  for v in (columns[name] for name in spec)), strict=True)
@@ -132,9 +127,6 @@ def atomic_write(text: str, path: Path | str) -> None:
 
 # -- trajectory ------------------------------------------------------------
 
-_WALL_NAMES = [w.value for w in WALLS]
-
-
 def trajectory_columns(log: TrajectoryLog) -> dict:
     """The trajectory.csv columns of a log: the initial state as row k=0
     (wall ''), then one row per strike with its post-bounce velocity."""
@@ -144,7 +136,7 @@ def trajectory_columns(log: TrajectoryLog) -> dict:
         "x": [init.position.x, *log.x.tolist()],
         "y": [init.position.y, *log.y.tolist()],
         "t": [init.elapsed_time, *log.t.tolist()],
-        "wall": ["", *(_WALL_NAMES[c] for c in log.wall.tolist())],
+        "wall": ["", *(WALLS[c] for c in log.wall.tolist())],
         "vx": [init.velocity.x, *log.vx.tolist()],
         "vy": [init.velocity.y, *log.vy.tolist()],
     }
@@ -166,7 +158,7 @@ def read_trajectory(cols: dict) -> TrajectoryLog:
         x=x[1:],
         y=y[1:],
         t=t[1:],
-        wall=np.array([_WALL_NAMES.index(w) for w in cols["wall"][1:]], dtype=np.int8),
+        wall=np.array([WALLS.index(w) for w in cols["wall"][1:]], dtype=np.int8),
         vx=vx[1:],
         vy=vy[1:],
     )

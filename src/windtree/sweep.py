@@ -82,10 +82,6 @@ class SweepSpec:
             raise ValueError(f"t must be in [1, {self.count}]")
         return self.slope_start + (t - 1) * self.slope_step
 
-    @property
-    def end_slope(self) -> float:
-        return self.slope_at(self.count)
-
 
 @dataclass(frozen=True)
 class SweepFailure:

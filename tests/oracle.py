@@ -17,6 +17,8 @@ this recursion holds O(T m) numbers.
 Two references run on the production scalar kernel instead: the one-slope
 recurrence statistic on `simulate`, which the lockstep sweep must match
 bit for bit, and the interpolated position along a logged trajectory.
+`final_state` reads a log's last post-bounce state, and `fmt` is the
+per-value rendering that `io.csv_text`'s row template must reproduce.
 
 `classify_motion` computes the deviations of a block of lags at once,
 from a zero-padded copy of the y series under a mask; the per-lag loop it
@@ -27,7 +29,7 @@ import math
 
 import numpy as np
 
-from windtree.billiard import Vec2, distance_series, simulate, state_from_slope
+from windtree.billiard import ParticleState, Vec2, distance_series, simulate, state_from_slope
 from windtree.hmm import NumericalUnderflow, _density_matrix
 from windtree.sweep import (
     EPS_QUASI,
@@ -167,6 +169,19 @@ def recurrence_statistic(slope, spec, t=1):
     return {"t": t, "slope": slope, "D": dmin, "logD": math.log(dmin)}
 
 
+def fmt(x: float) -> str:
+    """17-significant-digit decimal rendering of one float."""
+    return f"{x:.17g}"
+
+
+def final_state(log) -> ParticleState:
+    """The particle state after a log's last strike, or its initial state."""
+    if not len(log):
+        return log.initial
+    return ParticleState(Vec2(float(log.x[-1]), float(log.y[-1])),
+                         Vec2(float(log.vx[-1]), float(log.vy[-1])), float(log.t[-1]))
+
+
 def position_at_time(log, t):
     """Position at path-time t, linearly interpolated between logged events.
 
@@ -180,7 +195,7 @@ def position_at_time(log, t):
     else:
         px, py, pt = float(log.x[i - 1]), float(log.y[i - 1]), float(log.t[i - 1])
     if i == len(log):
-        v = log.final_state().velocity
+        v = final_state(log).velocity
         dt = t - pt
         return Vec2(px + dt * v.x, py + dt * v.y)
     seg = float(log.t[i]) - pt

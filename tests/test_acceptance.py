@@ -29,7 +29,7 @@ from windtree.hmm import (
 )
 from windtree.sweep import MotionLabel, classify_motion, estimate_diffusion_exponent
 
-from oracle import march_first_hit, position_at_time
+from oracle import final_state, march_first_hit, position_at_time
 from test_hmm import enumerate_paths, random_params
 
 PUBLISHED_MEANS = (-0.613, 1.9753, 4.7825)
@@ -62,7 +62,7 @@ def test_criterion_1_geometry_oracle():
         s, ox, oy, wall, _, _ = oracle
         err = math.hypot(event.point.x - ox, event.point.y - oy)
         worst = max(worst, err)
-        if err > 1e-6 or event.wall.value != wall:
+        if err > 1e-6 or event.wall != wall:
             mismatches += 1
     elapsed = time.perf_counter() - started
     report(1, "geometry vs ray-marching oracle",
@@ -77,7 +77,7 @@ def test_criterion_2_conservation_and_reversal():
     speed_err = float(np.abs(np.hypot(log.vx, log.vy) - 1.0).max())
 
     fwd = simulate(state_from_slope(1.414), 50)
-    final = fwd.final_state()
+    final = final_state(fwd)
     back = simulate(
         ParticleState(final.position, Vec2(-final.velocity.x, -final.velocity.y)), 50)
     recovered = position_at_time(back, final.elapsed_time)
@@ -101,7 +101,7 @@ def test_criterion_3_forward_backward_vs_enumeration():
                 obs = rng.normal(0.0, 2.0, T)
                 L, state, pair = enumerate_paths(params, obs)
                 tables = forward_backward(params, obs)
-                post = posterior_pairs(params, obs, tables)
+                post = posterior_pairs(params, tables)
                 rel = abs(tables.log_likelihood - math.log(L)) / max(1.0, abs(math.log(L)))
                 worst_ll = max(worst_ll, rel)
                 if T > 1:
@@ -145,7 +145,7 @@ def test_criterion_5_reference_fit_reproduction(reference_series, reference_fit)
 
     # hard requirement: three well-separated, genuinely occupied states
     gaps = np.diff(p.mu)
-    masses = posterior_pairs(p, reference_series).state_prob.sum(axis=0)
+    masses = posterior_pairs(p, forward_backward(p, reference_series)).state_prob.sum(axis=0)
     three_clusters = bool(np.all(gaps >= 1.0) and np.all(masses >= 3.0))
 
     detail = (f"means {np.round(p.mu, 4).tolist()}, sigmas "

@@ -5,10 +5,11 @@ runs: every CLI command it would send must parse, and every config file it
 writes must load. One iteration of the pipeline, trajectory and fit
 workloads runs as bench/run.py runs it, and every operation must pass the
 workload's own check of its output, which reads artifact fields such as
-summary.json's n_collisions and model.json's m. The API the benchmark calls
-directly runs once on a tiny input: the exponent workload's layer probe,
-and one sweep and one trajectory under the span tracer, whose counters read
-the results. A key, flag, field or name the benchmark uses and the program
+summary.json's n_collisions and model.json's m. The exponent workload runs
+one iteration at 10^4 collisions per direction, where the benchmark runs
+2 * 10^4. The API the benchmark calls directly runs once on a tiny input:
+the exponent workload's layer probe, and one sweep and one trajectory under
+the span tracer, whose counters read the results. A key, flag, field or name the benchmark uses and the program
 no longer has fails here, not in a benchmark run.
 """
 
@@ -51,6 +52,16 @@ def test_workload_iteration_passes_its_checks(tmp_path, bench_path, name):
     import workloads
 
     _, errors = run.run_iteration(workloads.WORKLOADS[name](ROOT, 0, tmp_path))
+    assert errors == []
+
+
+def test_exponent_iteration_passes_its_checks(tmp_path, bench_path, monkeypatch):
+    import run
+    import workloads
+
+    # the fewest collisions estimate_diffusion_exponent accepts
+    monkeypatch.setattr(workloads, "EXP_COLLISIONS", 10_000)
+    _, errors = run.run_iteration(workloads.Exponent(ROOT, 0, tmp_path))
     assert errors == []
 
 

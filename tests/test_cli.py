@@ -7,16 +7,19 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from windtree import io, svg
+from windtree import hmm, io, svg
 from windtree.billiard import simulate, state_from_slope
 from windtree.cli import build_parser, main
 from windtree.config import PipelineConfig, config_from_doc
 from windtree.sweep import SweepSpec, build_sweep
+
+from oracle import fmt
 
 # SHA-256 of the `simulate --collisions 500` artifacts; 1.464 has 5 corner
 # events. The summary.json digests were taken when it dropped the fields
@@ -76,7 +79,7 @@ SMALL_CONFIG = {
 
 def config_keys(doc=None, prefix=""):
     """Every config key as a dotted path, with its default value."""
-    doc = PipelineConfig().to_doc() if doc is None else doc
+    doc = asdict(PipelineConfig()) if doc is None else doc
     keys = {}
     for key, value in doc.items():
         keys.update(config_keys(value, f"{prefix}{key}.") if isinstance(value, dict)
@@ -297,6 +300,22 @@ class TestFitCommand:
         assert captured.err == ""
         assert not (sweep_dir / "model.json").exists()
 
+    def test_unordered_t_is_config_error(self, sweep_dir, capsys):
+        path = sweep_dir / "sweep.csv"
+        lines = path.read_text().splitlines()
+        assert lines[2].startswith("2,") and lines[3].startswith("3,")
+        lines[2], lines[3] = lines[3], lines[2]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["fit", "--out", str(sweep_dir)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {
+            "error": f"{path} row t=2 is not greater than t=3 of the row before it",
+            "exit_code": 2}
+        assert captured.err == ""
+        assert sorted(p.name for p in sweep_dir.iterdir()) == [
+            "config.json", "sweep.csv", "sweep_meta.json"]
+
     def test_malformed_csv_is_config_error(self, tmp_path):
         bad = tmp_path / "sweep.csv"
         bad.write_text("a,b\n1,2\n")
@@ -345,7 +364,7 @@ class TestDiagnoseCommand:
         path = tmp_path / "trajectory.csv"
         lines = path.read_text().splitlines()
         *rest, vx, vy = lines[line].split(",")
-        lines[line] = ",".join([*rest, io.fmt(float(vx) * 1.01), vy])
+        lines[line] = ",".join([*rest, fmt(float(vx) * 1.01), vy])
         path.write_text("\n".join(lines) + "\n")
         assert main(["diagnose", "--out", str(tmp_path)]) == 4
         assert "FAIL trajectory speeds unit" in capsys.readouterr().out
@@ -386,6 +405,23 @@ class TestDiagnoseCommand:
                             lambda text, spec: calls.append(spec) or parse_csv(text, spec))
         assert main(["diagnose", "--out", str(tmp_path)]) == 0
         assert calls == [io.TRAJECTORY_CSV]
+
+    def test_log_and_model_are_built_once(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        # enough strikes for a motion label, whose distances read the log too
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path),
+                     "--collisions", "60"]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 0
+        calls = []
+        for module, name in [(io, "read_trajectory"), (hmm, "HmmParams")]:
+            built = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, built=built, name=name: (
+                calls.append(name) or built(*args)))
+        capsys.readouterr()
+        assert main(["diagnose", "--out", str(tmp_path)]) == 0
+        assert "all 32 diagnostics passed" in capsys.readouterr().out
+        assert sorted(calls) == ["HmmParams", "read_trajectory"]
 
     @pytest.mark.parametrize("name, key, fault", [
         *((name, key, fault) for fault in ("not_json", "missing_key")
@@ -545,8 +581,8 @@ class TestDiagnoseCommand:
         path = tmp_path / "residuals.csv"
         lines = path.read_text().splitlines()
         t, x, u = lines[2].split(",")
-        lines[2] = ",".join([t, x, io.fmt(float(u) + 1e-10)] if edit == "u"
-                            else [t, io.fmt(1e6), u])
+        lines[2] = ",".join([t, x, fmt(float(u) + 1e-10)] if edit == "u"
+                            else [t, fmt(1e6), u])
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 4
@@ -581,7 +617,7 @@ class TestDiagnoseCommand:
         row = lines[-1].split(",")
         column = {"csv_x": 1, "csv_vx": 5}[edit]
         value = float(row[column])
-        row[column] = io.fmt(value + 1e-6 if edit == "csv_x" else value * 1.0000001)
+        row[column] = fmt(value + 1e-6 if edit == "csv_x" else value * 1.0000001)
         lines[-1] = ",".join(row)
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
@@ -728,7 +764,7 @@ class TestConfigHandling:
 
     def test_checked_in_reference_config_is_the_defaults(self):
         path = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
-        assert json.loads(path.read_text()) == PipelineConfig().to_doc()
+        assert json.loads(path.read_text()) == asdict(PipelineConfig())
 
     def test_defaults_are_the_reference_pipeline(self):
         config = PipelineConfig()
@@ -781,7 +817,7 @@ class TestArtifactFormats:
                    "wall": ["", "Top", np.str_("Corner"), *(["Left"] * (n - 3))],
                    "vx": np.array(floats[::-1], dtype=float), "vy": [np.float64(v) for v in floats]}
         rows = zip(*(columns[name] for name in spec))
-        want = "".join(",".join(io.fmt(v) if kind is float else str(v)
+        want = "".join(",".join(fmt(v) if kind is float else str(v)
                                 for v, kind in zip(row, spec.values())) + "\n" for row in rows)
         assert io.csv_text(columns, spec) == ",".join(spec) + "\n" + want
 
@@ -826,7 +862,7 @@ class TestArtifactFormats:
     def test_fmt_keeps_17_significant_digits(self):
         values = [math.pi, 1.0 / 3.0, 1234567.89012345, 5e-324, -0.0]
         for v in values:
-            assert float(io.fmt(v)) == v
+            assert float(fmt(v)) == v
 
     def test_json_text_idempotent(self, tmp_path):
         doc = {"a": [1.0, math.pi], "b": {"c": "x"}}

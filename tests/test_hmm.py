@@ -309,19 +309,19 @@ class TestPosteriorPairs:
             p = random_params(rng, 2)
             obs = rng.normal(0, 2, 3)
             _, state, pair = enumerate_paths(p, obs)
-            post = posterior_pairs(p, obs)
+            post = posterior_pairs(p, forward_backward(p, obs))
             np.testing.assert_allclose(post.state_prob, state, atol=1e-12)
             np.testing.assert_allclose(post.pair_prob, pair, atol=1e-12)
 
     def test_single_state_posteriors_are_one(self):
         p = HmmParams([1.0], [[1.0]], [0.0], [1.0])
-        post = posterior_pairs(p, [0.1, -0.4, 2.0])
+        post = posterior_pairs(p, forward_backward(p, [0.1, -0.4, 2.0]))
         np.testing.assert_allclose(post.state_prob, 1.0)
         np.testing.assert_allclose(post.pair_prob, 1.0)
 
     def test_absorbing_identity_chain(self):
         p = HmmParams([1.0, 0.0], np.eye(2), [0.0, 10.0], [1.0, 1.0])
-        post = posterior_pairs(p, [0.1, -0.2, 0.3])
+        post = posterior_pairs(p, forward_backward(p, [0.1, -0.2, 0.3]))
         np.testing.assert_allclose(post.state_prob[:, 0], 1.0, atol=1e-15)
 
     def test_reuses_the_tables_densities(self, monkeypatch):
@@ -329,16 +329,16 @@ class TestPosteriorPairs:
         p = random_params(rng, 3)
         obs = rng.normal(0, 2, 30)
         tables = forward_backward(p, obs)
-        want = posterior_pairs(p, obs, tables)
+        want = posterior_pairs(p, tables)
         monkeypatch.setattr(hmm, "_density_matrix", None)
-        got = posterior_pairs(p, obs, tables)
+        got = posterior_pairs(p, tables)
         np.testing.assert_array_equal(got.pair_prob, want.pair_prob)
 
     def test_pair_marginalizes_to_state(self):
         rng = np.random.default_rng(13)
         p = random_params(rng, 3)
         obs = rng.normal(0, 2, 30)
-        post = posterior_pairs(p, obs)
+        post = posterior_pairs(p, forward_backward(p, obs))
         np.testing.assert_allclose(
             post.pair_prob.sum(axis=2), post.state_prob[:-1], atol=1e-9)
 
@@ -410,7 +410,7 @@ class TestBaumWelch:
         obs = rng.normal(0, 1, 50)
         init = default_init(obs, 2)
         report = baum_welch(obs, init, max_iters=1)
-        first = posterior_pairs(init, obs).state_prob[0]
+        first = posterior_pairs(init, forward_backward(init, obs)).state_prob[0]
         np.testing.assert_allclose(report.params.delta, first[list(report.state_order)],
                                    rtol=0, atol=1e-15)
         assert not np.allclose(report.params.delta, init.delta)

@@ -36,7 +36,7 @@ class TestSweepSpec:
         spec = SweepSpec()
         assert spec.count == 300
         assert spec.slope_at(1) == 1.4140
-        assert abs(spec.end_slope - 2.1615) <= 1e-12
+        assert abs(spec.slope_at(spec.count) - 2.1615) <= 1e-12
         assert abs(spec.slope_at(2) - 1.4165) <= 1e-12
 
     def test_grid_is_index_based(self):
