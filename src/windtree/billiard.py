@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -168,10 +169,16 @@ def _nearest_odd_array(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# First-hit search: incremental walk over period-2 cells in ray order.
+# The strike walk: incremental walk over period-2 cells in ray order.
 # Each cell holds exactly one obstacle, strictly inside the cell with a 0.5
 # margin, so testing cells in entry order yields the globally first hit.
 # ---------------------------------------------------------------------------
+
+def _check_horizon(horizon) -> None:
+    """Reject a horizon that is not positive (NaN included); inf is allowed."""
+    if not horizon > 0:
+        raise ValueError("horizon must be positive")
+
 
 def _first_odd_at_least(z: float) -> float:
     return 2.0 * math.ceil((z - 1.0) / 2.0) + 1.0
@@ -181,94 +188,151 @@ def _last_odd_at_most(z: float) -> float:
     return 2.0 * math.floor((z - 1.0) / 2.0) + 1.0
 
 
-def _first_hit(px, py, vx, vy, horizon):
-    """First obstacle intersection of the ray from (px, py) along (vx, vy).
+def _strikes(px, py, vx, vy, horizon):
+    """The wall strikes of the ray from (px, py) along (vx, vy), in order.
 
-    Returns (s, hx, hy, wall, cx, cy) with s the path length, (hx, hy) the
-    hit point snapped onto the wall plane, wall a code indexing WALLS and
-    (cx, cy) the obstacle center as floats, or None when nothing is struck
-    within the horizon. Flights shorter than MIN_FLIGHT are ignored so the
-    wall just departed is never re-hit; tangent grazes do not count as hits.
+    Yields (s, hx, hy, wall, vx, vy) for each strike: the path length s from
+    the previous strike (from the start, for the first), the hit point
+    snapped onto the wall plane, the wall code (an index into WALLS) and the
+    velocity after the bounce, renormalized through math.hypot. Stops when
+    nothing is struck within path length `horizon` of the last strike; the
+    caller checks the horizon, as a generator's body runs only once it is
+    advanced. Flights shorter than MIN_FLIGHT are ignored so the wall just
+    departed is never re-hit; tangent grazes do not count as hits.
+
+    Two facts save work after the first strike:
+      - the walk starts in the cell of the obstacle just struck, on its
+        wall and moving away (t_far <= 0), so it steps past that cell
+        without testing it;
+      - once hypot returns exactly 1.0, every later bounce only flips signs
+        of a velocity whose hypot is 1.0 and divides by 1.0, so hypot is
+        skipped from then on.
     """
-    # Axis-parallel rays stay in one row/column: resolve in closed form.
-    if vy == 0.0:
-        cy = 2.0 * math.floor(py * 0.5) + 1.0
-        if not (cy - 0.5 < py < cy + 0.5):
-            return None  # corridor between obstacle rows
-        if vx > 0.0:
-            cx = _first_odd_at_least(px + 0.5 + MIN_FLIGHT)
-            hx, wall = cx - 0.5, _LEFT
+    test_start = True  # false once the start cell holds the obstacle just struck
+    unit_norm = False  # hypot has returned exactly 1.0
+    while True:
+        # Axis-parallel rays stay in one row/column: resolve in closed form.
+        if vy == 0.0:
+            cy = 2.0 * math.floor(py * 0.5) + 1.0
+            if not (cy - 0.5 < py < cy + 0.5):
+                return  # corridor between obstacle rows
+            if vx > 0.0:
+                cx = _first_odd_at_least(px + 0.5 + MIN_FLIGHT)
+                hx, wall = cx - 0.5, _LEFT
+            else:
+                cx = _last_odd_at_most(px - 0.5 - MIN_FLIGHT)
+                hx, wall = cx + 0.5, _RIGHT
+            s = (hx - px) / vx
+            if s > horizon:
+                return
+            hy, wall = py, _classify_flat(wall, py, cy)
+        elif vx == 0.0:
+            cx = 2.0 * math.floor(px * 0.5) + 1.0
+            if not (cx - 0.5 < px < cx + 0.5):
+                return
+            if vy > 0.0:
+                cy = _first_odd_at_least(py + 0.5 + MIN_FLIGHT)
+                hy, wall = cy - 0.5, _BOTTOM
+            else:
+                cy = _last_odd_at_most(py - 0.5 - MIN_FLIGHT)
+                hy, wall = cy + 0.5, _TOP
+            s = (hy - py) / vy
+            if s > horizon:
+                return
+            hx, wall = px, _classify_flat(wall, px, cx)
         else:
-            cx = _last_odd_at_most(px - 0.5 - MIN_FLIGHT)
-            hx, wall = cx + 0.5, _RIGHT
-        s = (hx - px) / vx
-        if s > horizon:
-            return None
-        return s, hx, py, _classify_flat(wall, py, cy), cx, cy
-    if vx == 0.0:
-        cx = 2.0 * math.floor(px * 0.5) + 1.0
-        if not (cx - 0.5 < px < cx + 0.5):
-            return None
-        if vy > 0.0:
-            cy = _first_odd_at_least(py + 0.5 + MIN_FLIGHT)
-            hy, wall = cy - 0.5, _BOTTOM
-        else:
-            cy = _last_odd_at_most(py - 0.5 - MIN_FLIGHT)
-            hy, wall = cy + 0.5, _TOP
-        s = (hy - py) / vy
-        if s > horizon:
-            return None
-        return s, px, hy, _classify_flat(wall, px, cx), cx, cy
+            inv_vx = 1.0 / vx
+            inv_vy = 1.0 / vy
+            ix = math.floor(px * 0.5)
+            iy = math.floor(py * 0.5)
+            if vx > 0.0:
+                step_x, t_max_x = 1, (2.0 * ix + 2.0 - px) * inv_vx
+            else:
+                step_x, t_max_x = -1, (2.0 * ix - px) * inv_vx
+            if vy > 0.0:
+                step_y, t_max_y = 1, (2.0 * iy + 2.0 - py) * inv_vy
+            else:
+                step_y, t_max_y = -1, (2.0 * iy - py) * inv_vy
+            t_delta_x = abs(2.0 * inv_vx)
+            t_delta_y = abs(2.0 * inv_vy)
 
-    inv_vx = 1.0 / vx
-    inv_vy = 1.0 / vy
-    ix = math.floor(px * 0.5)
-    iy = math.floor(py * 0.5)
-    if vx > 0.0:
-        step_x, t_max_x = 1, (2.0 * ix + 2.0 - px) * inv_vx
-    else:
-        step_x, t_max_x = -1, (2.0 * ix - px) * inv_vx
-    if vy > 0.0:
-        step_y, t_max_y = 1, (2.0 * iy + 2.0 - py) * inv_vy
-    else:
-        step_y, t_max_y = -1, (2.0 * iy - py) * inv_vy
-    t_delta_x = abs(2.0 * inv_vx)
-    t_delta_y = abs(2.0 * inv_vy)
+            test = test_start
+            while True:
+                if test:
+                    cx = 2.0 * ix + 1.0
+                    cy = 2.0 * iy + 1.0
+                    tx1 = (cx - 0.5 - px) * inv_vx
+                    tx2 = (cx + 0.5 - px) * inv_vx
+                    if tx1 > tx2:
+                        tx1, tx2 = tx2, tx1
+                    ty1 = (cy - 0.5 - py) * inv_vy
+                    ty2 = (cy + 0.5 - py) * inv_vy
+                    if ty1 > ty2:
+                        ty1, ty2 = ty2, ty1
+                    t_near = tx1 if tx1 > ty1 else ty1
+                    t_far = tx2 if tx2 < ty2 else ty2
+                    # strict t_near < t_far drops tangencies (zero normal velocity)
+                    if MIN_FLIGHT <= t_near < t_far and t_near <= horizon:
+                        break
+                test = True
+                if t_max_x < t_max_y:
+                    t_entry = t_max_x
+                    t_max_x += t_delta_x
+                    ix += step_x
+                elif t_max_y < t_max_x:
+                    t_entry = t_max_y
+                    t_max_y += t_delta_y
+                    iy += step_y
+                else:
+                    # exact cell-corner crossing: obstacles sit 0.5 inside each
+                    # cell, so skipping the two side cells cannot miss a hit
+                    t_entry = t_max_x
+                    t_max_x += t_delta_x
+                    t_max_y += t_delta_y
+                    ix += step_x
+                    iy += step_y
+                if t_entry > horizon:
+                    return
 
-    t_entry = 0.0
-    while t_entry <= horizon:
-        cx = 2.0 * ix + 1.0
-        cy = 2.0 * iy + 1.0
-        tx1 = (cx - 0.5 - px) * inv_vx
-        tx2 = (cx + 0.5 - px) * inv_vx
-        if tx1 > tx2:
-            tx1, tx2 = tx2, tx1
-        ty1 = (cy - 0.5 - py) * inv_vy
-        ty2 = (cy + 0.5 - py) * inv_vy
-        if ty1 > ty2:
-            ty1, ty2 = ty2, ty1
-        t_near = tx1 if tx1 > ty1 else ty1
-        t_far = tx2 if tx2 < ty2 else ty2
-        # strict t_near < t_far drops tangencies (zero normal velocity)
-        if MIN_FLIGHT <= t_near < t_far and t_near <= horizon:
-            return _classify_hit(px, py, vx, vy, t_near, tx1, ty1, cx, cy)
-        if t_max_x < t_max_y:
-            t_entry = t_max_x
-            t_max_x += t_delta_x
-            ix += step_x
-        elif t_max_y < t_max_x:
-            t_entry = t_max_y
-            t_max_y += t_delta_y
-            iy += step_y
+            # snap the hit onto its wall plane and label it, promoting
+            # near-corner hits
+            s = t_near
+            if tx1 > ty1:
+                hx = cx - 0.5 if vx > 0.0 else cx + 0.5
+                hy = py + s * vy
+                wall = _LEFT if vx > 0.0 else _RIGHT
+                lo, hi = cy - 0.5, cy + 0.5
+                if abs(hy - lo) <= CORNER_TOL:
+                    hy, wall = lo, _CORNER
+                elif abs(hy - hi) <= CORNER_TOL:
+                    hy, wall = hi, _CORNER
+            elif ty1 > tx1:
+                hy = cy - 0.5 if vy > 0.0 else cy + 0.5
+                hx = px + s * vx
+                wall = _BOTTOM if vy > 0.0 else _TOP
+                lo, hi = cx - 0.5, cx + 0.5
+                if abs(hx - lo) <= CORNER_TOL:
+                    hx, wall = lo, _CORNER
+                elif abs(hx - hi) <= CORNER_TOL:
+                    hx, wall = hi, _CORNER
+            else:
+                # entry exactly through a corner point
+                hx = cx - 0.5 if vx > 0.0 else cx + 0.5
+                hy = cy - 0.5 if vy > 0.0 else cy + 0.5
+                wall = _CORNER
+
+        flip_x, flip_y = _FLIPS[wall]
+        rx = -vx if flip_x else vx
+        ry = -vy if flip_y else vy
+        if unit_norm:
+            vx, vy = rx, ry
         else:
-            # exact cell-corner crossing: obstacles sit 0.5 inside each cell,
-            # so skipping the two side cells cannot miss a hit
-            t_entry = t_max_x
-            t_max_x += t_delta_x
-            t_max_y += t_delta_y
-            ix += step_x
-            iy += step_y
-    return None
+            n = math.hypot(rx, ry)
+            vx, vy = rx / n, ry / n
+            unit_norm = n == 1.0
+        yield s, hx, hy, wall, vx, vy
+        px, py = hx, hy
+        test_start = False
 
 
 def _classify_flat(wall, coord, center):
@@ -278,54 +342,27 @@ def _classify_flat(wall, coord, center):
     return _CORNER if (near_lo or near_hi) else wall
 
 
-def _classify_hit(px, py, vx, vy, s, tx1, ty1, cx, cy):
-    """Snap the hit onto its wall plane and label it, promoting near-corner hits."""
-    if tx1 > ty1:
-        hx = cx - 0.5 if vx > 0.0 else cx + 0.5
-        hy = py + s * vy
-        wall = _LEFT if vx > 0.0 else _RIGHT
-        lo, hi = cy - 0.5, cy + 0.5
-        if abs(hy - lo) <= CORNER_TOL:
-            hy, wall = lo, _CORNER
-        elif abs(hy - hi) <= CORNER_TOL:
-            hy, wall = hi, _CORNER
-    elif ty1 > tx1:
-        hy = cy - 0.5 if vy > 0.0 else cy + 0.5
-        hx = px + s * vx
-        wall = _BOTTOM if vy > 0.0 else _TOP
-        lo, hi = cx - 0.5, cx + 0.5
-        if abs(hx - lo) <= CORNER_TOL:
-            hx, wall = lo, _CORNER
-        elif abs(hx - hi) <= CORNER_TOL:
-            hx, wall = hi, _CORNER
-    else:
-        # entry exactly through a corner point
-        hx = cx - 0.5 if vx > 0.0 else cx + 0.5
-        hy = cy - 0.5 if vy > 0.0 else cy + 0.5
-        wall = _CORNER
-    return s, hx, hy, wall, cx, cy
-
-
 def next_collision(state: ParticleState, horizon: float = DEFAULT_HORIZON) -> CollisionEvent:
     """First wall strike of the ray from `state`, or NoHitWithinHorizon.
 
     If the position lies on an obstacle wall, that wall is excluded from
     candidacy at path length < MIN_FLIGHT.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    hit = _first_hit(state.position.x, state.position.y,
-                     state.velocity.x, state.velocity.y, horizon)
+    _check_horizon(horizon)
+    hit = next(_strikes(state.position.x, state.position.y,
+                        state.velocity.x, state.velocity.y, horizon), None)
     if hit is None:
         raise NoHitWithinHorizon(
             f"no obstacle within path length {horizon:g} from {tuple(state.position)}"
         )
-    s, hx, hy, wall, cx, cy = hit
+    s, hx, hy, wall = hit[:4]
     return CollisionEvent(
         point=Vec2(hx, hy),
         time=state.elapsed_time + s,
         wall=WALLS[wall],
-        obstacle_center=(int(cx), int(cy)),
+        # a hit point lies on its obstacle's wall, so its cell is the walk's
+        # floor(p / 2) on each axis, without ties
+        obstacle_center=(2 * math.floor(hx * 0.5) + 1, 2 * math.floor(hy * 0.5) + 1),
     )
 
 
@@ -364,37 +401,20 @@ def simulate(initial: ParticleState, n_collisions: int,
     """
     if n_collisions < 0:
         raise ValueError("n_collisions must be >= 0")
+    _check_horizon(horizon)
     px, py = initial.position
     if point_in_obstacle(px, py, shrink=WALL_TOL):
         raise ValueError(f"initial position {tuple(initial.position)} is inside an obstacle")
     vx, vy = _normalize_on_wall(px, py, initial.velocity.x, initial.velocity.y)
-    t = initial.elapsed_time
-
-    xs, ys, ts, walls, vxs, vys = [], [], [], [], [], []
-    reason = None
-    for k in range(1, n_collisions + 1):
-        hit = _first_hit(px, py, vx, vy, horizon)
-        if hit is None:
-            reason = truncation_reason(horizon, k - 1)
-            break
-        s, px, py, wall = hit[:4]
-        t += s
-        flip_x, flip_y = _FLIPS[wall]
-        rx = -vx if flip_x else vx
-        ry = -vy if flip_y else vy
-        n = math.hypot(rx, ry)
-        vx, vy = rx / n, ry / n
-        xs.append(px)
-        ys.append(py)
-        ts.append(t)
-        walls.append(wall)
-        vxs.append(vx)
-        vys.append(vy)
+    strikes = chain.from_iterable(islice(_strikes(px, py, vx, vy, horizon), n_collisions))
+    s, x, y, wall, vx, vy = np.fromiter(strikes, float).reshape(-1, 6).T.copy()
+    # the running sum from the initial time, one addition per strike
+    t = np.add.accumulate(np.concatenate([[initial.elapsed_time], s]))[1:]
+    truncated = len(s) < n_collisions
     return TrajectoryLog(
-        initial=initial, x=np.array(xs, dtype=float), y=np.array(ys, dtype=float),
-        t=np.array(ts, dtype=float), wall=np.array(walls, dtype=np.int8),
-        vx=np.array(vxs, dtype=float), vy=np.array(vys, dtype=float),
-        truncated=reason is not None, truncation_reason=reason,
+        initial=initial, x=x, y=y, t=t, wall=wall.astype(np.int8), vx=vx, vy=vy,
+        truncated=truncated,
+        truncation_reason=truncation_reason(horizon, len(s)) if truncated else None,
     )
 
 
@@ -438,7 +458,7 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
     Instead of walking cells in order, each ray tests one fixed block of
     candidate obstacles at once: the cells a steps along x and b steps along
     y ahead of its start cell, in its direction of travel, with a, b >= 0
-    and a + b < LOCKSTEP_CELLS. The slab times are _first_hit's expressions,
+    and a + b < LOCKSTEP_CELLS. The slab times are _strikes' expressions,
     and the ray takes the valid candidate with the smallest t_near. This is
     the walk's first hit:
       - a valid candidate is an obstacle the ray really crosses, so the
@@ -453,6 +473,7 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
     small (zero, say) that 1/vx * 1/vy is not finite, are finished by the
     scalar walk from the same state, which gives the same answer.
     """
+    _check_horizon(horizon)
     x, y, vx, vy, t = rays
     n = len(x)
     # inf and nan arise only on rays the scalar walk finishes, or exactly as
@@ -463,7 +484,7 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
         step_x = np.where(vx > 0.0, 1.0, -1.0)
         step_y = np.where(vy > 0.0, 1.0, -1.0)
         # (block, ray) arrays; the near plane of a cell is its center minus
-        # half a step, which is _first_hit's swapped slab bound bitwise
+        # half a step, which is _strikes' swapped slab bound bitwise
         cx = 2.0 * (np.floor(x * 0.5) + _BLOCK_A * step_x) + 1.0
         cy = 2.0 * (np.floor(y * 0.5) + _BLOCK_B * step_y) + 1.0
         half_x = 0.5 * step_x
@@ -472,7 +493,7 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
         tx2 = (cx + half_x - x) * inv_vx
         ty1 = (cy - half_y - y) * inv_vy
         ty2 = (cy + half_y - y) * inv_vy
-        # np.maximum and np.minimum differ from _first_hit's comparisons only
+        # np.maximum and np.minimum differ from _strikes' comparisons only
         # on nan and signed zeros, which no valid candidate has
         t_near = np.maximum(tx1, ty1)
         valid = ((MIN_FLIGHT <= t_near) & (t_near < np.minimum(tx2, ty2))
@@ -485,7 +506,8 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
         hx, hy, walls = _classify_hits(x, y, vx, vy, s, tx1.take(first), ty1.take(first),
                                        cx.take(first), cy.take(first))
     for i in np.flatnonzero(~walked):
-        hit = _first_hit(float(x[i]), float(y[i]), float(vx[i]), float(vy[i]), horizon)
+        hit = next(_strikes(float(x[i]), float(y[i]), float(vx[i]), float(vy[i]), horizon),
+                   None)
         if hit is None:
             s[i], hx[i], hy[i], walls[i] = 0.0, x[i], y[i], NO_HIT
         else:
@@ -507,7 +529,8 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
 
 
 def _classify_hits(x, y, vx, vy, s, tx1, ty1, cx, cy):
-    """_classify_hit elementwise: the snapped hit points and the wall codes."""
+    """_strikes' snapping and labelling of a hit, elementwise: the snapped hit
+    points and the wall codes."""
     vertical = tx1 > ty1
     horizontal = ty1 > tx1
     # through the corner point itself when neither

@@ -65,6 +65,15 @@ def test_exponent_iteration_passes_its_checks(tmp_path, bench_path, monkeypatch)
     assert errors == []
 
 
+def test_exponent_estimate_is_pinned(tmp_path, bench_path):
+    import workloads
+
+    # taken before the scalar walk kept its cells between strikes
+    directions = workloads.Exponent(ROOT, 0, tmp_path).directions
+    value = sweep.estimate_diffusion_exponent(directions, 10_000, min_successes=len(directions))
+    assert repr(value) == "0.8056698519005128"
+
+
 def test_exponent_layer_probe_runs(tmp_path, bench_path):
     import workloads
 

@@ -1,5 +1,6 @@
 """Geometry tests for the event-driven billiard core."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -26,8 +27,10 @@ from windtree.billiard import (
     next_collision,
     point_in_obstacle,
     simulate,
+    state_from_angle,
     state_from_slope,
     step_rays,
+    strike_origins,
     unit,
 )
 from windtree.sweep import SweepSpec
@@ -417,16 +420,82 @@ axis_rays = st.one_of(
 
 @pytest.fixture
 def scalar_walks(monkeypatch):
-    """The argument tuples of every call to the scalar first-hit walk."""
+    """The argument tuples of every scalar strike walk started."""
     calls = []
-    walk = billiard._first_hit
+    walk = billiard._strikes
 
     def counted(*args):
         calls.append(args)
         return walk(*args)
 
-    monkeypatch.setattr(billiard, "_first_hit", counted)
+    monkeypatch.setattr(billiard, "_strikes", counted)
     return calls
+
+
+def row_bytes(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestStrikeWalk:
+    # After its first strike, simulate's walk steps past the cell of the
+    # obstacle just struck without testing it, and skips hypot once it has
+    # returned exactly 1.0. A fresh walk from the same state does neither.
+    @given(st.one_of(free_rays, corner_rays, axis_rays), st.sampled_from([1.5, 5.0, 1e3]))
+    def test_each_strike_is_a_fresh_walks_first(self, state, horizon):
+        log = simulate(state, 40, horizon)
+        origins = strike_origins(log)
+        for k in range(len(log)):
+            px, py, vx, vy, t = (float(column[k]) for column in origins)
+            s, hx, hy, wall, rx, ry = next(billiard._strikes(px, py, vx, vy, horizon))
+            assert row_bytes(hx, hy, t + s, wall, rx, ry) == row_bytes(
+                log.x[k], log.y[k], log.t[k], log.wall[k], log.vx[k], log.vy[k]), k
+
+    def test_unit_hypot_bounces_only_flip_signs(self):
+        # where hypot of a logged velocity is exactly 1.0, the next bounce
+        # divides by 1.0, so the next row keeps (|vx|, |vy|)
+        spec = SweepSpec()
+        runs = [(state_from_slope(spec.slope_at(t)), 1000) for t in range(1, spec.count + 1)]
+        angles = np.random.default_rng(0).uniform(0.1, math.pi / 2 - 0.1, 12)
+        runs += [(state_from_angle(theta), 2000) for theta in angles]
+        rows = unit_rows = 0
+        for state, n in runs:
+            log = simulate(state, n)
+            unit_norm = np.array(list(map(math.hypot, log.vx.tolist(), log.vy.tolist()))) == 1.0
+            k = np.flatnonzero(unit_norm[:-1])
+            assert np.array_equal(np.abs(log.vx[k + 1]), np.abs(log.vx[k])), state
+            assert np.array_equal(np.abs(log.vy[k + 1]), np.abs(log.vy[k])), state
+            rows += len(log) - 1
+            unit_rows += len(k)
+        assert unit_rows > 0.99 * rows
+
+    def test_long_run_is_pinned(self):
+        # taken before the walk kept its cells between strikes
+        log = simulate(state_from_angle(1.0), 20_000)
+        digest = hashlib.sha256(b"".join(
+            column.tobytes() for column in (log.x, log.y, log.t, log.wall, log.vx, log.vy)))
+        assert (len(log), digest.hexdigest()) == (
+            20_000, "306a6b0e54266381986b1d1771e9dd8797d66d60b7c9c09d6aa6a6e3449fec0f")
+
+    RUNS = {
+        "simulate": lambda state, horizon: simulate(state, 5, horizon),
+        "next_collision": next_collision,
+        "step_rays": lambda state, horizon: step_rays(
+            Rays(*(np.array([c]) for c in (*state.position, *state.velocity, 0.0))), horizon),
+    }
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("entry", sorted(RUNS))
+    def test_horizon_must_be_positive(self, scalar_walks, entry, horizon):
+        # an axis-parallel ray, which step_rays finishes on the scalar walk
+        state = ParticleState(Vec2(0.7, 0.0), Vec2(0.0, 1.0))
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            self.RUNS[entry](state, horizon)
+        assert scalar_walks == []
+
+    @pytest.mark.parametrize("entry", sorted(RUNS))
+    def test_infinite_horizon_is_allowed(self, entry):
+        state = ParticleState(Vec2(0.7, 0.0), Vec2(0.0, 1.0))
+        assert self.RUNS[entry](state, math.inf) is not None
 
 
 class TestStepRays:
