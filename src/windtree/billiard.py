@@ -149,23 +149,15 @@ class TrajectoryLog:
 
 def cell_centers(x, y) -> tuple[np.ndarray, np.ndarray]:
     """Odd-integer centers of the period-2 cells holding the points (x, y),
-    as two int arrays (0-d for scalar coordinates).
+    as two int64 arrays (int64 scalars for scalar coordinates).
 
     Each cell [2i, 2i+2) x [2j, 2j+2) holds the obstacle centered at
-    (2i+1, 2j+1). Points exactly between two centers (even coordinates)
-    round half away from zero; the origin itself resolves to +1.
+    (2i+1, 2j+1): the strike walk's 2 floor(p / 2) + 1 on each axis. An
+    even coordinate, between two centers, lies in the cell above it; it is
+    0.5 from every obstacle, so no wall test depends on that choice.
     """
-    return _nearest_odd_array(x), _nearest_odd_array(y)
-
-
-def _nearest_odd_array(x) -> np.ndarray:
-    """The odd integer nearest each entry of x, ties as in cell_centers."""
-    lo = 2.0 * np.floor((x - 1.0) / 2.0) + 1.0
-    hi = lo + 2.0
-    d_lo = x - lo
-    d_hi = hi - x
-    nearest = np.where(d_lo < d_hi, lo, np.where((d_hi < d_lo) | (x >= 0), hi, lo))
-    return nearest.astype(np.int64)
+    return tuple((2.0 * np.floor(np.asarray(p) * 0.5) + 1.0).astype(np.int64)
+                 for p in (x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +167,11 @@ def _nearest_odd_array(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_horizon(horizon) -> None:
-    """Reject a horizon that is not positive (NaN included); inf is allowed."""
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    """Reject a horizon that is not positive and finite (NaN included): a
+    ray that never leaves the space between two obstacle columns walks on
+    forever under an infinite one."""
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
 
 
 def _first_odd_at_least(z: float) -> float:
@@ -211,35 +205,27 @@ def _strikes(px, py, vx, vy, horizon):
     test_start = True  # false once the start cell holds the obstacle just struck
     unit_norm = False  # hypot has returned exactly 1.0
     while True:
-        # Axis-parallel rays stay in one row/column: resolve in closed form.
-        if vy == 0.0:
-            cy = 2.0 * math.floor(py * 0.5) + 1.0
-            if not (cy - 0.5 < py < cy + 0.5):
-                return  # corridor between obstacle rows
-            if vx > 0.0:
-                cx = _first_odd_at_least(px + 0.5 + MIN_FLIGHT)
-                hx, wall = cx - 0.5, _LEFT
+        if vx == 0.0 or vy == 0.0:
+            # an axis-parallel ray stays in one row or column: resolve it in
+            # closed form over its (along, across) coordinates
+            if vy == 0.0:
+                along, across, v, walls = px, py, vx, (_LEFT, _RIGHT)
             else:
-                cx = _last_odd_at_most(px - 0.5 - MIN_FLIGHT)
-                hx, wall = cx + 0.5, _RIGHT
-            s = (hx - px) / vx
+                along, across, v, walls = py, px, vy, (_BOTTOM, _TOP)
+            c_across = 2.0 * math.floor(across * 0.5) + 1.0
+            lo, hi = c_across - 0.5, c_across + 0.5
+            if not (lo < across < hi):
+                return  # corridor between obstacle rows or columns
+            if v > 0.0:
+                hit, wall = _first_odd_at_least(along + 0.5 + MIN_FLIGHT) - 0.5, walls[0]
+            else:
+                hit, wall = _last_odd_at_most(along - 0.5 - MIN_FLIGHT) + 0.5, walls[1]
+            s = (hit - along) / v
             if s > horizon:
                 return
-            hy, wall = py, _classify_flat(wall, py, cy)
-        elif vx == 0.0:
-            cx = 2.0 * math.floor(px * 0.5) + 1.0
-            if not (cx - 0.5 < px < cx + 0.5):
-                return
-            if vy > 0.0:
-                cy = _first_odd_at_least(py + 0.5 + MIN_FLIGHT)
-                hy, wall = cy - 0.5, _BOTTOM
-            else:
-                cy = _last_odd_at_most(py - 0.5 - MIN_FLIGHT)
-                hy, wall = cy + 0.5, _TOP
-            s = (hy - py) / vy
-            if s > horizon:
-                return
-            hx, wall = px, _classify_flat(wall, px, cx)
+            if abs(across - lo) <= CORNER_TOL or abs(across - hi) <= CORNER_TOL:
+                wall = _CORNER
+            hx, hy = (hit, across) if vy == 0.0 else (across, hit)
         else:
             inv_vx = 1.0 / vx
             inv_vy = 1.0 / vy
@@ -333,13 +319,6 @@ def _strikes(px, py, vx, vy, horizon):
         yield s, hx, hy, wall, vx, vy
         px, py = hx, hy
         test_start = False
-
-
-def _classify_flat(wall, coord, center):
-    """Corner promotion for axis-parallel hits running along one wall band."""
-    near_lo = abs(coord - (center - 0.5)) <= CORNER_TOL
-    near_hi = abs(coord - (center + 0.5)) <= CORNER_TOL
-    return _CORNER if (near_lo or near_hi) else wall
 
 
 def next_collision(state: ParticleState, horizon: float = DEFAULT_HORIZON) -> CollisionEvent:

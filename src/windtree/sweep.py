@@ -113,22 +113,14 @@ class MotionClass:
     evidence: dict
 
 
-def _check_slope(slope: float) -> None:
-    if not math.isfinite(slope) or slope == 0.0:
-        raise ValueError("slope must be finite and nonzero")
-
-
 def _sweep_span(spec: SweepSpec, first: int, last: int) -> SweepResult:
     """Recurrence statistic of grid samples first..last, all rays in lockstep.
 
     Each ray gives bitwise the minimum of simulate's collision distances
     over the window; only O(rays) state is kept between collisions. A
-    sample whose minimum is not positive and finite has no logarithm and
-    becomes a gap record.
+    sample whose ray meets nothing within the horizon becomes a gap record.
     """
     slopes = [spec.slope_at(t) for t in range(first, last + 1)]
-    for slope in slopes:
-        _check_slope(slope)
     velocities = [state_from_slope(slope).velocity for slope in slopes]
     n = len(slopes)
     rays = Rays(x=np.zeros(n), y=np.zeros(n), vx=np.array([v.x for v in velocities]),
@@ -146,10 +138,6 @@ def _sweep_span(spec: SweepSpec, first: int, last: int) -> SweepResult:
             rows, dmin = rows[live], dmin[live]
         if k >= spec.k_min:
             dmin = np.minimum(dmin, np.hypot(rays.x, rays.y))
-    ok = (dmin > 0.0) & np.isfinite(dmin)
-    gaps += [(row, f"non-positive recurrence statistic {d!r}")
-             for row, d in zip(rows[~ok].tolist(), dmin[~ok].tolist())]
-    rows, dmin = rows[ok], dmin[ok]
     failures = [SweepFailure(t=first + row, slope=slopes[row],
                              reason=f"slope {slopes[row]!r}: {reason}")
                 for row, reason in sorted(gaps)]
@@ -162,10 +150,11 @@ def _sweep_span(spec: SweepSpec, first: int, last: int) -> SweepResult:
 def build_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Evaluate the recurrence statistic over the whole slope grid.
 
-    Slopes failing with a corridor truncation or a non-positive statistic
-    become explicit gap records instead of observations. With jobs > 1 the
-    grid is cut into contiguous chunks, one lockstep batch per worker
-    process. Results are assembled in slope order and are identical for
+    Slopes failing with a corridor truncation, slope 0 among them, become
+    explicit gap records instead of observations. Every strike lies on an
+    obstacle wall, where |x| and |y| are at least 0.5, so D >= sqrt(2) / 2
+    and log D is defined. With jobs > 1 the grid is cut into contiguous
+    chunks, one lockstep batch per worker process. Results are assembled in slope order and are identical for
     any jobs count.
     """
     if jobs <= 1:

@@ -47,7 +47,8 @@ BISECT_TOL = 1e-8
 
 
 def nearest_odd(z):
-    """Odd integer closest to z (ties resolve away from zero, +1 at 0)."""
+    """Odd integer closest to z; a tie (an even z) resolves to the one above,
+    as billiard.cell_centers does."""
     lo = 2 * np.floor((np.asarray(z, dtype=float) - 1.0) / 2.0) + 1
     hi = lo + 2
     pick_hi = (hi - z) <= (z - lo)

@@ -81,14 +81,15 @@ def test_exponent_layer_probe_runs(tmp_path, bench_path):
     assert probes["billiard.next_collision_us"] > 0.0
 
 
-def test_traced_counters_read_the_results(bench_path, ray_on_origin):
+def test_traced_counters_read_the_results(bench_path):
     import spans
 
-    ray_on_origin(1, 5)  # one gap record
     tracer = spans.Tracer()
     tracer.install()
     try:
-        sweep.build_sweep(sweep.SweepSpec(count=3, k_min=5, k_max=10))
+        # one gap record: slope_at(3) is exactly 0.0, a corridor
+        sweep.build_sweep(sweep.SweepSpec(slope_start=-0.02, slope_step=0.01, count=3,
+                                          k_min=5, k_max=10))
         billiard.simulate(billiard.state_from_slope(1.414), 20)
     finally:
         tracer.uninstall()

@@ -68,9 +68,10 @@ class TestLocateCell:
         assert locate_cell(Vec2(2.3, -0.7)) == (3, -1)
 
     def test_half_integer_boundary(self):
-        # tie-break rounds half away from zero on each axis
+        # each cell [2i, 2i+2) holds its lower edge: an even coordinate
+        # lies in the cell above it on each axis
         assert locate_cell(Vec2(-0.5, 0.5)) == (-1, 1)
-        assert locate_cell(Vec2(2.0, -2.0)) == (3, -3)
+        assert locate_cell(Vec2(2.0, -2.0)) == (3, -1)
 
     # integers and half-integers hit the tie rule and the cell edges
     @given(*[st.floats(-50, 50) | st.integers(-50, 50).map(float)
@@ -80,10 +81,10 @@ class TestLocateCell:
         assert cx % 2 == 1 and cy % 2 == 1
         assert abs(x - cx) <= 1.0 + 1e-12
         assert abs(y - cy) <= 1.0 + 1e-12
-        # an even coordinate is a tie, which rounds away from zero
+        # an even coordinate, between two centers, takes the one above it
         for z, c in ((x, cx), (y, cy)):
             if z % 2 == 0:
-                assert c == z + (1 if z >= 0 else -1)
+                assert c == z + 1
 
 
 def reflect(vx, vy, wall):
@@ -140,6 +141,16 @@ class TestNextCollision:
         assert ev.point == Vec2(0.7, -0.5)
         assert ev.wall == "Top"
         assert ev.obstacle_center == (1, -1)
+
+    # within CORNER_TOL of either edge of its band, on each axis and in each
+    # direction, an axis-parallel ray strikes a corner
+    @pytest.mark.parametrize("edge", [0.5 + 1e-10, 1.5 - 1e-10])
+    @pytest.mark.parametrize("along", [1.0, -1.0])
+    def test_axis_parallel_ray_at_band_edge_is_corner(self, edge, along):
+        ev = next_collision(ParticleState(Vec2(0.0, edge), Vec2(along, 0.0)))
+        assert (ev.point, ev.wall) == (Vec2(0.5 * along, edge), "Corner")
+        ev = next_collision(ParticleState(Vec2(edge, 0.0), Vec2(0.0, along)))
+        assert (ev.point, ev.wall) == (Vec2(edge, 0.5 * along), "Corner")
 
     def test_exact_diagonal_is_corner(self):
         ev = next_collision(state_from_slope(1.0))
@@ -483,19 +494,23 @@ class TestStrikeWalk:
             Rays(*(np.array([c]) for c in (*state.position, *state.velocity, 0.0))), horizon),
     }
 
-    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+    # under an infinite horizon, the ray at pi / 2 (vx = 6.1e-17) would walk
+    # up between two obstacle columns forever
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("entry", sorted(RUNS))
     def test_horizon_must_be_positive(self, scalar_walks, entry, horizon):
         # an axis-parallel ray, which step_rays finishes on the scalar walk
         state = ParticleState(Vec2(0.7, 0.0), Vec2(0.0, 1.0))
-        with pytest.raises(ValueError, match="horizon must be positive"):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
             self.RUNS[entry](state, horizon)
         assert scalar_walks == []
 
-    @pytest.mark.parametrize("entry", sorted(RUNS))
-    def test_infinite_horizon_is_allowed(self, entry):
-        state = ParticleState(Vec2(0.7, 0.0), Vec2(0.0, 1.0))
-        assert self.RUNS[entry](state, math.inf) is not None
+    # every strike point lies on an obstacle wall, where |x| >= 0.5 and
+    # |y| >= 0.5, so no distance from the origin is below sqrt(2) / 2
+    @given(st.one_of(free_rays, corner_rays, axis_rays))
+    def test_strikes_keep_off_the_axes(self, state):
+        log = simulate(state, 200)
+        assert np.all(np.minimum(np.abs(log.x), np.abs(log.y)) >= 0.5)
 
 
 class TestStepRays:

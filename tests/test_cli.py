@@ -91,6 +91,8 @@ def config_keys(doc=None, prefix=""):
 # diagnose can check without the lag scan
 RAPID = ["--collisions", "500"]
 RECURRENT = ["--slope", "1.414", "--collisions", "500"]
+# what both simulate and sweep report for slope 0, the corridor y = 0
+ZERO_SLOPE_REASON = "no obstacle within horizon 1e+06 after 0 collisions"
 
 # values of another type than the field's default: a float for an int, true,
 # a string (a number for a str field) and null
@@ -210,19 +212,27 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert len(read_artifact(tmp_path / "sweep.csv")["t"]) == 1
 
-    # one gap in 10 is within the 10% the sweep may lose; one in 5 is not
+    # A grid through slope 0 (t = 3, exactly) has a ray with no statistic:
+    # it runs along the corridor y = 0. One gap in 10 is within the 10% the
+    # sweep may lose; one in 5 is not.
     @pytest.mark.parametrize("count, code", [(10, 0), (5, 3)])
-    def test_non_positive_statistic_is_a_gap(self, tmp_path, ray_on_origin, count, code):
-        doc = dict(SMALL_CONFIG, sweep=dict(SMALL_CONFIG["sweep"], count=count))
-        cfg = write_config(tmp_path, doc)
-        ray_on_origin(1, SMALL_CONFIG["sweep"]["k_min"])
+    def test_non_positive_statistic_is_a_gap(self, tmp_path, count, code):
+        grid = dict(SMALL_CONFIG["sweep"], slope_start=-0.02, slope_step=0.01, count=count)
+        cfg = write_config(tmp_path, dict(SMALL_CONFIG, sweep=grid))
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == code
         assert read_artifact(tmp_path / "sweep.csv")["t"].tolist() == [
-            t for t in range(1, count + 1) if t != 2]
+            t for t in range(1, count + 1) if t != 3]
         meta = json.loads((tmp_path / "sweep_meta.json").read_text())
         assert meta["completed"] == count - 1
         assert [(f["t"], f["reason"]) for f in meta["failures"]] == [
-            (2, "slope 1.51: non-positive recurrence statistic 0.0")]
+            (3, f"slope 0.0: {ZERO_SLOPE_REASON}")]
+
+    def test_zero_slope_simulate_is_the_same_corridor(self, tmp_path):
+        assert main(["simulate", "--out", str(tmp_path), "--slope", "0",
+                     "--collisions", "5"]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert (summary["truncated"], summary["n_collisions"], summary["truncation_reason"]) == (
+            True, 0, ZERO_SLOPE_REASON)
 
     def test_majority_failures_exit_nonzero(self, tmp_path, monkeypatch):
         import windtree.cli as cli_mod

@@ -80,6 +80,23 @@ class TestRecurrenceStatistic:
             recurrence_statistic(0.0, SweepSpec(k_min=1, k_max=10))
 
 
+def assert_gaps_tie_oracle(spec, gap_ts):
+    """Check that build_sweep(spec) has gap records at exactly `gap_ts`,
+    each with the reason the oracle raises, and that every other sample's
+    row is the oracle's. Returns the sweep."""
+    result = build_sweep(spec)
+    assert [f.t for f in result.failures] == gap_ts
+    for failure in result.failures:
+        with pytest.raises(CorridorTruncation) as scalar:
+            recurrence_statistic(spec.slope_at(failure.t), spec, t=failure.t)
+        assert failure.reason == str(scalar.value)
+    rows = [recurrence_statistic(spec.slope_at(t), spec, t=t)
+            for t in range(1, spec.count + 1) if t not in gap_ts]
+    assert {name: column.tolist() for name, column in result.columns.items()} == {
+        name: [row[name] for row in rows] for name in result.columns}
+    return result
+
+
 class TestBuildSweep:
     def test_single_observation(self):
         result = build_sweep(SweepSpec(count=1, k_min=5, k_max=10))
@@ -95,6 +112,8 @@ class TestBuildSweep:
         assert abs(result.columns["slope"][-1] - 2.1615) <= 1e-12
         xs = result.columns["logD"]
         assert np.all(np.isfinite(xs))
+        # every strike lies on an obstacle wall, off the bands |x|, |y| < 0.5
+        assert result.columns["D"].min() >= math.hypot(0.5, 0.5)
 
     def test_mirrored_grid_gives_the_same_statistics_bitwise(self, reference_sweep):
         # reflecting the slopes in the x axis reflects every trajectory, and
@@ -126,28 +145,15 @@ class TestBuildSweep:
     def test_failed_slopes_become_gap_records(self):
         # t=1 runs along the corridor y = 0 and meets nothing within the horizon
         spec = SweepSpec(slope_start=1e-7, slope_step=0.05, count=40, k_min=10, k_max=200)
-        result = build_sweep(spec)
-        assert [f.t for f in result.failures] == [1]
-        with pytest.raises(CorridorTruncation) as scalar:
-            recurrence_statistic(spec.slope_at(1), spec, t=1)
-        assert result.failures[0].reason == str(scalar.value)
-        rows = [recurrence_statistic(spec.slope_at(t), spec, t=t)
-                for t in range(2, spec.count + 1)]
-        assert {name: column.tolist() for name, column in result.columns.items()} == {
-            name: [row[name] for row in rows] for name in result.columns}
+        assert_gaps_tie_oracle(spec, [1])
 
-    def test_non_positive_statistic_becomes_gap_record(self, ray_on_origin):
-        spec = SweepSpec(count=12, k_min=50, k_max=120)
-        clean = build_sweep(spec)
-        ray_on_origin(3, spec.k_min)
-        result = build_sweep(spec)
-        slope = spec.slope_at(4)
+    def test_zero_slope_becomes_gap_record(self):
+        # slope_at(3) is exactly 0.0, the corridor y = 0
+        spec = SweepSpec(slope_start=-0.02, slope_step=0.01, count=12, k_min=50, k_max=120)
+        result = assert_gaps_tie_oracle(spec, [3])
         assert result.failures == [SweepFailure(
-            t=4, slope=slope, reason=f"slope {slope!r}: non-positive recurrence statistic 0.0")]
-        # every other sample keeps its row bitwise
-        kept = clean.columns["t"] != 4
-        for name, column in clean.columns.items():
-            assert result.columns[name].tobytes() == column[kept].tobytes(), name
+            t=3, slope=0.0,
+            reason="slope 0.0: no obstacle within horizon 1e+06 after 0 collisions")]
 
     def test_all_corridor_sweep_is_one_gap(self):
         # the lockstep batch runs on with zero rays after its only ray leaves
