@@ -23,6 +23,7 @@ CORNER_TOL = 1e-9      # hits this close to a corner retro-reflect
 MIN_FLIGHT = 1e-9      # shorter flights would re-hit the wall just departed
 DEFAULT_HORIZON = 1e6  # path-length cap before declaring a corridor
 SPEED_TOL = 1e-6       # tolerated deviation of |velocity| from 1
+_NEAR_AXIS_SPEED = 1 / 32  # a slower component marks a near-axis ray: cell steps > 64
 
 
 class NoHitWithinHorizon(Exception):
@@ -38,10 +39,8 @@ WALLS = ("Left", "Right", "Bottom", "Top", "Corner")
 _LEFT, _RIGHT, _BOTTOM, _TOP, _CORNER = range(len(WALLS))
 NO_HIT = -1            # wall code of a ray that met nothing within the horizon
 # Whether a strike on each wall flips (vx, vy), indexed by wall code: a side
-# flips one component and a corner retro-reflects. NO_HIT's row is last, at
-# index -1, and flips nothing.
-_FLIPS = ((True, False), (True, False), (False, True), (False, True), (True, True),
-          (False, False))
+# flips one component and a corner retro-reflects.
+_FLIPS = ((True, False), (True, False), (False, True), (False, True), (True, True))
 
 
 class Vec2(NamedTuple):
@@ -182,6 +181,17 @@ def _last_odd_at_most(z: float) -> float:
     return 2.0 * math.floor((z - 1.0) / 2.0) + 1.0
 
 
+def _band_entry(p, i, v, inv_v):
+    """The walk's near-wall slab time, on one axis, of the first obstacle band
+    not ending at or behind p (t_far <= 0), for p in cell i = floor(p / 2): a
+    lower bound on the t_near of every cell the walk tests."""
+    side = 0.5 if v > 0.0 else -0.5  # the far wall of a band, from its center
+    c = 2.0 * i + 1.0
+    if (c + side - p) * inv_v <= 0.0:
+        c += 4.0 * side
+    return (c - side - p) * inv_v
+
+
 def _strikes(px, py, vx, vy, horizon):
     """The wall strikes of the ray from (px, py) along (vx, vy), in order.
 
@@ -194,6 +204,9 @@ def _strikes(px, py, vx, vy, horizon):
     advanced. Flights shorter than MIN_FLIGHT are ignored so the wall just
     departed is never re-hit; tangent grazes do not count as hits.
 
+    A near-axis ray returns at once when it cannot enter an obstacle band on
+    some axis within the horizon, instead of walking a corridor up to it.
+
     Two facts save work after the first strike:
       - the walk starts in the cell of the obstacle just struck, on its
         wall and moving away (t_far <= 0), so it steps past that cell
@@ -204,6 +217,8 @@ def _strikes(px, py, vx, vy, horizon):
     """
     test_start = True  # false once the start cell holds the obstacle just struck
     unit_norm = False  # hypot has returned exactly 1.0
+    # bounces flip signs, so a walk stays near-axis or not from its start
+    near_axis = min(abs(vx), abs(vy)) < _NEAR_AXIS_SPEED
     while True:
         if vx == 0.0 or vy == 0.0:
             # an axis-parallel ray stays in one row or column: resolve it in
@@ -241,6 +256,9 @@ def _strikes(px, py, vx, vy, horizon):
                 step_y, t_max_y = -1, (2.0 * iy - py) * inv_vy
             t_delta_x = abs(2.0 * inv_vx)
             t_delta_y = abs(2.0 * inv_vy)
+            if near_axis and (_band_entry(px, ix, vx, inv_vx) > horizon
+                              or _band_entry(py, iy, vy, inv_vy) > horizon):
+                return
 
             test = test_start
             while True:
@@ -403,17 +421,21 @@ def truncation_reason(horizon: float, collisions: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Lockstep batch: the same first hit, classification and reflection as
-# simulate, run over many rays at once with numpy. Every operation is the
-# scalar kernel's IEEE operation applied elementwise, so each ray follows its
-# scalar trajectory bit for bit.
+# Lockstep batch: simulate's next strike and bounce over many rays at once.
+# numpy computes side-wall strikes away from corners with the scalar walk's
+# IEEE operations elementwise; every other ray takes the scalar walk itself.
+# So each ray follows its scalar trajectory bit for bit.
 # ---------------------------------------------------------------------------
 
 LOCKSTEP_CELLS = 4     # candidate block: the cells (a, b) ahead with a + b < this
-# the block's offsets (a, b), in cells along each axis of travel, as columns
-_BLOCK_A, _BLOCK_B = (np.array(column, dtype=float)[:, None] for column in zip(
-    *[(a, b) for a in range(LOCKSTEP_CELLS) for b in range(LOCKSTEP_CELLS - a)]))
-_FLIP_X, _FLIP_Y = np.array(_FLIPS).T   # _FLIPS as columns, for wall code arrays
+# The walls of the obstacle k cells ahead on one axis, near then far, as
+# offsets from the start cell's center in the direction of travel.
+_PLANE_OFFSETS = np.array([[2.0 * k + side for k in range(LOCKSTEP_CELLS)]
+                           for side in (-0.5, 0.5)])[:, None, :, None]
+# The block's rows of the flattened (near/far, axis, cells ahead) slab times:
+# tx1 at a, ty1 at b, tx2 at a and ty2 at b, one column per cell (a, b).
+_BLOCK_ROWS = np.array([(a, LOCKSTEP_CELLS + b, 2 * LOCKSTEP_CELLS + a, 3 * LOCKSTEP_CELLS + b)
+                        for a in range(LOCKSTEP_CELLS) for b in range(LOCKSTEP_CELLS - a)]).T
 
 
 class Rays(NamedTuple):
@@ -438,8 +460,9 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
     candidate obstacles at once: the cells a steps along x and b steps along
     y ahead of its start cell, in its direction of travel, with a, b >= 0
     and a + b < LOCKSTEP_CELLS. The slab times are _strikes' expressions,
-    and the ray takes the valid candidate with the smallest t_near. This is
-    the walk's first hit:
+    computed once per axis and cells ahead (tx1 depends on a alone, ty1 on
+    b), and the ray takes the valid candidate with the smallest t_near.
+    This is the walk's first hit:
       - a valid candidate is an obstacle the ray really crosses, so the
         scalar walk visits its cell;
       - a ray moves monotonically in x and y, so the block is closed under
@@ -448,88 +471,63 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
       - along any ray, obstacles are at least 1 apart in path length, so the
         smallest t_near is the one the walk meets first;
       - the walk's t_entry <= horizon follows from t_near <= horizon.
-    Rays with no valid candidate, and rays with a velocity component so
-    small (zero, say) that 1/vx * 1/vy is not finite, are finished by the
-    scalar walk from the same state, which gives the same answer.
+    The block keeps only a hit through one wall (tx1 != ty1) farther than
+    CORNER_TOL from its ends, by _strikes' own test. Every other ray takes
+    the scalar walk's first strike from the same state: no valid candidate
+    within the horizon, a velocity component so small (zero, say) that
+    1/vx * 1/vy is not finite, or a corner. Only the walk labels corners.
     """
     _check_horizon(horizon)
     x, y, vx, vy, t = rays
     n = len(x)
+    columns = np.arange(n)
+    p = np.array([x, y])
+    v = np.array([vx, vy])
     # inf and nan arise only on rays the scalar walk finishes, or exactly as
     # Python float arithmetic gives them without warning
     with np.errstate(all="ignore"):
-        inv_vx = 1.0 / vx
-        inv_vy = 1.0 / vy
-        step_x = np.where(vx > 0.0, 1.0, -1.0)
-        step_y = np.where(vy > 0.0, 1.0, -1.0)
-        # (block, ray) arrays; the near plane of a cell is its center minus
-        # half a step, which is _strikes' swapped slab bound bitwise
-        cx = 2.0 * (np.floor(x * 0.5) + _BLOCK_A * step_x) + 1.0
-        cy = 2.0 * (np.floor(y * 0.5) + _BLOCK_B * step_y) + 1.0
-        half_x = 0.5 * step_x
-        half_y = 0.5 * step_y
-        tx1 = (cx - half_x - x) * inv_vx
-        tx2 = (cx + half_x - x) * inv_vx
-        ty1 = (cy - half_y - y) * inv_vy
-        ty2 = (cy + half_y - y) * inv_vy
+        inv_v = 1.0 / v
+        ahead = v > 0.0
+        # (near/far, axis, cells ahead, ray): the walls of the obstacles
+        # ahead on each axis. Every term is a small integer or half-integer,
+        # so each plane is exactly _strikes' cx - 0.5 or cx + 0.5.
+        planes = ((2.0 * np.floor(p * 0.5) + 1.0)[:, None]
+                  + _PLANE_OFFSETS * np.where(ahead, 1.0, -1.0)[:, None])
+        slabs = ((planes - p[:, None]) * inv_v[:, None]).reshape(4 * LOCKSTEP_CELLS, n)
+        tx1, ty1, tx2, ty2 = slabs.take(_BLOCK_ROWS, axis=0)
         # np.maximum and np.minimum differ from _strikes' comparisons only
         # on nan and signed zeros, which no valid candidate has
         t_near = np.maximum(tx1, ty1)
-        valid = ((MIN_FLIGHT <= t_near) & (t_near < np.minimum(tx2, ty2))
-                 & (t_near <= horizon) & np.isfinite(inv_vx * inv_vy))
-        # flat index of each ray's first hit; take is cheaper than
-        # take_along_axis on arrays this small
-        first = np.where(valid, t_near, np.inf).argmin(axis=0) * n + np.arange(n)
-        s = t_near.take(first)
-        walked = valid.take(first)
-        hx, hy, walls = _classify_hits(x, y, vx, vy, s, tx1.take(first), ty1.take(first),
-                                       cx.take(first), cy.take(first))
-    for i in np.flatnonzero(~walked):
-        hit = next(_strikes(float(x[i]), float(y[i]), float(vx[i]), float(vy[i]), horizon),
-                   None)
-        if hit is None:
-            s[i], hx[i], hy[i], walls[i] = 0.0, x[i], y[i], NO_HIT
-        else:
-            s[i], hx[i], hy[i], walls[i] = hit[:4]
-
-    struck = walls != NO_HIT
-    rx = np.where(_FLIP_X[walls], -vx, vx)
-    ry = np.where(_FLIP_Y[walls], -vy, vy)
-    # math.hypot, as in simulate: np.hypot is not guaranteed to round alike
-    norm = np.fromiter(map(math.hypot, rx.tolist(), ry.tolist()), float, n)
-    next_rays = Rays(
-        x=hx,
-        y=hy,
-        vx=np.where(struck, rx / norm, vx),
-        vy=np.where(struck, ry / norm, vy),
-        t=np.where(struck, t + s, t),
-    )
-    return next_rays, walls
-
-
-def _classify_hits(x, y, vx, vy, s, tx1, ty1, cx, cy):
-    """_strikes' snapping and labelling of a hit, elementwise: the snapped hit
-    points and the wall codes."""
-    vertical = tx1 > ty1
-    horizontal = ty1 > tx1
-    # through the corner point itself when neither
-    wall_x = np.where(vx > 0.0, cx - 0.5, cx + 0.5)
-    wall_y = np.where(vy > 0.0, cy - 0.5, cy + 0.5)
-    px = np.where(horizontal, x + s * vx, wall_x)
-    py = np.where(vertical, y + s * vy, wall_y)
-    code = np.where(vertical, np.where(vx > 0.0, _LEFT, _RIGHT),
-                    np.where(horizontal, np.where(vy > 0.0, _BOTTOM, _TOP), _CORNER))
-    # promote near-corner hits: snap the coordinate along the wall
-    along = np.where(vertical, py, px)
-    center = np.where(vertical, cy, cx)
-    lo = center - 0.5
-    hi = center + 0.5
-    near_lo = np.abs(along - lo) <= CORNER_TOL
-    near_hi = ~near_lo & (np.abs(along - hi) <= CORNER_TOL)
-    snapped = np.where(near_lo, lo, np.where(near_hi, hi, along))
-    corner = (vertical | horizontal) & (near_lo | near_hi)
-    return (np.where(horizontal, snapped, px), np.where(vertical, snapped, py),
-            np.where(corner, _CORNER, code).astype(np.int8))
+        valid = (MIN_FLIGHT <= t_near) & (t_near < np.minimum(tx2, ty2))
+        t_near = np.where(valid, t_near, np.inf)
+        first = t_near.argmin(axis=0)
+        s = t_near[first, columns]
+        # the first hit's x and y rows, as flat indices
+        rows = _BLOCK_ROWS[:2].take(first, axis=1) * n + columns
+        entry = slabs.take(rows)
+        near = planes.take(rows)
+        far = planes.take(rows + planes.size // 2)
+        vertical = entry[0] > entry[1]
+        # p + s * v is _strikes' hit coordinate along the struck wall, which
+        # its corner test compares with both ends of the wall
+        point = p + s * v
+        close = (np.abs(point - near) <= CORNER_TOL) | (np.abs(point - far) <= CORNER_TOL)
+        clean = ((s <= horizon) & (entry[0] != entry[1]) & ~np.where(vertical, close[1], close[0])
+                 & np.isfinite(inv_v[0] * inv_v[1]))
+        hx, hy = np.where([vertical, ~vertical], near, point)
+        walls = np.where(vertical, np.where(ahead[0], _LEFT, _RIGHT),
+                         np.where(ahead[1], _BOTTOM, _TOP)).astype(np.int8)
+        r = np.where([vertical, ~vertical], -v, v)  # a side wall flips its normal component
+        # math.hypot, as in simulate: np.hypot is not guaranteed to round alike
+        next_vx, next_vy = r / np.fromiter(map(math.hypot, *r.tolist()), float, n)
+        next_t = t + s
+    for i in np.flatnonzero(~clean):
+        # a ray that meets nothing keeps its state
+        si, hx[i], hy[i], walls[i], next_vx[i], next_vy[i] = next(
+            _strikes(float(x[i]), float(y[i]), float(vx[i]), float(vy[i]), horizon),
+            (None, x[i], y[i], NO_HIT, vx[i], vy[i]))
+        next_t[i] = t[i] if si is None else t[i] + si
+    return Rays(x=hx, y=hy, vx=next_vx, vy=next_vy, t=next_t), walls
 
 
 def strike_origins(log: TrajectoryLog) -> Rays:

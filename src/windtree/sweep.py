@@ -154,8 +154,8 @@ def build_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     explicit gap records instead of observations. Every strike lies on an
     obstacle wall, where |x| and |y| are at least 0.5, so D >= sqrt(2) / 2
     and log D is defined. With jobs > 1 the grid is cut into contiguous
-    chunks, one lockstep batch per worker process. Results are assembled in slope order and are identical for
-    any jobs count.
+    chunks, one lockstep batch per worker process. Results are assembled in
+    slope order and are identical for any jobs count.
     """
     if jobs <= 1:
         return _sweep_span(spec, 1, spec.count)

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from windtree import billiard
 from windtree.billiard import (
+    CORNER_TOL,
     DEFAULT_HORIZON,
     LOCKSTEP_CELLS,
     MIN_FLIGHT,
@@ -391,9 +392,13 @@ def batched_events(states, n, horizon=DEFAULT_HORIZON):
     return [events[i, :counts[i]] for i in range(len(states))]
 
 
-def scalar_events(state, n, horizon=DEFAULT_HORIZON):
-    log = simulate(state, n, horizon)
+def log_events(log):
+    """The (k, 4) array of x, y, t and wall code of a log's strikes."""
     return np.column_stack([log.x, log.y, log.t, log.wall.astype(float)])
+
+
+def scalar_events(state, n, horizon=DEFAULT_HORIZON):
+    return log_events(simulate(state, n, horizon))
 
 
 def assert_kernels_tie(states, n, horizon=DEFAULT_HORIZON):
@@ -402,6 +407,23 @@ def assert_kernels_tie(states, n, horizon=DEFAULT_HORIZON):
         scalar = scalar_events(state, n, horizon)
         assert batched.shape == scalar.shape, state
         assert batched.tobytes() == scalar.tobytes(), state
+
+
+def assert_corners_walked(log, walked):
+    """step_rays handed every corner strike of the log to the scalar walk,
+    whose start states are `walked`, and kept on the block every strike with
+    finite slab times (|vx vy| > 1e-300) that lies in its start's candidate
+    block and farther than 2 CORNER_TOL from a corner."""
+    origins = np.column_stack(strike_origins(log)[:4]).tolist()
+    for (px, py, vx, vy), x, y, wall in zip(origins, log.x, log.y, log.wall):
+        if WALLS[wall] == "Corner":
+            assert (px, py, vx, vy) in walked
+            continue
+        (ox, oy), (cx, cy) = locate_cell((px, py)), locate_cell((x, y))
+        ahead = (cx - ox) // 2 * math.copysign(1, vx) + (cy - oy) // 2 * math.copysign(1, vy)
+        corner_gap = max(abs(0.5 - abs(x - cx)), abs(0.5 - abs(y - cy)))
+        if abs(vx * vy) > 1e-300 and ahead < LOCKSTEP_CELLS and corner_gap > 2 * CORNER_TOL:
+            assert (px, py, vx, vy) not in walked
 
 
 CORNER_SLOPES = [SweepSpec().slope_at(t) for t in range(21, 278, 32)]
@@ -419,14 +441,42 @@ def is_free(state):
 coords = st.floats(-3.0, 3.0)
 free_rays = st.builds(free_state, coords, coords, st.floats(-math.pi, math.pi)).filter(is_free)
 corner_rays = st.sampled_from(CORNER_SLOPES).map(state_from_slope)
-# exactly along an axis, or within 1e-2 rad of one: both take the scalar walk
+# within 1e-2 rad of an axis, or exactly along one: both take the scalar walk
+tilted_rays = st.builds(lambda x, y, axis, tilt: free_state(x, y, axis * math.pi / 2 + tilt),
+                        coords, coords, st.integers(-1, 2),
+                        st.floats(1e-3, 1e-2) | st.floats(-1e-2, -1e-3)).filter(is_free)
 axis_rays = st.one_of(
     st.builds(lambda x, y, v: ParticleState(Vec2(x, y), v), coords, coords,
-              st.sampled_from(AXES)),
-    st.builds(lambda x, y, axis, tilt: free_state(x, y, axis * math.pi / 2 + tilt),
-              coords, coords, st.integers(-1, 2),
-              st.floats(1e-3, 1e-2) | st.floats(-1e-2, -1e-3)),
-).filter(is_free)
+              st.sampled_from(AXES)).filter(is_free),
+    tilted_rays,
+)
+
+
+def corner_aimed(center, gap, rise, offset, mirror, transpose):
+    """A ray from the gap column left of the obstacle at `center` to the line
+    of its Left wall, `offset` above the bottom-left corner: on the wall when
+    positive, past the corner when negative. Nothing lies in between, and the
+    obstacle is at most one cell ahead on each axis. Then mirrored and
+    transposed, which maps the obstacle lattice onto itself."""
+    cx, cy = center
+    hx, hy = cx - 0.5, cy - 0.5 + offset
+    px, py = hx - gap, hy - rise
+    v = unit(hx - px, hy - py)
+    mx, my = mirror
+    px, py, vx, vy = mx * px, my * py, mx * v.x, my * v.y
+    if transpose:
+        px, py, vx, vy = py, px, vy, vx
+    return ParticleState(Vec2(px, py), Vec2(vx, vy))
+
+
+odd = st.sampled_from([-3, -1, 1, 3])
+signs = st.sampled_from([1.0, -1.0])
+# aimed within a few CORNER_TOL of an obstacle corner, on either side of it
+corner_aimed_rays = st.builds(
+    corner_aimed, st.tuples(odd, odd), st.floats(0.05, 0.95),
+    st.floats(0.05, 1.5) | st.floats(-1.5, -0.05),
+    st.sampled_from([sign * k * CORNER_TOL for k in (0.5, 1, 2, 4) for sign in (1, -1)]),
+    st.tuples(signs, signs), st.booleans())
 
 
 @pytest.fixture
@@ -443,6 +493,22 @@ def scalar_walks(monkeypatch):
     return calls
 
 
+def first_strike_length(entry, state, horizon):
+    """Path length from `state` to its first strike by `entry` (simulate,
+    next_collision or step_rays), or None if there is none within the horizon."""
+    if entry == "simulate":
+        log = simulate(state, 1, horizon)
+        return float(log.t[0]) if len(log) else None
+    if entry == "next_collision":
+        try:
+            return next_collision(state, horizon).time
+        except NoHitWithinHorizon:
+            return None
+    rays, walls = step_rays(
+        Rays(*(np.array([c]) for c in (*state.position, *state.velocity, 0.0))), horizon)
+    return float(rays.t[0]) if walls[0] != NO_HIT else None
+
+
 def row_bytes(*values):
     return np.array(values, dtype=float).tobytes()
 
@@ -451,7 +517,8 @@ class TestStrikeWalk:
     # After its first strike, simulate's walk steps past the cell of the
     # obstacle just struck without testing it, and skips hypot once it has
     # returned exactly 1.0. A fresh walk from the same state does neither.
-    @given(st.one_of(free_rays, corner_rays, axis_rays), st.sampled_from([1.5, 5.0, 1e3]))
+    @given(st.one_of(free_rays, corner_rays, axis_rays, corner_aimed_rays),
+           st.sampled_from([1.5, 5.0, 1e3]))
     def test_each_strike_is_a_fresh_walks_first(self, state, horizon):
         log = simulate(state, 40, horizon)
         origins = strike_origins(log)
@@ -505,6 +572,24 @@ class TestStrikeWalk:
             self.RUNS[entry](state, horizon)
         assert scalar_walks == []
 
+    def test_axis_corridor_returns_at_once(self):
+        # from the origin, the ray at pi / 2 (vx = 6.1e-17) enters the
+        # obstacle column x in [0.5, 1.5] only after path length 8e15, so no
+        # cell up to the horizon can hold a hit
+        log = simulate(state_from_angle(math.pi / 2), 1, 1e15)
+        assert (len(log), log.truncated) == (0, True)
+
+    # a near-axis ray from a gap may stop on the first time it can enter an
+    # obstacle band, which must be the walk's own slab time: the first strike
+    # is found at a horizon of exactly its path length, and not just below it
+    @pytest.mark.parametrize("entry", ["simulate", "next_collision", "step_rays"])
+    @given(tilted_rays)
+    def test_near_axis_strike_found_at_its_horizon(self, entry, state):
+        s = first_strike_length(entry, state, DEFAULT_HORIZON)
+        assert s is not None
+        assert first_strike_length(entry, state, s) == s
+        assert first_strike_length(entry, state, math.nextafter(s, 0.0)) is None
+
     # every strike point lies on an obstacle wall, where |x| >= 0.5 and
     # |y| >= 0.5, so no distance from the origin is below sqrt(2) / 2
     @given(st.one_of(free_rays, corner_rays, axis_rays))
@@ -518,21 +603,36 @@ class TestStepRays:
         spec = SweepSpec()
         states = [state_from_slope(spec.slope_at(t)) for t in range(1, spec.count + 1)]
         batched = batched_events(states, spec.k_max)
-        # every strike of the sweep lies in the candidate block
-        assert scalar_walks == []
+        # the block computes every strike of the sweep but its corners: one
+        # scalar walk per corner, from the state the corner strike starts at
+        walks = sorted(args[:4] for args in scalar_walks)
+        corner_origins = []
         corners = 0
         for state, events in zip(states, batched):
-            scalar = scalar_events(state, spec.k_max)
+            log = simulate(state, spec.k_max)
+            scalar = log_events(log)
             assert events.tobytes() == scalar.tobytes(), state
             corners += int((events[:, 3] == WALLS.index("Corner")).sum())
+            origins = np.column_stack(strike_origins(log)[:4])
+            corner_origins += map(tuple, origins[log.wall == WALLS.index("Corner")].tolist())
         assert corners == 73
+        assert len(walks) == 73
+        assert walks == sorted(corner_origins)
 
     # short horizons bound the corridor walks and cut some rays within the
     # lockstep cells
-    @given(st.lists(st.one_of(free_rays, corner_rays, axis_rays), min_size=1, max_size=6),
+    @settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.one_of(free_rays, corner_rays, axis_rays, corner_aimed_rays),
+                    min_size=1, max_size=6),
            st.sampled_from([1.5, 5.0, 1e3]))
-    def test_mixed_batches_tie_simulate(self, states, horizon):
-        assert_kernels_tie(states, 40, horizon)
+    def test_mixed_batches_tie_simulate(self, scalar_walks, states, horizon):
+        scalar_walks.clear()
+        batched = batched_events(states, 40, horizon)
+        walked = {args[:4] for args in scalar_walks}
+        for state, events in zip(states, batched):
+            log = simulate(state, 40, horizon)
+            assert events.tobytes() == log_events(log).tobytes(), state
+            assert_corners_walked(log, walked)
 
     def test_near_axis_ray_finishes_on_scalar_walk(self, scalar_walks):
         state = free_state(0.0, 0.0, 1e-3)
