@@ -23,7 +23,6 @@ CORNER_TOL = 1e-9      # hits this close to a corner retro-reflect
 MIN_FLIGHT = 1e-9      # shorter flights would re-hit the wall just departed
 DEFAULT_HORIZON = 1e6  # path-length cap before declaring a corridor
 SPEED_TOL = 1e-6       # tolerated deviation of |velocity| from 1
-_NEAR_AXIS_SPEED = 1 / 32  # a slower component marks a near-axis ray: cell steps > 64
 
 
 class NoHitWithinHorizon(Exception):
@@ -151,45 +150,43 @@ def cell_centers(x, y) -> tuple[np.ndarray, np.ndarray]:
     as two int64 arrays (int64 scalars for scalar coordinates).
 
     Each cell [2i, 2i+2) x [2j, 2j+2) holds the obstacle centered at
-    (2i+1, 2j+1): the strike walk's 2 floor(p / 2) + 1 on each axis. An
-    even coordinate, between two centers, lies in the cell above it; it is
-    0.5 from every obstacle, so no wall test depends on that choice.
+    (2i+1, 2j+1): 2 floor(p / 2) + 1 on each axis, as the strike walk places
+    its bands. An even coordinate, between two centers, lies in the cell
+    above it; it is 0.5 from every obstacle, so no wall test depends on it.
     """
     return tuple((2.0 * np.floor(np.asarray(p) * 0.5) + 1.0).astype(np.int64)
                  for p in (x, y))
 
 
 # ---------------------------------------------------------------------------
-# The strike walk: incremental walk over period-2 cells in ray order.
-# Each cell holds exactly one obstacle, strictly inside the cell with a 0.5
-# margin, so testing cells in entry order yields the globally first hit.
+# The strike walk: obstacle bands paired in ray order. An obstacle is where
+# an x-band |x - c| < 0.5 (c odd) and a y-band overlap; along a ray, a band
+# is an open interval of path length, its slab.
 # ---------------------------------------------------------------------------
 
+# Points along a ray within _REACH of a start within _REACH of the origin lie
+# within 2**53, where odd band centers and their steps of 2 are exact.
+_REACH = 2.0**52
+
+
 def _check_horizon(horizon) -> None:
-    """Reject a horizon that is not positive and finite (NaN included): a
-    ray that never leaves the space between two obstacle columns walks on
-    forever under an infinite one."""
-    if not 0 < horizon < math.inf:
-        raise ValueError("horizon must be positive and finite")
+    """Reject a horizon that is not positive or exceeds _REACH (NaN and inf
+    included): farther out, the walk's band steps could stop moving."""
+    if not 0 < horizon <= _REACH:
+        raise ValueError("horizon must be positive and at most 2**52")
 
 
-def _first_odd_at_least(z: float) -> float:
-    return 2.0 * math.ceil((z - 1.0) / 2.0) + 1.0
-
-
-def _last_odd_at_most(z: float) -> float:
-    return 2.0 * math.floor((z - 1.0) / 2.0) + 1.0
-
-
-def _band_entry(p, i, v, inv_v):
-    """The walk's near-wall slab time, on one axis, of the first obstacle band
-    not ending at or behind p (t_far <= 0), for p in cell i = floor(p / 2): a
-    lower bound on the t_near of every cell the walk tests."""
-    side = 0.5 if v > 0.0 else -0.5  # the far wall of a band, from its center
-    c = 2.0 * i + 1.0
-    if (c + side - p) * inv_v <= 0.0:
+def _band(p, v, inv_v, t):
+    """Center c of the first band on one axis, along the ray from p with
+    component v != 0 (inv_v = 1 / v), whose far slab time (c + side - p) *
+    inv_v exceeds path length t. That is the band of the cell holding the
+    ray's point at t or the next (the one before ends at least 0.5 behind
+    the point), so one floor and one exact slab-time comparison settle c."""
+    side = 0.5 if v > 0.0 else -0.5
+    c = 2.0 * math.floor((p + t * v) * 0.5) + 1.0
+    if (c + side - p) * inv_v <= t:
         c += 4.0 * side
-    return (c - side - p) * inv_v
+    return c
 
 
 def _strikes(px, py, vx, vy, horizon):
@@ -204,126 +201,80 @@ def _strikes(px, py, vx, vy, horizon):
     advanced. Flights shorter than MIN_FLIGHT are ignored so the wall just
     departed is never re-hit; tangent grazes do not count as hits.
 
-    A near-axis ray returns at once when it cannot enter an obstacle band on
-    some axis within the horizon, instead of walking a corridor up to it.
+    Each strike steps through the bands of the faster axis f in ray order
+    and pairs each with the first band of the slower axis s whose slab ends
+    after the f-slab starts: over one f-band, s moves at most 1. The pair is
+    an obstacle the ray enters unless the s-slab starts after the f-slab
+    ends; then the walk jumps to the first f-band that ends after the
+    s-slab starts, so a strike costs a few steps in every direction. With vs == 0 the ray is in
+    an s-band for all time, or in a corridor. A strike from a coordinate
+    beyond +-_REACH meets nothing.
 
     Two facts save work after the first strike:
-      - the walk starts in the cell of the obstacle just struck, on its
-        wall and moving away (t_far <= 0), so it steps past that cell
-        without testing it;
+      - the walk starts on the wall just struck, moving away, so the far
+        slab time of the struck obstacle's band is 0 and the walk starts
+        past it;
       - once hypot returns exactly 1.0, every later bounce only flips signs
         of a velocity whose hypot is 1.0 and divides by 1.0, so hypot is
         skipped from then on.
     """
-    test_start = True  # false once the start cell holds the obstacle just struck
     unit_norm = False  # hypot has returned exactly 1.0
-    # bounces flip signs, so a walk stays near-axis or not from its start
-    near_axis = min(abs(vx), abs(vy)) < _NEAR_AXIS_SPEED
+    # bounces only flip signs, so the faster axis stays the faster one
+    x_fast = abs(vx) >= abs(vy)
     while True:
-        if vx == 0.0 or vy == 0.0:
-            # an axis-parallel ray stays in one row or column: resolve it in
-            # closed form over its (along, across) coordinates
-            if vy == 0.0:
-                along, across, v, walls = px, py, vx, (_LEFT, _RIGHT)
-            else:
-                along, across, v, walls = py, px, vy, (_BOTTOM, _TOP)
-            c_across = 2.0 * math.floor(across * 0.5) + 1.0
-            lo, hi = c_across - 0.5, c_across + 0.5
-            if not (lo < across < hi):
-                return  # corridor between obstacle rows or columns
-            if v > 0.0:
-                hit, wall = _first_odd_at_least(along + 0.5 + MIN_FLIGHT) - 0.5, walls[0]
-            else:
-                hit, wall = _last_odd_at_most(along - 0.5 - MIN_FLIGHT) + 0.5, walls[1]
-            s = (hit - along) / v
+        if not (-_REACH < px < _REACH and -_REACH < py < _REACH):
+            return  # beyond odd-integer resolution
+        pf, vf, ps, vs = (px, vx, py, vy) if x_fast else (py, vy, px, vx)
+        inv_f = 1.0 / vf
+        side_f = 0.5 if vf > 0.0 else -0.5  # the far wall of a band, from its center
+        cf = _band(pf, vf, inv_f, 0.0)
+        if vs == 0.0:
+            cs = 2.0 * math.floor(ps * 0.5) + 1.0
+            if not cs - 0.5 < ps < cs + 0.5:
+                return  # a corridor between obstacle rows or columns
+            ns, fs = -math.inf, math.inf
+        else:
+            inv_s = 1.0 / vs
+            side_s = 0.5 if vs > 0.0 else -0.5
+            cs = _band(ps, vs, inv_s, 0.0)
+            ns = (cs - side_s - ps) * inv_s
+            fs = (cs + side_s - ps) * inv_s
+        while True:
+            nf = (cf - side_f - pf) * inv_f
+            ff = (cf + side_f - pf) * inv_f
+            while fs <= nf:
+                cs += 4.0 * side_s
+                ns = (cs - side_s - ps) * inv_s
+                fs = (cs + side_s - ps) * inv_s
+            # the slabs overlap (max(nf, ns) < min(ff, fs)) unless ns >= ff
+            s = nf if nf > ns else ns
             if s > horizon:
                 return
-            if abs(across - lo) <= CORNER_TOL or abs(across - hi) <= CORNER_TOL:
-                wall = _CORNER
-            hx, hy = (hit, across) if vy == 0.0 else (across, hit)
+            if ns < ff and s >= MIN_FLIGHT:
+                break
+            # jump past the s-slab's start, or step past a strike too close
+            cf = _band(pf, vf, inv_f, ns if ns > ff else ff)
+
+        # snap the hit onto the struck wall's plane (ha), and along that wall
+        # (hb) onto a corner point within CORNER_TOL; an entry exactly
+        # through a corner point is a corner hit too
+        if nf == ns:
+            hf, hs, wall = cf - side_f, cs - side_s, _CORNER
         else:
-            inv_vx = 1.0 / vx
-            inv_vy = 1.0 / vy
-            ix = math.floor(px * 0.5)
-            iy = math.floor(py * 0.5)
-            if vx > 0.0:
-                step_x, t_max_x = 1, (2.0 * ix + 2.0 - px) * inv_vx
+            f_struck = nf > ns
+            if f_struck:
+                ha, hb, cb = cf - side_f, ps + s * vs, cs
+                wall = (_LEFT if x_fast else _BOTTOM) + (side_f < 0.0)
             else:
-                step_x, t_max_x = -1, (2.0 * ix - px) * inv_vx
-            if vy > 0.0:
-                step_y, t_max_y = 1, (2.0 * iy + 2.0 - py) * inv_vy
-            else:
-                step_y, t_max_y = -1, (2.0 * iy - py) * inv_vy
-            t_delta_x = abs(2.0 * inv_vx)
-            t_delta_y = abs(2.0 * inv_vy)
-            if near_axis and (_band_entry(px, ix, vx, inv_vx) > horizon
-                              or _band_entry(py, iy, vy, inv_vy) > horizon):
-                return
-
-            test = test_start
-            while True:
-                if test:
-                    cx = 2.0 * ix + 1.0
-                    cy = 2.0 * iy + 1.0
-                    tx1 = (cx - 0.5 - px) * inv_vx
-                    tx2 = (cx + 0.5 - px) * inv_vx
-                    if tx1 > tx2:
-                        tx1, tx2 = tx2, tx1
-                    ty1 = (cy - 0.5 - py) * inv_vy
-                    ty2 = (cy + 0.5 - py) * inv_vy
-                    if ty1 > ty2:
-                        ty1, ty2 = ty2, ty1
-                    t_near = tx1 if tx1 > ty1 else ty1
-                    t_far = tx2 if tx2 < ty2 else ty2
-                    # strict t_near < t_far drops tangencies (zero normal velocity)
-                    if MIN_FLIGHT <= t_near < t_far and t_near <= horizon:
-                        break
-                test = True
-                if t_max_x < t_max_y:
-                    t_entry = t_max_x
-                    t_max_x += t_delta_x
-                    ix += step_x
-                elif t_max_y < t_max_x:
-                    t_entry = t_max_y
-                    t_max_y += t_delta_y
-                    iy += step_y
-                else:
-                    # exact cell-corner crossing: obstacles sit 0.5 inside each
-                    # cell, so skipping the two side cells cannot miss a hit
-                    t_entry = t_max_x
-                    t_max_x += t_delta_x
-                    t_max_y += t_delta_y
-                    ix += step_x
-                    iy += step_y
-                if t_entry > horizon:
-                    return
-
-            # snap the hit onto its wall plane and label it, promoting
-            # near-corner hits
-            s = t_near
-            if tx1 > ty1:
-                hx = cx - 0.5 if vx > 0.0 else cx + 0.5
-                hy = py + s * vy
-                wall = _LEFT if vx > 0.0 else _RIGHT
-                lo, hi = cy - 0.5, cy + 0.5
-                if abs(hy - lo) <= CORNER_TOL:
-                    hy, wall = lo, _CORNER
-                elif abs(hy - hi) <= CORNER_TOL:
-                    hy, wall = hi, _CORNER
-            elif ty1 > tx1:
-                hy = cy - 0.5 if vy > 0.0 else cy + 0.5
-                hx = px + s * vx
-                wall = _BOTTOM if vy > 0.0 else _TOP
-                lo, hi = cx - 0.5, cx + 0.5
-                if abs(hx - lo) <= CORNER_TOL:
-                    hx, wall = lo, _CORNER
-                elif abs(hx - hi) <= CORNER_TOL:
-                    hx, wall = hi, _CORNER
-            else:
-                # entry exactly through a corner point
-                hx = cx - 0.5 if vx > 0.0 else cx + 0.5
-                hy = cy - 0.5 if vy > 0.0 else cy + 0.5
-                wall = _CORNER
+                ha, hb, cb = cs - side_s, pf + s * vf, cf
+                wall = (_BOTTOM if x_fast else _LEFT) + (side_s < 0.0)
+            lo, hi = cb - 0.5, cb + 0.5
+            if abs(hb - lo) <= CORNER_TOL:
+                hb, wall = lo, _CORNER
+            elif abs(hb - hi) <= CORNER_TOL:
+                hb, wall = hi, _CORNER
+            hf, hs = (ha, hb) if f_struck else (hb, ha)
+        hx, hy = (hf, hs) if x_fast else (hs, hf)
 
         flip_x, flip_y = _FLIPS[wall]
         rx = -vx if flip_x else vx
@@ -336,7 +287,6 @@ def _strikes(px, py, vx, vy, horizon):
             unit_norm = n == 1.0
         yield s, hx, hy, wall, vx, vy
         px, py = hx, hy
-        test_start = False
 
 
 def next_collision(state: ParticleState, horizon: float = DEFAULT_HORIZON) -> CollisionEvent:
@@ -357,9 +307,8 @@ def next_collision(state: ParticleState, horizon: float = DEFAULT_HORIZON) -> Co
         point=Vec2(hx, hy),
         time=state.elapsed_time + s,
         wall=WALLS[wall],
-        # a hit point lies on its obstacle's wall, so its cell is the walk's
-        # floor(p / 2) on each axis, without ties
-        obstacle_center=(2 * math.floor(hx * 0.5) + 1, 2 * math.floor(hy * 0.5) + 1),
+        # a hit point lies on its obstacle's wall, 0.5 from any cell edge
+        obstacle_center=tuple(map(int, cell_centers(hx, hy))),
     )
 
 
@@ -456,26 +405,27 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
     and gets the code NO_HIT. Each ray's result is bitwise the next event and
     post-bounce state of `simulate` from the same state.
 
-    Instead of walking cells in order, each ray tests one fixed block of
+    Instead of walking bands in order, each ray tests one fixed block of
     candidate obstacles at once: the cells a steps along x and b steps along
     y ahead of its start cell, in its direction of travel, with a, b >= 0
     and a + b < LOCKSTEP_CELLS. The slab times are _strikes' expressions,
     computed once per axis and cells ahead (tx1 depends on a alone, ty1 on
     b), and the ray takes the valid candidate with the smallest t_near.
     This is the walk's first hit:
-      - a valid candidate is an obstacle the ray really crosses, so the
-        scalar walk visits its cell;
+      - a valid candidate passes the walk's test of a pair of bands, slabs
+        that overlap at least MIN_FLIGHT ahead, so it is an obstacle the
+        ray really enters;
       - a ray moves monotonically in x and y, so the block is closed under
         "earlier along the ray": any obstacle met before a candidate is
         itself a candidate;
-      - along any ray, obstacles are at least 1 apart in path length, so the
-        smallest t_near is the one the walk meets first;
-      - the walk's t_entry <= horizon follows from t_near <= horizon.
+      - the walk takes bands in ray order and returns its first valid pair,
+        which has the smallest t_near, and both stop at t_near > horizon.
     The block keeps only a hit through one wall (tx1 != ty1) farther than
     CORNER_TOL from its ends, by _strikes' own test. Every other ray takes
     the scalar walk's first strike from the same state: no valid candidate
     within the horizon, a velocity component so small (zero, say) that
-    1/vx * 1/vy is not finite, or a corner. Only the walk labels corners.
+    1/vx * 1/vy is not finite, a coordinate beyond +-_REACH, or a corner.
+    Only the walk labels corners.
     """
     _check_horizon(horizon)
     x, y, vx, vy, t = rays
@@ -513,7 +463,7 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
         point = p + s * v
         close = (np.abs(point - near) <= CORNER_TOL) | (np.abs(point - far) <= CORNER_TOL)
         clean = ((s <= horizon) & (entry[0] != entry[1]) & ~np.where(vertical, close[1], close[0])
-                 & np.isfinite(inv_v[0] * inv_v[1]))
+                 & np.isfinite(inv_v[0] * inv_v[1]) & (np.abs(p).max(axis=0) < _REACH))
         hx, hy = np.where([vertical, ~vertical], near, point)
         walls = np.where(vertical, np.where(ahead[0], _LEFT, _RIGHT),
                          np.where(ahead[1], _BOTTOM, _TOP)).astype(np.int8)

@@ -144,14 +144,15 @@ class TestNextCollision:
         assert ev.obstacle_center == (1, -1)
 
     # within CORNER_TOL of either edge of its band, on each axis and in each
-    # direction, an axis-parallel ray strikes a corner
+    # direction, an axis-parallel ray strikes a corner, snapped onto it
     @pytest.mark.parametrize("edge", [0.5 + 1e-10, 1.5 - 1e-10])
     @pytest.mark.parametrize("along", [1.0, -1.0])
     def test_axis_parallel_ray_at_band_edge_is_corner(self, edge, along):
+        corner = 0.5 if edge < 1.0 else 1.5
         ev = next_collision(ParticleState(Vec2(0.0, edge), Vec2(along, 0.0)))
-        assert (ev.point, ev.wall) == (Vec2(0.5 * along, edge), "Corner")
+        assert (ev.point, ev.wall) == (Vec2(0.5 * along, corner), "Corner")
         ev = next_collision(ParticleState(Vec2(edge, 0.0), Vec2(0.0, along)))
-        assert (ev.point, ev.wall) == (Vec2(edge, 0.5 * along), "Corner")
+        assert (ev.point, ev.wall) == (Vec2(corner, 0.5 * along), "Corner")
 
     def test_exact_diagonal_is_corner(self):
         ev = next_collision(state_from_slope(1.0))
@@ -441,10 +442,13 @@ def is_free(state):
 coords = st.floats(-3.0, 3.0)
 free_rays = st.builds(free_state, coords, coords, st.floats(-math.pi, math.pi)).filter(is_free)
 corner_rays = st.sampled_from(CORNER_SLOPES).map(state_from_slope)
-# within 1e-2 rad of an axis, or exactly along one: both take the scalar walk
+# within 1e-2 rad of an axis, or exactly along one: both take the scalar walk.
+# Tilts log-uniform down to 1e-5 rad make the walk jump up to about 5e4 cells
+# to the first obstacle band, which still lies within DEFAULT_HORIZON.
+tilts = st.floats(math.log(1e-5), math.log(1e-2)).map(math.exp)
 tilted_rays = st.builds(lambda x, y, axis, tilt: free_state(x, y, axis * math.pi / 2 + tilt),
                         coords, coords, st.integers(-1, 2),
-                        st.floats(1e-3, 1e-2) | st.floats(-1e-2, -1e-3)).filter(is_free)
+                        tilts | tilts.map(lambda tilt: -tilt)).filter(is_free)
 axis_rays = st.one_of(
     st.builds(lambda x, y, v: ParticleState(Vec2(x, y), v), coords, coords,
               st.sampled_from(AXES)).filter(is_free),
@@ -514,9 +518,10 @@ def row_bytes(*values):
 
 
 class TestStrikeWalk:
-    # After its first strike, simulate's walk steps past the cell of the
-    # obstacle just struck without testing it, and skips hypot once it has
-    # returned exactly 1.0. A fresh walk from the same state does neither.
+    # After its first strike, simulate's walk starts on the wall just struck,
+    # past that obstacle's band, and skips hypot once it has returned exactly
+    # 1.0. A fresh walk from the same state places its bands from scratch
+    # and calls hypot.
     @given(st.one_of(free_rays, corner_rays, axis_rays, corner_aimed_rays),
            st.sampled_from([1.5, 5.0, 1e3]))
     def test_each_strike_is_a_fresh_walks_first(self, state, horizon):
@@ -562,13 +567,14 @@ class TestStrikeWalk:
     }
 
     # under an infinite horizon, the ray at pi / 2 (vx = 6.1e-17) would walk
-    # up between two obstacle columns forever
-    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+    # up between two obstacle columns forever; past 2**52 the points along a
+    # ray lose odd-integer resolution, so the walk's band steps could stall
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf, 1e30])
     @pytest.mark.parametrize("entry", sorted(RUNS))
     def test_horizon_must_be_positive(self, scalar_walks, entry, horizon):
         # an axis-parallel ray, which step_rays finishes on the scalar walk
         state = ParticleState(Vec2(0.7, 0.0), Vec2(0.0, 1.0))
-        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        with pytest.raises(ValueError, match=r"horizon must be positive and at most 2\*\*52"):
             self.RUNS[entry](state, horizon)
         assert scalar_walks == []
 
@@ -589,6 +595,16 @@ class TestStrikeWalk:
         assert s is not None
         assert first_strike_length(entry, state, s) == s
         assert first_strike_length(entry, state, math.nextafter(s, 0.0)) is None
+
+    # past 2**52 from the origin, band centers and their steps of 2 are no
+    # longer exact: a walk from there meets nothing instead of stalling, and
+    # the lockstep kernel agrees
+    @pytest.mark.parametrize("position", [Vec2(1e18, 0.3), Vec2(0.3, -1e17), Vec2(2.0**52, 0.3)])
+    def test_walk_beyond_reach_meets_nothing(self, position):
+        state = state_from_angle(0.2, position)
+        log = simulate(state, 3)
+        assert (len(log), log.truncated) == (0, True)
+        assert_kernels_tie([state], 3)
 
     # every strike point lies on an obstacle wall, where |x| >= 0.5 and
     # |y| >= 0.5, so no distance from the origin is below sqrt(2) / 2
