@@ -210,33 +210,47 @@ def _strikes(px, py, vx, vy, horizon):
     an s-band for all time, or in a corridor. A strike from a coordinate
     beyond +-_REACH meets nothing.
 
-    Two facts save work after the first strike:
-      - the walk starts on the wall just struck, moving away, so the far
-        slab time of the struck obstacle's band is 0 and the walk starts
-        past it;
-      - once hypot returns exactly 1.0, every later bounce only flips signs
-        of a velocity whose hypot is 1.0 and divides by 1.0, so hypot is
-        skipped from then on.
+    Each strike hands the next three facts it has settled, each bitwise
+    what a fresh walk from the post-bounce state would compute:
+      - the frame: bounces only flip signs, so the faster axis stays the
+        faster one, and the walk runs in (f, s) coordinates throughout;
+      - the bands: the next walk starts on the wall just struck, moving
+        away. On the flipped axis its band is the struck band's neighbour
+        behind it, as the struck band's far slab time is 0. Along the wall
+        it is the struck band while the hit lies strictly inside it, which
+        rounding can break only far from the start. Otherwise, and after a
+        corner, _band places the band afresh, as for the first strike and
+        every jump;
+      - the velocity: once hypot returns exactly 1.0, every later bounce
+        only flips signs of a velocity whose hypot is 1.0 and divides by
+        1.0. So hypot is skipped from then on, and 1 / v flips with v, as
+        1 / -v == -(1 / v) in IEEE arithmetic.
     """
-    unit_norm = False  # hypot has returned exactly 1.0
-    # bounces only flip signs, so the faster axis stays the faster one
     x_fast = abs(vx) >= abs(vy)
+    pf, ps, vf, vs = (px, py, vx, vy) if x_fast else (py, px, vy, vx)
+    # the wall codes of an f-band's walls and of an s-band's, and _FLIPS as
+    # (flip_f, flip_s)
+    wall_f, wall_s = (_LEFT, _BOTTOM) if x_fast else (_BOTTOM, _LEFT)
+    flips = _FLIPS if x_fast else [(flip_y, flip_x) for flip_x, flip_y in _FLIPS]
+    inv_f = 1.0 / vf
+    inv_s = 1.0 / vs if vs != 0.0 else math.inf  # not read while vs == 0
+    unit_norm = False  # hypot has returned exactly 1.0
+    cf = cs = None  # the bands to start in, once a strike has settled them
     while True:
-        if not (-_REACH < px < _REACH and -_REACH < py < _REACH):
+        if not (-_REACH < pf < _REACH and -_REACH < ps < _REACH):
             return  # beyond odd-integer resolution
-        pf, vf, ps, vs = (px, vx, py, vy) if x_fast else (py, vy, px, vx)
-        inv_f = 1.0 / vf
         side_f = 0.5 if vf > 0.0 else -0.5  # the far wall of a band, from its center
-        cf = _band(pf, vf, inv_f, 0.0)
+        if cf is None:
+            cf = _band(pf, vf, inv_f, 0.0)
         if vs == 0.0:
             cs = 2.0 * math.floor(ps * 0.5) + 1.0
             if not cs - 0.5 < ps < cs + 0.5:
                 return  # a corridor between obstacle rows or columns
             ns, fs = -math.inf, math.inf
         else:
-            inv_s = 1.0 / vs
             side_s = 0.5 if vs > 0.0 else -0.5
-            cs = _band(ps, vs, inv_s, 0.0)
+            if cs is None:
+                cs = _band(ps, vs, inv_s, 0.0)
             ns = (cs - side_s - ps) * inv_s
             fs = (cs + side_s - ps) * inv_s
         while True:
@@ -264,29 +278,44 @@ def _strikes(px, py, vx, vy, horizon):
             f_struck = nf > ns
             if f_struck:
                 ha, hb, cb = cf - side_f, ps + s * vs, cs
-                wall = (_LEFT if x_fast else _BOTTOM) + (side_f < 0.0)
+                wall = wall_f + (side_f < 0.0)
             else:
                 ha, hb, cb = cs - side_s, pf + s * vf, cf
-                wall = (_BOTTOM if x_fast else _LEFT) + (side_s < 0.0)
+                wall = wall_s + (side_s < 0.0)
             lo, hi = cb - 0.5, cb + 0.5
             if abs(hb - lo) <= CORNER_TOL:
                 hb, wall = lo, _CORNER
             elif abs(hb - hi) <= CORNER_TOL:
                 hb, wall = hi, _CORNER
             hf, hs = (ha, hb) if f_struck else (hb, ha)
-        hx, hy = (hf, hs) if x_fast else (hs, hf)
-
-        flip_x, flip_y = _FLIPS[wall]
-        rx = -vx if flip_x else vx
-        ry = -vy if flip_y else vy
-        if unit_norm:
-            vx, vy = rx, ry
+        # the next strike's bands: behind the struck one on its axis, and
+        # along the wall the struck obstacle's, if the hit lies inside it
+        if wall == _CORNER:
+            cf = cs = None
+        elif f_struck:
+            cf, cs = cf - 4.0 * side_f, (cb if lo < hb < hi else None)
         else:
-            n = math.hypot(rx, ry)
-            vx, vy = rx / n, ry / n
+            cf, cs = (cb if lo < hb < hi else None), cs - 4.0 * side_s
+
+        flip_f, flip_s = flips[wall]
+        if unit_norm:
+            if flip_f:
+                vf, inv_f = -vf, -inv_f
+            if flip_s:
+                vs, inv_s = -vs, -inv_s
+        else:
+            rf = -vf if flip_f else vf
+            rs = -vs if flip_s else vs
+            n = math.hypot(rf, rs) if x_fast else math.hypot(rs, rf)  # in x, y order
+            vf, vs = rf / n, rs / n
             unit_norm = n == 1.0
-        yield s, hx, hy, wall, vx, vy
-        px, py = hx, hy
+            inv_f = 1.0 / vf
+            inv_s = 1.0 / vs if vs != 0.0 else math.inf
+        if x_fast:
+            yield s, hf, hs, wall, vf, vs
+        else:
+            yield s, hs, hf, wall, vs, vf
+        pf, ps = hf, hs
 
 
 def next_collision(state: ParticleState, horizon: float = DEFAULT_HORIZON) -> CollisionEvent:
@@ -342,16 +371,20 @@ def simulate(initial: ParticleState, n_collisions: int,
     """Run the particle through `n_collisions` wall strikes.
 
     The log is truncated (with a recorded reason) if a corridor direction
-    exhausts the horizon first. An initial position on a wall with inward
-    velocity is reflected in place before the first flight.
+    exhausts the horizon first, or at once from a start with a coordinate
+    beyond +-_REACH. An initial position on a wall with inward velocity is
+    reflected in place before the first flight.
     """
     if n_collisions < 0:
         raise ValueError("n_collisions must be >= 0")
     _check_horizon(horizon)
-    px, py = initial.position
-    if point_in_obstacle(px, py, shrink=WALL_TOL):
-        raise ValueError(f"initial position {tuple(initial.position)} is inside an obstacle")
-    vx, vy = _normalize_on_wall(px, py, initial.velocity.x, initial.velocity.y)
+    (px, py), (vx, vy) = initial.position, initial.velocity
+    # the walk's reach rule comes first: a start beyond +-_REACH meets
+    # nothing, and past 2**63 its cell center has no int64 value
+    if -_REACH < px < _REACH and -_REACH < py < _REACH:
+        if point_in_obstacle(px, py, shrink=WALL_TOL):
+            raise ValueError(f"initial position {tuple(initial.position)} is inside an obstacle")
+        vx, vy = _normalize_on_wall(px, py, vx, vy)
     strikes = chain.from_iterable(islice(_strikes(px, py, vx, vy, horizon), n_collisions))
     s, x, y, wall, vx, vy = np.fromiter(strikes, float).reshape(-1, 6).T.copy()
     # the running sum from the initial time, one addition per strike
@@ -486,7 +519,8 @@ def strike_origins(log: TrajectoryLog) -> Rays:
     every post-bounce state but the last. Stepping this batch once reproduces
     the log's rows bit for bit when the log came from simulate."""
     (px, py), (vx, vy), t = log.initial.position, log.initial.velocity, log.initial.elapsed_time
-    vx, vy = _normalize_on_wall(px, py, vx, vy)
+    if -_REACH < px < _REACH and -_REACH < py < _REACH:
+        vx, vy = _normalize_on_wall(px, py, vx, vy)
     n = len(log)
 
     def before(first, column):

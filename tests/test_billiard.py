@@ -483,6 +483,15 @@ corner_aimed_rays = st.builds(
     st.tuples(signs, signs), st.booleans())
 
 
+# free rays moved by an even lattice vector of up to 2**46 on each axis, out
+# where the spacing of floats (up to 2**-6) far exceeds CORNER_TOL
+lattice_shifts = st.integers(-2**45, 2**45).map(lambda k: 2.0 * k)
+far_rays = st.builds(
+    lambda state, dx, dy: ParticleState(
+        Vec2(state.position.x + dx, state.position.y + dy), state.velocity),
+    free_rays, lattice_shifts, lattice_shifts).filter(is_free)
+
+
 @pytest.fixture
 def scalar_walks(monkeypatch):
     """The argument tuples of every scalar strike walk started."""
@@ -518,11 +527,11 @@ def row_bytes(*values):
 
 
 class TestStrikeWalk:
-    # After its first strike, simulate's walk starts on the wall just struck,
-    # past that obstacle's band, and skips hypot once it has returned exactly
-    # 1.0. A fresh walk from the same state places its bands from scratch
-    # and calls hypot.
-    @given(st.one_of(free_rays, corner_rays, axis_rays, corner_aimed_rays),
+    # After its first strike, simulate's walk carries its bands, its inverse
+    # velocity and its (fast, slow) frame over from the strike before, and
+    # skips hypot once it has returned exactly 1.0. A fresh walk from the
+    # same state places its bands from scratch, divides and calls hypot.
+    @given(st.one_of(free_rays, corner_rays, axis_rays, corner_aimed_rays, far_rays),
            st.sampled_from([1.5, 5.0, 1e3]))
     def test_each_strike_is_a_fresh_walks_first(self, state, horizon):
         log = simulate(state, 40, horizon)
@@ -598,13 +607,33 @@ class TestStrikeWalk:
 
     # past 2**52 from the origin, band centers and their steps of 2 are no
     # longer exact: a walk from there meets nothing instead of stalling, and
-    # the lockstep kernel agrees
-    @pytest.mark.parametrize("position", [Vec2(1e18, 0.3), Vec2(0.3, -1e17), Vec2(2.0**52, 0.3)])
+    # the lockstep kernel agrees. No cell is looked up there, so past 2**63,
+    # where a cell center has no int64 value, nothing warns of a bad cast.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("position", [Vec2(1e18, 0.3), Vec2(0.3, -1e17), Vec2(2.0**52, 0.3),
+                                          Vec2(1e20, 0.3)])
     def test_walk_beyond_reach_meets_nothing(self, position):
         state = state_from_angle(0.2, position)
         log = simulate(state, 3)
         assert (len(log), log.truncated) == (0, True)
+        assert len(strike_origins(log).x) == 0
         assert_kernels_tie([state], 3)
+
+    # swapping x and y maps the obstacle lattice onto itself, and with
+    # |vx| != |vy| the walk's fast axis is swapped too, so the log transposes
+    # bit for bit
+    @given(st.one_of(free_rays, corner_aimed_rays, axis_rays))
+    def test_transposed_state_transposes_the_log(self, state):
+        (px, py), (vx, vy) = state.position, state.velocity
+        assume(abs(vx) != abs(vy))
+        log = simulate(state, 200)
+        swapped = simulate(ParticleState(Vec2(py, px), Vec2(vy, vx)), 200)
+        transpose = np.array([WALLS.index(w) for w in ("Bottom", "Top", "Left", "Right", "Corner")],
+                             dtype=np.int8)
+        assert (len(swapped), swapped.truncated) == (len(log), log.truncated)
+        for a, b in ((log.x, swapped.y), (log.y, swapped.x), (log.vx, swapped.vy),
+                     (log.vy, swapped.vx), (log.t, swapped.t), (transpose[log.wall], swapped.wall)):
+            assert a.tobytes() == b.tobytes()
 
     # every strike point lies on an obstacle wall, where |x| >= 0.5 and
     # |y| >= 0.5, so no distance from the origin is below sqrt(2) / 2
