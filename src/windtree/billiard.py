@@ -153,9 +153,16 @@ def cell_centers(x, y) -> tuple[np.ndarray, np.ndarray]:
     (2i+1, 2j+1): 2 floor(p / 2) + 1 on each axis, as the strike walk places
     its bands. An even coordinate, between two centers, lies in the cell
     above it; it is 0.5 from every obstacle, so no wall test depends on it.
+    A coordinate that is not finite or has |p| >= 2**53, where 2 floor(p / 2)
+    + 1 is no longer an exact odd integer, is a ValueError.
     """
-    return tuple((2.0 * np.floor(np.asarray(p) * 0.5) + 1.0).astype(np.int64)
-                 for p in (x, y))
+    centers = []
+    for p in map(np.asarray, (x, y)):
+        exact = np.abs(p) < 2.0**53  # False on nan
+        if not exact.all():
+            raise ValueError(f"no exact cell center for coordinate {float(p[~exact].flat[0])!r}")
+        centers.append((2.0 * np.floor(p * 0.5) + 1.0).astype(np.int64))
+    return tuple(centers)
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +428,18 @@ _BLOCK_ROWS = np.array([(a, LOCKSTEP_CELLS + b, 2 * LOCKSTEP_CELLS + a, 3 * LOCK
 
 
 class Rays(NamedTuple):
-    """Positions, unit velocities and elapsed path lengths of R rays."""
+    """Positions, unit velocities and elapsed path lengths of R rays, and
+    each ray's unit_norm: True once math.hypot has returned exactly 1.0 at
+    one of its bounces, as in the scalar walk. From then on, hypot of its
+    velocity is 1.0, and every bounce only flips signs and divides by 1.0.
+    A ray of unknown history is False, which costs one hypot and no bit."""
 
     x: np.ndarray
     y: np.ndarray
     vx: np.ndarray
     vy: np.ndarray
     t: np.ndarray
+    unit_norm: np.ndarray
 
 
 def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.ndarray]:
@@ -437,6 +449,12 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
     each strike. A ray that meets nothing within the horizon keeps its state
     and gets the code NO_HIT. Each ray's result is bitwise the next event and
     post-bounce state of `simulate` from the same state.
+
+    Like the scalar walk, the kernel renormalizes a bounce through
+    math.hypot, in (x, y) order, only on rays whose unit_norm is False, and
+    sets the flag where hypot returns exactly 1.0. hypot ignores signs, so
+    its value is the same whichever walls a ray strikes, and the same on
+    rays that take the scalar walk's first strike below.
 
     Instead of walking bands in order, each ray tests one fixed block of
     candidate obstacles at once: the cells a steps along x and b steps along
@@ -461,7 +479,7 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
     Only the walk labels corners.
     """
     _check_horizon(horizon)
-    x, y, vx, vy, t = rays
+    x, y, vx, vy, t, unit_norm = rays
     n = len(x)
     columns = np.arange(n)
     p = np.array([x, y])
@@ -497,27 +515,43 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
         close = (np.abs(point - near) <= CORNER_TOL) | (np.abs(point - far) <= CORNER_TOL)
         clean = ((s <= horizon) & (entry[0] != entry[1]) & ~np.where(vertical, close[1], close[0])
                  & np.isfinite(inv_v[0] * inv_v[1]) & (np.abs(p).max(axis=0) < _REACH))
-        hx, hy = np.where([vertical, ~vertical], near, point)
+        normal = np.array([vertical, ~vertical])  # the struck wall's normal axis
+        hx, hy = np.where(normal, near, point)
         walls = np.where(vertical, np.where(ahead[0], _LEFT, _RIGHT),
                          np.where(ahead[1], _BOTTOM, _TOP)).astype(np.int8)
-        r = np.where([vertical, ~vertical], -v, v)  # a side wall flips its normal component
-        # math.hypot, as in simulate: np.hypot is not guaranteed to round alike
-        next_vx, next_vy = r / np.fromiter(map(math.hypot, *r.tolist()), float, n)
+        # math.hypot, as in simulate: np.hypot is not guaranteed to round
+        # alike. It ignores signs, so it may take v before the flip; and a
+        # settled ray's hypot is exactly 1.0.
+        norm = np.ones(n)
+        unsettled = ~unit_norm
+        norm[unsettled] = np.fromiter(
+            map(math.hypot, vx[unsettled].tolist(), vy[unsettled].tolist()), float)
+        # a side wall flips its normal component
+        next_vx, next_vy = np.where(normal, -v, v) / norm
+        next_unit_norm = unit_norm | (norm == 1.0)
         next_t = t + s
     for i in np.flatnonzero(~clean):
         # a ray that meets nothing keeps its state
         si, hx[i], hy[i], walls[i], next_vx[i], next_vy[i] = next(
             _strikes(float(x[i]), float(y[i]), float(vx[i]), float(vy[i]), horizon),
             (None, x[i], y[i], NO_HIT, vx[i], vy[i]))
-        next_t[i] = t[i] if si is None else t[i] + si
-    return Rays(x=hx, y=hy, vx=next_vx, vy=next_vy, t=next_t), walls
+        if si is None:
+            next_t[i], next_unit_norm[i] = t[i], unit_norm[i]
+        else:
+            next_t[i] = t[i] + si
+    return Rays(x=hx, y=hy, vx=next_vx, vy=next_vy, t=next_t, unit_norm=next_unit_norm), walls
 
 
 def strike_origins(log: TrajectoryLog) -> Rays:
     """The state each logged strike starts from, as one batch for step_rays:
     the initial state, its velocity reflected in place as simulate does, then
     every post-bounce state but the last. Stepping this batch once reproduces
-    the log's rows bit for bit when the log came from simulate."""
+    the log's rows bit for bit when the log came from simulate.
+
+    Every row starts unsettled (unit_norm False), as a log does not say
+    where hypot first returned 1.0. That is bitwise safe: step_rays then
+    calls hypot on each row, which returns exactly 1.0 where the walk
+    skipped it, and dividing by 1.0 changes no bit."""
     (px, py), (vx, vy), t = log.initial.position, log.initial.velocity, log.initial.elapsed_time
     if -_REACH < px < _REACH and -_REACH < py < _REACH:
         vx, vy = _normalize_on_wall(px, py, vx, vy)
@@ -527,7 +561,7 @@ def strike_origins(log: TrajectoryLog) -> Rays:
         return np.concatenate([[first], column])[:n]
 
     return Rays(x=before(px, log.x), y=before(py, log.y), vx=before(vx, log.vx),
-                vy=before(vy, log.vy), t=before(t, log.t))
+                vy=before(vy, log.vy), t=before(t, log.t), unit_norm=np.zeros(n, dtype=bool))
 
 
 def distance_series(log: TrajectoryLog) -> np.ndarray:

@@ -67,6 +67,8 @@ class TestLocateCell:
 
     def test_nearest_odd_pair(self):
         assert locate_cell(Vec2(2.3, -0.7)) == (3, -1)
+        # the farthest exact centers
+        assert locate_cell(Vec2(2.0**53 - 1.0, -(2.0**53 - 1.0))) == (2**53 - 1, -(2**53 - 1))
 
     def test_half_integer_boundary(self):
         # each cell [2i, 2i+2) holds its lower edge: an even coordinate
@@ -86,6 +88,14 @@ class TestLocateCell:
         for z, c in ((x, cx), (y, cy)):
             if z % 2 == 0:
                 assert c == z + 1
+
+    # below 2**53 every center is an exact odd integer; from there on, and
+    # for a coordinate that is not finite, there is no center to cast
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x", [1e20, 2.0**53, -2.0**53, math.inf, math.nan])
+    def test_point_without_exact_center_is_rejected(self, x):
+        with pytest.raises(ValueError, match="no exact cell center"):
+            point_in_obstacle(x, 0.3)
 
 
 def reflect(vx, vy, wall):
@@ -376,10 +386,11 @@ def test_trajectory_log_event_arrays():
 
 def batched_events(states, n, horizon=DEFAULT_HORIZON):
     """Per-ray (k, 4) arrays of x, y, t and wall code from n lockstep steps;
-    a ray leaves the batch at its first step without a hit."""
+    a ray leaves the batch at its first step without a hit. Every ray starts
+    unsettled, and each step checks that a settled ray's hypot is 1.0."""
     rays = Rays(*(np.array(column, dtype=float) for column in zip(
         *[(s.position.x, s.position.y, s.velocity.x, s.velocity.y, s.elapsed_time)
-          for s in states])))
+          for s in states])), unit_norm=np.zeros(len(states), dtype=bool))
     rows = np.arange(len(states))
     events = np.zeros((len(states), n, 4))
     counts = np.zeros(len(states), dtype=int)
@@ -387,6 +398,9 @@ def batched_events(states, n, horizon=DEFAULT_HORIZON):
         rays, walls = step_rays(rays, horizon)
         live = walls != NO_HIT
         rays = Rays(*(a[live] for a in rays))
+        settled = np.flatnonzero(rays.unit_norm)
+        assert all(math.hypot(vx, vy) == 1.0 for vx, vy in zip(
+            rays.vx[settled].tolist(), rays.vy[settled].tolist())), k
         rows = rows[live]
         events[rows, k] = np.column_stack([rays.x, rays.y, rays.t, walls[live]])
         counts[rows] += 1
@@ -518,7 +532,7 @@ def first_strike_length(entry, state, horizon):
         except NoHitWithinHorizon:
             return None
     rays, walls = step_rays(
-        Rays(*(np.array([c]) for c in (*state.position, *state.velocity, 0.0))), horizon)
+        Rays(*(np.array([c]) for c in (*state.position, *state.velocity, 0.0, False))), horizon)
     return float(rays.t[0]) if walls[0] != NO_HIT else None
 
 
@@ -537,7 +551,7 @@ class TestStrikeWalk:
         log = simulate(state, 40, horizon)
         origins = strike_origins(log)
         for k in range(len(log)):
-            px, py, vx, vy, t = (float(column[k]) for column in origins)
+            px, py, vx, vy, t = (float(column[k]) for column in origins[:5])
             s, hx, hy, wall, rx, ry = next(billiard._strikes(px, py, vx, vy, horizon))
             assert row_bytes(hx, hy, t + s, wall, rx, ry) == row_bytes(
                 log.x[k], log.y[k], log.t[k], log.wall[k], log.vx[k], log.vy[k]), k
@@ -572,7 +586,8 @@ class TestStrikeWalk:
         "simulate": lambda state, horizon: simulate(state, 5, horizon),
         "next_collision": next_collision,
         "step_rays": lambda state, horizon: step_rays(
-            Rays(*(np.array([c]) for c in (*state.position, *state.velocity, 0.0))), horizon),
+            Rays(*(np.array([c]) for c in (*state.position, *state.velocity, 0.0, False))),
+            horizon),
     }
 
     # under an infinite horizon, the ray at pi / 2 (vx = 6.1e-17) would walk
@@ -702,8 +717,22 @@ class TestStepRays:
         assert (y, WALLS[int(wall)]) == (0.5, "Bottom")
         assert_kernels_tie([state], 20)
 
+    def test_reference_rays_settle(self):
+        # the kernel's hypot skip engages: every reference ray from the origin
+        # has met hypot == 1.0 within its first three bounces
+        spec = SweepSpec()
+        velocities = [state_from_slope(spec.slope_at(t)).velocity
+                      for t in range(1, spec.count + 1)]
+        rays = Rays(*(np.array(c) for c in zip(
+            *[(0.0, 0.0, v.x, v.y, 0.0, False) for v in velocities])))
+        for _ in range(3):
+            rays, walls = step_rays(rays)
+            assert np.all(walls != NO_HIT)
+        assert rays.unit_norm.all()
+
     def test_empty_batch(self):
-        rays, walls = step_rays(Rays(*(np.zeros(0) for _ in Rays._fields)))
+        rays, walls = step_rays(Rays(*(np.zeros(0) for _ in Rays._fields[:-1]),
+                                     unit_norm=np.zeros(0, dtype=bool)))
         assert [len(column) for column in rays] == [0] * len(Rays._fields)
         assert walls.shape == (0,)
 
@@ -717,8 +746,10 @@ class TestStepRays:
         spec = SweepSpec()
         velocities = [state_from_slope(spec.slope_at(t)).velocity
                       for t in range(1, spec.count + 1)]
-        rays = Rays(*(np.array(c) for c in zip(*[(0.0, 0.0, v.x, v.y, 0.0) for v in velocities])))
-        mirrored = Rays(mx * rays.x, my * rays.y, mx * rays.vx, my * rays.vy, rays.t)
+        rays = Rays(*(np.array(c) for c in zip(
+            *[(0.0, 0.0, v.x, v.y, 0.0, False) for v in velocities])))
+        mirrored = Rays(mx * rays.x, my * rays.y, mx * rays.vx, my * rays.vy, rays.t,
+                        rays.unit_norm)
         for _ in range(200):
             rays, walls = step_rays(rays)
             mirrored, mirrored_walls = step_rays(mirrored)

@@ -634,6 +634,26 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--out", str(tmp_path)]) == 4
         assert "FAIL trajectory replays on the collision kernel" in capsys.readouterr().out
 
+    # a coordinate with no exact cell center fails the trajectory's fields
+    # and is no cast warning, so diagnose runs to its report under -W error
+    @pytest.mark.filterwarnings("error")
+    def test_trajectory_point_beyond_cells_fails_fields(self, tmp_path, capsys):
+        assert main(["simulate", "--out", str(tmp_path), "--slope", "1.464",
+                     "--collisions", "40"]) == 0
+        path = tmp_path / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        row = lines[-1].split(",")
+        row[1] = "1e+20"
+        lines[-1] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["diagnose", "--out", str(tmp_path)]) == 4
+        out, err = capsys.readouterr()
+        assert ("FAIL trajectory.csv fields (ValueError: no exact cell center for coordinate "
+                "1e+20)" in out)
+        assert "ok   trajectory.csv round-trip" in out
+        assert "Traceback" not in err
+
     def test_empty_directory_is_config_error(self, tmp_path):
         assert main(["diagnose", "--out", str(tmp_path)]) == 2
 
