@@ -51,16 +51,34 @@ class Vec2(NamedTuple):
 
 
 def unit(x: float, y: float) -> Vec2:
-    """Rescale (x, y) to unit norm."""
+    """Rescale (x, y) to unit norm: divide by math.hypot until it returns
+    exactly 1.0, for at most four divisions.
+
+    One division can leave hypot an ulp off 1.0; the next one or two land
+    on a fixed point, which a further division leaves bit for bit. No
+    kernel renormalizes: a bounce only flips signs, so every later state
+    keeps this velocity's (|vx|, |vy|). A velocity that does not settle
+    within the cap is still valid, as bounces keep its magnitude too.
+    """
     n = math.hypot(x, y)
     if n == 0.0 or not math.isfinite(n):
         raise DegenerateVelocity(f"cannot normalize ({x}, {y})")
-    return Vec2(x / n, y / n)
+    for _ in range(4):
+        x, y = x / n, y / n
+        n = math.hypot(x, y)
+        if n == 1.0:
+            break
+    return Vec2(x, y)
 
 
 @dataclass(frozen=True)
 class ParticleState:
-    """Position and unit velocity of the particle; elapsed_time is path length."""
+    """Position and velocity of the particle; elapsed_time is path length.
+
+    The speed must be within SPEED_TOL of 1, and every later state keeps
+    it as given, as a bounce only flips signs; unit() makes it exactly 1.0
+    where four divisions can.
+    """
 
     position: Vec2
     velocity: Vec2
@@ -131,7 +149,7 @@ class TrajectoryLog:
             k = int(bad.argmax())
             if not finite[k]:
                 raise ValueError("particle state components must be finite")
-            norm = math.hypot(self.vx[k], self.vy[k])
+            norm = Vec2(float(self.vx[k]), float(self.vy[k])).norm()
             raise DegenerateVelocity(f"|velocity| = {norm!r} is not 1 within {SPEED_TOL}")
 
     def __len__(self) -> int:
@@ -172,15 +190,15 @@ def cell_centers(x, y) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 # Points along a ray within _REACH of a start within _REACH of the origin lie
-# within 2**53, where odd band centers and their steps of 2 are exact.
-_REACH = 2.0**52
+# within 2**52, where the walls c +- 0.5 of odd band centers c are exact.
+_REACH = 2.0**51
 
 
 def _check_horizon(horizon) -> None:
     """Reject a horizon that is not positive or exceeds _REACH (NaN and inf
-    included): farther out, the walk's band steps could stop moving."""
+    included): farther out, a strike could lie where band walls are not exact."""
     if not 0 < horizon <= _REACH:
-        raise ValueError("horizon must be positive and at most 2**52")
+        raise ValueError("horizon must be positive and at most 2**51")
 
 
 def _band(p, v, inv_v, t):
@@ -202,7 +220,8 @@ def _strikes(px, py, vx, vy, horizon):
     Yields (s, hx, hy, wall, vx, vy) for each strike: the path length s from
     the previous strike (from the start, for the first), the hit point
     snapped onto the wall plane, the wall code (an index into WALLS) and the
-    velocity after the bounce, renormalized through math.hypot. Stops when
+    velocity after the bounce, which flips the sign of one component or, at
+    a corner, of both; it keeps the speed as given. Stops when
     nothing is struck within path length `horizon` of the last strike; the
     caller checks the horizon, as a generator's body runs only once it is
     advanced. Flights shorter than MIN_FLIGHT are ignored so the wall just
@@ -217,21 +236,18 @@ def _strikes(px, py, vx, vy, horizon):
     an s-band for all time, or in a corridor. A strike from a coordinate
     beyond +-_REACH meets nothing.
 
-    Each strike hands the next three facts it has settled, each bitwise
+    Each strike hands the next two facts it has settled, each bitwise
     what a fresh walk from the post-bounce state would compute:
       - the frame: bounces only flip signs, so the faster axis stays the
-        faster one, and the walk runs in (f, s) coordinates throughout;
+        faster one, and the walk runs in (f, s) coordinates throughout.
+        1 / v flips with v, as 1 / -v == -(1 / v) in IEEE arithmetic;
       - the bands: the next walk starts on the wall just struck, moving
         away. On the flipped axis its band is the struck band's neighbour
         behind it, as the struck band's far slab time is 0. Along the wall
         it is the struck band while the hit lies strictly inside it, which
         rounding can break only far from the start. Otherwise, and after a
         corner, _band places the band afresh, as for the first strike and
-        every jump;
-      - the velocity: once hypot returns exactly 1.0, every later bounce
-        only flips signs of a velocity whose hypot is 1.0 and divides by
-        1.0. So hypot is skipped from then on, and 1 / v flips with v, as
-        1 / -v == -(1 / v) in IEEE arithmetic.
+        every jump.
     """
     x_fast = abs(vx) >= abs(vy)
     pf, ps, vf, vs = (px, py, vx, vy) if x_fast else (py, px, vy, vx)
@@ -241,7 +257,6 @@ def _strikes(px, py, vx, vy, horizon):
     flips = _FLIPS if x_fast else [(flip_y, flip_x) for flip_x, flip_y in _FLIPS]
     inv_f = 1.0 / vf
     inv_s = 1.0 / vs if vs != 0.0 else math.inf  # not read while vs == 0
-    unit_norm = False  # hypot has returned exactly 1.0
     cf = cs = None  # the bands to start in, once a strike has settled them
     while True:
         if not (-_REACH < pf < _REACH and -_REACH < ps < _REACH):
@@ -305,19 +320,10 @@ def _strikes(px, py, vx, vy, horizon):
             cf, cs = (cb if lo < hb < hi else None), cs - 4.0 * side_s
 
         flip_f, flip_s = flips[wall]
-        if unit_norm:
-            if flip_f:
-                vf, inv_f = -vf, -inv_f
-            if flip_s:
-                vs, inv_s = -vs, -inv_s
-        else:
-            rf = -vf if flip_f else vf
-            rs = -vs if flip_s else vs
-            n = math.hypot(rf, rs) if x_fast else math.hypot(rs, rf)  # in x, y order
-            vf, vs = rf / n, rs / n
-            unit_norm = n == 1.0
-            inv_f = 1.0 / vf
-            inv_s = 1.0 / vs if vs != 0.0 else math.inf
+        if flip_f:
+            vf, inv_f = -vf, -inv_f
+        if flip_s:
+            vs, inv_s = -vs, -inv_s
         if x_fast:
             yield s, hf, hs, wall, vf, vs
         else:
@@ -428,18 +434,13 @@ _BLOCK_ROWS = np.array([(a, LOCKSTEP_CELLS + b, 2 * LOCKSTEP_CELLS + a, 3 * LOCK
 
 
 class Rays(NamedTuple):
-    """Positions, unit velocities and elapsed path lengths of R rays, and
-    each ray's unit_norm: True once math.hypot has returned exactly 1.0 at
-    one of its bounces, as in the scalar walk. From then on, hypot of its
-    velocity is 1.0, and every bounce only flips signs and divides by 1.0.
-    A ray of unknown history is False, which costs one hypot and no bit."""
+    """Positions, velocities and elapsed path lengths of R rays."""
 
     x: np.ndarray
     y: np.ndarray
     vx: np.ndarray
     vy: np.ndarray
     t: np.ndarray
-    unit_norm: np.ndarray
 
 
 def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.ndarray]:
@@ -448,13 +449,8 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
     Returns the post-bounce rays and the wall code (an index into WALLS) of
     each strike. A ray that meets nothing within the horizon keeps its state
     and gets the code NO_HIT. Each ray's result is bitwise the next event and
-    post-bounce state of `simulate` from the same state.
-
-    Like the scalar walk, the kernel renormalizes a bounce through
-    math.hypot, in (x, y) order, only on rays whose unit_norm is False, and
-    sets the flag where hypot returns exactly 1.0. hypot ignores signs, so
-    its value is the same whichever walls a ray strikes, and the same on
-    rays that take the scalar walk's first strike below.
+    post-bounce state of `simulate` from the same state: like the scalar
+    walk, a bounce only flips signs, so the two agree on any velocity.
 
     Instead of walking bands in order, each ray tests one fixed block of
     candidate obstacles at once: the cells a steps along x and b steps along
@@ -479,7 +475,7 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
     Only the walk labels corners.
     """
     _check_horizon(horizon)
-    x, y, vx, vy, t, unit_norm = rays
+    x, y, vx, vy, t = rays
     n = len(x)
     columns = np.arange(n)
     p = np.array([x, y])
@@ -519,39 +515,23 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
         hx, hy = np.where(normal, near, point)
         walls = np.where(vertical, np.where(ahead[0], _LEFT, _RIGHT),
                          np.where(ahead[1], _BOTTOM, _TOP)).astype(np.int8)
-        # math.hypot, as in simulate: np.hypot is not guaranteed to round
-        # alike. It ignores signs, so it may take v before the flip; and a
-        # settled ray's hypot is exactly 1.0.
-        norm = np.ones(n)
-        unsettled = ~unit_norm
-        norm[unsettled] = np.fromiter(
-            map(math.hypot, vx[unsettled].tolist(), vy[unsettled].tolist()), float)
         # a side wall flips its normal component
-        next_vx, next_vy = np.where(normal, -v, v) / norm
-        next_unit_norm = unit_norm | (norm == 1.0)
+        next_vx, next_vy = np.where(normal, -v, v)
         next_t = t + s
     for i in np.flatnonzero(~clean):
         # a ray that meets nothing keeps its state
         si, hx[i], hy[i], walls[i], next_vx[i], next_vy[i] = next(
             _strikes(float(x[i]), float(y[i]), float(vx[i]), float(vy[i]), horizon),
             (None, x[i], y[i], NO_HIT, vx[i], vy[i]))
-        if si is None:
-            next_t[i], next_unit_norm[i] = t[i], unit_norm[i]
-        else:
-            next_t[i] = t[i] + si
-    return Rays(x=hx, y=hy, vx=next_vx, vy=next_vy, t=next_t, unit_norm=next_unit_norm), walls
+        next_t[i] = t[i] if si is None else t[i] + si
+    return Rays(x=hx, y=hy, vx=next_vx, vy=next_vy, t=next_t), walls
 
 
 def strike_origins(log: TrajectoryLog) -> Rays:
     """The state each logged strike starts from, as one batch for step_rays:
     the initial state, its velocity reflected in place as simulate does, then
     every post-bounce state but the last. Stepping this batch once reproduces
-    the log's rows bit for bit when the log came from simulate.
-
-    Every row starts unsettled (unit_norm False), as a log does not say
-    where hypot first returned 1.0. That is bitwise safe: step_rays then
-    calls hypot on each row, which returns exactly 1.0 where the walk
-    skipped it, and dividing by 1.0 changes no bit."""
+    the log's rows bit for bit when the log came from simulate."""
     (px, py), (vx, vy), t = log.initial.position, log.initial.velocity, log.initial.elapsed_time
     if -_REACH < px < _REACH and -_REACH < py < _REACH:
         vx, vy = _normalize_on_wall(px, py, vx, vy)
@@ -561,7 +541,7 @@ def strike_origins(log: TrajectoryLog) -> Rays:
         return np.concatenate([[first], column])[:n]
 
     return Rays(x=before(px, log.x), y=before(py, log.y), vx=before(vx, log.vx),
-                vy=before(vy, log.vy), t=before(t, log.t), unit_norm=np.zeros(n, dtype=bool))
+                vy=before(vy, log.vy), t=before(t, log.t))
 
 
 def distance_series(log: TrajectoryLog) -> np.ndarray:

@@ -124,7 +124,7 @@ def _sweep_span(spec: SweepSpec, first: int, last: int) -> SweepResult:
     velocities = [state_from_slope(slope).velocity for slope in slopes]
     n = len(slopes)
     rays = Rays(x=np.zeros(n), y=np.zeros(n), vx=np.array([v.x for v in velocities]),
-                vy=np.array([v.y for v in velocities]), t=np.zeros(n), unit_norm=np.zeros(n, bool))
+                vy=np.array([v.y for v in velocities]), t=np.zeros(n))
     rows = np.arange(n)  # grid sample of each live ray
     dmin = np.full(n, math.inf)
     gaps = []  # (grid sample, reason)

@@ -386,11 +386,10 @@ def test_trajectory_log_event_arrays():
 
 def batched_events(states, n, horizon=DEFAULT_HORIZON):
     """Per-ray (k, 4) arrays of x, y, t and wall code from n lockstep steps;
-    a ray leaves the batch at its first step without a hit. Every ray starts
-    unsettled, and each step checks that a settled ray's hypot is 1.0."""
+    a ray leaves the batch at its first step without a hit."""
     rays = Rays(*(np.array(column, dtype=float) for column in zip(
         *[(s.position.x, s.position.y, s.velocity.x, s.velocity.y, s.elapsed_time)
-          for s in states])), unit_norm=np.zeros(len(states), dtype=bool))
+          for s in states])))
     rows = np.arange(len(states))
     events = np.zeros((len(states), n, 4))
     counts = np.zeros(len(states), dtype=int)
@@ -398,9 +397,6 @@ def batched_events(states, n, horizon=DEFAULT_HORIZON):
         rays, walls = step_rays(rays, horizon)
         live = walls != NO_HIT
         rays = Rays(*(a[live] for a in rays))
-        settled = np.flatnonzero(rays.unit_norm)
-        assert all(math.hypot(vx, vy) == 1.0 for vx, vy in zip(
-            rays.vx[settled].tolist(), rays.vy[settled].tolist())), k
         rows = rows[live]
         events[rows, k] = np.column_stack([rays.x, rays.y, rays.t, walls[live]])
         counts[rows] += 1
@@ -532,7 +528,7 @@ def first_strike_length(entry, state, horizon):
         except NoHitWithinHorizon:
             return None
     rays, walls = step_rays(
-        Rays(*(np.array([c]) for c in (*state.position, *state.velocity, 0.0, False))), horizon)
+        Rays(*(np.array([c]) for c in (*state.position, *state.velocity, 0.0))), horizon)
     return float(rays.t[0]) if walls[0] != NO_HIT else None
 
 
@@ -540,11 +536,33 @@ def row_bytes(*values):
     return np.array(values, dtype=float).tobytes()
 
 
+class TestUnit:
+    # unit() lands on the fixed point hypot == 1.0, which bounces keep
+    @given(st.one_of(
+        (st.floats(-1e3, 1e3) | st.floats(allow_nan=False, allow_infinity=False)).map(
+            lambda slope: (1.0, slope)),
+        st.floats(-math.pi, math.pi).map(lambda theta: (math.cos(theta), math.sin(theta))),
+        st.builds(lambda axis, tilt: (math.cos(axis * math.pi / 2 + tilt),
+                                      math.sin(axis * math.pi / 2 + tilt)),
+                  st.integers(-1, 2), tilts | tilts.map(lambda tilt: -tilt))))
+    def test_speed_is_exactly_one(self, xy):
+        assert math.hypot(*unit(*xy)) == 1.0
+
+
+def flip_sign_states():
+    spec = SweepSpec()
+    states = [state_from_slope(spec.slope_at(t)) for t in range(1, spec.count + 1)]
+    angles = np.random.default_rng(0).uniform(0.1, math.pi / 2 - 0.1, 12)
+    states += [state_from_angle(theta) for theta in angles]
+    states.append(ParticleState(Vec2(0.0, 0.0), Vec2(0.6 * (1.0 + 1e-7), 0.8)))
+    return states
+
+
 class TestStrikeWalk:
     # After its first strike, simulate's walk carries its bands, its inverse
-    # velocity and its (fast, slow) frame over from the strike before, and
-    # skips hypot once it has returned exactly 1.0. A fresh walk from the
-    # same state places its bands from scratch, divides and calls hypot.
+    # velocity and its (fast, slow) frame over from the strike before. A
+    # fresh walk from the same state places its bands from scratch and
+    # divides.
     @given(st.one_of(free_rays, corner_rays, axis_rays, corner_aimed_rays, far_rays),
            st.sampled_from([1.5, 5.0, 1e3]))
     def test_each_strike_is_a_fresh_walks_first(self, state, horizon):
@@ -557,22 +575,14 @@ class TestStrikeWalk:
                 log.x[k], log.y[k], log.t[k], log.wall[k], log.vx[k], log.vy[k]), k
 
     def test_unit_hypot_bounces_only_flip_signs(self):
-        # where hypot of a logged velocity is exactly 1.0, the next bounce
-        # divides by 1.0, so the next row keeps (|vx|, |vy|)
-        spec = SweepSpec()
-        runs = [(state_from_slope(spec.slope_at(t)), 1000) for t in range(1, spec.count + 1)]
-        angles = np.random.default_rng(0).uniform(0.1, math.pi / 2 - 0.1, 12)
-        runs += [(state_from_angle(theta), 2000) for theta in angles]
-        rows = unit_rows = 0
-        for state, n in runs:
-            log = simulate(state, n)
-            unit_norm = np.array(list(map(math.hypot, log.vx.tolist(), log.vy.tolist()))) == 1.0
-            k = np.flatnonzero(unit_norm[:-1])
-            assert np.array_equal(np.abs(log.vx[k + 1]), np.abs(log.vx[k])), state
-            assert np.array_equal(np.abs(log.vy[k + 1]), np.abs(log.vy[k])), state
-            rows += len(log) - 1
-            unit_rows += len(k)
-        assert unit_rows > 0.99 * rows
+        # the walk never renormalizes: every bounce of simulate keeps the
+        # initial (|vx|, |vy|) bit for bit, on the reference grid, at seeded
+        # angles, and at a hand-built speed a little above 1
+        for state in flip_sign_states():
+            log = simulate(state, 1000)
+            assert len(log) == 1000
+            assert np.all(np.abs(log.vx) == abs(state.velocity.x)), state
+            assert np.all(np.abs(log.vy) == abs(state.velocity.y)), state
 
     def test_long_run_is_pinned(self):
         # taken before the walk kept its cells between strikes
@@ -586,19 +596,20 @@ class TestStrikeWalk:
         "simulate": lambda state, horizon: simulate(state, 5, horizon),
         "next_collision": next_collision,
         "step_rays": lambda state, horizon: step_rays(
-            Rays(*(np.array([c]) for c in (*state.position, *state.velocity, 0.0, False))),
+            Rays(*(np.array([c]) for c in (*state.position, *state.velocity, 0.0))),
             horizon),
     }
 
     # under an infinite horizon, the ray at pi / 2 (vx = 6.1e-17) would walk
-    # up between two obstacle columns forever; past 2**52 the points along a
-    # ray lose odd-integer resolution, so the walk's band steps could stall
+    # up between two obstacle columns forever; past 2**51 the points along a
+    # ray from a start within 2**51 could leave 2**52, where the walls of
+    # odd-centered bands are no longer exact
     @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf, 1e30])
     @pytest.mark.parametrize("entry", sorted(RUNS))
     def test_horizon_must_be_positive(self, scalar_walks, entry, horizon):
         # an axis-parallel ray, which step_rays finishes on the scalar walk
         state = ParticleState(Vec2(0.7, 0.0), Vec2(0.0, 1.0))
-        with pytest.raises(ValueError, match=r"horizon must be positive and at most 2\*\*52"):
+        with pytest.raises(ValueError, match=r"horizon must be positive and at most 2\*\*51"):
             self.RUNS[entry](state, horizon)
         assert scalar_walks == []
 
@@ -620,19 +631,47 @@ class TestStrikeWalk:
         assert first_strike_length(entry, state, s) == s
         assert first_strike_length(entry, state, math.nextafter(s, 0.0)) is None
 
-    # past 2**52 from the origin, band centers and their steps of 2 are no
-    # longer exact: a walk from there meets nothing instead of stalling, and
+    # a walk from 2**51 or farther from the origin meets nothing, as its
+    # strikes could lie past 2**52, where band walls are no longer exact, and
     # the lockstep kernel agrees. No cell is looked up there, so past 2**63,
     # where a cell center has no int64 value, nothing warns of a bad cast.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("position", [Vec2(1e18, 0.3), Vec2(0.3, -1e17), Vec2(2.0**52, 0.3),
-                                          Vec2(1e20, 0.3)])
+                                          Vec2(1e20, 0.3), Vec2(0.3, -2.0**51)])
     def test_walk_beyond_reach_meets_nothing(self, position):
         state = state_from_angle(0.2, position)
         log = simulate(state, 3)
         assert (len(log), log.truncated) == (0, True)
         assert len(strike_origins(log).x) == 0
         assert_kernels_tie([state], 3)
+
+    # Starts in a gap row (or column) up to 200 inside +-_REACH, running
+    # outward along the axis with a tilt of about 2**-53, first strike a wall
+    # parallel to that axis up to _REACH farther out. There the wall planes
+    # c +- 0.5 are still exact, so every strike lies on its obstacle's
+    # boundary; with a reach of 2**52, most of them would not.
+    def test_strikes_from_the_reach_edge_lie_on_their_obstacles(self):
+        reach = billiard._REACH
+        rng = np.random.default_rng(7)
+        states = []
+        for _ in range(2000):
+            sign, tilt_sign = rng.choice([-1.0, 1.0], 2)
+            p, q = sign * (reach - rng.uniform(0.0, 200.0)), rng.uniform(-0.5, 0.5)
+            tilt = tilt_sign * rng.uniform(0.3, 3.0) * 2.0**-53
+            states.append(ParticleState(Vec2(p, q), Vec2(sign, tilt)) if rng.random() < 0.5
+                          else ParticleState(Vec2(q, p), Vec2(tilt, sign)))
+        hits = 0
+        for state in states:
+            try:
+                event = next_collision(state, reach)
+            except NoHitWithinHorizon:
+                continue
+            hits += 1
+            cx, cy = event.obstacle_center
+            offsets = sorted((abs(event.point.x - cx), abs(event.point.y - cy)))
+            assert offsets[0] <= 0.5 and offsets[1] == 0.5, (state, event)
+        assert hits > 500
+        assert_kernels_tie(states, 1, reach)
 
     # swapping x and y maps the obstacle lattice onto itself, and with
     # |vx| != |vy| the walk's fast axis is swapped too, so the log transposes
@@ -718,21 +757,21 @@ class TestStepRays:
         assert_kernels_tie([state], 20)
 
     def test_reference_rays_settle(self):
-        # the kernel's hypot skip engages: every reference ray from the origin
-        # has met hypot == 1.0 within its first three bounces
-        spec = SweepSpec()
-        velocities = [state_from_slope(spec.slope_at(t)).velocity
-                      for t in range(1, spec.count + 1)]
-        rays = Rays(*(np.array(c) for c in zip(
-            *[(0.0, 0.0, v.x, v.y, 0.0, False) for v in velocities])))
-        for _ in range(3):
+        # unit() starts every ray on hypot == 1.0 and step_rays only flips
+        # signs, so every bounce keeps (|vx|, |vy|) bit for bit, also at a
+        # hand-built speed a little above 1
+        states = flip_sign_states()
+        assert all(math.hypot(*s.velocity) == 1.0 for s in states[:-1])
+        rays = Rays(*(np.array(column) for column in zip(
+            *[(*s.position, *s.velocity, 0.0) for s in states])))
+        speeds = np.abs([rays.vx, rays.vy]).tobytes()
+        for k in range(1000):
             rays, walls = step_rays(rays)
             assert np.all(walls != NO_HIT)
-        assert rays.unit_norm.all()
+            assert np.abs([rays.vx, rays.vy]).tobytes() == speeds, k
 
     def test_empty_batch(self):
-        rays, walls = step_rays(Rays(*(np.zeros(0) for _ in Rays._fields[:-1]),
-                                     unit_norm=np.zeros(0, dtype=bool)))
+        rays, walls = step_rays(Rays(*(np.zeros(0) for _ in Rays._fields)))
         assert [len(column) for column in rays] == [0] * len(Rays._fields)
         assert walls.shape == (0,)
 
@@ -747,9 +786,8 @@ class TestStepRays:
         velocities = [state_from_slope(spec.slope_at(t)).velocity
                       for t in range(1, spec.count + 1)]
         rays = Rays(*(np.array(c) for c in zip(
-            *[(0.0, 0.0, v.x, v.y, 0.0, False) for v in velocities])))
-        mirrored = Rays(mx * rays.x, my * rays.y, mx * rays.vx, my * rays.vy, rays.t,
-                        rays.unit_norm)
+            *[(0.0, 0.0, v.x, v.y, 0.0) for v in velocities])))
+        mirrored = Rays(mx * rays.x, my * rays.y, mx * rays.vx, my * rays.vy, rays.t)
         for _ in range(200):
             rays, walls = step_rays(rays)
             mirrored, mirrored_walls = step_rays(mirrored)

@@ -1,5 +1,6 @@
 """Tests for the slope sweep, motion classification, and exponent estimator."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from windtree import io
 from windtree.billiard import (
     ParticleState,
     TrajectoryLog,
@@ -114,6 +116,12 @@ class TestBuildSweep:
         assert np.all(np.isfinite(xs))
         # every strike lies on an obstacle wall, off the bands |x|, |y| < 0.5
         assert result.columns["D"].min() >= math.hypot(0.5, 0.5)
+
+    def test_reference_sweep_csv_is_pinned(self, reference_sweep):
+        # the bytes `windtree sweep` writes for configs/reference.json
+        text = io.csv_text(reference_sweep[0].columns, io.SWEEP_CSV)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "fdbfb178c0dac35e22d1c45c2b9f56d42e3893fa1c3fe3a0803e7a3001566144")
 
     def test_mirrored_grid_gives_the_same_statistics_bitwise(self, reference_sweep):
         # reflecting the slopes in the x axis reflects every trajectory, and
