@@ -40,6 +40,7 @@ NO_HIT = -1            # wall code of a ray that met nothing within the horizon
 # Whether a strike on each wall flips (vx, vy), indexed by wall code: a side
 # flips one component and a corner retro-reflects.
 _FLIPS = ((True, False), (True, False), (False, True), (False, True), (True, True))
+_FLIP_TABLE = np.array(_FLIPS)
 
 
 class Vec2(NamedTuple):
@@ -120,10 +121,12 @@ class TrajectoryLog:
     """Initial state plus one row per collision, held as columns.
 
     Row k-1 is the k-th wall strike: the hit point (x, y) snapped onto its
-    wall, the cumulative path length t, the wall code (an index into WALLS),
-    and the post-bounce velocity (vx, vy). The struck obstacle's center is
-    cell_centers(x, y). Construction applies ParticleState's checks to every
-    row: components finite and |(vx, vy)| within SPEED_TOL of 1.
+    wall, the cumulative path length t and the wall code (an index into
+    WALLS). The struck obstacle's center is cell_centers(x, y), and the
+    post-bounce velocity follows from the initial one and the walls, as a
+    bounce only flips signs (velocities()). Construction checks that the
+    columns have one length, that x, y and t are finite, as ParticleState's
+    are, and that every wall code indexes WALLS.
     """
 
     initial: ParticleState
@@ -131,29 +134,30 @@ class TrajectoryLog:
     y: np.ndarray
     t: np.ndarray
     wall: np.ndarray
-    vx: np.ndarray
-    vy: np.ndarray
     truncated: bool = False
     truncation_reason: Optional[str] = None
 
     def __post_init__(self):
-        columns = (self.x, self.y, self.t, self.wall, self.vx, self.vy)
-        if len({len(c) for c in columns}) != 1:
+        if len({len(c) for c in (self.x, self.y, self.t, self.wall)}) != 1:
             raise ValueError("trajectory columns differ in length")
-        finite = (np.isfinite(self.x) & np.isfinite(self.y) & np.isfinite(self.t)
-                  & np.isfinite(self.vx) & np.isfinite(self.vy))
-        speed = np.hypot(self.vx, self.vy)
-        bad = ~finite | (np.abs(speed - 1.0) > SPEED_TOL)
+        if not (np.isfinite(self.x) & np.isfinite(self.y) & np.isfinite(self.t)).all():
+            raise ValueError("particle state components must be finite")
+        # NO_HIT (-1) would index the Corner flips
+        bad = (self.wall < 0) | (self.wall >= len(WALLS))
         if bad.any():
-            # raise what ParticleState raises for the first bad row
-            k = int(bad.argmax())
-            if not finite[k]:
-                raise ValueError("particle state components must be finite")
-            norm = Vec2(float(self.vx[k]), float(self.vy[k])).norm()
-            raise DegenerateVelocity(f"|velocity| = {norm!r} is not 1 within {SPEED_TOL}")
+            raise ValueError(f"wall code {int(self.wall[bad.argmax()])} is not an index into WALLS")
 
     def __len__(self) -> int:
         return len(self.t)
+
+    def velocities(self) -> tuple[np.ndarray, np.ndarray]:
+        """The post-bounce velocity (vx, vy) of every strike: the initial
+        velocity, reflected in place as simulate does, with each component's
+        sign flipped by every strike whose wall flips it (_FLIPS). Negation
+        is exact, so this is bitwise the velocity both kernels carry."""
+        vx, vy = _start_velocity(self.initial)
+        odd = np.logical_xor.accumulate(_FLIP_TABLE[self.wall], axis=0)
+        return np.where(odd[:, 0], -vx, vx), np.where(odd[:, 1], -vy, vy)
 
     def corner_count(self) -> int:
         return int(np.count_nonzero(self.wall == _CORNER))
@@ -217,11 +221,11 @@ def _band(p, v, inv_v, t):
 def _strikes(px, py, vx, vy, horizon):
     """The wall strikes of the ray from (px, py) along (vx, vy), in order.
 
-    Yields (s, hx, hy, wall, vx, vy) for each strike: the path length s from
-    the previous strike (from the start, for the first), the hit point
-    snapped onto the wall plane, the wall code (an index into WALLS) and the
-    velocity after the bounce, which flips the sign of one component or, at
-    a corner, of both; it keeps the speed as given. Stops when
+    Yields (s, hx, hy, wall) for each strike: the path length s from the
+    previous strike (from the start, for the first), the hit point snapped
+    onto the wall plane and the wall code (an index into WALLS). The bounce
+    flips the sign of one velocity component or, at a corner, of both, as
+    _FLIPS[wall] says; it keeps the speed as given. Stops when
     nothing is struck within path length `horizon` of the last strike; the
     caller checks the horizon, as a generator's body runs only once it is
     advanced. Flights shorter than MIN_FLIGHT are ignored so the wall just
@@ -233,8 +237,10 @@ def _strikes(px, py, vx, vy, horizon):
     an obstacle the ray enters unless the s-slab starts after the f-slab
     ends; then the walk jumps to the first f-band that ends after the
     s-slab starts, so a strike costs a few steps in every direction. With vs == 0 the ray is in
-    an s-band for all time, or in a corridor. A strike from a coordinate
-    beyond +-_REACH meets nothing.
+    an s-band for all time, or in a corridor. So it is with |vs| < 2**-1024,
+    whose inverse overflows: within any horizon the ray moves less than
+    2**-973 across the bands, and on a band's edge it grazes, as at vs == 0.
+    A strike from a coordinate beyond +-_REACH meets nothing.
 
     Each strike hands the next two facts it has settled, each bitwise
     what a fresh walk from the post-bounce state would compute:
@@ -256,7 +262,9 @@ def _strikes(px, py, vx, vy, horizon):
     wall_f, wall_s = (_LEFT, _BOTTOM) if x_fast else (_BOTTOM, _LEFT)
     flips = _FLIPS if x_fast else [(flip_y, flip_x) for flip_x, flip_y in _FLIPS]
     inv_f = 1.0 / vf
-    inv_s = 1.0 / vs if vs != 0.0 else math.inf  # not read while vs == 0
+    inv_s = 1.0 / vs if vs != 0.0 else math.inf
+    # vs == 0, or too small for 1 / vs: the ray keeps its s-band (inv_s unread)
+    s_fixed = math.isinf(inv_s)
     cf = cs = None  # the bands to start in, once a strike has settled them
     while True:
         if not (-_REACH < pf < _REACH and -_REACH < ps < _REACH):
@@ -264,7 +272,7 @@ def _strikes(px, py, vx, vy, horizon):
         side_f = 0.5 if vf > 0.0 else -0.5  # the far wall of a band, from its center
         if cf is None:
             cf = _band(pf, vf, inv_f, 0.0)
-        if vs == 0.0:
+        if s_fixed:
             cs = 2.0 * math.floor(ps * 0.5) + 1.0
             if not cs - 0.5 < ps < cs + 0.5:
                 return  # a corridor between obstacle rows or columns
@@ -324,10 +332,7 @@ def _strikes(px, py, vx, vy, horizon):
             vf, inv_f = -vf, -inv_f
         if flip_s:
             vs, inv_s = -vs, -inv_s
-        if x_fast:
-            yield s, hf, hs, wall, vf, vs
-        else:
-            yield s, hs, hf, wall, vs, vf
+        yield (s, hf, hs, wall) if x_fast else (s, hs, hf, wall)
         pf, ps = hf, hs
 
 
@@ -344,7 +349,7 @@ def next_collision(state: ParticleState, horizon: float = DEFAULT_HORIZON) -> Co
         raise NoHitWithinHorizon(
             f"no obstacle within path length {horizon:g} from {tuple(state.position)}"
         )
-    s, hx, hy, wall = hit[:4]
+    s, hx, hy, wall = hit
     return CollisionEvent(
         point=Vec2(hx, hy),
         time=state.elapsed_time + s,
@@ -379,6 +384,17 @@ def _normalize_on_wall(px, py, vx, vy):
     return (-vx if flip_x else vx), (-vy if flip_y else vy)
 
 
+def _within_reach(px, py) -> bool:
+    return -_REACH < px < _REACH and -_REACH < py < _REACH
+
+
+def _start_velocity(initial: ParticleState) -> tuple[float, float]:
+    """The velocity of the first flight from `initial`: reflected in place
+    off the wall its position sits on, within the walk's reach."""
+    (px, py), (vx, vy) = initial.position, initial.velocity
+    return _normalize_on_wall(px, py, vx, vy) if _within_reach(px, py) else (vx, vy)
+
+
 def simulate(initial: ParticleState, n_collisions: int,
              horizon: float = DEFAULT_HORIZON) -> TrajectoryLog:
     """Run the particle through `n_collisions` wall strikes.
@@ -391,20 +407,19 @@ def simulate(initial: ParticleState, n_collisions: int,
     if n_collisions < 0:
         raise ValueError("n_collisions must be >= 0")
     _check_horizon(horizon)
-    (px, py), (vx, vy) = initial.position, initial.velocity
+    px, py = initial.position
     # the walk's reach rule comes first: a start beyond +-_REACH meets
     # nothing, and past 2**63 its cell center has no int64 value
-    if -_REACH < px < _REACH and -_REACH < py < _REACH:
-        if point_in_obstacle(px, py, shrink=WALL_TOL):
-            raise ValueError(f"initial position {tuple(initial.position)} is inside an obstacle")
-        vx, vy = _normalize_on_wall(px, py, vx, vy)
-    strikes = chain.from_iterable(islice(_strikes(px, py, vx, vy, horizon), n_collisions))
-    s, x, y, wall, vx, vy = np.fromiter(strikes, float).reshape(-1, 6).T.copy()
+    if _within_reach(px, py) and point_in_obstacle(px, py, shrink=WALL_TOL):
+        raise ValueError(f"initial position {tuple(initial.position)} is inside an obstacle")
+    strikes = chain.from_iterable(
+        islice(_strikes(px, py, *_start_velocity(initial), horizon), n_collisions))
+    s, x, y, wall = np.fromiter(strikes, float).reshape(-1, 4).T.copy()
     # the running sum from the initial time, one addition per strike
     t = np.add.accumulate(np.concatenate([[initial.elapsed_time], s]))[1:]
     truncated = len(s) < n_collisions
     return TrajectoryLog(
-        initial=initial, x=x, y=y, t=t, wall=wall.astype(np.int8), vx=vx, vy=vy,
+        initial=initial, x=x, y=y, t=t, wall=wall.astype(np.int8),
         truncated=truncated,
         truncation_reason=truncation_reason(horizon, len(s)) if truncated else None,
     )
@@ -519,29 +534,34 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
         next_vx, next_vy = np.where(normal, -v, v)
         next_t = t + s
     for i in np.flatnonzero(~clean):
-        # a ray that meets nothing keeps its state
-        si, hx[i], hy[i], walls[i], next_vx[i], next_vy[i] = next(
-            _strikes(float(x[i]), float(y[i]), float(vx[i]), float(vy[i]), horizon),
-            (None, x[i], y[i], NO_HIT, vx[i], vy[i]))
-        next_t[i] = t[i] if si is None else t[i] + si
+        hit = next(_strikes(float(x[i]), float(y[i]), float(vx[i]), float(vy[i]), horizon), None)
+        if hit is None:  # a ray that meets nothing keeps its state
+            hx[i], hy[i], walls[i], next_vx[i], next_vy[i], next_t[i] = (
+                x[i], y[i], NO_HIT, vx[i], vy[i], t[i])
+            continue
+        si, hx[i], hy[i], walls[i] = hit
+        flip_x, flip_y = _FLIPS[walls[i]]
+        next_vx[i], next_vy[i] = (-vx[i] if flip_x else vx[i]), (-vy[i] if flip_y else vy[i])
+        next_t[i] = t[i] + si
     return Rays(x=hx, y=hy, vx=next_vx, vy=next_vy, t=next_t), walls
 
 
 def strike_origins(log: TrajectoryLog) -> Rays:
     """The state each logged strike starts from, as one batch for step_rays:
     the initial state, its velocity reflected in place as simulate does, then
-    every post-bounce state but the last. Stepping this batch once reproduces
-    the log's rows bit for bit when the log came from simulate."""
-    (px, py), (vx, vy), t = log.initial.position, log.initial.velocity, log.initial.elapsed_time
-    if -_REACH < px < _REACH and -_REACH < py < _REACH:
-        vx, vy = _normalize_on_wall(px, py, vx, vy)
+    every post-bounce state but the last (velocities()). Stepping this batch
+    once reproduces the log's rows and velocities bit for bit when the log
+    came from simulate."""
+    (px, py), t = log.initial.position, log.initial.elapsed_time
+    vx, vy = _start_velocity(log.initial)
     n = len(log)
 
     def before(first, column):
         return np.concatenate([[first], column])[:n]
 
-    return Rays(x=before(px, log.x), y=before(py, log.y), vx=before(vx, log.vx),
-                vy=before(vy, log.vy), t=before(t, log.t))
+    lvx, lvy = log.velocities()
+    return Rays(x=before(px, log.x), y=before(py, log.y), vx=before(vx, lvx),
+                vy=before(vy, lvy), t=before(t, log.t))
 
 
 def distance_series(log: TrajectoryLog) -> np.ndarray:

@@ -182,33 +182,13 @@ def cmd_fit(config: PipelineConfig, out: Path, observations: str | None) -> int:
     return EXIT_OK
 
 
-def _trajectory_checks(cols, _):
-    ks, xs, ys, ts = cols["k"], cols["x"], cols["y"], cols["t"]
-    yield "trajectory k counts rows", ks.tolist() == list(range(len(ks)))
-    yield "trajectory times strictly increasing", bool(np.all(ts[1:] > ts[:-1]))
-    cx, cy = billiard.cell_centers(xs[1:], ys[1:])
-    gap = np.maximum(np.abs(xs[1:] - cx), np.abs(ys[1:] - cy))
-    yield "trajectory points on obstacle boundaries", bool(np.all(np.abs(gap - 0.5) <= 1e-9))
-    yield "trajectory speeds unit", bool(
-        np.all(np.abs(np.hypot(cols["vx"], cols["vy"]) - 1.0) <= 1e-9))
-    log = io.read_trajectory(cols)
-    # each logged strike again, from the state before it
-    rays, walls = billiard.step_rays(billiard.strike_origins(log))
-    replayed = (rays.x, rays.y, rays.t, walls, rays.vx, rays.vy)
-    logged = (log.x, log.y, log.t, log.wall, log.vx, log.vy)
-    yield "trajectory replays on the collision kernel", all(
-        a.tobytes() == b.tobytes() for a, b in zip(replayed, logged))
-    return log
-
-
-def _summary_checks(summary, log):
+def _summary_checks(summary, _):
     n = summary["n_collisions"]
-    yield "summary n_collisions counts trajectory strikes", n == len(log)
     yield "summary truncated exactly when short of the requested collisions", (
         summary["truncated"] is (n < summary["n_collisions_requested"]))
     yield "summary truncation_reason given exactly when truncated", (
         (summary["truncation_reason"] is not None) is summary["truncated"])
-    motion, too_short = summary["motion"], len(log) < 2 * MIN_OVERLAP
+    motion, too_short = summary["motion"], n < 2 * MIN_OVERLAP
     yield f"summary motion label null exactly under {2 * MIN_OVERLAP} strikes", (
         (motion["label"] is None) is too_short)
     if motion["label"] is None or too_short:
@@ -216,12 +196,37 @@ def _summary_checks(summary, log):
     # the label's own evidence; the lag scan behind the quasi-periodic fields
     # is not redone
     label, evidence = MotionLabel(motion["label"]), motion["evidence"]
-    yield "summary motion distances recomputed from trajectory.csv", (
-        (evidence["min_return_distance"], evidence["final_distance"], evidence["max_distance"])
-        == motion_distances(log))
     yield "summary motion Recurrent exactly when min_return_distance < eps_recur", (
         (label is MotionLabel.RECURRENT)
         is (evidence["min_return_distance"] < evidence["eps_recur"]))
+
+
+def _trajectory_checks(cols, _):
+    ks, xs, ys, ts = cols["k"], cols["x"], cols["y"], cols["t"]
+    yield "trajectory k counts rows", ks.tolist() == list(range(len(ks)))
+    yield "trajectory times strictly increasing", bool(np.all(ts[1:] > ts[:-1]))
+    cx, cy = billiard.cell_centers(xs[1:], ys[1:])
+    gap = np.maximum(np.abs(xs[1:] - cx), np.abs(ys[1:] - cy))
+    yield "trajectory points on obstacle boundaries", bool(np.all(np.abs(gap - 0.5) <= 1e-9))
+
+
+def _replay_checks(cols, summary):
+    # the initial velocity is the slope's, as simulate started it
+    log = io.read_trajectory(cols, billiard.state_from_slope(summary["slope"]).velocity)
+    # each logged strike again, from the state before it; the kernel flips
+    # each velocity itself, and the log derives it from the walls
+    rays, walls = billiard.step_rays(billiard.strike_origins(log))
+    replayed = (rays.x, rays.y, rays.t, walls, rays.vx, rays.vy)
+    logged = (log.x, log.y, log.t, log.wall, *log.velocities())
+    yield "trajectory replays on the collision kernel", all(
+        a.tobytes() == b.tobytes() for a, b in zip(replayed, logged))
+    yield "summary n_collisions counts trajectory strikes", summary["n_collisions"] == len(log)
+    motion = summary["motion"]
+    if motion["label"] is not None and len(log) >= 2 * MIN_OVERLAP:
+        evidence = motion["evidence"]
+        yield "summary motion distances recomputed from trajectory.csv", (
+            (evidence["min_return_distance"], evidence["final_distance"],
+             evidence["max_distance"]) == motion_distances(log))
 
 
 def _sweep_checks(cols, _):
@@ -280,16 +285,22 @@ def _histogram_checks(hist, cols):
 # where both parsed and the earlier file's own checks could read its fields.
 # A check yields (name, passed) pairs. What it returns, if not None, later
 # checks read of its artifact in place of the parsed document, so the
-# trajectory's log and the model's parameters are each built once.
+# model's parameters are built once.
 DIAGNOSTICS = {
-    "trajectory.csv": [(None, _trajectory_checks)],
-    "summary.json": [("trajectory.csv", _summary_checks)],
+    "summary.json": [(None, _summary_checks)],
+    "trajectory.csv": [(None, _trajectory_checks), ("summary.json", _replay_checks)],
     "sweep.csv": [(None, _sweep_checks)],
     "sweep_meta.json": [("sweep.csv", _sweep_grid_checks)],
     "model.json": [(None, _model_checks)],
     "residuals.csv": [(None, _residuals_checks), ("model.json", _residuals_model_checks)],
     "histogram.json": [("residuals.csv", _histogram_checks)],
 }
+# the files each artifact is checked with, either way round: one of the two
+# files a check reads, found without the other, fails the other's round-trip
+_PAIRS = [(name, partner) for name, entries in DIAGNOSTICS.items()
+          for partner, _ in entries if partner is not None]
+PAIRED = {name: [b for a, b in _PAIRS if a == name] + [a for a, b in _PAIRS if b == name]
+          for name in DIAGNOSTICS}
 
 
 def cmd_diagnose(config: PipelineConfig, out: Path) -> int:
@@ -305,8 +316,8 @@ def cmd_diagnose(config: PipelineConfig, out: Path) -> int:
         if not path.exists():
             continue
         entries = DIAGNOSTICS.get(name, [])
-        for partner, _ in entries:
-            if partner is not None and not (out / partner).exists():
+        for partner in PAIRED[name]:
+            if not (out / partner).exists():
                 checks.append((f"{partner} round-trip", False, f"missing beside {name}"))
         try:
             raw = path.read_text()

@@ -32,6 +32,21 @@ is compared entry by entry to SEAM_RTOL. Where one disagrees,
 NumericalUnderflow names the pass and the seam's observation, rather than
 the pass returning tables that disagree with the recursion.
 
+EM drives a transition probability that the data avoid toward 0 faster
+than geometrically: its update is its current value times a ratio below 1.
+On a series of T = 3000 drawn from the published 3-state model (the
+benchmark's fit input at seed 414), a 4-state fit's smallest entry went
+1.8e-112, 3.8e-180 and 2.0e-310 at iterations 9-11; at iteration 12 an
+entry of 2.3e-308, at the bottom of the normal range, failed the backward
+pass's seam check, though the one-step recursion (tests/oracle.py) still
+had a finite likelihood. So the M-step sets each entry
+below GAMMA_FLOOR = 1e-200 to exactly 0, a zero EM keeps (its pair
+posterior is 0), and names it in the fit warnings; the rows are not
+re-divided, as they then sum to 1 within m * 1e-200. Above the floor a
+product Gamma_ij p_j(x) stays in the normal range for every density above
+2.2e-308 / 1e-200 = 2.2e-108, within about 22 standard deviations of a
+unit-sd state's mean, so the scan keeps its relative precision there.
+
 The fit is checked with ordinary pseudo-residuals, each observation
 conditioned on all the others, counted over HIST_BINS equal bins of [0, 1].
 Their normal CDF is Phi(z) = erfc(-z sqrt(1/2)) / 2, with the standard
@@ -58,6 +73,7 @@ SQRT_HALF = math.sqrt(0.5)  # Phi(z) = erfc(-z * SQRT_HALF) / 2
 SCAN_BLOCK = 8          # steps per block of the two-level row scan
 SEAM_RTOL = 1e-12       # a block seam's two rows agree to this relative to each entry,
 SEAM_ATOL = np.finfo(float).tiny  # give or take the smallest normal double
+GAMMA_FLOOR = 1e-200    # the M-step sets smaller transition probabilities to 0
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -400,7 +416,9 @@ def baum_welch(obs: Sequence[float], init: HmmParams, max_iters: int = 15) -> Fi
     of the first state.
 
     States with posterior mass below DEGENERATE_MASS are frozen at their
-    current parameters and reported in the fit warnings.
+    current parameters and reported in the fit warnings. A transition
+    probability the update puts below GAMMA_FLOOR is set to 0, which later
+    updates keep, and reported in the fit warnings too.
     """
     x = np.asarray(obs, dtype=float)
     if x.size == 0:
@@ -432,6 +450,10 @@ def baum_welch(obs: Sequence[float], init: HmmParams, max_iters: int = 15) -> Fi
         ok = ~frozen & (out_mass > 0)
         gamma[ok] = pair_sum[ok] / out_mass[ok, None]
         gamma[ok] /= gamma[ok].sum(axis=1, keepdims=True)
+        small = (gamma > 0.0) & (gamma < GAMMA_FLOOR)
+        warnings += [f"iteration {it + 1}: gamma[{i}, {j}] = {gamma[i, j]:.3g} below "
+                     f"{GAMMA_FLOOR:g}; set to 0" for i, j in zip(*np.nonzero(small))]
+        gamma[small] = 0.0
 
         mu = params.mu.copy()
         sigma = params.sigma.copy()

@@ -30,16 +30,16 @@ from .sweep import SweepResult
 # -- the codec -------------------------------------------------------------
 
 # Each CSV artifact: its header's column names, in order, and their types.
-TRAJECTORY_CSV = {"k": int, "x": float, "y": float, "t": float, "wall": str,
-                  "vx": float, "vy": float}
+TRAJECTORY_CSV = {"k": int, "x": float, "y": float, "t": float, "wall": str}
 SWEEP_CSV = {"t": int, "slope": float, "D": float, "logD": float}
 RESIDUALS_CSV = {"t": int, "x": float, "u": float}
 
 # The text artifacts the commands write, in the order diagnose checks them:
-# a CSV by its columns, a JSON document by None.
+# a CSV by its columns, a JSON document by None. summary.json comes first,
+# as its slope gives the trajectory's initial velocity.
 ARTIFACTS = {
-    "trajectory.csv": TRAJECTORY_CSV,
     "summary.json": None,
+    "trajectory.csv": TRAJECTORY_CSV,
     "sweep.csv": SWEEP_CSV,
     "sweep_meta.json": None,
     "model.json": None,
@@ -128,8 +128,10 @@ def atomic_write(text: str, path: Path | str) -> None:
 # -- trajectory ------------------------------------------------------------
 
 def trajectory_columns(log: TrajectoryLog) -> dict:
-    """The trajectory.csv columns of a log: the initial state as row k=0
-    (wall ''), then one row per strike with its post-bounce velocity."""
+    """The trajectory.csv columns of a log: the initial position and time
+    as row k=0 (wall ''), then one row per strike. No velocity is stored:
+    the initial one is summary.json's slope, and the rest follow from it
+    and the walls (TrajectoryLog.velocities)."""
     init = log.initial
     return {
         "k": range(len(log) + 1),
@@ -137,30 +139,26 @@ def trajectory_columns(log: TrajectoryLog) -> dict:
         "y": [init.position.y, *log.y.tolist()],
         "t": [init.elapsed_time, *log.t.tolist()],
         "wall": ["", *(WALLS[c] for c in log.wall.tolist())],
-        "vx": [init.velocity.x, *log.vx.tolist()],
-        "vy": [init.velocity.y, *log.vy.tolist()],
     }
 
 
-def read_trajectory(cols: dict) -> TrajectoryLog:
-    """The log of parsed trajectory.csv columns: the initial state from row
-    k=0, the strikes from the rows after it. The table does not hold the
-    truncation; summary.json does."""
+def read_trajectory(cols: dict, velocity: Vec2) -> TrajectoryLog:
+    """The log of parsed trajectory.csv columns, started with `velocity`:
+    the initial state from row k=0, the strikes from the rows after it. The
+    table does not hold the initial velocity or the truncation;
+    summary.json does."""
     if not len(cols["k"]):
         raise ValueError("trajectory.csv has no k=0 row")
     if cols["wall"][0]:
         raise ValueError(f"trajectory.csv row k=0 names wall {cols['wall'][0]!r}")
-    x, y, t, vx, vy = (cols[name] for name in ("x", "y", "t", "vx", "vy"))
+    x, y, t = cols["x"], cols["y"], cols["t"]
     return TrajectoryLog(
-        initial=ParticleState(position=Vec2(float(x[0]), float(y[0])),
-                              velocity=Vec2(float(vx[0]), float(vy[0])),
+        initial=ParticleState(position=Vec2(float(x[0]), float(y[0])), velocity=velocity,
                               elapsed_time=float(t[0])),
         x=x[1:],
         y=y[1:],
         t=t[1:],
         wall=np.array([WALLS.index(w) for w in cols["wall"][1:]], dtype=np.int8),
-        vx=vx[1:],
-        vy=vy[1:],
     )
 
 

@@ -20,11 +20,16 @@ bit for bit, and the interpolated position along a logged trajectory.
 `final_state` reads a log's last post-bounce state, and `fmt` is the
 per-value rendering that `io.csv_text`'s row template must reproduce.
 
+`published_series` draws a series from the paper's published 3-state
+model exactly as the fit benchmark (bench/workloads.py) draws its input,
+so a seed names the same series in both.
+
 `classify_motion` computes the deviations of a block of lags at once,
 from a zero-padded copy of the y series under a mask; the per-lag loop it
 replaced is kept here, and its label and evidence must match bit for bit.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -44,6 +49,11 @@ from windtree.sweep import (
 
 MARCH_STEP = 1e-4
 BISECT_TOL = 1e-8
+
+# the published model's transitions, means and standard deviations
+PUBLISHED_GAMMA = ((0.0, 1.0, 0.0), (0.1262, 0.0, 0.8738), (0.0, 1.0, 0.0))
+PUBLISHED_MU = (-0.613, 1.9753, 4.7825)
+PUBLISHED_SIGMA = (0.13139, 0.10825, 1.1217)
 
 
 def nearest_odd(z):
@@ -170,6 +180,19 @@ def recurrence_statistic(slope, spec, t=1):
     return {"t": t, "slope": slope, "D": dmin, "logD": math.log(dmin)}
 
 
+def published_series(rng: np.random.Generator, length: int) -> np.ndarray:
+    """Draw a series of `length` from the published 3-state Gaussian HMM,
+    starting in the middle state."""
+    cumulative = [np.cumsum(row).tolist() for row in PUBLISHED_GAMMA]
+    u = rng.random(length)
+    states = [1]
+    for t in range(1, length):
+        row = cumulative[states[-1]]
+        states.append(min(bisect.bisect_right(row, u[t]), len(row) - 1))
+    states = np.array(states)
+    return rng.normal(np.array(PUBLISHED_MU)[states], np.array(PUBLISHED_SIGMA)[states])
+
+
 def fmt(x: float) -> str:
     """17-significant-digit decimal rendering of one float."""
     return f"{x:.17g}"
@@ -179,8 +202,9 @@ def final_state(log) -> ParticleState:
     """The particle state after a log's last strike, or its initial state."""
     if not len(log):
         return log.initial
+    vx, vy = log.velocities()
     return ParticleState(Vec2(float(log.x[-1]), float(log.y[-1])),
-                         Vec2(float(log.vx[-1]), float(log.vy[-1])), float(log.t[-1]))
+                         Vec2(float(vx[-1]), float(vy[-1])), float(log.t[-1]))
 
 
 def position_at_time(log, t):

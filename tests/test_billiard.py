@@ -202,12 +202,13 @@ class TestSimulate:
         assert WALLS[log.wall[0]] == "Left"
         assert [c.tolist() for c in cell_centers(log.x, log.y)] == [[1], [1]]
         want = unit(-1.0, 2.0)
-        assert math.hypot(log.vx[0] - want.x, log.vy[0] - want.y) <= 1e-12
+        vx, vy = log.velocities()
+        assert math.hypot(vx[0] - want.x, vy[0] - want.y) <= 1e-12
 
     def test_zero_collisions(self):
         log = simulate(state_from_slope(1.5), 0)
         assert len(log) == 0 and not log.truncated
-        assert all(c.size == 0 for c in (log.x, log.y, log.t, log.wall, log.vx, log.vy))
+        assert all(c.size == 0 for c in (log.x, log.y, log.t, log.wall, *log.velocities()))
         assert final_state(log) == log.initial
 
     def test_fifteen_collisions_free_flight(self):
@@ -264,7 +265,7 @@ class TestInvariants:
     def test_speed_conservation_long_run(self):
         log = simulate(state_from_slope(1.414), 2000)
         assert len(log) == 2000
-        assert np.all(np.abs(np.hypot(log.vx, log.vy) - 1.0) <= 1e-9)
+        assert np.all(np.abs(np.hypot(*log.velocities()) - 1.0) <= 1e-9)
 
     def test_time_reversal_k50(self):
         log = simulate(state_from_slope(1.414), 50)
@@ -368,13 +369,22 @@ def test_position_at_time_interpolates():
 
 def test_trajectory_log_rows_checked_like_particle_states():
     log = simulate(state_from_slope(1.414), 3)
-    cols = {name: getattr(log, name) for name in ("x", "y", "t", "wall", "vx", "vy")}
-    with pytest.raises(DegenerateVelocity):
-        TrajectoryLog(log.initial, **{**cols, "vx": log.vx * 1.01})
+    cols = {name: getattr(log, name) for name in ("x", "y", "t", "wall")}
     with pytest.raises(ValueError, match="finite"):
         TrajectoryLog(log.initial, **{**cols, "t": np.array([1.0, np.inf, 2.0])})
     with pytest.raises(ValueError, match="length"):
         TrajectoryLog(log.initial, **{**cols, "t": log.t[:2]})
+
+
+# NO_HIT (-1) and one past the last wall index no WALLS entry; -1 would
+# otherwise index the Corner flips when the velocities are derived
+@pytest.mark.parametrize("code", [NO_HIT, len(WALLS)])
+def test_wall_code_outside_walls_is_rejected(code):
+    log = simulate(state_from_slope(1.414), 3)
+    wall = log.wall.copy()
+    wall[1] = code
+    with pytest.raises(ValueError, match=f"wall code {code} is not an index into WALLS"):
+        TrajectoryLog(log.initial, log.x, log.y, log.t, wall)
 
 
 def test_trajectory_log_event_arrays():
@@ -493,6 +503,20 @@ corner_aimed_rays = st.builds(
     st.tuples(signs, signs), st.booleans())
 
 
+def wall_start(center, side, along, theta):
+    """A ray from a point on one wall of the obstacle at `center`, `along`
+    from the wall's middle (a corner at +-0.5), at angle theta: simulate
+    first reflects a velocity into the obstacle in place."""
+    cx, cy = center
+    x, y = [(cx - 0.5, cy + along), (cx + 0.5, cy + along),
+            (cx + along, cy - 0.5), (cx + along, cy + 0.5)][side]
+    return free_state(x, y, theta)
+
+
+wall_rays = st.builds(wall_start, st.tuples(odd, odd), st.integers(0, 3),
+                      st.floats(-0.5, 0.5), st.floats(-math.pi, math.pi))
+
+
 # free rays moved by an even lattice vector of up to 2**46 on each axis, out
 # where the spacing of floats (up to 2**-6) far exceeds CORNER_TOL
 lattice_shifts = st.integers(-2**45, 2**45).map(lambda k: 2.0 * k)
@@ -568,11 +592,13 @@ class TestStrikeWalk:
     def test_each_strike_is_a_fresh_walks_first(self, state, horizon):
         log = simulate(state, 40, horizon)
         origins = strike_origins(log)
+        lvx, lvy = log.velocities()
         for k in range(len(log)):
             px, py, vx, vy, t = (float(column[k]) for column in origins[:5])
-            s, hx, hy, wall, rx, ry = next(billiard._strikes(px, py, vx, vy, horizon))
+            s, hx, hy, wall = next(billiard._strikes(px, py, vx, vy, horizon))
+            rx, ry = reflect(vx, vy, WALLS[wall])
             assert row_bytes(hx, hy, t + s, wall, rx, ry) == row_bytes(
-                log.x[k], log.y[k], log.t[k], log.wall[k], log.vx[k], log.vy[k]), k
+                log.x[k], log.y[k], log.t[k], log.wall[k], lvx[k], lvy[k]), k
 
     def test_unit_hypot_bounces_only_flip_signs(self):
         # the walk never renormalizes: every bounce of simulate keeps the
@@ -581,14 +607,15 @@ class TestStrikeWalk:
         for state in flip_sign_states():
             log = simulate(state, 1000)
             assert len(log) == 1000
-            assert np.all(np.abs(log.vx) == abs(state.velocity.x)), state
-            assert np.all(np.abs(log.vy) == abs(state.velocity.y)), state
+            vx, vy = log.velocities()
+            assert np.all(np.abs(vx) == abs(state.velocity.x)), state
+            assert np.all(np.abs(vy) == abs(state.velocity.y)), state
 
     def test_long_run_is_pinned(self):
         # taken before the walk kept its cells between strikes
         log = simulate(state_from_angle(1.0), 20_000)
         digest = hashlib.sha256(b"".join(
-            column.tobytes() for column in (log.x, log.y, log.t, log.wall, log.vx, log.vy)))
+            column.tobytes() for column in (log.x, log.y, log.t, log.wall, *log.velocities())))
         assert (len(log), digest.hexdigest()) == (
             20_000, "306a6b0e54266381986b1d1771e9dd8797d66d60b7c9c09d6aa6a6e3449fec0f")
 
@@ -619,6 +646,22 @@ class TestStrikeWalk:
         # cell up to the horizon can hold a hit
         log = simulate(state_from_angle(math.pi / 2), 1, 1e15)
         assert (len(log), log.truncated) == (0, True)
+
+    # a velocity component below 2**-1024, whose inverse overflows, moves
+    # the ray less than 2**-973 across the bands within any horizon: on the
+    # edge of a band, from an obstacle's wall plane, the ray grazes into its
+    # corridor, as an axis-parallel one does
+    @pytest.mark.parametrize("tiny", [5e-324, -2.2e-311, 1e-309])
+    @pytest.mark.parametrize("edge", [0.5, 1.5])
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_subnormal_component_on_a_band_edge_grazes(self, tiny, edge, transpose):
+        (px, py), (vx, vy) = (-2.875, edge), (1.0, tiny)
+        if transpose:
+            px, py, vx, vy = py, px, vy, vx
+        state = ParticleState(Vec2(px, py), Vec2(vx, vy))
+        log = simulate(state, 5)
+        assert (len(log), log.truncated) == (0, True)
+        assert_kernels_tie([state], 5)
 
     # a near-axis ray from a gap may stop on the first time it can enter an
     # obstacle band, which must be the walk's own slab time: the first strike
@@ -685,8 +728,9 @@ class TestStrikeWalk:
         transpose = np.array([WALLS.index(w) for w in ("Bottom", "Top", "Left", "Right", "Corner")],
                              dtype=np.int8)
         assert (len(swapped), swapped.truncated) == (len(log), log.truncated)
-        for a, b in ((log.x, swapped.y), (log.y, swapped.x), (log.vx, swapped.vy),
-                     (log.vy, swapped.vx), (log.t, swapped.t), (transpose[log.wall], swapped.wall)):
+        (vx, vy), (swapped_vx, swapped_vy) = log.velocities(), swapped.velocities()
+        for a, b in ((log.x, swapped.y), (log.y, swapped.x), (vx, swapped_vy),
+                     (vy, swapped_vx), (log.t, swapped.t), (transpose[log.wall], swapped.wall)):
             assert a.tobytes() == b.tobytes()
 
     # every strike point lies on an obstacle wall, where |x| >= 0.5 and
@@ -732,6 +776,20 @@ class TestStepRays:
             log = simulate(state, 40, horizon)
             assert events.tobytes() == log_events(log).tobytes(), state
             assert_corners_walked(log, walked)
+
+    # a log's derived post-bounce velocities are the ones the lockstep kernel
+    # computes for each strike itself, on the block or by the scalar walk,
+    # from the state before it
+    @given(st.lists(st.one_of(wall_rays, corner_rays, corner_aimed_rays, axis_rays, free_rays),
+                    min_size=1, max_size=6))
+    def test_derived_velocities_tie_the_batched_kernel(self, states):
+        logs = [simulate(state, 40) for state in states]
+        batch = Rays(*(np.concatenate(column) for column in zip(*map(strike_origins, logs))))
+        rays, walls = step_rays(batch)
+        derived = [np.concatenate(column) for column in zip(*(log.velocities() for log in logs))]
+        assert rays.vx.tobytes() == derived[0].tobytes()
+        assert rays.vy.tobytes() == derived[1].tobytes()
+        assert walls.tobytes() == np.concatenate([log.wall for log in logs]).tobytes()
 
     def test_near_axis_ray_finishes_on_scalar_walk(self, scalar_walks):
         state = free_state(0.0, 0.0, 1e-3)

@@ -25,18 +25,19 @@ from oracle import fmt
 # events. The summary.json digests were taken when it dropped the fields
 # that copy trajectory.csv (final_position, corner_events, distance); every
 # value it kept has held since the trajectory was a list of per-event
-# objects. The trajectory.csv digests were taken when the velocity columns
-# joined the table: its first five columns are the earlier table's, and
-# vx, vy carry the same bits the initial state and velocity columns had in
-# the former trajectory.json.
+# objects. The trajectory.csv digests were taken when the table dropped its
+# velocity columns vx, vy, which follow from summary.json's slope and the
+# walls: each file is the seven-column table with every line cut to its
+# first five fields, the same digests the table had before those columns
+# joined it.
 SIMULATE_DIGESTS = {
     "1.414": {
-        "trajectory.csv": "a72aac0c2e0b763516aee9cbd2c7c6d5a60db0eec4b03ec0442873ae92b7b486",
+        "trajectory.csv": "089de7bbdb50220e82bf674bb96a2a0528e5c466f4ca5abc9fc0fb654846bb3b",
         "trajectory.svg": "bae5fd878380998a4d6f63add1afa69d77a30ecbc885a757a68f6db3fcb04933",
         "summary.json": "c4807eefb67601bec8ad878378d7c2af25a549794aa51ab5ac80af45540e2888",
     },
     "1.464": {
-        "trajectory.csv": "6c65f4b1e772c26404c2fc4c31e48607cffebe59ef294a2a09f78d6e85495c85",
+        "trajectory.csv": "04fc32801771bfc3931f5f152631d29742d80036d3059d4ece5af2aa2ebef62c",
         "trajectory.svg": "da2a2b3abaf6130d9e7dec7d605912f354ca9891e73293e8a4e239fbe9e6f05a",
         "summary.json": "028b1504492eeae1668ed3ea1521b0a0e4d92507f5befe533d2e93804579dfa8",
     },
@@ -115,9 +116,8 @@ class TestSimulateCommand:
                    "--collisions", "1"])
         assert rc == 0
         cols = read_artifact(tmp_path / "trajectory.csv")
-        assert list(cols) == ["k", "x", "y", "t", "wall", "vx", "vy"]
-        assert [cols[name][0] for name in cols] == [0, 0.0, 0.0, 0.0, "",
-                                                    *state_from_slope(2.0).velocity]
+        assert list(cols) == ["k", "x", "y", "t", "wall"]
+        assert [cols[name][0] for name in cols] == [0, 0.0, 0.0, 0.0, ""]
         assert cols["k"][1] == 1 and cols["wall"][1] == "Left"
         assert cols["x"][1] == 0.5 and abs(cols["y"][1] - 1.0) <= 1e-12
         assert (tmp_path / "trajectory.svg").read_text().startswith("<svg")
@@ -141,12 +141,15 @@ class TestSimulateCommand:
         rc = main(["simulate", "--out", str(tmp_path), "--slope", "1.618",
                    "--collisions", "25"])
         assert rc == 0
-        log = io.read_trajectory(read_artifact(tmp_path / "trajectory.csv"))
         fresh = simulate(state_from_slope(1.618), 25)
+        log = io.read_trajectory(read_artifact(tmp_path / "trajectory.csv"),
+                                 fresh.initial.velocity)
         assert len(log) == len(fresh) == 25
         assert log.initial == fresh.initial
-        for name in ("x", "y", "t", "wall", "vx", "vy"):
+        for name in ("x", "y", "t", "wall"):
             assert getattr(log, name).tobytes() == getattr(fresh, name).tobytes(), name
+        for a, b in zip(log.velocities(), fresh.velocities()):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("slope", sorted(SIMULATE_DIGESTS))
     def test_artifacts_are_pinned(self, tmp_path, slope):
@@ -344,7 +347,7 @@ class TestDiagnoseCommand:
             ["config.json", "trajectory.svg", *io.ARTIFACTS])
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "all 30 diagnostics passed" in out
+        assert "all 29 diagnostics passed" in out
 
     def test_tampered_artifact_fails(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)
@@ -367,19 +370,23 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--out", str(tmp_path)]) == 4
         assert "FAIL trajectory.csv round-trip" in capsys.readouterr().out
 
-    # line 1 is the initial state (k=0), line 3 a strike
-    @pytest.mark.parametrize("line", [1, 3])
-    def test_non_unit_speed_fails_speed_check(self, tmp_path, capsys, line):
+    def test_lone_trajectory_fails_naming_summary(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path), "--collisions", "5"]) == 0
-        path = tmp_path / "trajectory.csv"
-        lines = path.read_text().splitlines()
-        *rest, vx, vy = lines[line].split(",")
-        lines[line] = ",".join([*rest, fmt(float(vx) * 1.01), vy])
-        path.write_text("\n".join(lines) + "\n")
+        (tmp_path / "summary.json").unlink()
         assert main(["diagnose", "--out", str(tmp_path)]) == 4
-        assert "FAIL trajectory speeds unit" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL summary.json round-trip (missing beside trajectory.csv)" in out
+        assert "trajectory replays on the collision kernel" not in out
+
+    def test_lone_summary_fails_naming_trajectory(self, tmp_path, capsys):
+        assert main(["simulate", "--out", str(tmp_path), "--collisions", "5"]) == 0
+        (tmp_path / "trajectory.csv").unlink()
+        assert main(["diagnose", "--out", str(tmp_path)]) == 4
+        assert ("FAIL trajectory.csv round-trip (missing beside summary.json)"
+                in capsys.readouterr().out)
 
     def test_trajectory_without_rows_fails_fields(self, tmp_path, capsys):
+        assert main(["simulate", "--out", str(tmp_path), "--collisions", "0"]) == 0
         (tmp_path / "trajectory.csv").write_text(",".join(io.TRAJECTORY_CSV) + "\n")
         assert main(["diagnose", "--out", str(tmp_path)]) == 4
         assert ("FAIL trajectory.csv fields (ValueError: trajectory.csv has no k=0 row)"
@@ -389,9 +396,9 @@ class TestDiagnoseCommand:
         assert main(["simulate", "--out", str(tmp_path), "--collisions", "5"]) == 0
         path = tmp_path / "trajectory.csv"
         lines = path.read_text().splitlines()
-        k, x, y, t, wall, vx, vy = lines[1].split(",")
+        k, x, y, t, wall = lines[1].split(",")
         assert (k, wall) == ("0", "")
-        lines[1] = ",".join([k, x, y, t, "Top", vx, vy])
+        lines[1] = ",".join([k, x, y, t, "Top"])
         path.write_text("\n".join(lines) + "\n")
         assert main(["diagnose", "--out", str(tmp_path)]) == 4
         assert ("FAIL trajectory.csv fields (ValueError: trajectory.csv row k=0 "
@@ -430,7 +437,7 @@ class TestDiagnoseCommand:
                 calls.append(name) or built(*args)))
         capsys.readouterr()
         assert main(["diagnose", "--out", str(tmp_path)]) == 0
-        assert "all 32 diagnostics passed" in capsys.readouterr().out
+        assert "all 31 diagnostics passed" in capsys.readouterr().out
         assert sorted(calls) == ["HmmParams", "read_trajectory"]
 
     @pytest.mark.parametrize("name, key, fault", [
@@ -616,23 +623,30 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--out", str(tmp_path)]) == 0
         assert "ok   trajectory replays on the collision kernel" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("edit", ["csv_x", "csv_vx"])
+    @pytest.mark.parametrize("edit", ["csv_x", "summary_slope"])
     def test_edited_trajectory_fails_replay(self, tmp_path, capsys, edit):
         assert main(["simulate", "--out", str(tmp_path), "--slope", "1.464",
                      "--collisions", "40"]) == 0
-        # the last row: no later strike starts from it, so only the edited
-        # column itself can disagree with the replay
-        path = tmp_path / "trajectory.csv"
-        lines = path.read_text().splitlines()
-        row = lines[-1].split(",")
-        column = {"csv_x": 1, "csv_vx": 5}[edit]
-        value = float(row[column])
-        row[column] = fmt(value + 1e-6 if edit == "csv_x" else value * 1.0000001)
-        lines[-1] = ",".join(row)
-        path.write_text("\n".join(lines) + "\n")
+        if edit == "csv_x":
+            # the last row: no later strike starts from it, so only the
+            # edited column itself can disagree with the replay
+            path = tmp_path / "trajectory.csv"
+            lines = path.read_text().splitlines()
+            row = lines[-1].split(",")
+            row[1] = fmt(float(row[1]) + 1e-6)
+            lines[-1] = ",".join(row)
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            # another initial velocity, from which the first strike moves
+            path = tmp_path / "summary.json"
+            summary = json.loads(path.read_text())
+            summary["slope"] *= 1.0000001
+            io.write_json(summary, path)
         capsys.readouterr()
         assert main(["diagnose", "--out", str(tmp_path)]) == 4
-        assert "FAIL trajectory replays on the collision kernel" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL trajectory replays on the collision kernel" in out
+        assert out.count("FAIL") == 1
 
     # a coordinate with no exact cell center fails the trajectory's fields
     # and is no cast warning, so diagnose runs to its report under -W error
@@ -808,7 +822,7 @@ class TestArtifactFormats:
     @pytest.mark.parametrize("name", ["trajectory.csv", "sweep.csv", "residuals.csv"])
     def test_csv_text_roundtrip(self, name):
         spec = io.ARTIFACTS[name]
-        header = {"trajectory.csv": "k,x,y,t,wall,vx,vy", "sweep.csv": "t,slope,D,logD",
+        header = {"trajectory.csv": "k,x,y,t,wall", "sweep.csv": "t,slope,D,logD",
                   "residuals.csv": "t,x,u"}[name]
         if name == "trajectory.csv":
             columns = io.trajectory_columns(simulate(state_from_slope(1.732), 30))
@@ -843,9 +857,9 @@ class TestArtifactFormats:
                   np.float64(0.1), np.float32(0.1), np.int64(-5), np.float64(-0.0)]
         n = len(floats)
         columns = {"k": [*range(n - 2), np.int64(2**62), True],
-                   "x": floats, "y": floats[::-1], "t": np.array(floats, dtype=float),
-                   "wall": ["", "Top", np.str_("Corner"), *(["Left"] * (n - 3))],
-                   "vx": np.array(floats[::-1], dtype=float), "vy": [np.float64(v) for v in floats]}
+                   "x": floats, "y": np.array(floats[::-1], dtype=float),
+                   "t": [np.float64(v) for v in floats],
+                   "wall": ["", "Top", np.str_("Corner"), *(["Left"] * (n - 3))]}
         rows = zip(*(columns[name] for name in spec))
         want = "".join(",".join(fmt(v) if kind is float else str(v)
                                 for v, kind in zip(row, spec.values())) + "\n" for row in rows)

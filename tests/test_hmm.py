@@ -24,7 +24,7 @@ from windtree.hmm import (
 from windtree import hmm
 from windtree.hmm import _density_matrix
 
-from oracle import sequential_forward_backward
+from oracle import published_series, sequential_forward_backward
 
 LOG_STD_NORM_PEAK = -0.9189385332046727  # ln(1/sqrt(2 pi))
 EPS = 1e-200
@@ -496,3 +496,23 @@ class TestHmmParams:
         q = p.permuted([2, 0, 1]).permuted([1, 2, 0])
         np.testing.assert_allclose(q.gamma, p.gamma)
         np.testing.assert_allclose(q.mu, p.mu)
+
+
+# The fit benchmark's input at seed 414: its 4-state fit drove a transition
+# probability to 2.3e-308 at iteration 12, where the backward pass failed its
+# seam check, until the M-step zeroed entries below GAMMA_FLOOR.
+def test_em_on_the_published_model_completes_at_seed_414():
+    xs = published_series(np.random.default_rng(414), 3000)
+    report = baum_welch(xs, default_init(xs, 4), max_iters=15)
+    assert len(report.loglik_trace) == 15
+    zeroed = [w for w in report.warnings if "below 1e-200; set to 0" in w]
+    assert zeroed and len(zeroed) == int((report.params.gamma == 0.0).sum())
+
+
+# EM drives the transitions the published model never takes toward 0
+@settings(max_examples=30)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(100, 400))
+def test_gamma_entries_are_zero_or_at_least_the_floor(seed, m, length):
+    xs = published_series(np.random.default_rng(seed), length)
+    gamma = baum_welch(xs, default_init(xs, m), max_iters=15).params.gamma
+    assert np.all((gamma == 0.0) | (gamma >= hmm.GAMMA_FLOOR))

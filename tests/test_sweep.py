@@ -254,8 +254,7 @@ def _drifting_log(y):
     n = len(y)
     return TrajectoryLog(initial=ParticleState(Vec2(0.0, 0.0), Vec2(1.0, 0.0)),
                          x=10.0 + np.arange(n), y=np.asarray(y, dtype=float),
-                         t=1.0 + np.arange(n), wall=np.zeros(n, dtype=np.int8),
-                         vx=np.ones(n), vy=np.zeros(n))
+                         t=1.0 + np.arange(n), wall=np.zeros(n, dtype=np.int8))
 
 
 class TestGrowthExponent:
