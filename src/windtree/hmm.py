@@ -73,6 +73,7 @@ SQRT_HALF = math.sqrt(0.5)  # Phi(z) = erfc(-z * SQRT_HALF) / 2
 SCAN_BLOCK = 8          # steps per block of the two-level row scan
 SEAM_RTOL = 1e-12       # a block seam's two rows agree to this relative to each entry,
 SEAM_ATOL = np.finfo(float).tiny  # give or take the smallest normal double
+SUBNORMAL_ULP = np.finfo(float).smallest_subnormal  # spacing of doubles below SEAM_ATOL
 GAMMA_FLOOR = 1e-200    # the M-step sets smaller transition probabilities to 0
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -325,12 +326,15 @@ def forward_backward(params: HmmParams, obs: Sequence[float]) -> ForwardBackward
     beta_hat = np.ones_like(alpha_hat)
     if T > 1:
         back = rows[1, T - 2::-1]
+        scale = (alpha_hat[:-1] * back).sum(axis=1, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(back, (alpha_hat[:-1] * back).sum(axis=1, keepdims=True), out=beta_hat[:-1])
-        # a subnormal entry of a row keeps only its absolute precision, which
-        # the rescaling must not lift into the normal range
-        lost = ~np.isfinite(beta_hat)
-        lost[:-1] |= (back > 0.0) & (back < SEAM_ATOL) & (beta_hat[:-1] >= SEAM_ATOL)
+            np.divide(back, scale, out=beta_hat[:-1])
+            # a subnormal entry of a row keeps only the absolute precision
+            # SUBNORMAL_ULP, which the rescaling divides by `scale`; past the
+            # seam tolerance the entry is lost
+            lost = ~np.isfinite(beta_hat)
+            lost[:-1] |= (back > 0.0) & (SUBNORMAL_ULP / scale
+                                         > SEAM_RTOL * beta_hat[:-1] + SEAM_ATOL)
         if lost.any():
             t = int(np.flatnonzero(lost.any(axis=1))[-1])
             raise NumericalUnderflow(
