@@ -21,7 +21,7 @@ import numpy as np
 WALL_TOL = 1e-9        # a point this close to a wall counts as on it
 CORNER_TOL = 1e-9      # hits this close to a corner retro-reflect
 MIN_FLIGHT = 1e-9      # shorter flights would re-hit the wall just departed
-DEFAULT_HORIZON = 1e6  # path-length cap before declaring a corridor
+HORIZON = 1e6          # path-length cap of one flight before declaring a corridor
 SPEED_TOL = 1e-6       # tolerated deviation of |velocity| from 1
 
 
@@ -135,7 +135,6 @@ class TrajectoryLog:
     t: np.ndarray
     wall: np.ndarray
     truncated: bool = False
-    truncation_reason: Optional[str] = None
 
     def __post_init__(self):
         if len({len(c) for c in (self.x, self.y, self.t, self.wall)}) != 1:
@@ -149,6 +148,10 @@ class TrajectoryLog:
 
     def __len__(self) -> int:
         return len(self.t)
+
+    @property
+    def truncation_reason(self) -> Optional[str]:
+        return truncation_reason(len(self)) if self.truncated else None
 
     def velocities(self) -> tuple[np.ndarray, np.ndarray]:
         """The post-bounce velocity (vx, vy) of every strike: the initial
@@ -193,16 +196,10 @@ def cell_centers(x, y) -> tuple[np.ndarray, np.ndarray]:
 # is an open interval of path length, its slab.
 # ---------------------------------------------------------------------------
 
-# Points along a ray within _REACH of a start within _REACH of the origin lie
-# within 2**52, where the walls c +- 0.5 of odd band centers c are exact.
+# A flight is at most HORIZON <= _REACH long, so its points from a start
+# within _REACH of the origin lie within 2**52, where the walls c +- 0.5 of
+# odd band centers c are exact.
 _REACH = 2.0**51
-
-
-def _check_horizon(horizon) -> None:
-    """Reject a horizon that is not positive or exceeds _REACH (NaN and inf
-    included): farther out, a strike could lie where band walls are not exact."""
-    if not 0 < horizon <= _REACH:
-        raise ValueError("horizon must be positive and at most 2**51")
 
 
 def _band(p, v, inv_v, t):
@@ -218,7 +215,7 @@ def _band(p, v, inv_v, t):
     return c
 
 
-def _strikes(px, py, vx, vy, horizon):
+def _strikes(px, py, vx, vy):
     """The wall strikes of the ray from (px, py) along (vx, vy), in order.
 
     Yields (s, hx, hy, wall) for each strike: the path length s from the
@@ -226,9 +223,8 @@ def _strikes(px, py, vx, vy, horizon):
     onto the wall plane and the wall code (an index into WALLS). The bounce
     flips the sign of one velocity component or, at a corner, of both, as
     _FLIPS[wall] says; it keeps the speed as given. Stops when
-    nothing is struck within path length `horizon` of the last strike; the
-    caller checks the horizon, as a generator's body runs only once it is
-    advanced. Flights shorter than MIN_FLIGHT are ignored so the wall just
+    nothing is struck within path length HORIZON of the last strike.
+    Flights shorter than MIN_FLIGHT are ignored so the wall just
     departed is never re-hit; tangent grazes do not count as hits.
 
     Each strike steps through the bands of the faster axis f in ray order
@@ -238,7 +234,7 @@ def _strikes(px, py, vx, vy, horizon):
     ends; then the walk jumps to the first f-band that ends after the
     s-slab starts, so a strike costs a few steps in every direction. With vs == 0 the ray is in
     an s-band for all time, or in a corridor. So it is with |vs| < 2**-1024,
-    whose inverse overflows: within any horizon the ray moves less than
+    whose inverse overflows: within HORIZON <= _REACH the ray moves less than
     2**-973 across the bands, and on a band's edge it grazes, as at vs == 0.
     A strike from a coordinate beyond +-_REACH meets nothing.
 
@@ -255,6 +251,7 @@ def _strikes(px, py, vx, vy, horizon):
         corner, _band places the band afresh, as for the first strike and
         every jump.
     """
+    horizon = HORIZON  # read once per walk, a local in the inner loop
     x_fast = abs(vx) >= abs(vy)
     pf, ps, vf, vs = (px, py, vx, vy) if x_fast else (py, px, vy, vx)
     # the wall codes of an f-band's walls and of an s-band's, and _FLIPS as
@@ -336,29 +333,6 @@ def _strikes(px, py, vx, vy, horizon):
         pf, ps = hf, hs
 
 
-def next_collision(state: ParticleState, horizon: float = DEFAULT_HORIZON) -> CollisionEvent:
-    """First wall strike of the ray from `state`, or NoHitWithinHorizon.
-
-    If the position lies on an obstacle wall, that wall is excluded from
-    candidacy at path length < MIN_FLIGHT.
-    """
-    _check_horizon(horizon)
-    hit = next(_strikes(state.position.x, state.position.y,
-                        state.velocity.x, state.velocity.y, horizon), None)
-    if hit is None:
-        raise NoHitWithinHorizon(
-            f"no obstacle within path length {horizon:g} from {tuple(state.position)}"
-        )
-    s, hx, hy, wall = hit
-    return CollisionEvent(
-        point=Vec2(hx, hy),
-        time=state.elapsed_time + s,
-        wall=WALLS[wall],
-        # a hit point lies on its obstacle's wall, 0.5 from any cell edge
-        obstacle_center=tuple(map(int, cell_centers(hx, hy))),
-    )
-
-
 def point_in_obstacle(x: float, y: float, shrink: float = 0.0) -> bool:
     """True when (x, y) lies strictly inside an obstacle shrunk by `shrink`."""
     cx, cy = cell_centers(x, y)
@@ -395,39 +369,50 @@ def _start_velocity(initial: ParticleState) -> tuple[float, float]:
     return _normalize_on_wall(px, py, vx, vy) if _within_reach(px, py) else (vx, vy)
 
 
-def simulate(initial: ParticleState, n_collisions: int,
-             horizon: float = DEFAULT_HORIZON) -> TrajectoryLog:
+def simulate(initial: ParticleState, n_collisions: int) -> TrajectoryLog:
     """Run the particle through `n_collisions` wall strikes.
 
-    The log is truncated (with a recorded reason) if a corridor direction
-    exhausts the horizon first, or at once from a start with a coordinate
-    beyond +-_REACH. An initial position on a wall with inward velocity is
-    reflected in place before the first flight.
+    The log is truncated if a corridor direction exhausts the horizon first,
+    or at once from a start with a coordinate beyond +-_REACH. An initial
+    position on a wall with inward velocity is reflected in place before the
+    first flight.
     """
     if n_collisions < 0:
         raise ValueError("n_collisions must be >= 0")
-    _check_horizon(horizon)
     px, py = initial.position
     # the walk's reach rule comes first: a start beyond +-_REACH meets
     # nothing, and past 2**63 its cell center has no int64 value
     if _within_reach(px, py) and point_in_obstacle(px, py, shrink=WALL_TOL):
         raise ValueError(f"initial position {tuple(initial.position)} is inside an obstacle")
     strikes = chain.from_iterable(
-        islice(_strikes(px, py, *_start_velocity(initial), horizon), n_collisions))
+        islice(_strikes(px, py, *_start_velocity(initial)), n_collisions))
     s, x, y, wall = np.fromiter(strikes, float).reshape(-1, 4).T.copy()
     # the running sum from the initial time, one addition per strike
     t = np.add.accumulate(np.concatenate([[initial.elapsed_time], s]))[1:]
-    truncated = len(s) < n_collisions
-    return TrajectoryLog(
-        initial=initial, x=x, y=y, t=t, wall=wall.astype(np.int8),
-        truncated=truncated,
-        truncation_reason=truncation_reason(horizon, len(s)) if truncated else None,
-    )
+    return TrajectoryLog(initial=initial, x=x, y=y, t=t, wall=wall.astype(np.int8),
+                         truncated=len(s) < n_collisions)
 
 
-def truncation_reason(horizon: float, collisions: int) -> str:
+def truncation_reason(collisions: int) -> str:
     """Why a trajectory stopped after `collisions` strikes: a corridor."""
-    return f"no obstacle within horizon {horizon:g} after {collisions} collisions"
+    return f"no obstacle within horizon {HORIZON:g} after {collisions} collisions"
+
+
+def next_collision(state: ParticleState) -> CollisionEvent:
+    """The strike of simulate(state, 1), or NoHitWithinHorizon where its log
+    is empty: the same start rules, a ValueError from inside an obstacle
+    included."""
+    log = simulate(state, 1)
+    if not len(log):
+        raise NoHitWithinHorizon(f"from {tuple(state.position)}: {log.truncation_reason}")
+    hx, hy = float(log.x[0]), float(log.y[0])
+    return CollisionEvent(
+        point=Vec2(hx, hy),
+        time=float(log.t[0]),
+        wall=WALLS[log.wall[0]],
+        # a hit point lies on its obstacle's wall, 0.5 from any cell edge
+        obstacle_center=tuple(map(int, cell_centers(hx, hy))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +443,7 @@ class Rays(NamedTuple):
     t: np.ndarray
 
 
-def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.ndarray]:
+def step_rays(rays: Rays) -> tuple[Rays, np.ndarray]:
     """Advance every ray to its next wall strike and reflect it there.
 
     Returns the post-bounce rays and the wall code (an index into WALLS) of
@@ -466,6 +451,13 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
     and gets the code NO_HIT. Each ray's result is bitwise the next event and
     post-bounce state of `simulate` from the same state: like the scalar
     walk, a bounce only flips signs, so the two agree on any velocity.
+
+    That holds for walk-ready rays only: none inside an obstacle, and none on
+    a wall with its velocity into that wall's obstacle. simulate rejects the
+    first and reflects the second in place before its first flight; step_rays
+    checks neither, and walks such a ray through the obstacle. The sweep's
+    origin starts, post-bounce states and strike_origins' batch are all
+    walk-ready, and a per-ray check would add numpy passes to every step.
 
     Instead of walking bands in order, each ray tests one fixed block of
     candidate obstacles at once: the cells a steps along x and b steps along
@@ -481,7 +473,7 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
         "earlier along the ray": any obstacle met before a candidate is
         itself a candidate;
       - the walk takes bands in ray order and returns its first valid pair,
-        which has the smallest t_near, and both stop at t_near > horizon.
+        which has the smallest t_near, and both stop at t_near > HORIZON.
     The block keeps only a hit through one wall (tx1 != ty1) farther than
     CORNER_TOL from its ends, by _strikes' own test. Every other ray takes
     the scalar walk's first strike from the same state: no valid candidate
@@ -489,7 +481,6 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
     1/vx * 1/vy is not finite, a coordinate beyond +-_REACH, or a corner.
     Only the walk labels corners.
     """
-    _check_horizon(horizon)
     x, y, vx, vy, t = rays
     n = len(x)
     columns = np.arange(n)
@@ -524,7 +515,7 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
         # its corner test compares with both ends of the wall
         point = p + s * v
         close = (np.abs(point - near) <= CORNER_TOL) | (np.abs(point - far) <= CORNER_TOL)
-        clean = ((s <= horizon) & (entry[0] != entry[1]) & ~np.where(vertical, close[1], close[0])
+        clean = ((s <= HORIZON) & (entry[0] != entry[1]) & ~np.where(vertical, close[1], close[0])
                  & np.isfinite(inv_v[0] * inv_v[1]) & (np.abs(p).max(axis=0) < _REACH))
         normal = np.array([vertical, ~vertical])  # the struck wall's normal axis
         hx, hy = np.where(normal, near, point)
@@ -534,7 +525,7 @@ def step_rays(rays: Rays, horizon: float = DEFAULT_HORIZON) -> tuple[Rays, np.nd
         next_vx, next_vy = np.where(normal, -v, v)
         next_t = t + s
     for i in np.flatnonzero(~clean):
-        hit = next(_strikes(float(x[i]), float(y[i]), float(vx[i]), float(vy[i]), horizon), None)
+        hit = next(_strikes(float(x[i]), float(y[i]), float(vx[i]), float(vy[i])), None)
         if hit is None:  # a ray that meets nothing keeps its state
             hx[i], hy[i], walls[i], next_vx[i], next_vy[i], next_t[i] = (
                 x[i], y[i], NO_HIT, vx[i], vy[i], t[i])

@@ -20,7 +20,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .billiard import (
-    DEFAULT_HORIZON,
     NO_HIT,
     Rays,
     TrajectoryLog,
@@ -132,7 +131,7 @@ def _sweep_span(spec: SweepSpec, first: int, last: int) -> SweepResult:
         rays, walls = step_rays(rays)
         live = walls != NO_HIT
         if not live.all():
-            reason = truncation_reason(DEFAULT_HORIZON, k - 1)
+            reason = truncation_reason(k - 1)
             gaps += [(row, reason) for row in rows[~live].tolist()]
             rays = Rays(*(a[live] for a in rays))
             rows, dmin = rows[live], dmin[live]

@@ -21,8 +21,9 @@ bit for bit, and the interpolated position along a logged trajectory.
 per-value rendering that `io.csv_text`'s row template must reproduce.
 
 `published_series` draws a series from the paper's published 3-state
-model exactly as the fit benchmark (bench/workloads.py) draws its input,
-so a seed names the same series in both.
+model (`run_pipeline.PUBLISHED`) exactly as the fit benchmark
+(bench/workloads.py) draws its input, so a seed names the same series in
+both.
 
 `classify_motion` computes the deviations of a block of lags at once,
 from a zero-padded copy of the y series under a mask; the per-lag loop it
@@ -47,13 +48,10 @@ from windtree.sweep import (
     MotionLabel,
 )
 
+from run_pipeline import PUBLISHED
+
 MARCH_STEP = 1e-4
 BISECT_TOL = 1e-8
-
-# the published model's transitions, means and standard deviations
-PUBLISHED_GAMMA = ((0.0, 1.0, 0.0), (0.1262, 0.0, 0.8738), (0.0, 1.0, 0.0))
-PUBLISHED_MU = (-0.613, 1.9753, 4.7825)
-PUBLISHED_SIGMA = (0.13139, 0.10825, 1.1217)
 
 
 def nearest_odd(z):
@@ -183,14 +181,14 @@ def recurrence_statistic(slope, spec, t=1):
 def published_series(rng: np.random.Generator, length: int) -> np.ndarray:
     """Draw a series of `length` from the published 3-state Gaussian HMM,
     starting in the middle state."""
-    cumulative = [np.cumsum(row).tolist() for row in PUBLISHED_GAMMA]
+    cumulative = [np.cumsum(row).tolist() for row in PUBLISHED["gamma"]]
     u = rng.random(length)
     states = [1]
     for t in range(1, length):
         row = cumulative[states[-1]]
         states.append(min(bisect.bisect_right(row, u[t]), len(row) - 1))
     states = np.array(states)
-    return rng.normal(np.array(PUBLISHED_MU)[states], np.array(PUBLISHED_SIGMA)[states])
+    return rng.normal(np.array(PUBLISHED["mu"])[states], np.array(PUBLISHED["sigma"])[states])
 
 
 def fmt(x: float) -> str:

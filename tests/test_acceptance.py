@@ -32,11 +32,13 @@ from windtree.hmm import (
 from windtree.sweep import MotionLabel, classify_motion, estimate_diffusion_exponent
 
 from oracle import final_state, march_first_hit, position_at_time
+from run_pipeline import PUBLISHED
 from test_hmm import enumerate_paths, random_params
 
-PUBLISHED_MEANS = (-0.613, 1.9753, 4.7825)
-PUBLISHED_GAMMA_ARGMAX = (1, 2, 1)          # row -> most likely next state, 0-based
-PUBLISHED_MINOR_MASS = 0.1262               # middle state's transition mass to the low state
+PUBLISHED_MEANS = PUBLISHED["mu"]
+# row -> most likely next state, 0-based: (1, 2, 1)
+PUBLISHED_GAMMA_ARGMAX = tuple(row.index(max(row)) for row in PUBLISHED["gamma"])
+PUBLISHED_MINOR_MASS = PUBLISHED["gamma"][1][0]  # middle state's transition mass to the low state
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -27,7 +27,6 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.fixture()
 def bench_path(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
-    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
 
 
 def test_workload_commands_parse_and_configs_load(tmp_path, bench_path):

@@ -1,5 +1,6 @@
 """Geometry tests for the event-driven billiard core."""
 
+import contextlib
 import hashlib
 import math
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from windtree import billiard
 from windtree.billiard import (
     CORNER_TOL,
-    DEFAULT_HORIZON,
     LOCKSTEP_CELLS,
     MIN_FLIGHT,
     NO_HIT,
@@ -140,7 +140,7 @@ class TestNextCollision:
     def test_axis_corridor_never_hits(self):
         state = ParticleState(Vec2(0.0, 0.0), Vec2(1.0, 0.0))
         with pytest.raises(NoHitWithinHorizon):
-            next_collision(state, horizon=1e6)
+            next_collision(state)
 
     def test_axis_parallel_ray_inside_band_hits(self):
         # off the gap centerline, a horizontal ray does strike the obstacle row
@@ -186,7 +186,8 @@ class TestNextCollision:
         x, y = free_position(rng)
         state = ParticleState(Vec2(x, y), Vec2(math.cos(theta), math.sin(theta)))
         try:
-            ev = next_collision(state, horizon=1e4)
+            with capped(1e4):
+                ev = next_collision(state)
         except NoHitWithinHorizon:
             assume(False)
         cx, cy = ev.obstacle_center
@@ -224,7 +225,8 @@ class TestSimulate:
 
     def test_corridor_truncates_with_reason(self):
         state = ParticleState(Vec2(0.0, 0.0), Vec2(0.0, 1.0))
-        log = simulate(state, 5, horizon=1e4)
+        with capped(1e4):
+            log = simulate(state, 5)
         assert log.truncated and "horizon" in log.truncation_reason
         assert len(log) == 0
 
@@ -394,7 +396,16 @@ def test_trajectory_log_event_arrays():
     assert log.corner_count() == 0
 
 
-def batched_events(states, n, horizon=DEFAULT_HORIZON):
+@contextlib.contextmanager
+def capped(horizon):
+    """Within the block, every flight is capped at `horizon` instead of
+    billiard.HORIZON."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(billiard, "HORIZON", horizon)
+        yield
+
+
+def batched_events(states, n):
     """Per-ray (k, 4) arrays of x, y, t and wall code from n lockstep steps;
     a ray leaves the batch at its first step without a hit."""
     rays = Rays(*(np.array(column, dtype=float) for column in zip(
@@ -404,7 +415,7 @@ def batched_events(states, n, horizon=DEFAULT_HORIZON):
     events = np.zeros((len(states), n, 4))
     counts = np.zeros(len(states), dtype=int)
     for k in range(n):
-        rays, walls = step_rays(rays, horizon)
+        rays, walls = step_rays(rays)
         live = walls != NO_HIT
         rays = Rays(*(a[live] for a in rays))
         rows = rows[live]
@@ -418,14 +429,10 @@ def log_events(log):
     return np.column_stack([log.x, log.y, log.t, log.wall.astype(float)])
 
 
-def scalar_events(state, n, horizon=DEFAULT_HORIZON):
-    return log_events(simulate(state, n, horizon))
-
-
-def assert_kernels_tie(states, n, horizon=DEFAULT_HORIZON):
+def assert_kernels_tie(states, n):
     """step_rays reproduces simulate bitwise: same events, same truncation."""
-    for state, batched in zip(states, batched_events(states, n, horizon)):
-        scalar = scalar_events(state, n, horizon)
+    for state, batched in zip(states, batched_events(states, n)):
+        scalar = log_events(simulate(state, n))
         assert batched.shape == scalar.shape, state
         assert batched.tobytes() == scalar.tobytes(), state
 
@@ -464,7 +471,7 @@ free_rays = st.builds(free_state, coords, coords, st.floats(-math.pi, math.pi)).
 corner_rays = st.sampled_from(CORNER_SLOPES).map(state_from_slope)
 # within 1e-2 rad of an axis, or exactly along one: both take the scalar walk.
 # Tilts log-uniform down to 1e-5 rad make the walk jump up to about 5e4 cells
-# to the first obstacle band, which still lies within DEFAULT_HORIZON.
+# to the first obstacle band, which still lies within HORIZON.
 tilts = st.floats(math.log(1e-5), math.log(1e-2)).map(math.exp)
 tilted_rays = st.builds(lambda x, y, axis, tilt: free_state(x, y, axis * math.pi / 2 + tilt),
                         coords, coords, st.integers(-1, 2),
@@ -540,24 +547,64 @@ def scalar_walks(monkeypatch):
     return calls
 
 
-def first_strike_length(entry, state, horizon):
+def first_strike_length(entry, state, horizon=billiard.HORIZON):
     """Path length from `state` to its first strike by `entry` (simulate,
-    next_collision or step_rays), or None if there is none within the horizon."""
-    if entry == "simulate":
-        log = simulate(state, 1, horizon)
-        return float(log.t[0]) if len(log) else None
-    if entry == "next_collision":
-        try:
-            return next_collision(state, horizon).time
-        except NoHitWithinHorizon:
-            return None
-    rays, walls = step_rays(
-        Rays(*(np.array([c]) for c in (*state.position, *state.velocity, 0.0))), horizon)
-    return float(rays.t[0]) if walls[0] != NO_HIT else None
+    next_collision or step_rays), or None if there is none within `horizon`."""
+    with capped(horizon):
+        if entry == "simulate":
+            log = simulate(state, 1)
+            return float(log.t[0]) if len(log) else None
+        if entry == "next_collision":
+            try:
+                return next_collision(state).time
+            except NoHitWithinHorizon:
+                return None
+        rays, walls = step_rays(
+            Rays(*(np.array([c]) for c in (*state.position, *state.velocity, 0.0))))
+        return float(rays.t[0]) if walls[0] != NO_HIT else None
 
 
 def row_bytes(*values):
     return np.array(values, dtype=float).tobytes()
+
+
+# a start strictly inside an obstacle, at least 0.01 from its walls
+inside_starts = st.builds(
+    lambda center, dx, dy, theta: free_state(center[0] + dx, center[1] + dy, theta),
+    st.tuples(odd, odd), st.floats(-0.49, 0.49), st.floats(-0.49, 0.49),
+    st.floats(-math.pi, math.pi))
+
+
+class TestNextCollisionIsSimulatesFirst:
+    # next_collision takes simulate's start rules: the reach rule, the
+    # ValueError from inside an obstacle and the reflection in place off the
+    # wall a start sits on
+    @given(st.one_of(free_rays, wall_rays, corner_aimed_rays, axis_rays, far_rays))
+    def test_strike_is_simulates_first_row(self, state):
+        log = simulate(state, 1)
+        try:
+            event = next_collision(state)
+        except NoHitWithinHorizon:
+            assert len(log) == 0
+            return
+        assert len(log) == 1
+        assert row_bytes(*event.point, event.time, WALLS.index(event.wall)) == row_bytes(
+            log.x[0], log.y[0], log.t[0], log.wall[0])
+
+    @given(inside_starts)
+    def test_start_inside_an_obstacle_is_rejected_alike(self, state):
+        with pytest.raises(ValueError, match="inside an obstacle") as by_simulate:
+            simulate(state, 1)
+        with pytest.raises(ValueError, match="inside an obstacle") as by_next:
+            next_collision(state)
+        assert str(by_next.value) == str(by_simulate.value)
+
+    def test_wall_start_into_its_obstacle_reflects_in_place(self):
+        # on the Left wall of the obstacle at (1, 1), moving into it: the
+        # walk from this state as given passes through to (5.5, 2.5)
+        event = next_collision(ParticleState(Vec2(0.5, 1.0), unit(1.0, 0.3)))
+        assert (event.point, event.wall, event.obstacle_center) == (
+            Vec2(-0.5, 1.3), "Right", (-1, 1))
 
 
 class TestUnit:
@@ -590,15 +637,16 @@ class TestStrikeWalk:
     @given(st.one_of(free_rays, corner_rays, axis_rays, corner_aimed_rays, far_rays),
            st.sampled_from([1.5, 5.0, 1e3]))
     def test_each_strike_is_a_fresh_walks_first(self, state, horizon):
-        log = simulate(state, 40, horizon)
-        origins = strike_origins(log)
-        lvx, lvy = log.velocities()
-        for k in range(len(log)):
-            px, py, vx, vy, t = (float(column[k]) for column in origins[:5])
-            s, hx, hy, wall = next(billiard._strikes(px, py, vx, vy, horizon))
-            rx, ry = reflect(vx, vy, WALLS[wall])
-            assert row_bytes(hx, hy, t + s, wall, rx, ry) == row_bytes(
-                log.x[k], log.y[k], log.t[k], log.wall[k], lvx[k], lvy[k]), k
+        with capped(horizon):
+            log = simulate(state, 40)
+            origins = strike_origins(log)
+            lvx, lvy = log.velocities()
+            for k in range(len(log)):
+                px, py, vx, vy, t = (float(column[k]) for column in origins[:5])
+                s, hx, hy, wall = next(billiard._strikes(px, py, vx, vy))
+                rx, ry = reflect(vx, vy, WALLS[wall])
+                assert row_bytes(hx, hy, t + s, wall, rx, ry) == row_bytes(
+                    log.x[k], log.y[k], log.t[k], log.wall[k], lvx[k], lvy[k]), k
 
     def test_unit_hypot_bounces_only_flip_signs(self):
         # the walk never renormalizes: every bounce of simulate keeps the
@@ -619,32 +667,12 @@ class TestStrikeWalk:
         assert (len(log), digest.hexdigest()) == (
             20_000, "306a6b0e54266381986b1d1771e9dd8797d66d60b7c9c09d6aa6a6e3449fec0f")
 
-    RUNS = {
-        "simulate": lambda state, horizon: simulate(state, 5, horizon),
-        "next_collision": next_collision,
-        "step_rays": lambda state, horizon: step_rays(
-            Rays(*(np.array([c]) for c in (*state.position, *state.velocity, 0.0))),
-            horizon),
-    }
-
-    # under an infinite horizon, the ray at pi / 2 (vx = 6.1e-17) would walk
-    # up between two obstacle columns forever; past 2**51 the points along a
-    # ray from a start within 2**51 could leave 2**52, where the walls of
-    # odd-centered bands are no longer exact
-    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf, 1e30])
-    @pytest.mark.parametrize("entry", sorted(RUNS))
-    def test_horizon_must_be_positive(self, scalar_walks, entry, horizon):
-        # an axis-parallel ray, which step_rays finishes on the scalar walk
-        state = ParticleState(Vec2(0.7, 0.0), Vec2(0.0, 1.0))
-        with pytest.raises(ValueError, match=r"horizon must be positive and at most 2\*\*51"):
-            self.RUNS[entry](state, horizon)
-        assert scalar_walks == []
-
     def test_axis_corridor_returns_at_once(self):
         # from the origin, the ray at pi / 2 (vx = 6.1e-17) enters the
         # obstacle column x in [0.5, 1.5] only after path length 8e15, so no
         # cell up to the horizon can hold a hit
-        log = simulate(state_from_angle(math.pi / 2), 1, 1e15)
+        with capped(1e15):
+            log = simulate(state_from_angle(math.pi / 2), 1)
         assert (len(log), log.truncated) == (0, True)
 
     # a velocity component below 2**-1024, whose inverse overflows, moves
@@ -669,7 +697,7 @@ class TestStrikeWalk:
     @pytest.mark.parametrize("entry", ["simulate", "next_collision", "step_rays"])
     @given(tilted_rays)
     def test_near_axis_strike_found_at_its_horizon(self, entry, state):
-        s = first_strike_length(entry, state, DEFAULT_HORIZON)
+        s = first_strike_length(entry, state)
         assert s is not None
         assert first_strike_length(entry, state, s) == s
         assert first_strike_length(entry, state, math.nextafter(s, 0.0)) is None
@@ -704,17 +732,18 @@ class TestStrikeWalk:
             states.append(ParticleState(Vec2(p, q), Vec2(sign, tilt)) if rng.random() < 0.5
                           else ParticleState(Vec2(q, p), Vec2(tilt, sign)))
         hits = 0
-        for state in states:
-            try:
-                event = next_collision(state, reach)
-            except NoHitWithinHorizon:
-                continue
-            hits += 1
-            cx, cy = event.obstacle_center
-            offsets = sorted((abs(event.point.x - cx), abs(event.point.y - cy)))
-            assert offsets[0] <= 0.5 and offsets[1] == 0.5, (state, event)
-        assert hits > 500
-        assert_kernels_tie(states, 1, reach)
+        with capped(reach):
+            for state in states:
+                try:
+                    event = next_collision(state)
+                except NoHitWithinHorizon:
+                    continue
+                hits += 1
+                cx, cy = event.obstacle_center
+                offsets = sorted((abs(event.point.x - cx), abs(event.point.y - cy)))
+                assert offsets[0] <= 0.5 and offsets[1] == 0.5, (state, event)
+            assert hits > 500
+            assert_kernels_tie(states, 1)
 
     # swapping x and y maps the obstacle lattice onto itself, and with
     # |vx| != |vy| the walk's fast axis is swapped too, so the log transposes
@@ -770,12 +799,13 @@ class TestStepRays:
            st.sampled_from([1.5, 5.0, 1e3]))
     def test_mixed_batches_tie_simulate(self, scalar_walks, states, horizon):
         scalar_walks.clear()
-        batched = batched_events(states, 40, horizon)
-        walked = {args[:4] for args in scalar_walks}
-        for state, events in zip(states, batched):
-            log = simulate(state, 40, horizon)
-            assert events.tobytes() == log_events(log).tobytes(), state
-            assert_corners_walked(log, walked)
+        with capped(horizon):
+            batched = batched_events(states, 40)
+            walked = {args[:4] for args in scalar_walks}
+            for state, events in zip(states, batched):
+                log = simulate(state, 40)
+                assert events.tobytes() == log_events(log).tobytes(), state
+                assert_corners_walked(log, walked)
 
     # a log's derived post-bounce velocities are the ones the lockstep kernel
     # computes for each strike itself, on the block or by the scalar walk,
