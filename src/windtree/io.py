@@ -6,8 +6,12 @@ columns for all of them. `ARTIFACTS` lists every text file the commands
 write, so that writing one (`write_artifact`) and re-reading it
 (`parse_artifact`, `render_artifact`) go through the same codec.
 
-CSV numbers are rendered with 17 significant digits, which is enough for a
-parse/re-serialize cycle to reproduce the file byte for byte. JSON floats
+Every CSV artifact is written in one dialect, and `parse_csv` reads only
+that one: fields separated by commas, with no quoting; a header of the
+spec's column names, in order; one row per line; floats as "%.17g" (17
+significant digits, enough for a parse/re-serialize cycle to reproduce the
+file byte for byte) and other values as `str` writes them. `windtree fit`
+reads its observations through the same parser. JSON floats
 use Python's shortest round-trip representation, which preserves values
 exactly as well. Every file is written to `<name>.tmp` and moved into place
 with `os.replace`, so a file is either its old or its new content.
@@ -15,7 +19,6 @@ with `os.replace`, so a file is either its old or its new content.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
@@ -60,27 +63,23 @@ def csv_text(columns: dict, spec: dict) -> str:
 
 def parse_csv(text: str, spec: dict) -> dict:
     """The columns of a CSV text under the header of `spec`: int and float
-    columns as arrays, str columns as lists. Blank rows are skipped;
-    ValueError for another header, a row with another number of fields or
-    a value its column's type does not parse or int64 does not hold."""
+    columns as arrays, each converted by one numpy call, str columns as
+    lists. Fields are split at every comma, as `csv_text` writes no quoting.
+    Blank rows are skipped; ValueError for another header, a row with
+    another number of fields or a value its column's type does not parse
+    (a quoted number among them) or int64 does not hold."""
     names = list(spec)
-    reader = csv.reader(text.splitlines())
-    first = next(reader, None)
-    if first != names:
-        raise ValueError(f"unexpected header {first}, want {','.join(names)}")
-    rows = [row for row in reader if row]
+    header, *lines = text.splitlines() or [""]
+    if header.split(",") != names:
+        raise ValueError(f"unexpected header {header!r}, want {','.join(names)}")
+    rows = [line.split(",") for line in lines if line]
     if any(len(row) != len(names) for row in rows):
         raise ValueError(f"row without exactly {len(names)} fields")
     columns = zip(*rows) if rows else [()] * len(names)
-    return {name: _parse_column(values, kind)
-            for (name, kind), values in zip(spec.items(), columns)}
-
-
-def _parse_column(values, kind):
-    if kind is str:
-        return list(values)
     try:
-        return np.array([kind(v) for v in values], dtype=np.int64 if kind is int else float)
+        return {name: list(values) if kind is str
+                else np.array(values, dtype=np.int64 if kind is int else float)
+                for (name, kind), values in zip(spec.items(), columns)}
     except OverflowError as exc:  # an int beyond int64
         raise ValueError(str(exc)) from None
 
@@ -151,14 +150,20 @@ def read_trajectory(cols: dict, velocity: Vec2) -> TrajectoryLog:
         raise ValueError("trajectory.csv has no k=0 row")
     if cols["wall"][0]:
         raise ValueError(f"trajectory.csv row k=0 names wall {cols['wall'][0]!r}")
-    x, y, t = cols["x"], cols["y"], cols["t"]
+    x, y, t, walls = cols["x"], cols["y"], cols["t"], cols["wall"]
+    try:
+        wall = np.array([WALLS.index(w) for w in walls[1:]], dtype=np.int8)
+    except ValueError:
+        i = next(i for i, w in enumerate(walls) if i and w not in WALLS)
+        raise ValueError(f"trajectory.csv row k={cols['k'][i]} names unknown wall "
+                         f"{walls[i]!r}") from None
     return TrajectoryLog(
         initial=ParticleState(position=Vec2(float(x[0]), float(y[0])), velocity=velocity,
                               elapsed_time=float(t[0])),
         x=x[1:],
         y=y[1:],
         t=t[1:],
-        wall=np.array([WALLS.index(w) for w in cols["wall"][1:]], dtype=np.int8),
+        wall=wall,
     )
 
 

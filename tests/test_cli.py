@@ -334,6 +334,18 @@ class TestFitCommand:
         bad.write_text("a,b\n1,2\n")
         assert main(["fit", "--out", str(tmp_path), str(bad)]) == 2
 
+    def test_quoted_observation_is_config_error(self, sweep_dir, capsys):
+        path = sweep_dir / "sweep.csv"
+        lines = path.read_text().splitlines()
+        t, slope, D, logD = lines[4].split(",")
+        lines[4] = ",".join([t, slope, D, f'"{logD}"'])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["fit", "--out", str(sweep_dir)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"].startswith(
+            f"cannot read observations {path}: could not convert string to float: ")
+        assert not (sweep_dir / "model.json").exists()
+
 
 class TestDiagnoseCommand:
     def test_full_pipeline_then_diagnose(self, tmp_path, capsys):
@@ -359,8 +371,10 @@ class TestDiagnoseCommand:
         path.write_text("\n".join(lines) + "\n")
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 4
 
+    # the last edit quotes x, a quoting csv_text never writes
     @pytest.mark.parametrize("edit", [lambda r: r + ",extra", lambda r: r.rsplit(",", 1)[0],
-                                      lambda r: "x" + r])
+                                      lambda r: "x" + r,
+                                      lambda r: '{},"{}",{}'.format(*r.split(",", 2))])
     def test_unparsable_trajectory_row_fails_round_trip(self, tmp_path, capsys, edit):
         assert main(["simulate", "--out", str(tmp_path), "--collisions", "5"]) == 0
         path = tmp_path / "trajectory.csv"
@@ -368,7 +382,7 @@ class TestDiagnoseCommand:
         lines[3] = edit(lines[3])
         path.write_text("\n".join(lines) + "\n")
         assert main(["diagnose", "--out", str(tmp_path)]) == 4
-        assert "FAIL trajectory.csv round-trip" in capsys.readouterr().out
+        assert "FAIL trajectory.csv round-trip (not CSV: " in capsys.readouterr().out
 
     def test_lone_trajectory_fails_naming_summary(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path), "--collisions", "5"]) == 0
@@ -403,6 +417,18 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--out", str(tmp_path)]) == 4
         assert ("FAIL trajectory.csv fields (ValueError: trajectory.csv row k=0 "
                 "names wall 'Top')" in capsys.readouterr().out)
+
+    def test_unknown_wall_fails_fields_naming_it(self, tmp_path, capsys):
+        assert main(["simulate", "--out", str(tmp_path), "--collisions", "5"]) == 0
+        path = tmp_path / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        k, x, y, t, wall = lines[4].split(",")
+        assert k == "3"
+        lines[4] = ",".join([k, x, y, t, "Diagonal"])
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["diagnose", "--out", str(tmp_path)]) == 4
+        assert ("FAIL trajectory.csv fields (ValueError: trajectory.csv row k=3 "
+                "names unknown wall 'Diagonal')" in capsys.readouterr().out)
 
     def test_renumbered_trajectory_row_fails_k_check(self, tmp_path, capsys):
         assert main(["simulate", "--out", str(tmp_path), "--collisions", "5"]) == 0
@@ -849,6 +875,21 @@ class TestArtifactFormats:
             for D, logD, d in zip(parsed["D"], parsed["logD"], result.columns["D"]):
                 assert D == d
                 assert abs(logD - math.log(D)) <= 1e-12
+
+    # csv_text writes no quoting, so parse_csv reads none: each text differs
+    # from a parsable sweep.csv in one place
+    @pytest.mark.parametrize("text", [
+        't,slope,D,logD\n1,"1.414",2.5,0.9\n',
+        '"t",slope,D,logD\n1,1.414,2.5,0.9\n',
+        "t,slope,D,logD\n1,1.414,2.5,0.9,7\n",
+        f"t,slope,D,logD\n{2**63},1.414,2.5,0.9\n",
+        "t,slope,D,logD\n1,1.414,2.5,abc\n",
+    ], ids=["quoted-field", "quoted-header", "extra-field", "int-beyond-int64",
+            "non-numeric-float"])
+    def test_parse_csv_rejects_another_dialect(self, text):
+        assert io.parse_csv("t,slope,D,logD\n1,1.414,2.5,0.9\n", io.SWEEP_CSV)
+        with pytest.raises(ValueError):
+            io.parse_csv(text, io.SWEEP_CSV)
 
     def test_csv_text_renders_each_value_as_fmt_and_str_do(self):
         spec = io.TRAJECTORY_CSV
