@@ -13,14 +13,31 @@ reversed, transposed stack P(x_s) Gamma^T for the backward ones. A
 two-level scan (Blelloch, "Prefix sums and their applications", 1990)
 runs both passes together on blocks of SCAN_BLOCK steps: the product of
 each block, a doubling scan over the block products that gives every block
-its entry row, then the recursion inside all blocks at once. That is
-O(T m^3) work in about 60 batched numpy calls plus 3 for each of the
-ceil(log2(T / SCAN_BLOCK)) doubling levels, and O(T m^2) memory: the
-(2, T, m, m) stack, padded to whole blocks and built once, plus the
-(2, T / SCAN_BLOCK, m, m) block products. Inside a block each step is one
-vector-matrix product, as in the one-step recursion (tests/oracle.py). On
-random models alpha_hat and log c agree with it to about 1e-15 and
-beta_hat to about 1e-12 relative.
+its entry row, then the recursion inside all blocks at once. Inside a
+block each step is one vector-matrix product, as in the one-step
+recursion (tests/oracle.py). On random models alpha_hat and log c agree
+with it to about 1e-15 and beta_hat to about 1e-12 relative.
+
+The arrays are state-major: the state axes come first, then the step
+within a block, the stack and the block. The K = 2 stacks are one
+(m, m, SCAN_BLOCK, K, B) array, B = ceil(T / SCAN_BLOCK), whose entry
+[i, j, l, k, b] is entry (i, j) of step l of block b of stack k, and the
+rows are (m, SCAN_BLOCK, K, B). So step l of every block of every stack
+is one contiguous row of K B entries per matrix entry, and each matrix
+product is written out over such rows: m multiplies and m - 1 adds per
+entry, accumulated in j order (`_product`). An entry sum adds over the
+leading axes. A product is then 2m - 1 numpy calls and an entry sum 2, so
+both passes together take about 30m + 90 numpy operations plus 2m + 2 for
+each of the ceil(log2 B) doubling levels, whatever T is. Memory is
+O(T m^2): the stacks, 2 m^2 B SCAN_BLOCK doubles built once, block
+products and temporaries of m^2 K B doubles each, and the rows. No product
+goes through numpy's matrix multiplication, which hands a stack of
+products to OpenBLAS, whose kernel is chosen for the CPU at run time and
+rounds differently from the sum of products in j order: on one x86 host,
+16% to 28% of the entries of stacks of random m x m products (m = 2..5)
+differed in the last bit. Written out elementwise, every entry is the same
+IEEE multiplies and adds on every host, so the fitted digits do not depend
+on the BLAS build.
 
 A product rescaled as a whole keeps its entries within about 320 decades
 of its largest, while the recursion rescales one row at a time. With
@@ -75,8 +92,6 @@ SEAM_RTOL = 1e-12       # a block seam's two rows agree to this relative to each
 SEAM_ATOL = np.finfo(float).tiny  # give or take the smallest normal double
 SUBNORMAL_ULP = np.finfo(float).smallest_subnormal  # spacing of doubles below SEAM_ATOL
 GAMMA_FLOOR = 1e-200    # the M-step sets smaller transition probabilities to 0
-
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 class EmptyObservations(ValueError):
@@ -135,7 +150,7 @@ class ForwardBackwardTables:
     Unscaled quantities are recoverable as
     alpha_t = alpha_hat[t] * exp(sum(log_c[: t + 1])) and
     beta_t = beta_hat[t] * exp(sum(log_c[t + 1 :])), which makes
-    alpha_hat[t] @ beta_hat[t] == 1 for every t.
+    sum(alpha_hat[t] * beta_hat[t]) == 1 for every t.
     """
 
     alpha_hat: np.ndarray    # (T, m)
@@ -176,28 +191,48 @@ def _density_matrix(params: HmmParams, obs: np.ndarray) -> np.ndarray:
         return np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * params.sigma[None, :])
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix products out[i, k] = sum_j a[i, j] b[j, k] at every
+    trailing index of a (p, m, ...) and a (m, q, ...) array: m multiplies and
+    m - 1 adds, each over whole rows, accumulated in j order."""
+    out = a[:, 0, None] * b[None, 0]
+    for j in range(1, b.shape[0]):
+        out += a[:, j, None] * b[None, j]
+    return out
+
+
+def _entry_sum(a: np.ndarray) -> np.ndarray:
+    """The entry sums of an (m, m, ...) stack: each row summed in column
+    order, then the row sums in row order.
+
+    numpy adds fewer than 8 terms in order whatever the trailing shape, so
+    for m < 8 these sums, like the row sums of the passes, do not depend on
+    what a stack is batched with.
+    """
+    return a.sum(axis=1).sum(axis=0)
+
+
 def _scan(prods: np.ndarray) -> np.ndarray:
-    """Inclusive prefix products along axis -3 of a (..., n, m, m) stack of
-    unit-entry-sum matrices, in place, each rescaled to unit entry sum.
+    """Inclusive prefix products along the last axis of an (m, m, ..., n)
+    stack of unit-entry-sum matrices, in place, each rescaled to unit entry
+    sum.
 
     A doubling (Hillis-Steele) scan: after the step of stride s, entry t
     holds the product of the input's entries max(0, t - 2s + 1) .. t, so
-    ceil(log2 n) batched products cover every prefix. A product whose
-    entries have all underflowed to 0 comes out as NaN.
+    ceil(log2 n) products cover every prefix. A product whose entries have
+    all underflowed to 0 comes out as NaN.
     """
-    step = np.empty_like(prods)
     s = 1
-    while s < prods.shape[-3]:
-        np.matmul(prods[..., :-s, :, :], prods[..., s:, :, :], out=step[..., s:, :, :])
-        np.divide(step[..., s:, :, :], step[..., s:, :, :].sum(axis=(-2, -1), keepdims=True),
-                  out=prods[..., s:, :, :])
+    while s < prods.shape[-1]:
+        step = _product(prods[..., :-s], prods[..., s:])
+        np.divide(step, _entry_sum(step), out=prods[..., s:])
         s *= 2
     return prods
 
 
 def _entry_rows(blocks: np.ndarray) -> np.ndarray:
-    """Entry rows (K, B, 1, m) of the row recursion for the (K, B, L, m, m)
-    blocks: e_0 for block 0, and row 0 of the prefix product of the block
+    """Entry rows (m, K, B) of the row recursion for the (m, m, SCAN_BLOCK,
+    K, B) blocks: e_0 for block 0, and row 0 of the prefix product of the block
     products before it for every other block.
 
     Every factor, then every product, is rescaled to unit entry sum. A
@@ -206,50 +241,51 @@ def _entry_rows(blocks: np.ndarray) -> np.ndarray:
     products are freed on return, before the rows are allocated, so the
     passes never hold both.
     """
-    K, B, L, m, _ = blocks.shape
-    prods = blocks[:, :, 0] / blocks[:, :, 0].sum(axis=(-2, -1), keepdims=True)
+    m, _, L, K, B = blocks.shape
+    sums = _entry_sum(blocks)
+    prods = blocks[:, :, 0] / sums[0]
     for j in range(1, L):
-        prods = prods @ (blocks[:, :, j] / blocks[:, :, j].sum(axis=(-2, -1), keepdims=True))
-        prods /= prods.sum(axis=(-2, -1), keepdims=True)
-    entry = np.zeros((K, B, 1, m))
-    entry[:, 0, 0, 0] = 1.0
-    entry[:, 1:] = _scan(prods[:, :-1])[:, :, :1]
+        prods = _product(prods, blocks[:, :, j] / sums[j])
+        prods /= _entry_sum(prods)
+    entry = np.zeros((m, K, B))
+    entry[0, :, 0] = 1.0
+    entry[:, :, 1:] = _scan(prods[..., :-1])[0]
     return entry
 
 
-def _row_scan(stack: np.ndarray):
-    """The row recursion w = r @ M_t, c_t = sum(w), r = w / c_t from r = e_0,
-    over each stack k of a (K, n, m, m) array, n a multiple of SCAN_BLOCK.
+def _row_scan(blocks: np.ndarray):
+    """The row recursion w = r M_t, c_t = sum(w), r = w / c_t from r = e_0,
+    over each stack k of an (m, m, SCAN_BLOCK, K, B) array whose entry
+    [:, :, j, k, b] is the matrix M_t of step t = b SCAN_BLOCK + j of stack k.
 
-    Returns the rows (K, n, m), the sums c (K, n) and seam_ok (K, B - 1)
-    over the B = n / SCAN_BLOCK blocks. Each block's entry row comes from
-    the block products, by the doubling scan over them, and the recursion
-    then runs inside every block at once. Seam b is row (b + 1) SCAN_BLOCK
-    - 1, computed once as the last row of block b and once as the entry
-    row of block b + 1; seam_ok says whether the two agree in every entry.
+    Returns the rows (m, SCAN_BLOCK, K, B) and the sums c (SCAN_BLOCK, K, B),
+    indexed by step like the blocks, and seam_ok (K, B - 1). Each block's
+    entry row comes from the block products, by the doubling scan over
+    them, and the recursion then runs inside every block at once. Seam b is
+    row (b + 1) SCAN_BLOCK - 1, computed once as the last row of block b and
+    once as the entry row of block b + 1; seam_ok says whether the two
+    agree in every entry.
     """
-    K, n, m, _ = stack.shape
-    L = SCAN_BLOCK
-    B = n // L
-    blocks = stack.reshape(K, B, L, m, m)
+    m, _, L, K, B = blocks.shape
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         entry = _entry_rows(blocks)
-        rows = np.empty((K, B, L, 1, m))
-        c = np.empty((K, B, L, 1, 1))
+        rows = np.empty((m, L, K, B))
+        c = np.empty((L, K, B))
         r = entry
         for j in range(L):
-            w = r @ blocks[:, :, j]
-            np.sum(w, axis=-1, keepdims=True, out=c[:, :, j])
-            r = np.divide(w, c[:, :, j], out=rows[:, :, j])
+            w = _product(r[None], blocks[:, :, j])[0]
+            np.sum(w, axis=0, out=c[j])
+            r = np.divide(w, c[j], out=rows[:, j])
 
-        last, nxt = rows[:, :-1, L - 1, 0], entry[:, 1:, 0]
-        seam_ok = (np.abs(last - nxt) <= SEAM_RTOL * np.abs(nxt) + SEAM_ATOL).all(axis=-1)
-    return rows.reshape(K, n, m), c.reshape(K, n), seam_ok
+        last, nxt = rows[:, L - 1, :, :-1], entry[:, :, 1:]
+        seam_ok = (np.abs(last - nxt) <= SEAM_RTOL * np.abs(nxt) + SEAM_ATOL).all(axis=0)
+    return rows, c, seam_ok
 
 
-def _passes(params: HmmParams, obs: Sequence[float]):
-    """The densities (T, m), the rows (2, n, m) of the forward and the
-    backward pass and the forward sums c (T,).
+def _stacks(params: HmmParams, dens: np.ndarray) -> np.ndarray:
+    """The forward and the backward stack (m, m, SCAN_BLOCK, 2, B) of the
+    densities (T, m), B = ceil(T / SCAN_BLOCK), indexed by step like the
+    blocks of `_row_scan`.
 
     alpha_t is proportional to (delta D_0)(Gamma D_1)...(Gamma D_t), with
     D_t = diag(dens[t]). Row 0 of the forward stack's first matrix is
@@ -259,6 +295,34 @@ def _passes(params: HmmParams, obs: Sequence[float]):
     for s = T - 1 down to 1, seeded the same way with 1^T D_{T-1} Gamma^T;
     its rows are the directions of beta_{T-2}, ..., beta_0. Identity
     matrices pad both to whole blocks.
+    """
+    T, m = dens.shape
+    L = SCAN_BLOCK
+    B = -(-T // L)
+    # the observation of step j of block b: t = b L + j for the forward
+    # stack, T - 1 - t for the backward one (padding steps take any)
+    t = np.arange(B * L).reshape(B, L).T
+    d = np.take(dens.T, np.stack([np.minimum(t, T - 1), np.maximum(T - 1 - t, 0)], axis=1),
+                axis=1)
+    blocks = np.empty((m, m, L, 2, B))
+    np.multiply(params.gamma[:, :, None, None], d[None, :, :, 0], out=blocks[:, :, :, 0])
+    np.multiply(params.gamma.T[:, :, None, None], d[:, None, :, 1], out=blocks[:, :, :, 1])
+    blocks[:, :, 0, 0, 0] = 0.0
+    blocks[0, :, 0, 0, 0] = params.delta * dens[0]
+    if T > 1:
+        seed = blocks[:, :, 0, 1, 0].sum(axis=0)
+        blocks[:, :, 0, 1, 0] = 0.0
+        blocks[0, :, 0, 1, 0] = seed
+    tail = T - (B - 1) * L  # steps of the last block
+    blocks[:, :, tail:, 0, -1] = np.eye(m)[:, :, None]
+    blocks[:, :, tail - 1:, 1, -1] = np.eye(m)[:, :, None]
+    return blocks
+
+
+def _passes(params: HmmParams, obs: Sequence[float]):
+    """The densities (T, m), the rows (2, n, m) of the forward and the
+    backward pass in time order, n = T padded to whole blocks, and the
+    forward sums c (T,).
 
     Raises NumericalUnderflow at the first observation whose scale factor
     is not positive and finite, unless a forward seam before it disagrees,
@@ -270,20 +334,10 @@ def _passes(params: HmmParams, obs: Sequence[float]):
     dens = _density_matrix(params, x)
     T, m = dens.shape
 
-    stack = np.empty((2, -(-T // SCAN_BLOCK) * SCAN_BLOCK, m, m))
-    np.multiply(params.gamma, dens[:, None, :], out=stack[0, :T])
-    stack[0, 0] = 0.0
-    stack[0, 0, 0] = params.delta * dens[0]
-    stack[0, T:] = np.eye(m)
-    np.multiply(params.gamma.T, dens[:0:-1, :, None], out=stack[1, :T - 1])
-    if T > 1:
-        seed = stack[1, 0].sum(axis=0)
-        stack[1, 0] = 0.0
-        stack[1, 0, 0] = seed
-    stack[1, T - 1:] = np.eye(m)
-    rows, c, seam_ok = _row_scan(stack)
+    rows, c, seam_ok = _row_scan(_stacks(params, dens))
+    rows = rows.transpose(2, 3, 1, 0).reshape(2, -1, m)  # time order
 
-    c = c[0, :T]
+    c = c[:, 0].T.ravel()[:T]
     bad = np.flatnonzero(~((c > 0.0) & np.isfinite(c)))
     s = _first_bad_seam(seam_ok[0], int(bad[0]) if bad.size else T - 1)
     if s is not None:
@@ -317,7 +371,7 @@ def forward_backward(params: HmmParams, obs: Sequence[float]) -> ForwardBackward
 
     beta_t is proportional to (Gamma D_{t+1})...(Gamma D_{T-1}) 1; the
     backward rows give its direction, scaled so that
-    alpha_hat[t] @ beta_hat[t] == 1.
+    sum(alpha_hat[t] * beta_hat[t]) == 1.
     """
     dens, rows, c = _passes(params, obs)
     T = len(dens)
@@ -482,18 +536,19 @@ def pseudo_residuals(params: HmmParams, obs: Sequence[float],
     """Uniform residuals u_t = Pr(X_t <= x_t | X_s = x_s for all s != t).
 
     The mixture weights are the posterior state probabilities computed with
-    x_t removed, proportional to (alpha_hat[t-1] @ gamma) * beta_hat[t].
+    x_t removed, proportional to (alpha_hat[t-1] Gamma) * beta_hat[t].
     """
     x = np.asarray(obs, dtype=float)
     if x.size == 0:
         raise EmptyObservations("observation sequence is empty")
     z = (x[:, None] - params.mu[None, :]) / params.sigma[None, :]
-    cdf = 0.5 * _erfc(z * -SQRT_HALF).astype(float)
+    cdf = 0.5 * np.fromiter(map(math.erfc, (z * -SQRT_HALF).ravel().tolist()),
+                            float, z.size).reshape(z.shape)
     if tables is None:
         tables = forward_backward(params, x)
     weights = tables.beta_hat.copy()
     weights[0] *= params.delta
-    weights[1:] *= tables.alpha_hat[:-1] @ params.gamma
+    weights[1:] *= _product(tables.alpha_hat[:-1].T[None], params.gamma[:, :, None])[0].T
     weights /= weights.sum(axis=1, keepdims=True)
     return np.clip((weights * cdf).sum(axis=1), 0.0, 1.0)
 

@@ -11,8 +11,8 @@ matrix products over all earlier blocks, and those products can lose
 entries this recursion keeps. The scan compares the two rows at every
 block seam, where a block's last row meets the next block's entry row. If
 they disagree it must raise NumericalUnderflow, never return tables that
-disagree with these. The scan holds a (2, T, m, m) stack of matrices where
-this recursion holds O(T m) numbers.
+disagree with these. The scan holds both passes' stacks of m x m matrices,
+2 T m^2 numbers, where this recursion holds O(T m).
 
 Two references run on the production scalar kernel instead: the one-slope
 recurrence statistic on `simulate`, which the lockstep sweep must match

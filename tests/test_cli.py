@@ -44,28 +44,30 @@ SIMULATE_DIGESTS = {
 }
 
 # SHA-256 of the `fit --states m` artifacts on the reference sweep.csv. The
-# residuals.csv digests were taken when both HMM passes became one two-level
-# scan over blocks of 8 steps: against the doubling scan over all T, for
-# m = 2, 3 and 4, mu moved by at most 1.3e-15, sigma 1.4e-15, gamma 6.1e-16
-# and the loglik trace 1.1e-13, and 123, 204 and 279 of the 300 u values
-# moved, by at most 1.0e-15. The model.json and histogram.json digests were
-# taken when they dropped metadata.iterations and bins, total, which copy the
-# length of loglik_trace and the length and sum of counts; no value they kept
-# moved.
+# model.json and residuals.csv digests were taken when the HMM passes and
+# pseudo_residuals wrote every matrix product out elementwise, summed in j
+# order, instead of through numpy's matrix multiplication, whose OpenBLAS
+# kernel rounds differently from that sum in the last bit. Against the
+# products through OpenBLAS the largest moves, for m = 2, 3 and 4, were:
+# mu 0, 2.7e-15 and 8.9e-16; sigma 0, 5.6e-17 and 1.8e-15; gamma 0, 2.2e-16
+# and 7.8e-16; the loglik trace 1.1e-13, 5.7e-14 and 1.1e-13; u 5.6e-17,
+# 2.9e-15 and 7.8e-16, with 1, 284 and 224 of the 300 u values moved. The
+# histogram.json digests were taken when it dropped bins and total, which
+# copy the length and sum of counts; no count moved since.
 FIT_DIGESTS = {
     2: {
-        "model.json": "d20e341525722d3d681ad9b283352dd8aea6950904ad76c092731aad32d8e267",
-        "residuals.csv": "fa5d449785f8c61127553b48e3e648ee7286a896fee439918ffc7951b869c41c",
+        "model.json": "845c74ae86cb979b9e78b0d896fa732f540d4f40d826e8f80c00f9ae37a359c7",
+        "residuals.csv": "8b591d266b9d13eb5e6796656931c601af2538044a1b37a17df23a8fbe0dc77d",
         "histogram.json": "e1174e311c691cb2ad507fb58cc3f400bd42c2eedf131ff75888c9d4822ca8f2",
     },
     3: {
-        "model.json": "26a9a28bed331f3f8a02b894119ff5ebbef96b2e7422c44546f7772d71e11b0e",
-        "residuals.csv": "82df7189764e3f79d007ce819565fa83aa251e79b5b6a7161bc7e17db7d7560a",
+        "model.json": "20b59bbd0463a4f90763f432286c5da8484204301cbb7db97c268b2d108c9346",
+        "residuals.csv": "ef810d43202b88138e262796541a392aa9bf235411618bc1505e539a19aedfc6",
         "histogram.json": "1c90f37dd7764d4b7ecea3733e55754bbac1b3ae197df846f301c3251dc1b6b4",
     },
     4: {
-        "model.json": "31f9736e2eb2544207728769d7436860850a240158778fca0b22eb1d390849a1",
-        "residuals.csv": "094aecd65809979ee247ebfde5877aa264ebb534ccd41a5758dea9408052d415",
+        "model.json": "a7b376b23a3a59da41c834f138ed8ead5d0df85f3187977a14b1e908461a67eb",
+        "residuals.csv": "c9367100427c4db0125d5f039eff47b18d888503ef94a67a216c5d4b651d504f",
         "histogram.json": "65572258c11b0d217ad91cc9929e5daee283070e479c4c45bfcc2ba4e56a522f",
     },
 }

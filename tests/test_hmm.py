@@ -295,13 +295,72 @@ class TestScanMatchesSequential:
         stacks = []
         for _ in range(3):
             p = random_params(rng, 3)
-            stacks.append(p.gamma * _density_matrix(p, rng.normal(0.0, 2.0, 200))[:, None, :])
-        batch = hmm._row_scan(np.stack(stacks))
+            stacks.append(hmm._stacks(p, _density_matrix(p, rng.normal(0.0, 2.0, 200)))[:, :, :, :1])
+        rows, c, seam_ok = hmm._row_scan(np.concatenate(stacks, axis=3))
         for k, stack in enumerate(stacks):
-            single = hmm._row_scan(stack[None].copy())
-            for got, want in zip(batch, single):
-                np.testing.assert_array_equal(got[k], want[0])
+            one_rows, one_c, one_seam_ok = hmm._row_scan(stack.copy())
+            np.testing.assert_array_equal(rows[:, :, k], one_rows[:, :, 0])
+            np.testing.assert_array_equal(c[:, k], one_c[:, 0])
+            np.testing.assert_array_equal(seam_ok[k], one_seam_ok[0])
 
+
+def python_product(a, b):
+    """a_r b_r at each trailing index r in plain Python floats, each entry
+    accumulated in j order: the arithmetic `hmm._product` must reproduce."""
+    p, m, q = a.shape[0], a.shape[1], b.shape[1]
+    out = np.empty((p, q) + a.shape[2:])
+    for r in np.ndindex(a.shape[2:]):
+        for i in range(p):
+            for k in range(q):
+                s = float(a[(i, 0) + r]) * float(b[(0, k) + r])
+                for j in range(1, m):
+                    s = s + float(a[(i, j) + r]) * float(b[(j, k) + r])
+                out[(i, k) + r] = s
+    return out
+
+
+# Exact zeros, subnormals and normal magnitudes far apart, so that the
+# rounding of each product and add shows in the last bit.
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5))
+def test_product_is_python_arithmetic_in_j_order(seed, m, p):
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        x = rng.uniform(0.0, 1.0, shape) * 10.0 ** rng.integers(-20, 20, shape)
+        x[rng.random(shape) < 0.2] = 0.0
+        tiny = rng.random(shape) < 0.2
+        x[tiny] = rng.uniform(0.0, 1.0, int(tiny.sum())) * 1e-310
+        return x
+
+    a, b = draw((p, m, 3, 4)), draw((m, m, 3, 4))
+    got = hmm._product(a, b)
+    want = python_product(a, b)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# numpy sums a reduced axis of 8 or more entries pairwise when no other axis
+# is longer than 1, so only a sum of each row and then of the row sums, for
+# m < 8, keeps this order whatever the trailing shape.
+@settings(max_examples=30)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7),
+       st.sampled_from([(), (1,), (1, 1), (2, 3)]))
+def test_entry_sum_adds_rows_then_row_sums(seed, m, trailing):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 1.0, (m, m) + trailing) * 10.0 ** rng.integers(-20, 20, (m, m) + trailing)
+    got = hmm._entry_sum(a)
+    for r in np.ndindex(trailing):
+        row_sums = []
+        for i in range(m):
+            s = float(a[(i, 0) + r])
+            for j in range(1, m):
+                s = s + float(a[(i, j) + r])
+            row_sums.append(s)
+        total = row_sums[0]
+        for s in row_sums[1:]:
+            total = total + s
+        assert got[r] == total
 
 
 class TestPosteriorPairs:
