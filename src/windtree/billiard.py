@@ -190,6 +190,16 @@ def cell_centers(x, y) -> tuple[np.ndarray, np.ndarray]:
     return tuple(centers)
 
 
+def _cell_center(p: float) -> float:
+    """cell_centers of one scalar coordinate, as a float: the walk's own
+    2 floor(p / 2) + 1, with the same ValueError where that is not an exact
+    odd integer. One point through cell_centers' 0-d arrays costs about
+    fifty times as much."""
+    if not abs(p) < 2.0**53:  # True on nan
+        raise ValueError(f"no exact cell center for coordinate {float(p)!r}")
+    return 2.0 * math.floor(p * 0.5) + 1.0
+
+
 # ---------------------------------------------------------------------------
 # The strike walk: obstacle bands paired in ray order. An obstacle is where
 # an x-band |x - c| < 0.5 (c odd) and a y-band overlap; along a ray, a band
@@ -202,17 +212,21 @@ def cell_centers(x, y) -> tuple[np.ndarray, np.ndarray]:
 _REACH = 2.0**51
 
 
-def _band(p, v, inv_v, t):
-    """Center c of the first band on one axis, along the ray from p with
-    component v != 0 (inv_v = 1 / v), whose far slab time (c + side - p) *
-    inv_v exceeds path length t. That is the band of the cell holding the
-    ray's point at t or the next (the one before ends at least 0.5 behind
-    the point), so one floor and one exact slab-time comparison settle c."""
-    side = 0.5 if v > 0.0 else -0.5
-    c = 2.0 * math.floor((p + t * v) * 0.5) + 1.0
-    if (c + side - p) * inv_v <= t:
-        c += 4.0 * side
-    return c
+# The interior pre-check's half-width: a hit h along a wall of band c with
+# c - _INTERIOR < h < c + _INTERIOR lies strictly inside the wall's ends
+# c -+ 0.5 and farther than CORNER_TOL from both (proof in _strikes).
+_INTERIOR = 0.5 - 2.0 * CORNER_TOL
+
+
+def _corner_snap(h, c):
+    """The corner test of a hit h along a wall of band c: h snapped onto the
+    end c - 0.5 or c + 0.5 within CORNER_TOL of it, and whether it was."""
+    lo, hi = c - 0.5, c + 0.5
+    if abs(h - lo) <= CORNER_TOL:
+        return lo, True
+    if abs(h - hi) <= CORNER_TOL:
+        return hi, True
+    return h, False
 
 
 def _strikes(px, py, vx, vy):
@@ -232,52 +246,79 @@ def _strikes(px, py, vx, vy):
     after the f-slab starts: over one f-band, s moves at most 1. The pair is
     an obstacle the ray enters unless the s-slab starts after the f-slab
     ends; then the walk jumps to the first f-band that ends after the
-    s-slab starts, so a strike costs a few steps in every direction. With vs == 0 the ray is in
-    an s-band for all time, or in a corridor. So it is with |vs| < 2**-1024,
-    whose inverse overflows: within HORIZON <= _REACH the ray moves less than
-    2**-973 across the bands, and on a band's edge it grazes, as at vs == 0.
-    A strike from a coordinate beyond +-_REACH meets nothing.
+    s-slab starts, so a strike costs a few steps in every direction. A band
+    placed from path length t (0 for a first strike, the s-slab's start
+    for a jump) is 2 floor((p + t v) / 2) + 1, the band of the cell holding
+    the ray's point at t, or the next one where that band's far slab ends
+    by t: one floor and one exact slab-time comparison, inline. With vs == 0
+    the ray is in an s-band for all time, or in a corridor. So it is with
+    |vs| < 2**-1024, whose inverse overflows: within HORIZON <= _REACH the
+    ray moves less than 2**-973 across the bands, and on a band's edge it
+    grazes, as at vs == 0. A strike from a coordinate beyond +-_REACH meets
+    nothing.
 
-    Each strike hands the next two facts it has settled, each bitwise
-    what a fresh walk from the post-bounce state would compute:
+    A side strike is resolved on its own axis's branch, which opens with
+    an interior pre-check of the hit h along the wall, in band c:
+    c - _INTERIOR < h < c + _INTERIOR. Where it holds, both corner tests
+    abs(h - (c -+ 0.5)) <= CORNER_TOL must fail and h lies strictly inside
+    the band, so they are skipped; every other hit, near an end or outside
+    the band, takes them (_corner_snap). The pre-check is conservative for
+    every odd |c| < 2**52, where lo = c - 0.5 is exact. With d = 0.5 -
+    _INTERIOR (2 CORNER_TOL within 1e-16), c - _INTERIOR is the real
+    lo + d rounded, b; let h > b. If b == lo, d is at most half the float
+    step g above lo, and h > lo is a float, so h - lo >= g >= 2d, and
+    rounding keeps it at least g, a power of two: fl(h - lo) > CORNER_TOL.
+    If b > lo, b - lo is exact (Sterbenz) and h - lo > b - lo rounds to at
+    least b - lo; with floats spaced u near lo + d, b - lo >= d - u/2 >
+    CORNER_TOL where u <= CORNER_TOL, and b - lo >= u > CORNER_TOL
+    otherwise. Either way h > lo and fl(h - lo) > CORNER_TOL; the upper end
+    mirrors this.
+
+    Each strike hands the next what it has settled, each bitwise what a
+    fresh walk from the post-bounce state would compute:
       - the frame: bounces only flip signs, so the faster axis stays the
         faster one, and the walk runs in (f, s) coordinates throughout.
-        1 / v flips with v, as 1 / -v == -(1 / v) in IEEE arithmetic;
+        1 / v flips with v, as 1 / -v == -(1 / v) in IEEE arithmetic, and
+        so does, on each axis, the side (+-0.5 from a band's center) of a
+        band's far wall;
       - the bands: the next walk starts on the wall just struck, moving
         away. On the flipped axis its band is the struck band's neighbour
-        behind it, as the struck band's far slab time is 0. Along the wall
-        it is the struck band while the hit lies strictly inside it, which
-        rounding can break only far from the start. Otherwise, and after a
-        corner, _band places the band afresh, as for the first strike and
-        every jump.
+        behind it, as the struck band's far slab time is 0; so it is on
+        both axes after an entry exactly through a corner point. Along the
+        wall it is the struck band where the pre-check holds. Otherwise,
+        and along the wall after a corner, the band is placed afresh, which
+        gives the struck band wherever the hit lies strictly inside it.
     """
-    horizon = HORIZON  # read once per walk, a local in the inner loop
+    # read once per walk, locals in the inner loop
+    horizon, reach, min_flight, interior, floor = HORIZON, _REACH, MIN_FLIGHT, _INTERIOR, math.floor
     x_fast = abs(vx) >= abs(vy)
     pf, ps, vf, vs = (px, py, vx, vy) if x_fast else (py, px, vy, vx)
-    # the wall codes of an f-band's walls and of an s-band's, and _FLIPS as
-    # (flip_f, flip_s)
-    wall_f, wall_s = (_LEFT, _BOTTOM) if x_fast else (_BOTTOM, _LEFT)
-    flips = _FLIPS if x_fast else [(flip_y, flip_x) for flip_x, flip_y in _FLIPS]
     inv_f = 1.0 / vf
     inv_s = 1.0 / vs if vs != 0.0 else math.inf
     # vs == 0, or too small for 1 / vs: the ray keeps its s-band (inv_s unread)
     s_fixed = math.isinf(inv_s)
+    # on each axis, the far wall of a band from its center
+    side_f, side_s = (0.5 if vf > 0.0 else -0.5), (0.5 if vs > 0.0 else -0.5)
+    # the wall codes of an f-band's walls and of an s-band's
+    wall_f, wall_s = (_LEFT, _BOTTOM) if x_fast else (_BOTTOM, _LEFT)
     cf = cs = None  # the bands to start in, once a strike has settled them
     while True:
-        if not (-_REACH < pf < _REACH and -_REACH < ps < _REACH):
+        if not (-reach < pf < reach and -reach < ps < reach):
             return  # beyond odd-integer resolution
-        side_f = 0.5 if vf > 0.0 else -0.5  # the far wall of a band, from its center
         if cf is None:
-            cf = _band(pf, vf, inv_f, 0.0)
+            cf = 2.0 * floor(pf * 0.5) + 1.0
+            if (cf + side_f - pf) * inv_f <= 0.0:
+                cf += 4.0 * side_f
         if s_fixed:
-            cs = 2.0 * math.floor(ps * 0.5) + 1.0
+            cs = 2.0 * floor(ps * 0.5) + 1.0
             if not cs - 0.5 < ps < cs + 0.5:
                 return  # a corridor between obstacle rows or columns
             ns, fs = -math.inf, math.inf
         else:
-            side_s = 0.5 if vs > 0.0 else -0.5
             if cs is None:
-                cs = _band(ps, vs, inv_s, 0.0)
+                cs = 2.0 * floor(ps * 0.5) + 1.0
+                if (cs + side_s - ps) * inv_s <= 0.0:
+                    cs += 4.0 * side_s
             ns = (cs - side_s - ps) * inv_s
             fs = (cs + side_s - ps) * inv_s
         while True:
@@ -291,51 +332,46 @@ def _strikes(px, py, vx, vy):
             s = nf if nf > ns else ns
             if s > horizon:
                 return
-            if ns < ff and s >= MIN_FLIGHT:
+            if ns < ff and s >= min_flight:
                 break
             # jump past the s-slab's start, or step past a strike too close
-            cf = _band(pf, vf, inv_f, ns if ns > ff else ff)
+            t = ns if ns > ff else ff
+            cf = 2.0 * floor((pf + t * vf) * 0.5) + 1.0
+            if (cf + side_f - pf) * inv_f <= t:
+                cf += 4.0 * side_f
 
-        # snap the hit onto the struck wall's plane (ha), and along that wall
-        # (hb) onto a corner point within CORNER_TOL; an entry exactly
-        # through a corner point is a corner hit too
-        if nf == ns:
+        # snap the hit onto the struck wall's plane, and along that wall onto
+        # a corner point within CORNER_TOL
+        if nf > ns:  # the near wall of f-band cf, struck at hs along it
+            hf, hs, wall = cf - side_f, ps + s * vs, wall_f + (side_f < 0.0)
+            if not cs - interior < hs < cs + interior:
+                hs, corner = _corner_snap(hs, cs)
+                cs = None
+                if corner:
+                    vs, inv_s, side_s, wall = -vs, -inv_s, -side_s, _CORNER
+            cf -= 4.0 * side_f
+            vf, inv_f, side_f = -vf, -inv_f, -side_f
+        elif ns > nf:  # the near wall of s-band cs, struck at hf along it
+            hf, hs, wall = pf + s * vf, cs - side_s, wall_s + (side_s < 0.0)
+            if not cf - interior < hf < cf + interior:
+                hf, corner = _corner_snap(hf, cf)
+                cf = None
+                if corner:
+                    vf, inv_f, side_f, wall = -vf, -inv_f, -side_f, _CORNER
+            cs -= 4.0 * side_s
+            vs, inv_s, side_s = -vs, -inv_s, -side_s
+        else:  # an entry exactly through a corner point
             hf, hs, wall = cf - side_f, cs - side_s, _CORNER
-        else:
-            f_struck = nf > ns
-            if f_struck:
-                ha, hb, cb = cf - side_f, ps + s * vs, cs
-                wall = wall_f + (side_f < 0.0)
-            else:
-                ha, hb, cb = cs - side_s, pf + s * vf, cf
-                wall = wall_s + (side_s < 0.0)
-            lo, hi = cb - 0.5, cb + 0.5
-            if abs(hb - lo) <= CORNER_TOL:
-                hb, wall = lo, _CORNER
-            elif abs(hb - hi) <= CORNER_TOL:
-                hb, wall = hi, _CORNER
-            hf, hs = (ha, hb) if f_struck else (hb, ha)
-        # the next strike's bands: behind the struck one on its axis, and
-        # along the wall the struck obstacle's, if the hit lies inside it
-        if wall == _CORNER:
-            cf = cs = None
-        elif f_struck:
-            cf, cs = cf - 4.0 * side_f, (cb if lo < hb < hi else None)
-        else:
-            cf, cs = (cb if lo < hb < hi else None), cs - 4.0 * side_s
-
-        flip_f, flip_s = flips[wall]
-        if flip_f:
-            vf, inv_f = -vf, -inv_f
-        if flip_s:
-            vs, inv_s = -vs, -inv_s
+            cf, cs = cf - 4.0 * side_f, cs - 4.0 * side_s
+            vf, inv_f, side_f = -vf, -inv_f, -side_f
+            vs, inv_s, side_s = -vs, -inv_s, -side_s
         yield (s, hf, hs, wall) if x_fast else (s, hs, hf, wall)
         pf, ps = hf, hs
 
 
 def point_in_obstacle(x: float, y: float, shrink: float = 0.0) -> bool:
     """True when (x, y) lies strictly inside an obstacle shrunk by `shrink`."""
-    cx, cy = cell_centers(x, y)
+    cx, cy = _cell_center(x), _cell_center(y)
     return bool(abs(x - cx) < 0.5 - shrink and abs(y - cy) < 0.5 - shrink)
 
 
@@ -344,7 +380,7 @@ def _normalize_on_wall(px, py, vx, vy):
     the position sits on (within WALL_TOL). Needed so velocity-reversed
     post-collision states retrace instead of tunneling; not a logged event.
     """
-    cx, cy = map(float, cell_centers(px, py))
+    cx, cy = _cell_center(px), _cell_center(py)
     in_x_span = (cx - 0.5) - WALL_TOL <= px <= (cx + 0.5) + WALL_TOL
     in_y_span = (cy - 0.5) - WALL_TOL <= py <= (cy + 0.5) + WALL_TOL
     flip_x = in_y_span and (
@@ -411,7 +447,7 @@ def next_collision(state: ParticleState) -> CollisionEvent:
         time=float(log.t[0]),
         wall=WALLS[log.wall[0]],
         # a hit point lies on its obstacle's wall, 0.5 from any cell edge
-        obstacle_center=tuple(map(int, cell_centers(hx, hy))),
+        obstacle_center=(int(_cell_center(hx)), int(_cell_center(hy))),
     )
 
 

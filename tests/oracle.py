@@ -145,25 +145,26 @@ def sequential_forward_backward(params, obs):
     T, m = dens.shape
 
     alpha_hat = np.empty((T, m))
-    log_c = np.empty(T)
+    c = np.empty(T)
     w = params.delta * dens[0]
     for t in range(T):
         if t > 0:
             w = (alpha_hat[t - 1] @ params.gamma) * dens[t]
-        c = w.sum()
-        if c <= 0.0 or not math.isfinite(c):
+        c[t] = w.sum()
+        if c[t] <= 0.0 or not math.isfinite(c[t]):
             raise NumericalUnderflow(
                 f"observation {t} has zero density under every state"
             )
-        alpha_hat[t] = w / c
-        log_c[t] = math.log(c)
+        alpha_hat[t] = w / c[t]
 
+    # divided by the stored c, not multiplied by exp(-log c), which
+    # overflows where a positive c lies below about 1e-308
     beta_hat = np.empty((T, m))
     beta_hat[T - 1] = 1.0
     for t in range(T - 2, -1, -1):
         b = params.gamma @ (dens[t + 1] * beta_hat[t + 1])
-        beta_hat[t] = b * math.exp(-log_c[t + 1])
-    return alpha_hat, beta_hat, log_c
+        beta_hat[t] = b / c[t + 1]
+    return alpha_hat, beta_hat, np.log(c)
 
 
 def recurrence_statistic(slope, spec, t=1):

@@ -629,6 +629,58 @@ def flip_sign_states():
     return states
 
 
+def hard_starts():
+    """Seeded starts that reach every branch of the strike walk, most of
+    them away from the origin: wall and corner starts, slopes p/q aimed
+    through lattice corners, a velocity component of 0, 5e-324, 1e-300 or
+    1e-9, starts within 1e4 of +-2**51 (either side of the reach edge),
+    free starts within +-1e6, and rays aimed 0.5 to 3 CORNER_TOL from a wall
+    end, on either axis, at obstacles up to 2**50 from the origin."""
+    rng = np.random.default_rng(2014)
+    signs = [-1.0, 1.0]
+    states = []
+    for along in (0.5, -0.5, 0.5 - CORNER_TOL, -0.5 + 0.5 * CORNER_TOL,
+                  *rng.uniform(-0.5, 0.5, 6).tolist()):
+        for side in range(4):
+            states.append(wall_start(rng.choice([-3, -1, 1, 3], 2).tolist(), side, along,
+                                     rng.uniform(-math.pi, math.pi)))
+    for p in range(1, 30):
+        for q in range(1, 30):
+            if math.gcd(p, q) == 1:
+                sx, sy = rng.choice(signs, 2).tolist()
+                states.append(ParticleState(Vec2(0.0, 0.0), unit(sx * q, sy * p)))
+    for tiny in (0.0, 5e-324, 1e-300, 1e-9):
+        for _ in range(8):
+            (px, py), (sf, ss) = rng.uniform(-3.0, 3.0, 2).tolist(), rng.choice(signs, 2).tolist()
+            position, velocity = (px, py), (sf, ss * tiny)
+            if rng.random() < 0.5:
+                position, velocity = position[::-1], velocity[::-1]
+            states.append(ParticleState(Vec2(*position), Vec2(*velocity)))
+    for _ in range(32):
+        edge = float(rng.choice(signs)) * (2.0**51 + rng.uniform(-1e4, 1e4))
+        other = rng.uniform(-3.0, 3.0)
+        position = Vec2(edge, other) if rng.random() < 0.5 else Vec2(other, edge)
+        states.append(state_from_angle(rng.uniform(-math.pi, math.pi), position))
+    for _ in range(16):
+        states.append(state_from_angle(rng.uniform(-math.pi, math.pi),
+                                       Vec2(*rng.uniform(-1e6, 1e6, 2).tolist())))
+    # Out where floats are spaced wider than CORNER_TOL, the hit lands as
+    # near the aimed offset as they allow; one ulp of the center is aimed at
+    # too. A gap of at least 0.25 leaves the start off the wall's plane up
+    # to 2**51, and a rise below the gap makes the struck wall's normal axis
+    # the faster one, above it the slower one.
+    for scale in (1, 2**20, 2**23, 2**24, 2**40, 2**50):
+        for k in (0.5, 1.0, 1.5, 2.0, 3.0, math.ulp(scale) / CORNER_TOL):
+            for offset in (k * CORNER_TOL, -k * CORNER_TOL):
+                for ratio in (0.5, 2.0):
+                    for transpose in (False, True):
+                        center = (scale | 1, int(rng.choice([scale | 1, 1])))
+                        gap = rng.uniform(0.25, 0.75)
+                        states.append(corner_aimed(center, gap, ratio * gap, offset,
+                                                   rng.choice(signs, 2).tolist(), transpose))
+    return states
+
+
 class TestStrikeWalk:
     # After its first strike, simulate's walk carries its bands, its inverse
     # velocity and its (fast, slow) frame over from the strike before. A
@@ -666,6 +718,24 @@ class TestStrikeWalk:
             column.tobytes() for column in (log.x, log.y, log.t, log.wall, *log.velocities())))
         assert (len(log), digest.hexdigest()) == (
             20_000, "306a6b0e54266381986b1d1771e9dd8797d66d60b7c9c09d6aa6a6e3449fec0f")
+
+    def test_hard_starts_are_pinned(self):
+        # taken at commit d95af52, before the walk inlined its band jumps,
+        # carried its wall sides and pre-checked the interior of a struck
+        # wall; it passes unedited on both sides of that change. A start
+        # inside an obstacle pins simulate's ValueError instead of a log.
+        digest = hashlib.sha256()
+        for state in hard_starts():
+            try:
+                log = simulate(state, 64)
+            except ValueError as error:
+                digest.update(str(error).encode())
+                continue
+            digest.update(np.array([len(log), log.truncated]).tobytes())
+            for column in (log.x, log.y, log.t, log.wall):
+                digest.update(column.tobytes())
+        assert digest.hexdigest() == (
+            "4846b1ea482e7badac5e7b5fc2776b13f08d3e271ad79a71b7f9c33dba884847")
 
     def test_axis_corridor_returns_at_once(self):
         # from the origin, the ray at pi / 2 (vx = 6.1e-17) enters the

@@ -228,6 +228,17 @@ class TestScanMatchesSequential:
         p = HmmParams([0.2, 0.3, 0.5], np.eye(3), [-1.0, 0.0, 1.0], [1.0, 0.5, 2.0])
         assert_matches_sequential(p, rng.normal(0.0, 1.0, 300))
 
+    # one outlier puts the scale factor c_2 near 9e-312, positive and below
+    # the normal range, where exp(-log c_2) overflows; the one-step
+    # recursion divides by c_2 instead
+    def test_subnormal_scale_factor(self):
+        p = HmmParams([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], [0.0, 0.2], [1.0, 1.0])
+        obs = [0.0, 0.1, 38.0, 0.0, 0.2]
+        _, beta, log_c = sequential_forward_backward(p, obs)
+        assert log_c[2] < math.log(1e-308)
+        assert np.isfinite(beta).all()
+        assert_matches_sequential(p, obs)
+
     def test_underflow_at_the_same_observation(self):
         # the chain must alternate, but the second observation sits on state 0
         p = HmmParams([1.0, 0.0], [[0.0, 1.0], [1.0, 0.0]], [0.0, 10.0], [0.01, 0.01])
