@@ -32,12 +32,11 @@ PUBLISHED = {
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="out", help="artifact directory")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--iters", type=int, default=15)
     args = parser.parse_args()
     out = Path(args.out)
 
-    for argv in (["sweep", "--out", str(out), "--jobs", str(args.jobs)],
+    for argv in (["sweep", "--out", str(out)],
                  ["fit", "--out", str(out), "--iters", str(args.iters)]):
         code = cli.main(argv)
         if code != cli.EXIT_OK:

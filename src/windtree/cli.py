@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +36,8 @@ EXIT_FIT = 4
 
 
 # Each flag that sets a config field: the field (its argparse dest) and its
-# type. COMMANDS gives each command the flags it reads besides --out and
-# --jobs; only sweep reads --jobs, but the benchmark passes it to all four.
-FLAGS = {"--out": ("output_dir", str), "--jobs": ("jobs", int),
+# type. COMMANDS gives each command the flags it reads besides --out.
+FLAGS = {"--out": ("output_dir", str),
          "--slope": ("simulate.slope", float), "--collisions": ("simulate.n_collisions", int),
          "--states": ("hmm.m", int), "--iters": ("hmm.max_iters", int)}
 COMMANDS = {
@@ -66,10 +64,15 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (help_text, flags) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        for flag in ["--out", "--jobs", *flags]:
+        for flag in ["--out", *flags]:
             dest, kind = FLAGS[flag]
             p.add_argument(flag, dest=dest, type=kind, default=argparse.SUPPRESS,
                            metavar=flag[2:].upper(), help=f"sets config {dest}")
+        # bench/workloads.py passes --jobs 1 to every command, the only reason
+        # --jobs parses: it sets nothing, any other value is a usage error,
+        # and it goes when the bench stops passing it.
+        p.add_argument("--jobs", type=int, choices=[1], default=argparse.SUPPRESS,
+                       help="accepted only as 1; sets nothing")
         if command == "fit":
             p.add_argument("observations", nargs="?", default=None,
                            help="sweep CSV to fit (default: <out>/sweep.csv)")
@@ -130,11 +133,9 @@ def cmd_simulate(config: PipelineConfig, out: Path) -> int:
 def cmd_sweep(config: PipelineConfig, out: Path) -> int:
     started = time.perf_counter()
     try:
-        result = build_sweep(config.sweep, jobs=config.jobs)
+        result = build_sweep(config.sweep)
     except ValueError as exc:
         return _fail(EXIT_SIMULATION, f"sweep failed: {exc}")
-    except BrokenProcessPool as exc:
-        return _fail(EXIT_SIMULATION, f"sweep worker died: {exc}")
     elapsed = time.perf_counter() - started
 
     io.write_artifact(result.columns, out / "sweep.csv")

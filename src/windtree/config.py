@@ -53,11 +53,6 @@ class PipelineConfig:
     hmm: HmmConfig = field(default_factory=HmmConfig)
     simulate: SimulateConfig = field(default_factory=SimulateConfig)
     output_dir: str = "out"
-    jobs: int = 1
-
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
 
 
 def config_from_doc(doc: dict) -> PipelineConfig:

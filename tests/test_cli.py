@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from windtree import hmm, io, svg
+from windtree import hmm, io, svg, sweep
 from windtree.billiard import simulate, state_from_slope
-from windtree.cli import build_parser, main
-from windtree.config import PipelineConfig, config_from_doc
+from windtree.cli import COMMANDS, build_parser, main
+from windtree.config import PipelineConfig, apply_overrides, config_from_doc
 from windtree.sweep import SweepSpec, build_sweep
 
 from oracle import fmt
@@ -180,34 +180,20 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(b)]) == 0
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        # 11 slopes: neither 2 nor 3 workers get equal contiguous chunks
+    def test_jobs_do_not_change_output(self, tmp_path, monkeypatch):
+        # 11 slopes in chunks of 4: the last chunk is short
+        monkeypatch.setattr(sweep, "SWEEP_CHUNK", 4)
         doc = dict(SMALL_CONFIG, sweep=dict(SMALL_CONFIG["sweep"], count=11))
         cfg = write_config(tmp_path, doc)
-        serial = tmp_path / "serial"
-        assert main(["sweep", "--config", cfg, "--out", str(serial)]) == 0
-        for jobs in ("2", "3"):
-            out = tmp_path / f"jobs{jobs}"
-            assert main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
-            assert (out / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["sweep", "--config", cfg, "--out", str(a)]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(b), "--jobs", "1"]) == 0
+        assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
     def test_jobs_below_one_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_CONFIG)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--jobs", "0"]) == 2
         assert json.loads(capsys.readouterr().out)["exit_code"] == 2
-
-    def test_broken_worker_pool_is_simulation_error(self, tmp_path, monkeypatch, capsys):
-        import windtree.cli as cli_mod
-        from concurrent.futures.process import BrokenProcessPool
-
-        def crash(spec, jobs=1):
-            raise BrokenProcessPool("a worker terminated abruptly")
-
-        monkeypatch.setattr(cli_mod, "build_sweep", crash)
-        cfg = write_config(tmp_path, SMALL_CONFIG)
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--jobs", "2"]) == 3
-        error = json.loads(capsys.readouterr().out)
-        assert error["exit_code"] == 3 and "worker" in error["error"]
 
     def test_count_one(self, tmp_path):
         doc = dict(SMALL_CONFIG)
@@ -243,7 +229,7 @@ class TestSweepCommand:
         import windtree.cli as cli_mod
         from windtree.sweep import SweepFailure, SweepResult
 
-        def all_fail(spec, jobs=1):
+        def all_fail(spec):
             failures = [SweepFailure(t, spec.slope_at(t), "synthetic corridor")
                         for t in range(1, spec.count + 1)]
             return SweepResult(spec=spec, columns={name: [] for name in io.SWEEP_CSV},
@@ -731,8 +717,15 @@ class TestConfigHandling:
         error = json.loads(capsys.readouterr().out)
         assert error["exit_code"] == 2 and key in error["error"]
 
-    def test_config_has_eleven_keys(self):
-        assert len(config_keys()) == 11
+    # the sweep runs in one process, so no config key picks a worker count
+    def test_removed_jobs_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"jobs": 1})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        error = json.loads(capsys.readouterr().out)
+        assert error["exit_code"] == 2 and "jobs" in error["error"]
+
+    def test_config_has_ten_keys(self):
+        assert len(config_keys()) == 10
 
     @pytest.mark.parametrize("key, value", [
         (key, value) for key, default in config_keys().items()
@@ -753,7 +746,7 @@ class TestConfigHandling:
     # before the loader checked types
     @pytest.mark.parametrize("command, doc, key", [
         ("sweep", {"sweep": {"count": 2.5}}, "sweep.count"),
-        ("sweep", {"jobs": 2.9}, "jobs"),
+        ("sweep", {"output_dir": 3}, "output_dir"),
         ("sweep", {"sweep": {"count": True}}, "sweep.count"),
         ("fit", {"hmm": {"max_iters": 2.5}}, "hmm.max_iters"),
         ("simulate", {"simulate": {"slope": None}}, "simulate.slope"),
@@ -798,6 +791,7 @@ class TestConfigHandling:
         (["simulate", "--iters", "3"], "--iters"),
         (["fit", "--collisions", "3"], "--collisions"),
         (["diagnose", "--slope", "2"], "--slope"),
+        (["sweep", "--jobs", "2"], "--jobs"),
     ])
     def test_usage_error_is_config_error(self, tmp_path, capsys, argv, flag):
         assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -806,6 +800,22 @@ class TestConfigHandling:
         error = json.loads(line)
         assert error["exit_code"] == 2 and flag in error["error"]
         assert captured.err == ""
+
+    # accepted for the benchmark, which passes --jobs 1 to every command
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_jobs_one_parses_and_sets_nothing(self, tmp_path, monkeypatch, command):
+        import windtree.cli as cli_mod
+        configs = []
+
+        def recording(config, overrides):
+            configs.append(apply_overrides(config, overrides))
+            return configs[-1]
+
+        monkeypatch.setattr(cli_mod, "apply_overrides", recording)
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        args = [command, "--config", cfg, "--out", str(tmp_path)]
+        assert main(args) == main([*args, "--jobs", "1"])
+        assert len(configs) == 2 and configs[0] == configs[1]
 
     def test_one_parser_carries_no_flag_to_the_next_command(self, tmp_path):
         assert build_parser() is build_parser()  # one parser for the process
@@ -959,12 +969,24 @@ class TestArtifactFormats:
         assert io.json_text(json.loads(raw)) == raw
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only oracle: importing scipy.stats costs about 1 s, which
-    # every fresh windtree process, sweep workers included, would pay
-    code = ("import windtree.cli, sys; "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+@pytest.fixture(scope="module")
+def cli_import_packages():
+    """The top-level packages a fresh process holds after importing windtree.cli."""
+    code = ("import json, sys, windtree.cli; "
+            "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=Path(__file__).resolve().parent.parent,
                           env={**os.environ, "PYTHONPATH": "src"}, check=True)
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_no_scipy(cli_import_packages):
+    # scipy is a test-only oracle: importing scipy.stats costs about 1 s, which
+    # every fresh windtree process would pay
+    assert "scipy" not in cli_import_packages
+
+
+def test_cli_import_loads_no_process_pool(cli_import_packages):
+    # the sweep runs in one process; multiprocessing and concurrent.futures
+    # cost about 20 ms of the import
+    assert not {"multiprocessing", "concurrent"} & set(cli_import_packages)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from windtree import io
+from windtree import io, sweep
 from windtree.billiard import (
     ParticleState,
     TrajectoryLog,
@@ -24,6 +24,7 @@ from windtree.sweep import (
     InsufficientData,
     MotionLabel,
     SweepSpec,
+    _sweep_span,
     build_sweep,
     classify_motion,
     estimate_diffusion_exponent,
@@ -140,15 +141,29 @@ class TestBuildSweep:
         labels = np.argmin(np.abs(reference_series[:, None] - centers[None, :]), axis=1)
         assert all((labels == j).sum() >= 30 for j in range(3))
 
-    def test_determinism_and_jobs_independence(self):
+    def test_rerun_is_bitwise_identical(self):
         spec = SweepSpec(count=12, k_min=50, k_max=120)
-        serial = build_sweep(spec, jobs=1)
-        again = build_sweep(spec, jobs=1)
-        parallel = build_sweep(spec, jobs=3)
-        for name, column in serial.columns.items():
-            assert column.dtype == again.columns[name].dtype == parallel.columns[name].dtype
-            assert (column.tobytes() == again.columns[name].tobytes()
-                    == parallel.columns[name].tobytes()), name
+        first, again = build_sweep(spec), build_sweep(spec)
+        for name, column in first.columns.items():
+            assert column.dtype == again.columns[name].dtype
+            assert column.tobytes() == again.columns[name].tobytes(), name
+
+    # 11 slopes in chunks: the last chunk is short. On the grid through
+    # slope 0, t = 3 is exactly 0, and in chunks of 2 its gap falls in the
+    # second chunk.
+    @pytest.mark.parametrize("spec, chunk, gaps", [
+        (SweepSpec(count=11, k_min=50, k_max=120), 4, []),
+        (SweepSpec(slope_start=-0.02, slope_step=0.01, count=11, k_min=50, k_max=120), 2, [3]),
+    ])
+    def test_chunks_give_the_one_batch_sweep(self, monkeypatch, spec, chunk, gaps):
+        one_batch = _sweep_span(spec, 1, spec.count)
+        monkeypatch.setattr(sweep, "SWEEP_CHUNK", chunk)
+        chunked = build_sweep(spec)
+        for name, column in one_batch.columns.items():
+            assert column.dtype == chunked.columns[name].dtype
+            assert column.tobytes() == chunked.columns[name].tobytes(), name
+        assert chunked.failures == one_batch.failures
+        assert [f.t for f in chunked.failures] == gaps
 
     def test_failed_slopes_become_gap_records(self):
         # t=1 runs along the corridor y = 0 and meets nothing within the horizon
