@@ -3,36 +3,49 @@
 The likelihood of an observation sequence is the matrix product
 delta P(x1) . Gamma P(x2) ... Gamma P(xT) 1, with P(x) the diagonal matrix
 of per-state normal densities. That product underflows long before T = 300,
-so every routine here works with row-normalized forward vectors and
-accumulated log scale factors.
+so every routine here works with probability vectors and accumulated log
+scale factors, by forward filtering and backward smoothing (Cappe, Moulines
+& Ryden, "Inference in Hidden Markov Models", 2005, ch. 3).
 
-Neither pass steps through time in Python. Each is the row recursion
-r_t = r_{t-1} M_t / c_t, with c_t the entry sum of r_{t-1} M_t, over a
-stack of m x m matrices: Gamma P(x_t) for the forward rows, and the
-reversed, transposed stack P(x_s) Gamma^T for the backward ones. A
-two-level scan (Blelloch, "Prefix sums and their applications", 1990)
-runs both passes together on blocks of SCAN_BLOCK steps: the product of
-each block, a doubling scan over the block products that gives every block
-its entry row, then the recursion inside all blocks at once. Inside a
-block each step is one vector-matrix product, as in the one-step
-recursion (tests/oracle.py). On random models alpha_hat and log c agree
-with it to about 1e-15 and beta_hat to about 1e-12 relative.
+Both passes are the row recursion r_t = r_{t-1} M_t / c_t, with c_t the
+entry sum of r_{t-1} M_t, over a stack of m x m matrices. The forward
+matrices are Gamma P(x_t); their rows are the filtered probabilities
+alpha_hat_t = Pr(C_t | x_0..x_t), and the log-likelihood is the sum of
+log c_t. The backward matrices, for t = T - 2 down to 0, are
+R_t[j, i] = alpha_hat_t(i) Gamma_ij / p_{t+1}(j), with p_{t+1} =
+alpha_hat_t Gamma the predicted probabilities; from gamma_{T-1} =
+alpha_hat_{T-1} their rows are the smoothed probabilities gamma_t =
+Pr(C_t | x_0..x_{T-1}). Each R_t is row-stochastic, with row j all 0 where
+p_{t+1}(j) = 0, so every backward row is a probability vector. The
+unnormalized backward vectors beta_t, whose entries can span more than the
+floating-point range, are never formed.
+
+Neither pass steps through time in Python. A two-level scan (Blelloch,
+"Prefix sums and their applications", 1990; for these two passes, Hassan,
+Sarkka & Garcia-Fernandez, "Temporal parallelization of inference in
+hidden Markov models", IEEE Trans. Signal Process. 2021) runs each pass on
+blocks of SCAN_BLOCK steps: the product of each block, a doubling scan over
+the block products that gives every block its entry row, then the
+recursion inside all blocks at once. Inside a block each step is one
+vector-matrix product, as in the one-step recursion (tests/oracle.py). On
+random models alpha_hat and log c agree with it to about 1e-15 relative,
+and every table agrees with a log-space forward-backward (tests/oracle.py)
+to 1e-9.
 
 The arrays are state-major: the state axes come first, then the step
-within a block, the stack and the block. The K = 2 stacks are one
-(m, m, SCAN_BLOCK, K, B) array, B = ceil(T / SCAN_BLOCK), whose entry
-[i, j, l, k, b] is entry (i, j) of step l of block b of stack k, and the
-rows are (m, SCAN_BLOCK, K, B). So step l of every block of every stack
-is one contiguous row of K B entries per matrix entry, and each matrix
-product is written out over such rows: m multiplies and m - 1 adds per
-entry, accumulated in j order (`_product`). An entry sum adds over the
-leading axes. A product is then 2m - 1 numpy calls and an entry sum 2, so
-both passes together take about 30m + 90 numpy operations plus 2m + 2 for
-each of the ceil(log2 B) doubling levels, whatever T is. Memory is
-O(T m^2): the stacks, 2 m^2 B SCAN_BLOCK doubles built once, block
-products and temporaries of m^2 K B doubles each, and the rows. No product
-goes through numpy's matrix multiplication, which hands a stack of
-products to OpenBLAS, whose kernel is chosen for the CPU at run time and
+within a block, the stack and the block. A pass is one
+(m, m, SCAN_BLOCK, 1, B) stack, B = ceil(T / SCAN_BLOCK), whose entry
+[i, j, l, 0, b] is entry (i, j) of step l of block b, and its rows are
+(m, SCAN_BLOCK, 1, B). So step l of every block is one contiguous row of B
+entries per matrix entry, and each matrix product is written out over such
+rows: m multiplies and m - 1 adds per entry, accumulated in j order
+(`_product`). An entry sum adds over the leading axes. A product is then
+2m - 1 numpy calls and an entry sum 2, so a pass takes about 30m + 40 numpy
+operations plus 2m + 2 for each of the ceil(log2 B) doubling levels,
+whatever T is. Memory is O(T m^2): one stack of m^2 B SCAN_BLOCK doubles at
+a time, block products and temporaries of m^2 B doubles each, and the rows.
+No product goes through numpy's matrix multiplication, which hands a stack
+of products to OpenBLAS, whose kernel is chosen for the CPU at run time and
 rounds differently from the sum of products in j order: on one x86 host,
 16% to 28% of the entries of stacks of random m x m products (m = 2..5)
 differed in the last bit. Written out elementwise, every entry is the same
@@ -42,27 +55,32 @@ on the BLAS build.
 A product rescaled as a whole keeps its entries within about 320 decades
 of its largest, while the recursion rescales one row at a time. With
 transition probabilities below about 1e-70, or long runs in which the
-states' densities differ by many orders of magnitude, an entry row can lose
-an entry that the recursion keeps. The last row of each block and the next
-block's entry row are one vector computed both ways, so every block seam
-is compared entry by entry to SEAM_RTOL. Where one disagrees,
-NumericalUnderflow names the pass and the seam's observation, rather than
-the pass returning tables that disagree with the recursion.
+states' densities differ by many orders of magnitude, a forward entry row
+can lose an entry that the recursion keeps. The last row of each block and
+the next block's entry row are one vector computed both ways, so every
+forward block seam is compared entry by entry to SEAM_RTOL. Where one
+disagrees, NumericalUnderflow names the seam's observation, rather than the
+pass returning tables that disagree with the recursion. The backward
+matrices and their block products are row-stochastic, so a backward entry
+row loses only entries below about 1e-308 of a unit row sum; EM needs a
+probability only to absolute precision, and the backward seams are not
+compared.
 
 EM drives a transition probability that the data avoid toward 0 faster
 than geometrically: its update is its current value times a ratio below 1.
 On a series of T = 3000 drawn from the published 3-state model (the
 benchmark's fit input at seed 414), a 4-state fit's smallest entry went
 1.8e-112, 3.8e-180 and 2.0e-310 at iterations 9-11; at iteration 12 an
-entry of 2.3e-308, at the bottom of the normal range, failed the backward
-pass's seam check, though the one-step recursion (tests/oracle.py) still
-had a finite likelihood. So the M-step sets each entry
-below GAMMA_FLOOR = 1e-200 to exactly 0, a zero EM keeps (its pair
-posterior is 0), and names it in the fit warnings; the rows are not
-re-divided, as they then sum to 1 within m * 1e-200. Above the floor a
-product Gamma_ij p_j(x) stays in the normal range for every density above
-2.2e-308 / 1e-200 = 2.2e-108, within about 22 standard deviations of a
-unit-sd state's mean, so the scan keeps its relative precision there.
+entry of 2.3e-308, at the bottom of the normal range, failed a seam check
+of the scaled backward vectors, which the passes then scanned, though the
+one-step recursion (tests/oracle.py) still had a finite likelihood. So the
+M-step sets each entry below GAMMA_FLOOR = 1e-200 to exactly 0, a zero EM
+keeps (its pair posterior is 0), and names it in the fit warnings; the rows
+are not re-divided, as they then sum to 1 within m * 1e-200. The floor now
+guards the forward products only: above it a product Gamma_ij p_j(x) stays
+in the normal range for every density above 2.2e-308 / 1e-200 = 2.2e-108,
+within about 22 standard deviations of a unit-sd state's mean, so the
+forward scan keeps its relative precision there.
 
 The fit is checked with ordinary pseudo-residuals, each observation
 conditioned on all the others, counted over HIST_BINS equal bins of [0, 1].
@@ -90,7 +108,6 @@ SQRT_HALF = math.sqrt(0.5)  # Phi(z) = erfc(-z * SQRT_HALF) / 2
 SCAN_BLOCK = 8          # steps per block of the two-level row scan
 SEAM_RTOL = 1e-12       # a block seam's two rows agree to this relative to each entry,
 SEAM_ATOL = np.finfo(float).tiny  # give or take the smallest normal double
-SUBNORMAL_ULP = np.finfo(float).smallest_subnormal  # spacing of doubles below SEAM_ATOL
 GAMMA_FLOOR = 1e-200    # the M-step sets smaller transition probabilities to 0
 
 
@@ -145,16 +162,18 @@ class HmmParams:
 
 @dataclass
 class ForwardBackwardTables:
-    """Scaled forward/backward rows plus per-step log scale factors.
+    """Filtered, predicted and smoothed state probabilities of an
+    observation sequence, with its per-step log scale factors.
 
-    Unscaled quantities are recoverable as
-    alpha_t = alpha_hat[t] * exp(sum(log_c[: t + 1])) and
-    beta_t = beta_hat[t] * exp(sum(log_c[t + 1 :])), which makes
-    sum(alpha_hat[t] * beta_hat[t]) == 1 for every t.
+    alpha_hat[t] = Pr(C_t | x_0..x_t), pred[t] = Pr(C_t | x_0..x_{t-1})
+    (delta at t = 0) and state_prob[t] = Pr(C_t | x_0..x_{T-1}), each row
+    summing to 1; log_c[t] = log p(x_t | x_0..x_{t-1}), whose sum is the
+    log-likelihood.
     """
 
     alpha_hat: np.ndarray    # (T, m)
-    beta_hat: np.ndarray     # (T, m)
+    pred: np.ndarray         # (T, m)
+    state_prob: np.ndarray   # (T, m)
     log_c: np.ndarray        # (T,)
     log_likelihood: float
     dens: np.ndarray         # (T, m) per-state densities of the observations
@@ -282,146 +301,116 @@ def _row_scan(blocks: np.ndarray):
     return rows, c, seam_ok
 
 
-def _stacks(params: HmmParams, dens: np.ndarray) -> np.ndarray:
-    """The forward and the backward stack (m, m, SCAN_BLOCK, 2, B) of the
-    densities (T, m), B = ceil(T / SCAN_BLOCK), indexed by step like the
-    blocks of `_row_scan`.
+def _step_index(T: int) -> np.ndarray:
+    """The step n = b SCAN_BLOCK + l of each [l, b] of a stack's blocks:
+    a (SCAN_BLOCK, B) array, B = ceil(T / SCAN_BLOCK)."""
+    return np.arange(-(-T // SCAN_BLOCK) * SCAN_BLOCK).reshape(-1, SCAN_BLOCK).T
 
-    alpha_t is proportional to (delta D_0)(Gamma D_1)...(Gamma D_t), with
-    D_t = diag(dens[t]). Row 0 of the forward stack's first matrix is
-    delta D_0 and its other rows are 0, so the rows from e_0 are alpha_hat
-    and their sums the scale factors c_t. beta_t is proportional to
-    (Gamma D_{t+1})...(Gamma D_{T-1}) 1, so the backward stack is D_s Gamma^T
-    for s = T - 1 down to 1, seeded the same way with 1^T D_{T-1} Gamma^T;
-    its rows are the directions of beta_{T-2}, ..., beta_0. Identity
-    matrices pad both to whole blocks.
+
+def _stack(g: np.ndarray, v: np.ndarray, seed: np.ndarray, T: int,
+           p: Optional[np.ndarray] = None) -> np.ndarray:
+    """The (m, m, SCAN_BLOCK, 1, B) stack of `_row_scan` for T steps whose
+    vectors v (m, SCAN_BLOCK, B) are laid out as `_step_index`'s steps.
+
+    Step n is g diag(v_n), with row j divided by p_n[j] where p is given,
+    except step 0, which has row 0 `seed` and its other rows 0. Identity
+    matrices pad the last block.
     """
-    T, m = dens.shape
-    L = SCAN_BLOCK
-    B = -(-T // L)
-    # the observation of step j of block b: t = b L + j for the forward
-    # stack, T - 1 - t for the backward one (padding steps take any)
-    t = np.arange(B * L).reshape(B, L).T
-    d = np.take(dens.T, np.stack([np.minimum(t, T - 1), np.maximum(T - 1 - t, 0)], axis=1),
-                axis=1)
-    blocks = np.empty((m, m, L, 2, B))
-    np.multiply(params.gamma[:, :, None, None], d[None, :, :, 0], out=blocks[:, :, :, 0])
-    np.multiply(params.gamma.T[:, :, None, None], d[:, None, :, 1], out=blocks[:, :, :, 1])
-    blocks[:, :, 0, 0, 0] = 0.0
-    blocks[0, :, 0, 0, 0] = params.delta * dens[0]
-    if T > 1:
-        seed = blocks[:, :, 0, 1, 0].sum(axis=0)
-        blocks[:, :, 0, 1, 0] = 0.0
-        blocks[0, :, 0, 1, 0] = seed
-    tail = T - (B - 1) * L  # steps of the last block
-    blocks[:, :, tail:, 0, -1] = np.eye(m)[:, :, None]
-    blocks[:, :, tail - 1:, 1, -1] = np.eye(m)[:, :, None]
-    return blocks
+    m, L, B = v.shape
+    blocks = np.multiply(g[:, :, None, None], v[None])
+    if p is not None:
+        # where p_n[j] = 0, every term of it, and so row j, is already 0;
+        # step 0 and the padding, overwritten below, may overflow
+        with np.errstate(over="ignore"):
+            np.divide(blocks, p[:, None], out=blocks, where=p[:, None] > 0.0)
+    blocks[:, :, 0, 0] = 0.0
+    blocks[0, :, 0, 0] = seed
+    blocks[:, :, T - (B - 1) * L:, -1] = np.eye(m)[:, :, None]
+    return blocks[:, :, :, None]
 
 
-def _passes(params: HmmParams, obs: Sequence[float]):
-    """The densities (T, m), the rows (2, n, m) of the forward and the
-    backward pass in time order, n = T padded to whole blocks, and the
-    forward sums c (T,).
+def _time_order(a: np.ndarray, T: int) -> np.ndarray:
+    """The (T, ...) steps of a stack's (..., SCAN_BLOCK, B) rows or sums."""
+    return a.T.reshape((-1,) + a.shape[:-2])[:T]
+
+
+def _forward(params: HmmParams, obs: Sequence[float]):
+    """The densities (T, m), the forward rows alpha_hat (T, m) and their
+    sums c (T,).
 
     Raises NumericalUnderflow at the first observation whose scale factor
-    is not positive and finite, unless a forward seam before it disagrees,
-    and then at the first disagreeing backward seam.
+    is not positive and finite, unless a seam before it disagrees, and then
+    at that seam.
     """
     x = np.asarray(obs, dtype=float)
     if x.size == 0:
         raise EmptyObservations("observation sequence is empty")
     dens = _density_matrix(params, x)
-    T, m = dens.shape
-
-    rows, c, seam_ok = _row_scan(_stacks(params, dens))
-    rows = rows.transpose(2, 3, 1, 0).reshape(2, -1, m)  # time order
-
-    c = c[:, 0].T.ravel()[:T]
+    T = len(dens)
+    d = np.take(dens.T, _step_index(T), axis=1, mode="clip")
+    rows, c, seam_ok = _row_scan(_stack(params.gamma, d, params.delta * dens[0], T))
+    c = _time_order(c[:, 0], T)
     bad = np.flatnonzero(~((c > 0.0) & np.isfinite(c)))
-    s = _first_bad_seam(seam_ok[0], int(bad[0]) if bad.size else T - 1)
-    if s is not None:
+    end = int(bad[0]) if bad.size else T - 1
+    # seams from `end` on feed no row that is used or that has not already failed
+    seams = np.flatnonzero(~seam_ok[0, : end // SCAN_BLOCK])
+    if seams.size:
         raise NumericalUnderflow(
-            f"the scaled forward product to observation {s} "
-            f"leaves the floating-point range"
+            f"the scaled forward product to observation "
+            f"{(int(seams[0]) + 1) * SCAN_BLOCK - 1} leaves the floating-point range"
         )
     if bad.size:
-        raise NumericalUnderflow(
-            f"observation {int(bad[0])} has zero density under every state"
-        )
-    if T > 1:
-        s = _first_bad_seam(seam_ok[1], T - 2)
-        if s is not None:
-            raise NumericalUnderflow(
-                f"the scaled backward product from observation {T - 1 - s} "
-                f"leaves the floating-point range"
-            )
-    return dens, rows, c
-
-
-def _first_bad_seam(seam_ok: np.ndarray, end: int) -> Optional[int]:
-    """Row of the first disagreeing seam before row `end`, or None. Seams
-    from `end` on feed no row that is used or that has not already failed."""
-    bad = np.flatnonzero(~seam_ok[: end // SCAN_BLOCK])
-    return int((bad[0] + 1) * SCAN_BLOCK - 1) if bad.size else None
+        raise NumericalUnderflow(f"observation {end} has zero density under every state")
+    return dens, _time_order(rows[:, :, 0], T), c
 
 
 def forward_backward(params: HmmParams, obs: Sequence[float]) -> ForwardBackwardTables:
-    """Scaled forward/backward tables of the observation sequence.
+    """Forward filtering, then backward smoothing, of the observation sequence.
 
-    beta_t is proportional to (Gamma D_{t+1})...(Gamma D_{T-1}) 1; the
-    backward rows give its direction, scaled so that
-    sum(alpha_hat[t] * beta_hat[t]) == 1.
+    The smoothed rows are gamma_{T-1} = alpha_hat_{T-1} and, backwards,
+    gamma_t(i) = alpha_hat_t(i) sum_j Gamma_ij q_{t+1}(j), with
+    q = gamma / p taken as 0 where p = 0 (gamma is 0 there too): the row
+    recursion over R_t[j, i] = alpha_hat_t(i) Gamma_ij / p_{t+1}(j), whose
+    step s is t = T - 1 - s.
     """
-    dens, rows, c = _passes(params, obs)
+    dens, alpha_hat, c = _forward(params, obs)
     T = len(dens)
-    alpha_hat = rows[0, :T]
-
-    beta_hat = np.ones_like(alpha_hat)
-    if T > 1:
-        back = rows[1, T - 2::-1]
-        scale = (alpha_hat[:-1] * back).sum(axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(back, scale, out=beta_hat[:-1])
-            # a subnormal entry of a row keeps only the absolute precision
-            # SUBNORMAL_ULP, which the rescaling divides by `scale`; past the
-            # seam tolerance the entry is lost
-            lost = ~np.isfinite(beta_hat)
-            lost[:-1] |= (back > 0.0) & (SUBNORMAL_ULP / scale
-                                         > SEAM_RTOL * beta_hat[:-1] + SEAM_ATOL)
-        if lost.any():
-            t = int(np.flatnonzero(lost.any(axis=1))[-1])
-            raise NumericalUnderflow(
-                f"the scaled backward product from observation {t + 1} "
-                f"leaves the floating-point range"
-            )
-
+    pred = np.empty_like(alpha_hat)
+    pred[0] = params.delta
+    pred[1:] = _product(alpha_hat[:-1].T[None], params.gamma[:, :, None])[0].T
+    t = T - 1 - _step_index(T)
+    a = np.take(alpha_hat.T, t, axis=1, mode="clip")
+    p = np.take(pred.T, t + 1, axis=1, mode="clip")
+    rows, _, _ = _row_scan(_stack(params.gamma.T, a, alpha_hat[-1], T, p))
     log_c = np.log(c)
     return ForwardBackwardTables(
         alpha_hat=alpha_hat,
-        beta_hat=beta_hat,
+        pred=pred,
+        state_prob=_time_order(rows[:, :, 0], T)[::-1],
         log_c=log_c,
         log_likelihood=float(log_c.sum()),
         dens=dens,
     )
 
 
+def _smoothing_ratio(tables: ForwardBackwardTables) -> np.ndarray:
+    """q_t = gamma_t / p_t, the smoothed over the predicted probabilities,
+    taken as 0 where p_t = 0."""
+    return np.divide(tables.state_prob, tables.pred,
+                     out=np.zeros_like(tables.pred), where=tables.pred > 0.0)
+
+
 def posterior_pairs(params: HmmParams, tables: ForwardBackwardTables) -> PosteriorTables:
-    """Smoothed state and pair probabilities from the scaled tables of an
+    """Smoothed state and pair probabilities from the tables of an
     observation sequence under `params`.
 
-    pair_prob[t, j, k] = alpha_hat[t, j] gamma[j, k] p_k(x_{t+1})
-    beta_hat[t+1, k] / c_{t+1}, the scaled form of the joint posterior of
-    consecutive hidden states.
+    pair_prob[t, i, j] = alpha_hat[t, i] gamma[i, j] q[t+1, j], the joint
+    posterior of consecutive hidden states, with q = state_prob / pred
+    taken as 0 where pred = 0.
     """
-    state = tables.alpha_hat * tables.beta_hat
-    state /= state.sum(axis=1, keepdims=True)
-
-    # one (T - 1, m, m) array, multiplied in place
     pair = tables.alpha_hat[:-1, :, None] * params.gamma[None]
-    pair *= (tables.dens[1:] * tables.beta_hat[1:])[:, None, :]
-    pair *= np.exp(-tables.log_c[1:])[:, None, None]
-    return PosteriorTables(state_prob=state, pair_prob=pair)
+    pair *= _smoothing_ratio(tables)[1:, None, :]
+    return PosteriorTables(state_prob=tables.state_prob, pair_prob=pair)
 
 
 def default_init(obs: Sequence[float], m: int) -> HmmParams:
@@ -535,8 +524,11 @@ def pseudo_residuals(params: HmmParams, obs: Sequence[float],
                      tables: Optional[ForwardBackwardTables] = None) -> np.ndarray:
     """Uniform residuals u_t = Pr(X_t <= x_t | X_s = x_s for all s != t).
 
-    The mixture weights are the posterior state probabilities computed with
-    x_t removed, proportional to (alpha_hat[t-1] Gamma) * beta_hat[t].
+    The mixture weights are the posterior state probabilities given every
+    observation but x_t, proportional to pred[t] * (Gamma q[t+1]) with
+    q = state_prob / pred taken as 0 where pred = 0, and to pred[T-1] at the
+    last step. They do not divide by the densities at x_t, one of which may
+    be 0 where the others are not.
     """
     x = np.asarray(obs, dtype=float)
     if x.size == 0:
@@ -546,9 +538,9 @@ def pseudo_residuals(params: HmmParams, obs: Sequence[float],
                             float, z.size).reshape(z.shape)
     if tables is None:
         tables = forward_backward(params, x)
-    weights = tables.beta_hat.copy()
-    weights[0] *= params.delta
-    weights[1:] *= _product(tables.alpha_hat[:-1].T[None], params.gamma[:, :, None])[0].T
+    weights = tables.pred.copy()
+    q = _smoothing_ratio(tables)[1:].T[:, None]
+    weights[:-1] *= _product(params.gamma[:, :, None], q)[:, 0].T
     weights /= weights.sum(axis=1, keepdims=True)
     return np.clip((weights * cdf).sum(axis=1), 0.0, 1.0)
 

@@ -3,16 +3,21 @@
 Everything here avoids the production algorithms on purpose. For the
 billiard, the obstacle-membership predicate plus brute-force ray marching
 and bisection are the ground truth the event-driven solver is checked
-against. For the HMM, the scaled recursion stepping one observation at a
-time over the production densities is the reference the two-level scan is
-checked against. The scan runs this recursion itself inside blocks of
-`hmm.SCAN_BLOCK` steps, but enters each block from a row built out of
-matrix products over all earlier blocks, and those products can lose
-entries this recursion keeps. The scan compares the two rows at every
-block seam, where a block's last row meets the next block's entry row. If
-they disagree it must raise NumericalUnderflow, never return tables that
-disagree with these. The scan holds both passes' stacks of m x m matrices,
-2 T m^2 numbers, where this recursion holds O(T m).
+against. For the HMM there are two references. The scaled recursion
+stepping one observation at a time over the production densities is the
+one the two-level scan's forward rows must match to the last digits. The
+scan runs this recursion itself inside blocks of `hmm.SCAN_BLOCK` steps,
+but enters each block from a row built out of matrix products over all
+earlier blocks, and those products can lose entries this recursion keeps.
+The scan compares the two rows at every forward block seam, where a
+block's last row meets the next block's entry row. If they disagree it
+must raise NumericalUnderflow, never return tables that disagree with
+these. The scan holds a stack of m x m matrices, T m^2 numbers, where this
+recursion holds O(T m). The recursion is not exact: where entries of
+order Gamma_ij^2 flush to 0, its log-likelihood can be off by several times
+its own size. A
+forward-backward in log space, with the log densities computed directly,
+is the exact-arithmetic reference every returned table must match to 1e-9.
 
 Two references run on the production scalar kernel instead: the one-slope
 recurrence statistic on `simulate`, which the lockstep sweep must match
@@ -34,6 +39,7 @@ import bisect
 import math
 
 import numpy as np
+from scipy.special import logsumexp
 
 from windtree.billiard import ParticleState, Vec2, distance_series, simulate, state_from_slope
 from windtree.hmm import NumericalUnderflow, _density_matrix
@@ -136,10 +142,11 @@ def segment_enters_interior(p, q, samples=2000, margin=1e-9):
 def sequential_forward_backward(params, obs):
     """The scaled forward and backward recursions, one observation per step.
 
-    Returns (alpha_hat, beta_hat, log_c) with the conventions of
-    `windtree.hmm.ForwardBackwardTables`, and raises NumericalUnderflow
-    naming the first observation whose scale factor is not positive and
-    finite.
+    Returns (alpha_hat, beta_hat, log_c): alpha_hat and log_c as in
+    `windtree.hmm.ForwardBackwardTables`, and beta_hat scaled so that
+    sum(alpha_hat[t] * beta_hat[t]) == 1, which makes alpha_hat * beta_hat
+    the state posteriors. Raises NumericalUnderflow naming the first
+    observation whose scale factor is not positive and finite.
     """
     dens = _density_matrix(params, np.asarray(obs, dtype=float))
     T, m = dens.shape
@@ -165,6 +172,53 @@ def sequential_forward_backward(params, obs):
         b = params.gamma @ (dens[t + 1] * beta_hat[t + 1])
         beta_hat[t] = b / c[t + 1]
     return alpha_hat, beta_hat, np.log(c)
+
+
+def log_space_forward_backward(params, obs):
+    """Forward-backward in log space, a log-sum-exp per step in float64:
+    the exact-arithmetic reference for `windtree.hmm`'s tables.
+
+    The log densities are computed directly, so none underflows, and no
+    scaled quantity is formed, so nothing leaves the floating-point range.
+    Returns a dict of the log-likelihood `loglik`, the log scale factors
+    `log_c` (T,), the (T, m) filtered `alpha_hat`, predicted `pred` and
+    smoothed `state_prob` probabilities,
+    the (T - 1, m, m) pair posteriors `pair_prob` and the (T, m)
+    pseudo-residual `weights`: each state's probability given every
+    observation but x_t.
+    """
+    x = np.asarray(obs, dtype=float)
+    z = (x[:, None] - params.mu[None, :]) / params.sigma[None, :]
+    log_d = -0.5 * z * z - np.log(params.sigma)[None, :] - 0.5 * math.log(2.0 * math.pi)
+    with np.errstate(divide="ignore"):
+        log_gamma = np.log(params.gamma)
+        log_pred = np.empty_like(log_d)
+        log_pred[0] = np.log(params.delta)
+    T = len(x)
+    log_alpha = np.empty_like(log_d)
+    log_alpha[0] = log_pred[0] + log_d[0]
+    for t in range(1, T):
+        log_pred[t] = logsumexp(log_alpha[t - 1][:, None] + log_gamma, axis=0)
+        log_alpha[t] = log_pred[t] + log_d[t]
+    log_beta = np.zeros_like(log_d)
+    for t in range(T - 2, -1, -1):
+        log_beta[t] = logsumexp(log_gamma + (log_d[t + 1] + log_beta[t + 1])[None, :], axis=1)
+
+    def normalized(a):
+        return np.exp(a - logsumexp(a, axis=-1, keepdims=True))
+
+    prefix = logsumexp(log_alpha, axis=1)  # log p(x_0..x_t)
+    loglik = float(prefix[-1])
+    pair = log_alpha[:-1, :, None] + log_gamma[None] + (log_d[1:] + log_beta[1:])[:, None, :]
+    return {
+        "loglik": loglik,
+        "log_c": np.diff(prefix, prepend=0.0),
+        "alpha_hat": normalized(log_alpha),
+        "pred": normalized(log_pred),
+        "state_prob": normalized(log_alpha + log_beta),
+        "pair_prob": np.exp(pair - loglik),
+        "weights": normalized(log_pred + log_beta),
+    }
 
 
 def recurrence_statistic(slope, spec, t=1):

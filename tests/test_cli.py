@@ -44,30 +44,31 @@ SIMULATE_DIGESTS = {
 }
 
 # SHA-256 of the `fit --states m` artifacts on the reference sweep.csv. The
-# model.json and residuals.csv digests were taken when the HMM passes and
-# pseudo_residuals wrote every matrix product out elementwise, summed in j
-# order, instead of through numpy's matrix multiplication, whose OpenBLAS
-# kernel rounds differently from that sum in the last bit. Against the
-# products through OpenBLAS the largest moves, for m = 2, 3 and 4, were:
-# mu 0, 2.7e-15 and 8.9e-16; sigma 0, 5.6e-17 and 1.8e-15; gamma 0, 2.2e-16
-# and 7.8e-16; the loglik trace 1.1e-13, 5.7e-14 and 1.1e-13; u 5.6e-17,
-# 2.9e-15 and 7.8e-16, with 1, 284 and 224 of the 300 u values moved. The
+# model.json and residuals.csv digests were taken when the posteriors came
+# from backward smoothing of the filtered probabilities instead of from
+# scaled backward vectors, every product still summed in j order with no
+# BLAS call. Against the scaled backward vectors the largest moves, for
+# m = 2, 3 and 4, were: mu 0, 2.7e-15 and 8.9e-16; sigma 0, 4.4e-16 and
+# 6.7e-16; gamma 2.8e-17, 3.3e-16 and 6.1e-16; delta 9.5e-16, 1.7e-14 and
+# 1.2e-13 relative (on entries of 4.4e-79, 5.1e-48 and 1.6e-199); the
+# loglik trace 1.1e-13, 5.7e-14 and 1.1e-13; u 1.1e-16, 2.9e-15 and
+# 6.7e-16, with 94, 279 and 206 of the 300 u values moved. The
 # histogram.json digests were taken when it dropped bins and total, which
 # copy the length and sum of counts; no count moved since.
 FIT_DIGESTS = {
     2: {
-        "model.json": "845c74ae86cb979b9e78b0d896fa732f540d4f40d826e8f80c00f9ae37a359c7",
-        "residuals.csv": "8b591d266b9d13eb5e6796656931c601af2538044a1b37a17df23a8fbe0dc77d",
+        "model.json": "5f879a7d69b240e28fc35f04c4d6c4114d6016f0fb934c5935b0e22870f698c0",
+        "residuals.csv": "d6c2c4db6720af736cbf8f4ab20afe3c0fb28265be587135151e62cfbbac990f",
         "histogram.json": "e1174e311c691cb2ad507fb58cc3f400bd42c2eedf131ff75888c9d4822ca8f2",
     },
     3: {
-        "model.json": "20b59bbd0463a4f90763f432286c5da8484204301cbb7db97c268b2d108c9346",
-        "residuals.csv": "ef810d43202b88138e262796541a392aa9bf235411618bc1505e539a19aedfc6",
+        "model.json": "868c639cc672d5b777fa3ba59b0c4985eae018a69b7e84c721da5df052e81a3f",
+        "residuals.csv": "917e6bdb0c020dd8419bd5bb12ed5977f48b9e71c7d3ed161d627fc28b251931",
         "histogram.json": "1c90f37dd7764d4b7ecea3733e55754bbac1b3ae197df846f301c3251dc1b6b4",
     },
     4: {
-        "model.json": "a7b376b23a3a59da41c834f138ed8ead5d0df85f3187977a14b1e908461a67eb",
-        "residuals.csv": "c9367100427c4db0125d5f039eff47b18d888503ef94a67a216c5d4b651d504f",
+        "model.json": "bdb8b63bf921b77723980c635efe16b28fa031b9d12078cc4c47c75209c95d20",
+        "residuals.csv": "f86c2de22c5ca2d75bb8fea76437b64f2873cc38fad4fc418a236ec53db4b5f0",
         "histogram.json": "65572258c11b0d217ad91cc9929e5daee283070e479c4c45bfcc2ba4e56a522f",
     },
 }

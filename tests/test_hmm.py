@@ -1,8 +1,10 @@
 """Gaussian HMM tests: scaled recursions against brute-force enumeration,
 EM behavior, and residual diagnostics."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from windtree.hmm import (
 from windtree import hmm
 from windtree.hmm import _density_matrix
 
-from oracle import published_series, sequential_forward_backward
+from oracle import log_space_forward_backward, published_series, sequential_forward_backward
 
 LOG_STD_NORM_PEAK = -0.9189385332046727  # ln(1/sqrt(2 pi))
 EPS = 1e-200
@@ -158,15 +160,12 @@ class TestForwardBackward:
         tables = forward_backward(p, rng.normal(0, 2, 25))
         assert tables.log_likelihood == pytest.approx(tables.log_c.sum(), abs=1e-12)
 
-    def test_alpha_beta_product_constant(self):
-        # unscaled alpha_t . beta_t equals the likelihood at every t
+    def test_state_posterior_rows_sum_to_one(self):
         rng = np.random.default_rng(9)
         for T in (5, 200):
             p = random_params(rng, 2)
             tables = forward_backward(p, rng.normal(0, 2, T))
-            for t in range(T):
-                dot = float(tables.alpha_hat[t] @ tables.beta_hat[t])
-                assert abs(math.log(dot)) <= 1e-9
+            np.testing.assert_allclose(tables.state_prob.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_underflow_reported(self):
         p = HmmParams([1.0], [[1.0]], [0.0], [1e-300])
@@ -204,7 +203,9 @@ def assert_matches_sequential(params, obs):
     # an absolute error in log c_t is a relative error in c_t
     np.testing.assert_allclose(tables.log_c, log_c, rtol=1e-12, atol=1e-12)
     assert tables.log_likelihood == pytest.approx(log_c.sum(), rel=1e-12)
-    np.testing.assert_allclose(tables.beta_hat, beta, rtol=1e-10, atol=0)
+    state = alpha * beta
+    state /= state.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(tables.state_prob, state, rtol=1e-10, atol=0)
 
 
 class TestScanMatchesSequential:
@@ -253,15 +254,8 @@ class TestScanMatchesSequential:
     # A product rescaled as a whole loses the entries more than about 320
     # decades below its largest, which the one-step recursion keeps; the
     # block seams catch the entry rows that lost one. With transition
-    # probabilities of 1e-200 the forward rows go wrong first, in the second
-    # case too: there alpha_hat[192, 1] came out 5e-206 against the
-    # recursion's 1.4e-145. In the last two cases no probability is small,
-    # but beta_t's entries span more than the floating-point range; in the
-    # fourth, the first subnormal entry of a backward row falls inside a
-    # block, where the doubling scan over all T returned beta_hat entries
-    # of 7.9e-299 as 0. There beta_hat[15] rests on entries of 1.1e-309,
-    # whose subnormal spacing is 5e-324, and agrees with the recursion to
-    # 2.8e-14; beta_hat[14], rescaled from 4.1e-315, is off by 8.8e-9.
+    # probabilities of 1e-200 the forward rows go wrong: in the second case
+    # alpha_hat[192, 1] came out 5e-206 against the recursion's 1.4e-145.
     @pytest.mark.parametrize("gamma, runs, message", [
         ([[1.0, EPS, 0.0], [0.0, 1.0, EPS], [EPS, 0.0, 1.0]],
          [(0.0, 64), (10.0, 128)],
@@ -269,13 +263,7 @@ class TestScanMatchesSequential:
         ([[0.5, EPS, 0.5], [EPS, 1.0, EPS], [0.25, EPS, 0.75]],
          [(5.0, 128), (10.0, 128), (5.0, 64), (10.0, 128)],
          "the scaled forward product to observation 191 leaves the floating-point range"),
-        ([[0.0, 1.0, 0.0], [2 / 3, 1 / 3, 0.0], [2 / 3, 0.0, 1 / 3]],
-         [(5.0, 32), (10.0, 64)],
-         "the scaled backward product from observation 24 leaves the floating-point range"),
-        ([[0.0, 1.0, 0.0], [2 / 3, 1 / 3, 0.0], [2 / 3, 0.0, 1 / 3]],
-         [(5.0, 9), (10.0, 64)],
-         "the scaled backward product from observation 15 leaves the floating-point range"),
-    ], ids=["forward", "backward", "backward-range", "backward-subnormal"])
+    ], ids=["forward", "forward-191"])
     def test_product_out_of_range_is_reported(self, gamma, runs, message):
         p = HmmParams(np.full(3, 1.0 / 3.0), gamma, [0.0, 5.0, 10.0], [1.0, 1.0, 1.0])
         obs = np.concatenate([np.full(n, x) for x, n in runs])
@@ -306,13 +294,77 @@ class TestScanMatchesSequential:
         stacks = []
         for _ in range(3):
             p = random_params(rng, 3)
-            stacks.append(hmm._stacks(p, _density_matrix(p, rng.normal(0.0, 2.0, 200)))[:, :, :, :1])
+            dens = _density_matrix(p, rng.normal(0.0, 2.0, 200))
+            d = np.take(dens.T, hmm._step_index(200), axis=1, mode="clip")
+            stacks.append(hmm._stack(p.gamma, d, p.delta * dens[0], 200))
         rows, c, seam_ok = hmm._row_scan(np.concatenate(stacks, axis=3))
         for k, stack in enumerate(stacks):
             one_rows, one_c, one_seam_ok = hmm._row_scan(stack.copy())
             np.testing.assert_array_equal(rows[:, :, k], one_rows[:, :, 0])
             np.testing.assert_array_equal(c[:, k], one_c[:, 0])
             np.testing.assert_array_equal(seam_ok[k], one_seam_ok[0])
+
+
+def cyclic_params(e):
+    """Gamma = I plus e on the cyclic off-diagonal, row-normalized; means 0,
+    5 and 10, sds 1."""
+    gamma = np.eye(3) + e * np.roll(np.eye(3), 1, axis=1)
+    return HmmParams(np.full(3, 1.0 / 3.0), gamma / gamma.sum(axis=1, keepdims=True),
+                     [0.0, 5.0, 10.0], [1.0, 1.0, 1.0])
+
+
+def runs_of(*runs):
+    return np.concatenate([np.full(n, x) for x, n in runs])
+
+
+def dense_series():
+    """40 draws about 2 with observation 20 at 4, 40 sd from the mean of the
+    dense model's state 0, whose density is 0 there."""
+    obs = np.random.default_rng(1).normal(2.0, 1.5, 40)
+    obs[20] = 4.0
+    return obs
+
+
+CYCLIC_RUNS = [(0.0, 40), (5.0, 30), (10.0, 20), (0.0, 10)]
+BETA_RANGE_GAMMA = [[0.0, 1.0, 0.0], [2 / 3, 1 / 3, 0.0], [2 / 3, 0.0, 1 / 3]]
+
+# On CYCLIC_RUNS, e = 1e-200 raises at the forward seam before observation
+# 63, a false alarm: the one-step recursion's tables are within 2.1e-14 of
+# the reference there. At e = 1e-200 the shorter series drives pred[t, 2]
+# to exactly 0 for t = 23..43. The last two models put beta_t's entries
+# beyond the floating-point range, where the scaled backward vectors
+# raised; the smoothed probabilities never form them.
+LOG_SPACE_CASES = {
+    **{f"cyclic-{e:g}": (cyclic_params(e), runs_of(*CYCLIC_RUNS))
+       for e in (1e-2, 1e-20, 1e-60, 1e-120)},
+    "cyclic-1e-200": (cyclic_params(1e-200), runs_of((0.0, 40), (5.0, 4))),
+    "dense-40-sd": (HmmParams(np.full(3, 1.0 / 3.0),
+                              [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.25, 0.25, 0.5]],
+                              [0.0, 2.0, 4.0], [0.1, 1.0, 1.0]), dense_series()),
+    "beta-out-of-range": (HmmParams(np.full(3, 1.0 / 3.0), BETA_RANGE_GAMMA, [0.0, 5.0, 10.0],
+                                    [1.0, 1.0, 1.0]), runs_of((5.0, 32), (10.0, 64))),
+    "beta-subnormal": (HmmParams(np.full(3, 1.0 / 3.0), BETA_RANGE_GAMMA, [0.0, 5.0, 10.0],
+                                 [1.0, 1.0, 1.0]), runs_of((5.0, 9), (10.0, 64))),
+}
+
+
+@pytest.mark.parametrize("case", list(LOG_SPACE_CASES))
+def test_tables_match_log_space_reference(case):
+    params, obs = LOG_SPACE_CASES[case]
+    ref = log_space_forward_backward(params, obs)
+    tables = forward_backward(params, obs)
+    post = posterior_pairs(params, tables)
+    assert tables.log_likelihood == pytest.approx(ref["loglik"], rel=1e-9)
+    np.testing.assert_allclose(tables.log_c, ref["log_c"], rtol=1e-9, atol=1e-9)
+    for name, got in [("alpha_hat", tables.alpha_hat), ("pred", tables.pred),
+                      ("state_prob", post.state_prob), ("pair_prob", post.pair_prob)]:
+        np.testing.assert_allclose(got, ref[name], rtol=0, atol=1e-9, err_msg=name)
+    z = (obs[:, None] - params.mu) / params.sigma
+    np.testing.assert_allclose(pseudo_residuals(params, obs, tables),
+                               (ref["weights"] * norm.cdf(z)).sum(axis=1), rtol=0, atol=1e-9)
+    # the rule q = 0 where pred = 0, and a zero density, are exercised
+    assert (tables.pred == 0.0).any() == (case == "cyclic-1e-200")
+    assert (tables.dens == 0.0).any() == (case == "dense-40-sd")
 
 
 def python_product(a, b):
@@ -372,6 +424,18 @@ def test_entry_sum_adds_rows_then_row_sums(seed, m, trailing):
         for s in row_sums[1:]:
             total = total + s
         assert got[r] == total
+
+
+# FIT_DIGESTS rest on every product being summed in j order (`hmm._product`);
+# a BLAS-backed product rounds as the CPU's kernel does.
+def test_hmm_calls_no_blas_product():
+    banned = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
+    tree = ast.parse(Path(hmm.__file__).read_text())
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+             or isinstance(node, ast.Attribute) and node.attr in banned
+             or isinstance(node, ast.alias) and node.name in banned]
+    assert found == []
 
 
 class TestPosteriorPairs:
