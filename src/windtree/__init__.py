@@ -3,9 +3,7 @@ statistic swept over initial slopes, and a Gaussian hidden Markov model of
 the resulting series with Baum-Welch fitting and pseudo-residual checks."""
 
 from .billiard import (
-    CollisionEvent,
     DegenerateVelocity,
-    NoHitWithinHorizon,
     ParticleState,
     TrajectoryLog,
     Vec2,
@@ -20,7 +18,6 @@ from .hmm import (
     FitReport,
     ForwardBackwardTables,
     HmmParams,
-    PosteriorTables,
     baum_welch,
     default_init,
     forward_backward,
@@ -42,12 +39,11 @@ from .sweep import (
 )
 
 __all__ = [
-    "CollisionEvent", "DegenerateVelocity", "NoHitWithinHorizon",
-    "ParticleState", "TrajectoryLog", "Vec2",
+    "DegenerateVelocity", "ParticleState", "TrajectoryLog", "Vec2",
     "distance_series", "next_collision",
     "simulate", "state_from_angle", "state_from_slope",
     "HmmConfig", "PipelineConfig", "SimulateConfig",
-    "FitReport", "ForwardBackwardTables", "HmmParams", "PosteriorTables",
+    "FitReport", "ForwardBackwardTables", "HmmParams",
     "baum_welch", "default_init", "forward_backward",
     "posterior_pairs", "pseudo_residuals", "residual_histogram",
     "CorridorTruncation", "InsufficientData", "MotionClass", "MotionLabel",

@@ -25,10 +25,6 @@ HORIZON = 1e6          # path-length cap of one flight before declaring a corrid
 SPEED_TOL = 1e-6       # tolerated deviation of |velocity| from 1
 
 
-class NoHitWithinHorizon(Exception):
-    """The ray met no obstacle within the horizon (corridor direction)."""
-
-
 class DegenerateVelocity(ValueError):
     """Velocity norm deviates from 1 by more than SPEED_TOL."""
 
@@ -103,17 +99,6 @@ def state_from_slope(slope: float) -> ParticleState:
 def state_from_angle(theta: float, position: Vec2 = Vec2(0.0, 0.0)) -> ParticleState:
     """Particle at `position` moving at angle `theta` from the +x axis."""
     return ParticleState(position=position, velocity=unit(math.cos(theta), math.sin(theta)))
-
-
-@dataclass(frozen=True)
-class CollisionEvent:
-    """One wall strike: where, when (cumulative path length), and on which
-    wall, by its name in WALLS."""
-
-    point: Vec2
-    time: float
-    wall: str
-    obstacle_center: tuple[int, int]
 
 
 @dataclass(eq=False)
@@ -434,21 +419,13 @@ def truncation_reason(collisions: int) -> str:
     return f"no obstacle within horizon {HORIZON:g} after {collisions} collisions"
 
 
-def next_collision(state: ParticleState) -> CollisionEvent:
-    """The strike of simulate(state, 1), or NoHitWithinHorizon where its log
-    is empty: the same start rules, a ValueError from inside an obstacle
-    included."""
-    log = simulate(state, 1)
-    if not len(log):
-        raise NoHitWithinHorizon(f"from {tuple(state.position)}: {log.truncation_reason}")
-    hx, hy = float(log.x[0]), float(log.y[0])
-    return CollisionEvent(
-        point=Vec2(hx, hy),
-        time=float(log.t[0]),
-        wall=WALLS[log.wall[0]],
-        # a hit point lies on its obstacle's wall, 0.5 from any cell edge
-        obstacle_center=(int(_cell_center(hx)), int(_cell_center(hy))),
-    )
+def next_collision(state: ParticleState) -> TrajectoryLog:
+    """simulate(state, 1).
+
+    bench/workloads.py's layer probe calls it and ignores the result, the
+    only reason it is kept: it goes when the bench calls simulate instead.
+    """
+    return simulate(state, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -176,15 +176,6 @@ class ForwardBackwardTables:
     state_prob: np.ndarray   # (T, m)
     log_c: np.ndarray        # (T,)
     log_likelihood: float
-    dens: np.ndarray         # (T, m) per-state densities of the observations
-
-
-@dataclass
-class PosteriorTables:
-    """Smoothed state and successive-pair probabilities given all observations."""
-
-    state_prob: np.ndarray   # (T, m)
-    pair_prob: np.ndarray    # (T-1, m, m); [t, j, k] = Pr(C_t = j, C_{t+1} = k | X)
 
 
 @dataclass
@@ -335,8 +326,7 @@ def _time_order(a: np.ndarray, T: int) -> np.ndarray:
 
 
 def _forward(params: HmmParams, obs: Sequence[float]):
-    """The densities (T, m), the forward rows alpha_hat (T, m) and their
-    sums c (T,).
+    """The forward rows alpha_hat (T, m) and their sums c (T,).
 
     Raises NumericalUnderflow at the first observation whose scale factor
     is not positive and finite, unless a seam before it disagrees, and then
@@ -361,7 +351,7 @@ def _forward(params: HmmParams, obs: Sequence[float]):
         )
     if bad.size:
         raise NumericalUnderflow(f"observation {end} has zero density under every state")
-    return dens, _time_order(rows[:, :, 0], T), c
+    return _time_order(rows[:, :, 0], T), c
 
 
 def forward_backward(params: HmmParams, obs: Sequence[float]) -> ForwardBackwardTables:
@@ -373,8 +363,8 @@ def forward_backward(params: HmmParams, obs: Sequence[float]) -> ForwardBackward
     recursion over R_t[j, i] = alpha_hat_t(i) Gamma_ij / p_{t+1}(j), whose
     step s is t = T - 1 - s.
     """
-    dens, alpha_hat, c = _forward(params, obs)
-    T = len(dens)
+    alpha_hat, c = _forward(params, obs)
+    T = len(alpha_hat)
     pred = np.empty_like(alpha_hat)
     pred[0] = params.delta
     pred[1:] = _product(alpha_hat[:-1].T[None], params.gamma[:, :, None])[0].T
@@ -389,7 +379,6 @@ def forward_backward(params: HmmParams, obs: Sequence[float]) -> ForwardBackward
         state_prob=_time_order(rows[:, :, 0], T)[::-1],
         log_c=log_c,
         log_likelihood=float(log_c.sum()),
-        dens=dens,
     )
 
 
@@ -400,17 +389,17 @@ def _smoothing_ratio(tables: ForwardBackwardTables) -> np.ndarray:
                      out=np.zeros_like(tables.pred), where=tables.pred > 0.0)
 
 
-def posterior_pairs(params: HmmParams, tables: ForwardBackwardTables) -> PosteriorTables:
-    """Smoothed state and pair probabilities from the tables of an
+def posterior_pairs(params: HmmParams, tables: ForwardBackwardTables) -> np.ndarray:
+    """The (T-1, m, m) smoothed pair probabilities from the tables of an
     observation sequence under `params`.
 
-    pair_prob[t, i, j] = alpha_hat[t, i] gamma[i, j] q[t+1, j], the joint
-    posterior of consecutive hidden states, with q = state_prob / pred
-    taken as 0 where pred = 0.
+    [t, i, j] = Pr(C_t = i, C_{t+1} = j | X) = alpha_hat[t, i] gamma[i, j]
+    q[t+1, j], the joint posterior of consecutive hidden states, with
+    q = state_prob / pred taken as 0 where pred = 0.
     """
     pair = tables.alpha_hat[:-1, :, None] * params.gamma[None]
     pair *= _smoothing_ratio(tables)[1:, None, :]
-    return PosteriorTables(state_prob=tables.state_prob, pair_prob=pair)
+    return pair
 
 
 def default_init(obs: Sequence[float], m: int) -> HmmParams:
@@ -479,10 +468,10 @@ def baum_welch(obs: Sequence[float], init: HmmParams, max_iters: int = 15) -> Fi
     warnings: list[str] = []
     for it in range(max_iters):
         tables = forward_backward(params, x)
-        post = posterior_pairs(params, tables)
+        state_prob = tables.state_prob
         trace.append(tables.log_likelihood)
 
-        mass = post.state_prob.sum(axis=0)
+        mass = state_prob.sum(axis=0)
         frozen = mass < DEGENERATE_MASS
         if frozen.any():
             warnings.append(
@@ -490,9 +479,9 @@ def baum_welch(obs: Sequence[float], init: HmmParams, max_iters: int = 15) -> Fi
                 f"degenerate (posterior mass < {DEGENERATE_MASS:g}); frozen"
             )
 
-        delta = post.state_prob[0]
-        pair_sum = post.pair_prob.sum(axis=0)
-        out_mass = post.state_prob[:-1].sum(axis=0)
+        delta = state_prob[0]
+        pair_sum = posterior_pairs(params, tables).sum(axis=0)
+        out_mass = state_prob[:-1].sum(axis=0)
         gamma = params.gamma.copy()
         ok = ~frozen & (out_mass > 0)
         gamma[ok] = pair_sum[ok] / out_mass[ok, None]
@@ -504,12 +493,12 @@ def baum_welch(obs: Sequence[float], init: HmmParams, max_iters: int = 15) -> Fi
 
         mu = params.mu.copy()
         sigma = params.sigma.copy()
-        mu[~frozen] = (post.state_prob[:, ~frozen] * x[:, None]).sum(axis=0) / mass[~frozen]
-        var = (post.state_prob[:, ~frozen] * (x[:, None] - mu[None, ~frozen]) ** 2).sum(axis=0)
+        mu[~frozen] = (state_prob[:, ~frozen] * x[:, None]).sum(axis=0) / mass[~frozen]
+        var = (state_prob[:, ~frozen] * (x[:, None] - mu[None, ~frozen]) ** 2).sum(axis=0)
         sigma[~frozen] = np.maximum(np.sqrt(var / mass[~frozen]), floor)
 
         params = HmmParams(delta=delta, gamma=gamma, mu=mu, sigma=sigma)
-        del tables, post  # freed before the next iteration's passes allocate
+        del tables, state_prob  # freed before the next iteration's passes allocate
 
     order = tuple(int(i) for i in np.argsort(params.mu, kind="stable"))
     return FitReport(

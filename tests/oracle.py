@@ -25,17 +25,11 @@ bit for bit, and the interpolated position along a logged trajectory.
 `final_state` reads a log's last post-bounce state, and `fmt` is the
 per-value rendering that `io.csv_text`'s row template must reproduce.
 
-`published_series` draws a series from the paper's published 3-state
-model (`run_pipeline.PUBLISHED`) exactly as the fit benchmark
-(bench/workloads.py) draws its input, so a seed names the same series in
-both.
-
 `classify_motion` computes the deviations of a block of lags at once,
 from a zero-padded copy of the y series under a mask; the per-lag loop it
 replaced is kept here, and its label and evidence must match bit for bit.
 """
 
-import bisect
 import math
 
 import numpy as np
@@ -53,8 +47,6 @@ from windtree.sweep import (
     MotionClass,
     MotionLabel,
 )
-
-from run_pipeline import PUBLISHED
 
 MARCH_STEP = 1e-4
 BISECT_TOL = 1e-8
@@ -231,19 +223,6 @@ def recurrence_statistic(slope, spec, t=1):
         )
     dmin = float(distance_series(log)[spec.k_min - 1:spec.k_max].min())
     return {"t": t, "slope": slope, "D": dmin, "logD": math.log(dmin)}
-
-
-def published_series(rng: np.random.Generator, length: int) -> np.ndarray:
-    """Draw a series of `length` from the published 3-state Gaussian HMM,
-    starting in the middle state."""
-    cumulative = [np.cumsum(row).tolist() for row in PUBLISHED["gamma"]]
-    u = rng.random(length)
-    states = [1]
-    for t in range(1, length):
-        row = cumulative[states[-1]]
-        states.append(min(bisect.bisect_right(row, u[t]), len(row) - 1))
-    states = np.array(states)
-    return rng.normal(np.array(PUBLISHED["mu"])[states], np.array(PUBLISHED["sigma"])[states])
 
 
 def fmt(x: float) -> str:

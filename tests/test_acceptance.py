@@ -14,9 +14,9 @@ import pytest
 from scipy.stats import chi2
 
 from windtree.billiard import (
+    WALLS,
     ParticleState,
     Vec2,
-    next_collision,
     point_in_obstacle,
     simulate,
     state_from_slope,
@@ -61,12 +61,12 @@ def test_criterion_1_geometry_oracle():
                 break
         theta = rng.uniform(0.0, 2.0 * math.pi)
         vx, vy = math.cos(theta), math.sin(theta)
-        event = next_collision(ParticleState(Vec2(x, y), Vec2(vx, vy)))
+        log = simulate(ParticleState(Vec2(x, y), Vec2(vx, vy)), 1)
         oracle = march_first_hit(x, y, vx, vy)
         s, ox, oy, wall, _, _ = oracle
-        err = math.hypot(event.point.x - ox, event.point.y - oy)
+        err = math.hypot(log.x[0] - ox, log.y[0] - oy)
         worst = max(worst, err)
-        if err > 1e-6 or event.wall != wall:
+        if err > 1e-6 or WALLS[log.wall[0]] != wall:
             mismatches += 1
     elapsed = time.perf_counter() - started
     report(1, "geometry vs ray-marching oracle",
@@ -108,12 +108,12 @@ def test_criterion_3_forward_backward_vs_enumeration():
                 obs = rng.normal(0.0, 2.0, T)
                 L, state, pair = enumerate_paths(params, obs)
                 tables = forward_backward(params, obs)
-                post = posterior_pairs(params, tables)
                 rel = abs(tables.log_likelihood - math.log(L)) / max(1.0, abs(math.log(L)))
                 worst_ll = max(worst_ll, rel)
                 if T > 1:
-                    worst_pair = max(worst_pair, float(np.abs(post.pair_prob - pair).max()))
-                worst_pair = max(worst_pair, float(np.abs(post.state_prob - state).max()))
+                    pairs = posterior_pairs(params, tables)
+                    worst_pair = max(worst_pair, float(np.abs(pairs - pair).max()))
+                worst_pair = max(worst_pair, float(np.abs(tables.state_prob - state).max()))
     elapsed = time.perf_counter() - started
     report(3, "forward-backward and pair posteriors vs path enumeration",
            worst_ll <= 1e-12 and worst_pair <= 1e-12 and elapsed < 10.0,
@@ -152,7 +152,7 @@ def test_criterion_5_reference_fit_reproduction(reference_series, reference_fit)
 
     # hard requirement: three well-separated, genuinely occupied states
     gaps = np.diff(p.mu)
-    masses = posterior_pairs(p, forward_backward(p, reference_series)).state_prob.sum(axis=0)
+    masses = forward_backward(p, reference_series).state_prob.sum(axis=0)
     three_clusters = bool(np.all(gaps >= 1.0) and np.all(masses >= 3.0))
 
     detail = (f"means {np.round(p.mu, 4).tolist()}, sigmas "
@@ -183,9 +183,7 @@ def test_criterion_6_motion_classes():
 def test_criterion_7_experiment_two_recurrence():
     started = time.perf_counter()
     log = simulate(state_from_slope(1.718), 250)
-    pts = log.event_points()
-    first = pts[0]
-    dist = np.hypot(pts[1:, 0] - first[0], pts[1:, 1] - first[1])
+    dist = np.hypot(log.x[1:] - log.x[0], log.y[1:] - log.y[0])
     best = float(dist.min())
     k_best = int(dist.argmin()) + 2
     elapsed = time.perf_counter() - started

@@ -18,14 +18,12 @@ from windtree.billiard import (
     WALLS,
     _FLIPS,
     DegenerateVelocity,
-    NoHitWithinHorizon,
     ParticleState,
     Rays,
     TrajectoryLog,
     Vec2,
     cell_centers,
     distance_series,
-    next_collision,
     point_in_obstacle,
     simulate,
     state_from_angle,
@@ -123,35 +121,40 @@ class TestReflect:
         assert math.hypot(rrx - vx, rry - vy) <= 1e-12
 
 
+def first_strike(state):
+    """simulate(state, 1)'s row as its hit point, wall name and obstacle
+    center, or None where the log is empty, as it is in a corridor."""
+    log = simulate(state, 1)
+    if not len(log):
+        assert log.truncated
+        return None
+    point = Vec2(float(log.x[0]), float(log.y[0]))
+    return point, WALLS[log.wall[0]], locate_cell(point)
+
+
 class TestNextCollision:
     def test_slope_two_hits_left_wall(self):
         # analytic: the ray (1, 2)/sqrt(5) crosses x = 0.5 at y = 1.0
-        ev = next_collision(state_from_slope(2.0))
-        assert ev.wall == "Left"
-        assert ev.obstacle_center == (1, 1)
-        assert ev.point.x == 0.5
-        assert abs(ev.point.y - 1.0) <= 1e-12
-        assert abs(ev.time - 0.5 * SQRT5) <= 1e-12
+        state = state_from_slope(2.0)
+        point, wall, center = first_strike(state)
+        assert (wall, center) == ("Left", (1, 1))
+        assert point.x == 0.5
+        assert abs(point.y - 1.0) <= 1e-12
+        assert abs(simulate(state, 1).t[0] - 0.5 * SQRT5) <= 1e-12
         # cross-check against fine-step ray marching
-        s, ox, oy, wall, _, _ = march_first_hit(0.0, 0.0, 1.0 / SQRT5, 2.0 / SQRT5)
-        assert math.hypot(ev.point.x - ox, ev.point.y - oy) <= 1e-6
-        assert ev.wall == wall
+        s, ox, oy, marched, _, _ = march_first_hit(0.0, 0.0, 1.0 / SQRT5, 2.0 / SQRT5)
+        assert math.hypot(point.x - ox, point.y - oy) <= 1e-6
+        assert wall == marched
 
     def test_axis_corridor_never_hits(self):
-        state = ParticleState(Vec2(0.0, 0.0), Vec2(1.0, 0.0))
-        with pytest.raises(NoHitWithinHorizon):
-            next_collision(state)
+        assert first_strike(ParticleState(Vec2(0.0, 0.0), Vec2(1.0, 0.0))) is None
 
     def test_axis_parallel_ray_inside_band_hits(self):
         # off the gap centerline, a horizontal ray does strike the obstacle row
-        ev = next_collision(ParticleState(Vec2(0.0, 0.7), Vec2(1.0, 0.0)))
-        assert ev.point == Vec2(0.5, 0.7)
-        assert ev.wall == "Left"
-        assert ev.obstacle_center == (1, 1)
-        ev = next_collision(ParticleState(Vec2(0.7, 0.0), Vec2(0.0, -1.0)))
-        assert ev.point == Vec2(0.7, -0.5)
-        assert ev.wall == "Top"
-        assert ev.obstacle_center == (1, -1)
+        assert first_strike(ParticleState(Vec2(0.0, 0.7), Vec2(1.0, 0.0))) == (
+            Vec2(0.5, 0.7), "Left", (1, 1))
+        assert first_strike(ParticleState(Vec2(0.7, 0.0), Vec2(0.0, -1.0))) == (
+            Vec2(0.7, -0.5), "Top", (1, -1))
 
     # within CORNER_TOL of either edge of its band, on each axis and in each
     # direction, an axis-parallel ray strikes a corner, snapped onto it
@@ -159,19 +162,16 @@ class TestNextCollision:
     @pytest.mark.parametrize("along", [1.0, -1.0])
     def test_axis_parallel_ray_at_band_edge_is_corner(self, edge, along):
         corner = 0.5 if edge < 1.0 else 1.5
-        ev = next_collision(ParticleState(Vec2(0.0, edge), Vec2(along, 0.0)))
-        assert (ev.point, ev.wall) == (Vec2(0.5 * along, corner), "Corner")
-        ev = next_collision(ParticleState(Vec2(edge, 0.0), Vec2(0.0, along)))
-        assert (ev.point, ev.wall) == (Vec2(corner, 0.5 * along), "Corner")
+        point, wall, _ = first_strike(ParticleState(Vec2(0.0, edge), Vec2(along, 0.0)))
+        assert (point, wall) == (Vec2(0.5 * along, corner), "Corner")
+        point, wall, _ = first_strike(ParticleState(Vec2(edge, 0.0), Vec2(0.0, along)))
+        assert (point, wall) == (Vec2(corner, 0.5 * along), "Corner")
 
     def test_exact_diagonal_is_corner(self):
-        ev = next_collision(state_from_slope(1.0))
-        assert ev.wall == "Corner"
-        assert ev.point == Vec2(0.5, 0.5)
-        assert ev.obstacle_center == (1, 1)
+        assert first_strike(state_from_slope(1.0)) == (Vec2(0.5, 0.5), "Corner", (1, 1))
 
     def test_degenerate_velocity_rejected(self):
-        # next_collision takes a ParticleState, which cannot hold one
+        # simulate takes a ParticleState, which cannot hold one
         with pytest.raises(DegenerateVelocity):
             ParticleState(Vec2(0.0, 0.0), Vec2(0.5, 0.5))
 
@@ -185,14 +185,12 @@ class TestNextCollision:
         rng = np.random.default_rng(seed)
         x, y = free_position(rng)
         state = ParticleState(Vec2(x, y), Vec2(math.cos(theta), math.sin(theta)))
-        try:
-            with capped(1e4):
-                ev = next_collision(state)
-        except NoHitWithinHorizon:
-            assume(False)
-        cx, cy = ev.obstacle_center
-        assert abs(max(abs(ev.point.x - cx), abs(ev.point.y - cy)) - 0.5) <= 1e-9
-        assert ev.time > 0.0
+        with capped(1e4):
+            log = simulate(state, 1)
+        assume(len(log))
+        (cx,), (cy,) = cell_centers(log.x, log.y)
+        assert abs(max(abs(log.x[0] - cx), abs(log.y[0] - cy)) - 0.5) <= 1e-9
+        assert log.t[0] > 0.0
 
 
 class TestSimulate:
@@ -287,9 +285,8 @@ class TestInvariants:
         recovered = position_at_time(back, final.elapsed_time)
         assert math.hypot(recovered.x, recovered.y) <= 1e-6
         # the reversed run retraces the forward events in reverse order
-        fwd = log.event_points()
-        rev = back.event_points()
-        np.testing.assert_allclose(rev[:-1], fwd[-2::-1], atol=1e-6)
+        np.testing.assert_allclose(back.x[:-1], log.x[-2::-1], atol=1e-6)
+        np.testing.assert_allclose(back.y[:-1], log.y[-2::-1], atol=1e-6)
 
     # A corner strike retro-reflects, but the reversed run need not strike
     # the same corner: at 7/5 (1.4) strike 5 is a Corner at (-6.5, 0.5) where
@@ -340,10 +337,10 @@ class TestOracleAgreement:
             x, y = free_position(rng)
             theta = rng.uniform(0.0, 2.0 * math.pi)
             vx, vy = math.cos(theta), math.sin(theta)
-            ev = next_collision(ParticleState(Vec2(x, y), Vec2(vx, vy)))
-            s, ox, oy, wall, _, _ = march_first_hit(x, y, vx, vy)
-            assert math.hypot(ev.point.x - ox, ev.point.y - oy) <= 1e-6
-            assert ev.wall == wall
+            point, wall, _ = first_strike(ParticleState(Vec2(x, y), Vec2(vx, vy)))
+            s, ox, oy, marched, _, _ = march_first_hit(x, y, vx, vy)
+            assert math.hypot(point.x - ox, point.y - oy) <= 1e-6
+            assert wall == marched
 
     def test_inside_predicates_agree(self):
         rng = np.random.default_rng(11)
@@ -548,17 +545,12 @@ def scalar_walks(monkeypatch):
 
 
 def first_strike_length(entry, state, horizon=billiard.HORIZON):
-    """Path length from `state` to its first strike by `entry` (simulate,
-    next_collision or step_rays), or None if there is none within `horizon`."""
+    """Path length from `state` to its first strike by `entry` (simulate or
+    step_rays), or None if there is none within `horizon`."""
     with capped(horizon):
         if entry == "simulate":
             log = simulate(state, 1)
             return float(log.t[0]) if len(log) else None
-        if entry == "next_collision":
-            try:
-                return next_collision(state).time
-            except NoHitWithinHorizon:
-                return None
         rays, walls = step_rays(
             Rays(*(np.array([c]) for c in (*state.position, *state.velocity, 0.0))))
         return float(rays.t[0]) if walls[0] != NO_HIT else None
@@ -576,34 +568,21 @@ inside_starts = st.builds(
 
 
 class TestNextCollisionIsSimulatesFirst:
-    # next_collision takes simulate's start rules: the reach rule, the
-    # ValueError from inside an obstacle and the reflection in place off the
-    # wall a start sits on
-    @given(st.one_of(free_rays, wall_rays, corner_aimed_rays, axis_rays, far_rays))
-    def test_strike_is_simulates_first_row(self, state):
-        log = simulate(state, 1)
-        try:
-            event = next_collision(state)
-        except NoHitWithinHorizon:
-            assert len(log) == 0
-            return
-        assert len(log) == 1
-        assert row_bytes(*event.point, event.time, WALLS.index(event.wall)) == row_bytes(
-            log.x[0], log.y[0], log.t[0], log.wall[0])
-
+    # the start rules of the first strike: the ValueError from inside an
+    # obstacle and the reflection in place off the wall a start sits on
     @given(inside_starts)
     def test_start_inside_an_obstacle_is_rejected_alike(self, state):
-        with pytest.raises(ValueError, match="inside an obstacle") as by_simulate:
+        # before any strike, so whatever the number of collisions asked for
+        with pytest.raises(ValueError, match="inside an obstacle") as first:
             simulate(state, 1)
-        with pytest.raises(ValueError, match="inside an obstacle") as by_next:
-            next_collision(state)
-        assert str(by_next.value) == str(by_simulate.value)
+        with pytest.raises(ValueError, match="inside an obstacle") as none:
+            simulate(state, 0)
+        assert str(none.value) == str(first.value)
 
     def test_wall_start_into_its_obstacle_reflects_in_place(self):
         # on the Left wall of the obstacle at (1, 1), moving into it: the
         # walk from this state as given passes through to (5.5, 2.5)
-        event = next_collision(ParticleState(Vec2(0.5, 1.0), unit(1.0, 0.3)))
-        assert (event.point, event.wall, event.obstacle_center) == (
+        assert first_strike(ParticleState(Vec2(0.5, 1.0), unit(1.0, 0.3))) == (
             Vec2(-0.5, 1.3), "Right", (-1, 1))
 
 
@@ -764,7 +743,7 @@ class TestStrikeWalk:
     # a near-axis ray from a gap may stop on the first time it can enter an
     # obstacle band, which must be the walk's own slab time: the first strike
     # is found at a horizon of exactly its path length, and not just below it
-    @pytest.mark.parametrize("entry", ["simulate", "next_collision", "step_rays"])
+    @pytest.mark.parametrize("entry", ["simulate", "step_rays"])
     @given(tilted_rays)
     def test_near_axis_strike_found_at_its_horizon(self, entry, state):
         s = first_strike_length(entry, state)
@@ -804,14 +783,13 @@ class TestStrikeWalk:
         hits = 0
         with capped(reach):
             for state in states:
-                try:
-                    event = next_collision(state)
-                except NoHitWithinHorizon:
+                strike = first_strike(state)
+                if strike is None:
                     continue
                 hits += 1
-                cx, cy = event.obstacle_center
-                offsets = sorted((abs(event.point.x - cx), abs(event.point.y - cy)))
-                assert offsets[0] <= 0.5 and offsets[1] == 0.5, (state, event)
+                (x, y), _, (cx, cy) = strike
+                offsets = sorted((abs(x - cx), abs(y - cy)))
+                assert offsets[0] <= 0.5 and offsets[1] == 0.5, (state, strike)
             assert hits > 500
             assert_kernels_tie(states, 1)
 

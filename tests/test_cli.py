@@ -472,7 +472,7 @@ class TestDiagnoseCommand:
         else:
             doc = json.loads(path.read_text())
             del doc[key]
-            io.write_json(doc, path)
+            io.write_artifact(doc, path)
         capsys.readouterr()
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 4
         out = capsys.readouterr().out
@@ -546,7 +546,7 @@ class TestDiagnoseCommand:
         path = tmp_path / name
         doc = json.loads(path.read_text())
         edit(doc)
-        io.write_json(doc, path)
+        io.write_artifact(doc, path)
         capsys.readouterr()
         assert main(["diagnose", "--config", cfg, "--out", str(tmp_path)]) == 4
         out = capsys.readouterr().out
@@ -656,7 +656,7 @@ class TestDiagnoseCommand:
             path = tmp_path / "summary.json"
             summary = json.loads(path.read_text())
             summary["slope"] *= 1.0000001
-            io.write_json(summary, path)
+            io.write_artifact(summary, path)
         capsys.readouterr()
         assert main(["diagnose", "--out", str(tmp_path)]) == 4
         out = capsys.readouterr().out
@@ -962,11 +962,9 @@ class TestArtifactFormats:
         for v in values:
             assert float(fmt(v)) == v
 
-    def test_json_text_idempotent(self, tmp_path):
+    def test_json_text_idempotent(self):
         doc = {"a": [1.0, math.pi], "b": {"c": "x"}}
-        path = tmp_path / "doc.json"
-        io.write_json(doc, path)
-        raw = path.read_text()
+        raw = io.json_text(doc)
         assert io.json_text(json.loads(raw)) == raw
 
 

@@ -284,7 +284,7 @@ class TestGrowthExponent:
 
     def test_ballistic_trajectory_near_one(self):
         log = simulate(state_from_slope(1.618), 20_000)
-        e = growth_exponent(log.t, np.hypot(*log.event_points().T))
+        e = growth_exponent(log.t, np.hypot(log.x, log.y))
         assert 0.85 < e < 1.1
 
     def test_estimator_validates_inputs(self):
