@@ -5,8 +5,10 @@ obstacle nearest the origin to the north-east spans [0.5, 1.5] x [0.5, 1.5]
 and adjacent squares are one unit apart. A point particle travels at unit
 speed and reflects specularly off obstacle walls; time equals path length.
 
-All functions here are pure: no shared mutable state, safe to call from
-many threads or processes at once.
+The functions here are pure: they share no mutable state, and many
+threads or processes may call them at once. The one object with state is a
+Lockstep batch of rays. It owns its arrays and the scratch arrays its steps
+write into, none of them at module level, and one thread steps it at a time.
 """
 
 from __future__ import annotations
@@ -429,7 +431,7 @@ def next_collision(state: ParticleState) -> TrajectoryLog:
 
 
 # ---------------------------------------------------------------------------
-# Lockstep batch: simulate's next strike and bounce over many rays at once.
+# Lockstep batch: simulate's strikes and bounces over many rays at once.
 # numpy computes side-wall strikes away from corners with the scalar walk's
 # IEEE operations elementwise; every other ray takes the scalar walk itself.
 # So each ray follows its scalar trajectory bit for bit.
@@ -446,126 +448,245 @@ _BLOCK_ROWS = np.array([(a, LOCKSTEP_CELLS + b, 2 * LOCKSTEP_CELLS + a, 3 * LOCK
                         for a in range(LOCKSTEP_CELLS) for b in range(LOCKSTEP_CELLS - a)]).T
 
 
-class Rays(NamedTuple):
-    """Positions, velocities and elapsed path lengths of R rays."""
+def _start_velocities(p: np.ndarray, v: np.ndarray, starts) -> np.ndarray:
+    """simulate's start rule over a batch of positions p and velocities v,
+    both (2, n), on the rays where `starts` (a bool, or one per ray) holds:
+    the velocity of each ray's next flight.
 
-    x: np.ndarray
-    y: np.ndarray
-    vx: np.ndarray
-    vy: np.ndarray
-    t: np.ndarray
-
-
-def step_rays(rays: Rays) -> tuple[Rays, np.ndarray]:
-    """Advance every ray to its next wall strike and reflect it there.
-
-    Returns the post-bounce rays and the wall code (an index into WALLS) of
-    each strike. A ray that meets nothing within the horizon keeps its state
-    and gets the code NO_HIT. Each ray's result is bitwise the next event and
-    post-bounce state of `simulate` from the same state: like the scalar
-    walk, a bounce only flips signs, so the two agree on any velocity.
-
-    That holds for walk-ready rays only: none inside an obstacle, and none on
-    a wall with its velocity into that wall's obstacle. simulate rejects the
-    first and reflects the second in place before its first flight; step_rays
-    checks neither, and walks such a ray through the obstacle. The sweep's
-    origin starts, post-bounce states and strike_origins' batch are all
-    walk-ready, and a per-ray check would add numpy passes to every step.
-
-    Instead of walking bands in order, each ray tests one fixed block of
-    candidate obstacles at once: the cells a steps along x and b steps along
-    y ahead of its start cell, in its direction of travel, with a, b >= 0
-    and a + b < LOCKSTEP_CELLS. The slab times are _strikes' expressions,
-    computed once per axis and cells ahead (tx1 depends on a alone, ty1 on
-    b), and the ray takes the valid candidate with the smallest t_near.
-    This is the walk's first hit:
-      - a valid candidate passes the walk's test of a pair of bands, slabs
-        that overlap at least MIN_FLIGHT ahead, so it is an obstacle the
-        ray really enters;
-      - a ray moves monotonically in x and y, so the block is closed under
-        "earlier along the ray": any obstacle met before a candidate is
-        itself a candidate;
-      - the walk takes bands in ray order and returns its first valid pair,
-        which has the smallest t_near, and both stop at t_near > HORIZON.
-    The block keeps only a hit through one wall (tx1 != ty1) farther than
-    CORNER_TOL from its ends, by _strikes' own test. Every other ray takes
-    the scalar walk's first strike from the same state: no valid candidate
-    within the horizon, a velocity component so small (zero, say) that
-    1/vx * 1/vy is not finite, a coordinate beyond +-_REACH, or a corner.
-    Only the walk labels corners.
+    The reach rule comes first: a ray with a coordinate beyond +-_REACH
+    meets nothing and keeps its velocity. A ray inside an obstacle shrunk
+    by WALL_TOL (point_in_obstacle) is a ValueError naming its index. A ray
+    on a wall with its velocity into that wall's obstacle is reflected in
+    place, by _normalize_on_wall's comparisons elementwise.
     """
-    x, y, vx, vy, t = rays
-    n = len(x)
-    columns = np.arange(n)
-    p = np.array([x, y])
-    v = np.array([vx, vy])
-    # inf and nan arise only on rays the scalar walk finishes, or exactly as
-    # Python float arithmetic gives them without warning
-    with np.errstate(all="ignore"):
-        inv_v = 1.0 / v
-        ahead = v > 0.0
-        # (near/far, axis, cells ahead, ray): the walls of the obstacles
-        # ahead on each axis. Every term is a small integer or half-integer,
-        # so each plane is exactly _strikes' cx - 0.5 or cx + 0.5.
-        planes = ((2.0 * np.floor(p * 0.5) + 1.0)[:, None]
-                  + _PLANE_OFFSETS * np.where(ahead, 1.0, -1.0)[:, None])
-        slabs = ((planes - p[:, None]) * inv_v[:, None]).reshape(4 * LOCKSTEP_CELLS, n)
-        tx1, ty1, tx2, ty2 = slabs.take(_BLOCK_ROWS, axis=0)
-        # np.maximum and np.minimum differ from _strikes' comparisons only
-        # on nan and signed zeros, which no valid candidate has
-        t_near = np.maximum(tx1, ty1)
-        valid = (MIN_FLIGHT <= t_near) & (t_near < np.minimum(tx2, ty2))
-        t_near = np.where(valid, t_near, np.inf)
-        first = t_near.argmin(axis=0)
-        s = t_near[first, columns]
-        # the first hit's x and y rows, as flat indices
-        rows = _BLOCK_ROWS[:2].take(first, axis=1) * n + columns
-        entry = slabs.take(rows)
-        near = planes.take(rows)
-        far = planes.take(rows + planes.size // 2)
-        vertical = entry[0] > entry[1]
-        # p + s * v is _strikes' hit coordinate along the struck wall, which
-        # its corner test compares with both ends of the wall
-        point = p + s * v
-        close = (np.abs(point - near) <= CORNER_TOL) | (np.abs(point - far) <= CORNER_TOL)
-        clean = ((s <= HORIZON) & (entry[0] != entry[1]) & ~np.where(vertical, close[1], close[0])
-                 & np.isfinite(inv_v[0] * inv_v[1]) & (np.abs(p).max(axis=0) < _REACH))
-        normal = np.array([vertical, ~vertical])  # the struck wall's normal axis
-        hx, hy = np.where(normal, near, point)
-        walls = np.where(vertical, np.where(ahead[0], _LEFT, _RIGHT),
-                         np.where(ahead[1], _BOTTOM, _TOP)).astype(np.int8)
-        # a side wall flips its normal component
-        next_vx, next_vy = np.where(normal, -v, v)
-        next_t = t + s
-    for i in np.flatnonzero(~clean):
-        hit = next(_strikes(float(x[i]), float(y[i]), float(vx[i]), float(vy[i])), None)
-        if hit is None:  # a ray that meets nothing keeps its state
-            hx[i], hy[i], walls[i], next_vx[i], next_vy[i], next_t[i] = (
-                x[i], y[i], NO_HIT, vx[i], vy[i], t[i])
-            continue
-        si, hx[i], hy[i], walls[i] = hit
-        flip_x, flip_y = _FLIPS[walls[i]]
-        next_vx[i], next_vy[i] = (-vx[i] if flip_x else vx[i]), (-vy[i] if flip_y else vy[i])
-        next_t[i] = t[i] + si
-    return Rays(x=hx, y=hy, vx=next_vx, vy=next_vy, t=next_t), walls
+    # a coordinate that is not finite is beyond reach, and its cell unread
+    with np.errstate(invalid="ignore"):
+        ruled = (np.abs(p) < _REACH).all(axis=0) & starts
+        c = 2.0 * np.floor(p * 0.5) + 1.0
+        lo, hi = c - 0.5, c + 0.5
+        inside = ruled & (np.abs(p - c) < 0.5 - WALL_TOL).all(axis=0)
+        if inside.any():
+            i = int(inside.argmax())
+            raise ValueError(f"ray {i} starts inside an obstacle, at "
+                             f"{(float(p[0, i]), float(p[1, i]))}")
+        in_span = ((lo - WALL_TOL) <= p) & (p <= (hi + WALL_TOL))
+        into = (((np.abs(p - lo) <= WALL_TOL) & (v > 0.0))
+                | ((np.abs(p - hi) <= WALL_TOL) & (v < 0.0)))
+    # a wall normal to one axis bounds the obstacle where the other axis is in span
+    return np.where(into & in_span[::-1] & ruled, -v, v)
 
 
-def strike_origins(log: TrajectoryLog) -> Rays:
-    """The state each logged strike starts from, as one batch for step_rays:
-    the initial state, its velocity reflected in place as simulate does, then
-    every post-bounce state but the last (velocities()). Stepping this batch
-    once reproduces the log's rows and velocities bit for bit when the log
-    came from simulate."""
-    (px, py), t = log.initial.position, log.initial.elapsed_time
-    vx, vy = _start_velocity(log.initial)
+class Lockstep:
+    """R rays stepped together, one wall strike per step.
+
+    Built once from the columns x, y, vx, vy and t of the rays. The rays
+    where `starts` holds (all of them by default) start a trajectory, and
+    their velocities are taken through simulate's start rule
+    (_start_velocities); the others are post-bounce states, stepped as
+    given. The rule may not be applied to those: it reflects the velocity
+    of a state on a corner point that moves into one of the two walls, as
+    a corner strike leaves half its rays.
+
+    The batch holds the positions p and velocities v as (2, R) arrays and
+    the elapsed path lengths t, and carries across strikes what each
+    velocity fixes: its inverse inv_v, its travel signs sign
+    (np.copysign(1.0, v), so that -0.0 has its own) and whether
+    1/vx * 1/vy is finite (finite). A bounce negates a component of v,
+    inv_v and sign together. Negation is exact, 1 / -v == -(1 / v), so the
+    carried values are bitwise those of a batch built afresh from the
+    stepped rays, and |1/vx * 1/vy| never changes.
+
+    A step writes into scratch arrays the batch owns and reuses, 927 bytes
+    per ray beside the rays' own 74. The arrays p, v, t and wall that a
+    step leaves hold until the next step, which overwrites them; one
+    thread steps a batch.
+    """
+
+    def __init__(self, x, y, vx, vy, t, starts=True):
+        self.p = np.array([x, y], dtype=float)
+        self.v = _start_velocities(self.p, np.array([vx, vy], dtype=float), starts)
+        self.t = np.array(t, dtype=float)
+        # inf and nan arise only on rays the scalar walk finishes
+        with np.errstate(all="ignore"):
+            self.inv_v = 1.0 / self.v
+            # a ray with a component too small (zero, say) for this product
+            # to be finite never leaves the scalar walk
+            self.finite = np.isfinite(self.inv_v[0] * self.inv_v[1])
+        self.sign = np.copysign(1.0, self.v)
+        self.wall = np.full(len(self.t), NO_HIT, dtype=np.int8)
+        self._allocate()
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def _allocate(self):
+        """The scratch arrays of a step over the batch's rays."""
+        n, cells, block = len(self.t), LOCKSTEP_CELLS, _BLOCK_ROWS.shape[1]
+        self._columns = np.arange(n)
+        self._planes = np.empty((2, 2, cells, n))  # (near/far, axis, cells ahead, ray)
+        self._slabs = np.empty((2, 2, cells, n))
+        self._block = np.empty((4, block, n))      # tx1, ty1, tx2, ty2 of each candidate
+        self._t_near, self._t_far = np.empty((block, n)), np.empty((block, n))
+        self._valid, self._valid_far = (np.empty((block, n), dtype=bool) for _ in range(2))
+        self._first, self._index = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+        self._rows, self._far_rows = (np.empty((2, n), dtype=_BLOCK_ROWS.dtype) for _ in range(2))
+        self._s = np.empty(n)
+        self._entry, self._near, self._far, self._gap, self._next_p, self._flip = (
+            np.empty((2, n)) for _ in range(6))
+        self._close, self._close_far, self._normal, self._backward = (
+            np.empty((2, n), dtype=bool) for _ in range(4))
+        self._clean, self._corner, self._one_wall = (np.empty(n, dtype=bool) for _ in range(3))
+
+    def drop(self, rows):
+        """Remove the rays at the indices `rows`, as step() lists its misses."""
+        keep = np.ones(len(self.t), dtype=bool)
+        keep[rows] = False
+        self.p, self.v, self.inv_v, self.sign = (
+            a[:, keep] for a in (self.p, self.v, self.inv_v, self.sign))
+        self.t, self.finite, self.wall = self.t[keep], self.finite[keep], self.wall[keep]
+        self._allocate()
+
+    def step(self) -> list[int]:
+        """Advance every ray to its next wall strike and reflect it there.
+
+        Afterwards wall holds each strike's wall code (an index into WALLS).
+        Each ray's result is bitwise the next strike and post-bounce state
+        of simulate from the same state: like the scalar walk, a bounce only
+        flips signs, so the two agree on any velocity. A ray that meets
+        nothing within the horizon keeps its state and gets the code NO_HIT,
+        and the returned list holds the indices of those rays, in order.
+
+        Instead of walking bands in order, each ray tests one fixed block of
+        candidate obstacles at once: the cells a steps along x and b steps
+        along y ahead of its start cell, in its direction of travel, with
+        a, b >= 0 and a + b < LOCKSTEP_CELLS. The slab times are _strikes'
+        expressions, computed once per axis and cells ahead (tx1 depends on
+        a alone, ty1 on b), and the ray takes the valid candidate with the
+        smallest t_near. This is the walk's first hit:
+          - a valid candidate passes the walk's test of a pair of bands,
+            slabs that overlap at least MIN_FLIGHT ahead, so it is an
+            obstacle the ray really enters;
+          - a ray moves monotonically in x and y, so the block is closed
+            under "earlier along the ray": any obstacle met before a
+            candidate is itself a candidate;
+          - the walk takes bands in ray order and returns its first valid
+            pair, which has the smallest t_near, and both stop at
+            t_near > HORIZON.
+        The block keeps only a hit through one wall (tx1 != ty1) farther
+        than CORNER_TOL from its ends, by _strikes' own test. Every other
+        ray takes the scalar walk's first strike from the same state: no
+        valid candidate within the horizon, a velocity component so small
+        that 1/vx * 1/vy is not finite, a coordinate beyond +-_REACH, or a
+        corner. So only the walk labels corners and finds no strike.
+        """
+        p, v, inv_v, sign, t, wall = self.p, self.v, self.inv_v, self.sign, self.t, self.wall
+        n = len(t)
+        planes, slabs, s, gap, point, flip = (
+            self._planes, self._slabs, self._s, self._gap, self._next_p, self._flip)
+        t_near, valid, rows, close, normal = (
+            self._t_near, self._valid, self._rows, self._close, self._normal)
+        clean, corner, vertical = self._clean, self._corner, normal[0]
+        # inf and nan arise only on rays the scalar walk finishes, or exactly
+        # as Python float arithmetic gives them without warning
+        with np.errstate(all="ignore"):
+            # (near/far, axis, cells ahead, ray): the walls of the obstacles
+            # ahead on each axis. Every term is a small integer or
+            # half-integer, so each plane is exactly _strikes' c - 0.5 or
+            # c + 0.5 of a band center c = 2 floor(p / 2) + 1.
+            centers = np.multiply(p, 0.5, out=gap)
+            np.floor(centers, out=centers)
+            centers *= 2.0
+            centers += 1.0
+            np.multiply(_PLANE_OFFSETS, sign[:, None], out=planes)
+            planes += centers[:, None]
+            np.subtract(planes, p[:, None], out=slabs)
+            slabs *= inv_v[:, None]
+            # every index taken is in range, so mode="clip" clips none; it
+            # spares take a buffered copy of out
+            tx1, ty1, tx2, ty2 = np.take(slabs.reshape(4 * LOCKSTEP_CELLS, n), _BLOCK_ROWS,
+                                         axis=0, out=self._block, mode="clip")
+            # np.maximum and np.minimum differ from _strikes' comparisons
+            # only on nan and signed zeros, which no valid candidate has
+            np.maximum(tx1, ty1, out=t_near)
+            np.minimum(tx2, ty2, out=self._t_far)
+            np.greater_equal(t_near, MIN_FLIGHT, out=valid)
+            valid &= np.less(t_near, self._t_far, out=self._valid_far)
+            np.putmask(t_near, np.logical_not(valid, out=valid), np.inf)
+            first = np.argmin(t_near, axis=0, out=self._first)
+            np.multiply(first, n, out=self._index)
+            self._index += self._columns
+            np.take(t_near, self._index, out=s, mode="clip")
+            # the first hit's x and y rows, as flat indices
+            np.take(_BLOCK_ROWS[:2], first, axis=1, out=rows, mode="clip")
+            rows *= n
+            rows += self._columns
+            entry = np.take(slabs, rows, out=self._entry, mode="clip")
+            near = np.take(planes, rows, out=self._near, mode="clip")
+            far = np.take(planes, np.add(rows, planes.size // 2, out=self._far_rows),
+                          out=self._far, mode="clip")
+            np.greater(entry[0], entry[1], out=vertical)
+            # the struck wall's normal axis: x for a vertical wall
+            np.logical_not(vertical, out=normal[1])
+            # p + s * v is _strikes' hit coordinate along the struck wall,
+            # which its corner test compares with both ends of the wall
+            np.multiply(v, s, out=point)
+            point += p
+            np.less_equal(np.abs(np.subtract(point, near, out=gap), out=gap), CORNER_TOL,
+                          out=close)
+            close |= np.less_equal(np.abs(np.subtract(point, far, out=gap), out=gap),
+                                   CORNER_TOL, out=self._close_far)
+            np.copyto(corner, close[0])
+            np.putmask(corner, vertical, close[1])
+            np.less_equal(s, HORIZON, out=clean)
+            clean &= np.not_equal(entry[0], entry[1], out=self._one_wall)
+            clean &= np.logical_not(corner, out=corner)
+            clean &= self.finite
+            reach = np.less(np.abs(p, out=gap), _REACH, out=close)
+            clean &= reach[0]
+            clean &= reach[1]
+            # the hit snapped onto the struck wall's plane, which flips its
+            # normal component; a wall is near (Left, Bottom) or far (Right,
+            # Top) by its axis's travel sign
+            np.putmask(point, normal, near)
+            flip.fill(1.0)
+            np.putmask(flip, normal, -1.0)
+            backward = np.less(sign, 0.0, out=self._backward)
+            np.add(backward[1], _BOTTOM, out=wall, casting="unsafe")
+            np.putmask(wall, vertical, backward[0])
+        misses = []
+        for i in np.flatnonzero(np.logical_not(clean, out=clean)).tolist():
+            hit = next(_strikes(float(p[0, i]), float(p[1, i]), float(v[0, i]),
+                                float(v[1, i])), None)
+            if hit is None:  # a ray that meets nothing keeps its state
+                misses.append(i)
+                point[:, i], wall[i], flip[:, i] = p[:, i], NO_HIT, 1.0
+                s[i] = -0.0  # t + -0.0 is t, bit for bit
+                continue
+            s[i], point[0, i], point[1, i], wall[i] = hit
+            flip[:, i] = [-1.0 if f else 1.0 for f in _FLIPS[wall[i]]]
+        self.p, self._next_p = point, p
+        t += s
+        v *= flip
+        inv_v *= flip
+        sign *= flip
+        return misses
+
+
+def strike_origins(log: TrajectoryLog) -> Lockstep:
+    """The state each logged strike starts from, as one batch: the initial
+    state, which takes the batch's start rule as it does simulate's, then
+    every post-bounce state but the last (velocities()), as given. Stepping
+    this batch once reproduces the log's rows and velocities bit for bit
+    when the log came from simulate."""
+    (px, py), (vx, vy), t = log.initial.position, log.initial.velocity, log.initial.elapsed_time
     n = len(log)
 
     def before(first, column):
         return np.concatenate([[first], column])[:n]
 
     lvx, lvy = log.velocities()
-    return Rays(x=before(px, log.x), y=before(py, log.y), vx=before(vx, lvx),
-                vy=before(vy, lvy), t=before(t, log.t))
+    return Lockstep(before(px, log.x), before(py, log.y), before(vx, lvx), before(vy, lvy),
+                    before(t, log.t), starts=np.arange(n) == 0)
 
 
 def distance_series(log: TrajectoryLog) -> np.ndarray:

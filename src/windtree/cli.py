@@ -216,8 +216,9 @@ def _replay_checks(cols, summary):
     log = io.read_trajectory(cols, billiard.state_from_slope(summary["slope"]).velocity)
     # each logged strike again, from the state before it; the kernel flips
     # each velocity itself, and the log derives it from the walls
-    rays, walls = billiard.step_rays(billiard.strike_origins(log))
-    replayed = (rays.x, rays.y, rays.t, walls, rays.vx, rays.vy)
+    rays = billiard.strike_origins(log)
+    rays.step()
+    replayed = (*rays.p, rays.t, rays.wall, *rays.v)
     logged = (log.x, log.y, log.t, log.wall, *log.velocities())
     yield "trajectory replays on the collision kernel", all(
         a.tobytes() == b.tobytes() for a, b in zip(replayed, logged))

@@ -18,14 +18,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .billiard import (
-    NO_HIT,
-    Rays,
+    Lockstep,
     TrajectoryLog,
     distance_series,
     simulate,
     state_from_angle,
     state_from_slope,
-    step_rays,
     truncation_reason,
 )
 
@@ -42,17 +40,17 @@ MIN_OVERLAP = 25
 # n-strike log at once (at least one), so a block's temporaries hold at most
 # this many numbers, or n // 2 where one lag alone needs more.
 LAG_BLOCK_ELEMENTS = 2**15
-# build_sweep steps at most SWEEP_CHUNK rays in lockstep. From about 650
-# rays on, a step's temporaries together pass glibc's heap trim threshold,
-# so each step returns them to the system and the next faults them back in
-# (about 100 minor page faults a step at 750 rays, 430 at 3000, none at 600).
-# Fewer rays pay numpy's per-call cost on more steps. Median seconds of
-# `windtree sweep` (cli.main, in a fresh process) over the reference
-# interval, 5 runs each, 2-core Xeon, by chunk size:
-#   slopes   300   500   750  1000  2000  3000  5000  one batch
-#   3000    1.32  1.00  1.54  1.52  1.31  1.34  1.43  1.35
-#   10000   4.55  3.35  4.77  4.75  4.81  4.21  2.93  3.31
-SWEEP_CHUNK = 500
+# build_sweep steps at most SWEEP_CHUNK rays in lockstep. A Lockstep batch
+# owns 1001 bytes per ray (927 of step scratch, 74 of ray state), so a
+# chunk of 5000 holds about 5 MB and its steps allocate nothing that grows
+# with it. Median seconds of `windtree sweep` (cli.main, in a fresh
+# process) over the reference interval, 5 runs each, 2-core Xeon, by chunk
+# size, and minor page faults per step:
+#   slopes    500   1000   2000   3000   5000  one batch
+#   3000     0.70   0.60   0.53   0.58      -   0.58 (0.9 faults)
+#   10000    2.49   1.97   1.88   1.82   1.75   1.83 (3.9 faults)
+# Smaller chunks pay numpy's per-call cost on more steps.
+SWEEP_CHUNK = 5000
 # growth_exponent fits GROWTH_POINTS log-spaced counts from GROWTH_START on.
 GROWTH_POINTS = 25
 GROWTH_START = 100
@@ -131,21 +129,21 @@ def _sweep_span(spec: SweepSpec, first: int, last: int) -> SweepResult:
     slopes = [spec.slope_at(t) for t in range(first, last + 1)]
     velocities = [state_from_slope(slope).velocity for slope in slopes]
     n = len(slopes)
-    rays = Rays(x=np.zeros(n), y=np.zeros(n), vx=np.array([v.x for v in velocities]),
-                vy=np.array([v.y for v in velocities]), t=np.zeros(n))
+    rays = Lockstep(np.zeros(n), np.zeros(n), [v.x for v in velocities],
+                    [v.y for v in velocities], np.zeros(n))
     rows = np.arange(n)  # grid sample of each live ray
     dmin = np.full(n, math.inf)
+    dist = np.empty(n)
     gaps = []  # (grid sample, reason)
     for k in range(1, spec.k_max + 1):
-        rays, walls = step_rays(rays)
-        live = walls != NO_HIT
-        if not live.all():
+        misses = rays.step()
+        if misses:
             reason = truncation_reason(k - 1)
-            gaps += [(row, reason) for row in rows[~live].tolist()]
-            rays = Rays(*(a[live] for a in rays))
-            rows, dmin = rows[live], dmin[live]
+            gaps += [(row, reason) for row in rows[misses].tolist()]
+            rays.drop(misses)
+            rows, dmin, dist = np.delete(rows, misses), np.delete(dmin, misses), dist[:len(rays)]
         if k >= spec.k_min:
-            dmin = np.minimum(dmin, np.hypot(rays.x, rays.y))
+            np.minimum(dmin, np.hypot(*rays.p, out=dist), out=dmin)
     failures = [SweepFailure(t=first + row, slope=slopes[row],
                              reason=f"slope {slopes[row]!r}: {reason}")
                 for row, reason in sorted(gaps)]

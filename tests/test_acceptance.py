@@ -20,7 +20,6 @@ from windtree.billiard import (
     point_in_obstacle,
     simulate,
     state_from_slope,
-    step_rays,
     strike_origins,
 )
 from windtree.hmm import (
@@ -80,8 +79,9 @@ def test_criterion_2_conservation_and_reversal():
     log = simulate(state_from_slope(1.414), 10_000)
     # each bounce computed again by the lockstep kernel, from the state
     # before it, rather than read off the log's derived velocities
-    rays, _ = step_rays(strike_origins(log))
-    speed_err = float(np.abs(np.hypot(rays.vx, rays.vy) - 1.0).max())
+    rays = strike_origins(log)
+    rays.step()
+    speed_err = float(np.abs(np.hypot(*rays.v) - 1.0).max())
 
     fwd = simulate(state_from_slope(1.414), 50)
     final = final_state(fwd)

@@ -18,8 +18,8 @@ from windtree.billiard import (
     WALLS,
     _FLIPS,
     DegenerateVelocity,
+    Lockstep,
     ParticleState,
-    Rays,
     TrajectoryLog,
     Vec2,
     cell_centers,
@@ -28,7 +28,6 @@ from windtree.billiard import (
     simulate,
     state_from_angle,
     state_from_slope,
-    step_rays,
     strike_origins,
     unit,
 )
@@ -402,21 +401,30 @@ def capped(horizon):
         yield
 
 
+def batch(states):
+    """The Lockstep batch of ParticleStates."""
+    return Lockstep(*(np.array(column, dtype=float) for column in zip(
+        *[(*s.position, *s.velocity, s.elapsed_time) for s in states])))
+
+
+def ray_columns(rays):
+    """The x, y, vx, vy and t columns of a Lockstep batch."""
+    return (*rays.p, *rays.v, rays.t)
+
+
 def batched_events(states, n):
     """Per-ray (k, 4) arrays of x, y, t and wall code from n lockstep steps;
     a ray leaves the batch at its first step without a hit."""
-    rays = Rays(*(np.array(column, dtype=float) for column in zip(
-        *[(s.position.x, s.position.y, s.velocity.x, s.velocity.y, s.elapsed_time)
-          for s in states])))
+    rays = batch(states)
     rows = np.arange(len(states))
     events = np.zeros((len(states), n, 4))
     counts = np.zeros(len(states), dtype=int)
     for k in range(n):
-        rays, walls = step_rays(rays)
-        live = walls != NO_HIT
-        rays = Rays(*(a[live] for a in rays))
-        rows = rows[live]
-        events[rows, k] = np.column_stack([rays.x, rays.y, rays.t, walls[live]])
+        misses = rays.step()
+        if misses:
+            rays.drop(misses)
+            rows = np.delete(rows, misses)
+        events[rows, k] = np.column_stack([*rays.p, rays.t, rays.wall])
         counts[rows] += 1
     return [events[i, :counts[i]] for i in range(len(states))]
 
@@ -427,7 +435,7 @@ def log_events(log):
 
 
 def assert_kernels_tie(states, n):
-    """step_rays reproduces simulate bitwise: same events, same truncation."""
+    """Lockstep reproduces simulate bitwise: same events, same truncation."""
     for state, batched in zip(states, batched_events(states, n)):
         scalar = log_events(simulate(state, n))
         assert batched.shape == scalar.shape, state
@@ -435,11 +443,11 @@ def assert_kernels_tie(states, n):
 
 
 def assert_corners_walked(log, walked):
-    """step_rays handed every corner strike of the log to the scalar walk,
+    """Lockstep handed every corner strike of the log to the scalar walk,
     whose start states are `walked`, and kept on the block every strike with
     finite slab times (|vx vy| > 1e-300) that lies in its start's candidate
     block and farther than 2 CORNER_TOL from a corner."""
-    origins = np.column_stack(strike_origins(log)[:4]).tolist()
+    origins = np.column_stack(ray_columns(strike_origins(log))[:4]).tolist()
     for (px, py, vx, vy), x, y, wall in zip(origins, log.x, log.y, log.wall):
         if WALLS[wall] == "Corner":
             assert (px, py, vx, vy) in walked
@@ -546,14 +554,14 @@ def scalar_walks(monkeypatch):
 
 def first_strike_length(entry, state, horizon=billiard.HORIZON):
     """Path length from `state` to its first strike by `entry` (simulate or
-    step_rays), or None if there is none within `horizon`."""
+    "step_rays", one step of a one-ray Lockstep), or None if there is none
+    within `horizon`."""
     with capped(horizon):
         if entry == "simulate":
             log = simulate(state, 1)
             return float(log.t[0]) if len(log) else None
-        rays, walls = step_rays(
-            Rays(*(np.array([c]) for c in (*state.position, *state.velocity, 0.0))))
-        return float(rays.t[0]) if walls[0] != NO_HIT else None
+        rays = batch([state])
+        return None if rays.step() else float(rays.t[0])
 
 
 def row_bytes(*values):
@@ -673,7 +681,7 @@ class TestStrikeWalk:
             origins = strike_origins(log)
             lvx, lvy = log.velocities()
             for k in range(len(log)):
-                px, py, vx, vy, t = (float(column[k]) for column in origins[:5])
+                px, py, vx, vy, t = (float(column[k]) for column in ray_columns(origins))
                 s, hx, hy, wall = next(billiard._strikes(px, py, vx, vy))
                 rx, ry = reflect(vx, vy, WALLS[wall])
                 assert row_bytes(hx, hy, t + s, wall, rx, ry) == row_bytes(
@@ -762,7 +770,7 @@ class TestStrikeWalk:
         state = state_from_angle(0.2, position)
         log = simulate(state, 3)
         assert (len(log), log.truncated) == (0, True)
-        assert len(strike_origins(log).x) == 0
+        assert len(strike_origins(log)) == 0
         assert_kernels_tie([state], 3)
 
     # Starts in a gap row (or column) up to 200 inside +-_REACH, running
@@ -833,7 +841,7 @@ class TestStepRays:
             scalar = log_events(log)
             assert events.tobytes() == scalar.tobytes(), state
             corners += int((events[:, 3] == WALLS.index("Corner")).sum())
-            origins = np.column_stack(strike_origins(log)[:4])
+            origins = np.column_stack(ray_columns(strike_origins(log))[:4])
             corner_origins += map(tuple, origins[log.wall == WALLS.index("Corner")].tolist())
         assert corners == 73
         assert len(walks) == 73
@@ -862,12 +870,13 @@ class TestStepRays:
                     min_size=1, max_size=6))
     def test_derived_velocities_tie_the_batched_kernel(self, states):
         logs = [simulate(state, 40) for state in states]
-        batch = Rays(*(np.concatenate(column) for column in zip(*map(strike_origins, logs))))
-        rays, walls = step_rays(batch)
+        rays = Lockstep(*(np.concatenate(column) for column in zip(
+            *(ray_columns(strike_origins(log)) for log in logs))), starts=False)
+        rays.step()
         derived = [np.concatenate(column) for column in zip(*(log.velocities() for log in logs))]
-        assert rays.vx.tobytes() == derived[0].tobytes()
-        assert rays.vy.tobytes() == derived[1].tobytes()
-        assert walls.tobytes() == np.concatenate([log.wall for log in logs]).tobytes()
+        assert rays.v[0].tobytes() == derived[0].tobytes()
+        assert rays.v[1].tobytes() == derived[1].tobytes()
+        assert rays.wall.tobytes() == np.concatenate([log.wall for log in logs]).tobytes()
 
     def test_near_axis_ray_finishes_on_scalar_walk(self, scalar_walks):
         state = free_state(0.0, 0.0, 1e-3)
@@ -893,23 +902,23 @@ class TestStepRays:
         assert_kernels_tie([state], 20)
 
     def test_reference_rays_settle(self):
-        # unit() starts every ray on hypot == 1.0 and step_rays only flips
+        # unit() starts every ray on hypot == 1.0 and Lockstep only flips
         # signs, so every bounce keeps (|vx|, |vy|) bit for bit, also at a
         # hand-built speed a little above 1
         states = flip_sign_states()
         assert all(math.hypot(*s.velocity) == 1.0 for s in states[:-1])
-        rays = Rays(*(np.array(column) for column in zip(
-            *[(*s.position, *s.velocity, 0.0) for s in states])))
-        speeds = np.abs([rays.vx, rays.vy]).tobytes()
+        rays = batch(states)
+        speeds = np.abs(rays.v).tobytes()
         for k in range(1000):
-            rays, walls = step_rays(rays)
-            assert np.all(walls != NO_HIT)
-            assert np.abs([rays.vx, rays.vy]).tobytes() == speeds, k
+            rays.step()
+            assert np.all(rays.wall != NO_HIT)
+            assert np.abs(rays.v).tobytes() == speeds, k
 
     def test_empty_batch(self):
-        rays, walls = step_rays(Rays(*(np.zeros(0) for _ in Rays._fields)))
-        assert [len(column) for column in rays] == [0] * len(Rays._fields)
-        assert walls.shape == (0,)
+        rays = Lockstep(*(np.zeros(0) for _ in range(5)))
+        assert rays.step() == []
+        assert [len(column) for column in ray_columns(rays)] == [0] * 5
+        assert rays.wall.shape == (0,)
 
     @pytest.mark.parametrize("mx, my", [(-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)])
     def test_mirrored_reference_batch_mirrors_bitwise(self, mx, my):
@@ -921,19 +930,99 @@ class TestStepRays:
         spec = SweepSpec()
         velocities = [state_from_slope(spec.slope_at(t)).velocity
                       for t in range(1, spec.count + 1)]
-        rays = Rays(*(np.array(c) for c in zip(
-            *[(0.0, 0.0, v.x, v.y, 0.0) for v in velocities])))
-        mirrored = Rays(mx * rays.x, my * rays.y, mx * rays.vx, my * rays.vy, rays.t)
+        x, y, vx, vy, t = (np.array(c) for c in zip(
+            *[(0.0, 0.0, v.x, v.y, 0.0) for v in velocities]))
+        rays = Lockstep(x, y, vx, vy, t)
+        mirrored = Lockstep(mx * x, my * y, mx * vx, my * vy, t)
         for _ in range(200):
-            rays, walls = step_rays(rays)
-            mirrored, mirrored_walls = step_rays(mirrored)
-            for a, b in ((mx * rays.x, mirrored.x), (my * rays.y, mirrored.y),
-                         (mx * rays.vx, mirrored.vx), (my * rays.vy, mirrored.vy),
-                         (rays.t, mirrored.t)):
-                assert a.tobytes() == b.tobytes()
-            assert np.array_equal(wall_map[walls], mirrored_walls)
+            rays.step()
+            mirrored.step()
+            for a, b, m in zip(ray_columns(rays), ray_columns(mirrored), (mx, my, mx, my, 1.0)):
+                assert (m * a).tobytes() == b.tobytes()
+            assert np.array_equal(wall_map[rays.wall], mirrored.wall)
 
     def test_corridor_ray_truncates_like_simulate(self):
         corridor = state_from_slope(1e-7)
         assert simulate(corridor, 5).truncated
         assert_kernels_tie([corridor, state_from_slope(1.414)], 5)
+
+    # the start rule's two states: on the Left wall of the obstacle at
+    # (1, 1), moving into it, and inside that obstacle
+    def test_start_rule_of_simulate(self):
+        wall = ParticleState(Vec2(0.5, 1.0), unit(1.0, 0.3))
+        (events,) = batched_events([wall], 1)
+        assert (events[0, 0], events[0, 1], WALLS[int(events[0, 3])]) == (-0.5, 1.3, "Right")
+        assert events.tobytes() == log_events(simulate(wall, 1)).tobytes()
+        inside = ParticleState(Vec2(1.0, 1.0), Vec2(1.0, 0.0))
+        with pytest.raises(ValueError, match="inside an obstacle"):
+            simulate(inside, 1)
+        with pytest.raises(ValueError, match=r"ray 1 starts inside an obstacle, at \(1.0, 1.0\)"):
+            batch([wall, inside])
+
+    # the batch's start rule is simulate's, elementwise: on walls, at and
+    # around corners, within WALL_TOL either side of a wall plane, with
+    # velocities along the axes, and past +-_REACH, where a start is left
+    # as it is; a start simulate rejects makes the batch raise
+    def test_start_rule_ties_the_scalar_one(self):
+        rng = np.random.default_rng(34)
+        reach, tol = billiard._REACH, billiard.WALL_TOL
+        angles = [*rng.uniform(-math.pi, math.pi, 3).tolist(), 0.0, math.pi / 2, math.pi]
+        states = []
+        for along in (0.5, -0.5, 0.5 + 0.5 * tol, -0.5 - 2 * tol, 0.5 - 0.5 * tol,
+                      *rng.uniform(-0.5, 0.5, 3).tolist()):
+            for side in range(4):
+                for theta in angles:
+                    state = wall_start(rng.choice([-3, -1, 1, 3], 2).tolist(), side, along, theta)
+                    (x, y), shift = state.position, rng.choice([0.0, 0.5 * tol, -0.5 * tol, 2 * tol])
+                    x, y = (x + shift, y) if side < 2 else (x, y + shift)
+                    states.append(ParticleState(Vec2(x, y), state.velocity))
+        for edge in (reach + 0.5, reach - 0.5, -reach + 0.5, 2.0**60):
+            for theta in angles:
+                states.append(state_from_angle(theta, Vec2(edge, 1.0)))
+                states.append(state_from_angle(theta, Vec2(1.5, -edge)))
+        ready = []
+        for state in states:
+            try:
+                simulate(state, 0)
+            except ValueError:
+                with pytest.raises(ValueError, match="ray 0 starts inside an obstacle"):
+                    batch([state])
+                continue
+            ready.append(state)
+        assert len(ready) > 200
+        expected = np.array([billiard._start_velocity(state) for state in ready]).T
+        assert batch(ready).v.tobytes() == expected.tobytes()
+        assert not np.array_equal(expected, np.array([state.velocity for state in ready]).T)
+
+    # a batch built afresh from the stepped rays, post-bounce states stepped
+    # as given, carries bitwise the same inverse velocities, travel signs and
+    # finiteness, and steps to the same strikes. The start rule would
+    # reflect half the rays a corner strike leaves.
+    @pytest.mark.parametrize("states, steps, rare", [
+        ([state_from_slope(SweepSpec().slope_at(t)) for t in range(1, 301)], 50, False),
+        ([*map(state_from_slope, CORNER_SLOPES),
+          ParticleState(Vec2(0.0, 0.0), Vec2(1.0, 0.0)),   # meets nothing
+          ParticleState(Vec2(0.0, 1.0), Vec2(1.0, 0.0)),   # zero component
+          ParticleState(Vec2(1.0, 0.0), Vec2(-0.0, 1.0)),  # -0.0 component
+          state_from_angle(0.3, Vec2(2.0**52, 0.3)),       # beyond +-_REACH
+          *[free_state(x, y, theta) for x, y, theta in
+            np.random.default_rng(5).uniform(-0.45, 0.45, (8, 3)) * [1, 1, 7]]], 300, True),
+    ], ids=["reference", "mixed"])
+    def test_carried_state_is_a_fresh_batch(self, states, steps, rare):
+        rays, fresh = batch(states), None
+        corners = misses = 0
+        for _ in range(steps):
+            missed = rays.step()
+            if fresh is not None:
+                assert fresh.step() == missed
+                assert fresh.wall.tobytes() == rays.wall.tobytes()
+                for a, b in zip(ray_columns(fresh), ray_columns(rays)):
+                    assert a.tobytes() == b.tobytes()
+            fresh = Lockstep(*ray_columns(rays), starts=False)
+            for a, b in ((fresh.inv_v, rays.inv_v), (fresh.sign, rays.sign),
+                         (fresh.finite, rays.finite)):
+                assert a.tobytes() == b.tobytes()
+            corners += int(np.count_nonzero(rays.wall == WALLS.index("Corner")))
+            misses += len(missed)
+        # the mixed batch has corner strikes and a ray that meets nothing
+        assert (corners > 0 and misses > 0) is rare
