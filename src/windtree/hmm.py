@@ -52,6 +52,17 @@ differed in the last bit. Written out elementwise, every entry is the same
 IEEE multiplies and adds on every host, so the fitted digits do not depend
 on the BLAS build.
 
+Every table after the scans is state-major too: the densities, the
+filtered, predicted and smoothed probabilities and the smoothing ratios are
+C-contiguous (m, T) arrays, and the pair posteriors one (m, m, T - 1) array,
+so each operation on them, through the M-step and the residual weights,
+runs along rows of T numbers rather than over the m entries of a step.
+`_density_matrix`, `ForwardBackwardTables` and `posterior_pairs` hand out
+their (T, m) and (T - 1, m, m) transposes, as views. The M-step's sums over
+t (state masses, out-masses, pair sums, and the numerators of mu and sigma)
+are numpy's pairwise sums along one such row; the sums over states add in
+state order. So no sum of a series depends on what it is batched with.
+
 A product rescaled as a whole keeps its entries within about 320 decades
 of its largest, while the recursion rescales one row at a time. With
 transition probabilities below about 1e-70, or long runs in which the
@@ -168,7 +179,8 @@ class ForwardBackwardTables:
     alpha_hat[t] = Pr(C_t | x_0..x_t), pred[t] = Pr(C_t | x_0..x_{t-1})
     (delta at t = 0) and state_prob[t] = Pr(C_t | x_0..x_{T-1}), each row
     summing to 1; log_c[t] = log p(x_t | x_0..x_{t-1}), whose sum is the
-    log-likelihood.
+    log-likelihood. Each (T, m) table is the transpose of a C-contiguous
+    (m, T) array, one row over t per state; `.T` gives that array.
     """
 
     alpha_hat: np.ndarray    # (T, m)
@@ -193,12 +205,13 @@ class FitReport:
 
 
 def _density_matrix(params: HmmParams, obs: np.ndarray) -> np.ndarray:
-    """(T, m) matrix of per-state normal densities at each observation."""
+    """(T, m) matrix of per-state normal densities at each observation, the
+    transpose of a C-contiguous (m, T) array."""
     # far-tail z*z may overflow to inf; exp then flushes the density to 0,
     # which the recursions report as NumericalUnderflow
     with np.errstate(over="ignore"):
-        z = (obs[:, None] - params.mu[None, :]) / params.sigma[None, :]
-        return np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * params.sigma[None, :])
+        z = (obs[None, :] - params.mu[:, None]) / params.sigma[:, None]
+        return (np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * params.sigma[:, None])).T
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -321,12 +334,14 @@ def _stack(g: np.ndarray, v: np.ndarray, seed: np.ndarray, T: int,
 
 
 def _time_order(a: np.ndarray, T: int) -> np.ndarray:
-    """The (T, ...) steps of a stack's (..., SCAN_BLOCK, B) rows or sums."""
-    return a.T.reshape((-1,) + a.shape[:-2])[:T]
+    """The C-contiguous (..., T) rows of a stack's (..., SCAN_BLOCK, B) rows
+    or sums, with step n = b SCAN_BLOCK + l at [..., n]."""
+    pos = np.arange(a.shape[-2] * a.shape[-1]).reshape(a.shape[-2:]).T.ravel()[:T]
+    return np.take(a.reshape(a.shape[:-2] + (-1,)), pos, axis=-1)
 
 
 def _forward(params: HmmParams, obs: Sequence[float]):
-    """The forward rows alpha_hat (T, m) and their sums c (T,).
+    """The forward rows alpha_hat, state-major (m, T), and their sums c (T,).
 
     Raises NumericalUnderflow at the first observation whose scale factor
     is not positive and finite, unless a seam before it disagrees, and then
@@ -335,10 +350,10 @@ def _forward(params: HmmParams, obs: Sequence[float]):
     x = np.asarray(obs, dtype=float)
     if x.size == 0:
         raise EmptyObservations("observation sequence is empty")
-    dens = _density_matrix(params, x)
-    T = len(dens)
-    d = np.take(dens.T, _step_index(T), axis=1, mode="clip")
-    rows, c, seam_ok = _row_scan(_stack(params.gamma, d, params.delta * dens[0], T))
+    dens = _density_matrix(params, x).T
+    T = x.size
+    d = np.take(dens, _step_index(T), axis=1, mode="clip")
+    rows, c, seam_ok = _row_scan(_stack(params.gamma, d, params.delta * dens[:, 0], T))
     c = _time_order(c[:, 0], T)
     bad = np.flatnonzero(~((c > 0.0) & np.isfinite(c)))
     end = int(bad[0]) if bad.size else T - 1
@@ -364,29 +379,29 @@ def forward_backward(params: HmmParams, obs: Sequence[float]) -> ForwardBackward
     step s is t = T - 1 - s.
     """
     alpha_hat, c = _forward(params, obs)
-    T = len(alpha_hat)
+    T = len(c)
     pred = np.empty_like(alpha_hat)
-    pred[0] = params.delta
-    pred[1:] = _product(alpha_hat[:-1].T[None], params.gamma[:, :, None])[0].T
+    pred[:, 0] = params.delta
+    pred[:, 1:] = _product(alpha_hat[None, :, :-1], params.gamma[:, :, None])[0]
     t = T - 1 - _step_index(T)
-    a = np.take(alpha_hat.T, t, axis=1, mode="clip")
-    p = np.take(pred.T, t + 1, axis=1, mode="clip")
-    rows, _, _ = _row_scan(_stack(params.gamma.T, a, alpha_hat[-1], T, p))
+    a = np.take(alpha_hat, t, axis=1, mode="clip")
+    p = np.take(pred, t + 1, axis=1, mode="clip")
+    rows, _, _ = _row_scan(_stack(params.gamma.T, a, alpha_hat[:, -1], T, p))
     log_c = np.log(c)
     return ForwardBackwardTables(
-        alpha_hat=alpha_hat,
-        pred=pred,
-        state_prob=_time_order(rows[:, :, 0], T)[::-1],
+        alpha_hat=alpha_hat.T,
+        pred=pred.T,
+        state_prob=_time_order(rows[:, :, 0], T)[:, ::-1].copy().T,
         log_c=log_c,
         log_likelihood=float(log_c.sum()),
     )
 
 
 def _smoothing_ratio(tables: ForwardBackwardTables) -> np.ndarray:
-    """q_t = gamma_t / p_t, the smoothed over the predicted probabilities,
-    taken as 0 where p_t = 0."""
-    return np.divide(tables.state_prob, tables.pred,
-                     out=np.zeros_like(tables.pred), where=tables.pred > 0.0)
+    """The state-major (m, T) q_t = gamma_t / p_t, the smoothed over the
+    predicted probabilities, taken as 0 where p_t = 0."""
+    pred = tables.pred.T
+    return np.divide(tables.state_prob.T, pred, out=np.zeros_like(pred), where=pred > 0.0)
 
 
 def posterior_pairs(params: HmmParams, tables: ForwardBackwardTables) -> np.ndarray:
@@ -395,11 +410,13 @@ def posterior_pairs(params: HmmParams, tables: ForwardBackwardTables) -> np.ndar
 
     [t, i, j] = Pr(C_t = i, C_{t+1} = j | X) = alpha_hat[t, i] gamma[i, j]
     q[t+1, j], the joint posterior of consecutive hidden states, with
-    q = state_prob / pred taken as 0 where pred = 0.
+    q = state_prob / pred taken as 0 where pred = 0. In memory it is a
+    C-contiguous (m, m, T-1) array, which `.transpose(1, 2, 0)` gives: each
+    [:, i, j] is a contiguous row over t.
     """
-    pair = tables.alpha_hat[:-1, :, None] * params.gamma[None]
-    pair *= _smoothing_ratio(tables)[1:, None, :]
-    return pair
+    pair = tables.alpha_hat.T[:, None, :-1] * params.gamma[:, :, None]
+    pair *= _smoothing_ratio(tables)[None, :, 1:]
+    return pair.transpose(2, 0, 1)
 
 
 def default_init(obs: Sequence[float], m: int) -> HmmParams:
@@ -424,7 +441,7 @@ def default_init(obs: Sequence[float], m: int) -> HmmParams:
     centers = np.quantile(x, (np.arange(m) + 0.5) / m)
     labels = np.zeros(x.size, dtype=int)
     for _ in range(LLOYD_ROUNDS):
-        new_labels = np.argmin(np.abs(x[:, None] - centers[None, :]), axis=1)
+        new_labels = np.argmin(np.abs(x - centers[:, None]), axis=0)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -468,10 +485,10 @@ def baum_welch(obs: Sequence[float], init: HmmParams, max_iters: int = 15) -> Fi
     warnings: list[str] = []
     for it in range(max_iters):
         tables = forward_backward(params, x)
-        state_prob = tables.state_prob
+        state_prob = tables.state_prob.T
         trace.append(tables.log_likelihood)
 
-        mass = state_prob.sum(axis=0)
+        mass = state_prob.sum(axis=1)
         frozen = mass < DEGENERATE_MASS
         if frozen.any():
             warnings.append(
@@ -479,9 +496,9 @@ def baum_welch(obs: Sequence[float], init: HmmParams, max_iters: int = 15) -> Fi
                 f"degenerate (posterior mass < {DEGENERATE_MASS:g}); frozen"
             )
 
-        delta = state_prob[0]
-        pair_sum = posterior_pairs(params, tables).sum(axis=0)
-        out_mass = state_prob[:-1].sum(axis=0)
+        delta = state_prob[:, 0].copy()
+        pair_sum = posterior_pairs(params, tables).transpose(1, 2, 0).sum(axis=2)
+        out_mass = state_prob[:, :-1].sum(axis=1)
         gamma = params.gamma.copy()
         ok = ~frozen & (out_mass > 0)
         gamma[ok] = pair_sum[ok] / out_mass[ok, None]
@@ -493,8 +510,8 @@ def baum_welch(obs: Sequence[float], init: HmmParams, max_iters: int = 15) -> Fi
 
         mu = params.mu.copy()
         sigma = params.sigma.copy()
-        mu[~frozen] = (state_prob[:, ~frozen] * x[:, None]).sum(axis=0) / mass[~frozen]
-        var = (state_prob[:, ~frozen] * (x[:, None] - mu[None, ~frozen]) ** 2).sum(axis=0)
+        mu[~frozen] = (state_prob[~frozen] * x).sum(axis=1) / mass[~frozen]
+        var = (state_prob[~frozen] * (x - mu[~frozen, None]) ** 2).sum(axis=1)
         sigma[~frozen] = np.maximum(np.sqrt(var / mass[~frozen]), floor)
 
         params = HmmParams(delta=delta, gamma=gamma, mu=mu, sigma=sigma)
@@ -522,16 +539,16 @@ def pseudo_residuals(params: HmmParams, obs: Sequence[float],
     x = np.asarray(obs, dtype=float)
     if x.size == 0:
         raise EmptyObservations("observation sequence is empty")
-    z = (x[:, None] - params.mu[None, :]) / params.sigma[None, :]
+    z = (x[None, :] - params.mu[:, None]) / params.sigma[:, None]
     cdf = 0.5 * np.fromiter(map(math.erfc, (z * -SQRT_HALF).ravel().tolist()),
                             float, z.size).reshape(z.shape)
     if tables is None:
         tables = forward_backward(params, x)
-    weights = tables.pred.copy()
-    q = _smoothing_ratio(tables)[1:].T[:, None]
-    weights[:-1] *= _product(params.gamma[:, :, None], q)[:, 0].T
-    weights /= weights.sum(axis=1, keepdims=True)
-    return np.clip((weights * cdf).sum(axis=1), 0.0, 1.0)
+    weights = tables.pred.T.copy()
+    q = _smoothing_ratio(tables)[:, None, 1:]
+    weights[:, :-1] *= _product(params.gamma[:, :, None], q)[:, 0]
+    weights /= weights.sum(axis=0)
+    return np.clip((weights * cdf).sum(axis=0), 0.0, 1.0)
 
 
 def residual_histogram(u: np.ndarray) -> np.ndarray:

@@ -44,31 +44,32 @@ SIMULATE_DIGESTS = {
 }
 
 # SHA-256 of the `fit --states m` artifacts on the reference sweep.csv. The
-# model.json and residuals.csv digests were taken when the posteriors came
-# from backward smoothing of the filtered probabilities instead of from
-# scaled backward vectors, every product still summed in j order with no
-# BLAS call. Against the scaled backward vectors the largest moves, for
-# m = 2, 3 and 4, were: mu 0, 2.7e-15 and 8.9e-16; sigma 0, 4.4e-16 and
-# 6.7e-16; gamma 2.8e-17, 3.3e-16 and 6.1e-16; delta 9.5e-16, 1.7e-14 and
-# 1.2e-13 relative (on entries of 4.4e-79, 5.1e-48 and 1.6e-199); the
-# loglik trace 1.1e-13, 5.7e-14 and 1.1e-13; u 1.1e-16, 2.9e-15 and
-# 6.7e-16, with 94, 279 and 206 of the 300 u values moved. The
-# histogram.json digests were taken when it dropped bins and total, which
-# copy the length and sum of counts; no count moved since.
+# model.json and residuals.csv digests were taken when the HMM tables became
+# state-major, so that the M-step's sums over t run pairwise along a
+# contiguous row where they had run sequentially down the time axis; every
+# product is still summed in j order with no BLAS call. Against the
+# sequential sums the largest moves, for m = 2, 3 and 4, were: mu 8.9e-16,
+# 8.9e-16 and 1.8e-15; sigma 2.2e-16, 1.7e-16 and 2.2e-16; gamma 1.1e-16,
+# 1.7e-16 and 6.4e-16; delta 1.1e-13, 5.4e-15 and 2.6e-13 relative (on
+# entries of 4.4e-79, 5.1e-48 and 1.6e-199); the loglik trace 2.3e-13,
+# 1.1e-13 and 1.1e-13; u 4.4e-16, 3.3e-16 and 1.9e-15, with 262, 220 and
+# 277 of the 300 u values moved. The histogram.json digests were taken when
+# it dropped bins and total, which copy the length and sum of counts; no
+# count moved since.
 FIT_DIGESTS = {
     2: {
-        "model.json": "5f879a7d69b240e28fc35f04c4d6c4114d6016f0fb934c5935b0e22870f698c0",
-        "residuals.csv": "d6c2c4db6720af736cbf8f4ab20afe3c0fb28265be587135151e62cfbbac990f",
+        "model.json": "00c186e888befb1f9949b2828bfa87c7cda6962f56e15c1d5fe8d0912f4ca6b7",
+        "residuals.csv": "2f326c008a2da0433755a6bfef5019cba9ce1b7efa89304456a164541d253c9d",
         "histogram.json": "e1174e311c691cb2ad507fb58cc3f400bd42c2eedf131ff75888c9d4822ca8f2",
     },
     3: {
-        "model.json": "868c639cc672d5b777fa3ba59b0c4985eae018a69b7e84c721da5df052e81a3f",
-        "residuals.csv": "917e6bdb0c020dd8419bd5bb12ed5977f48b9e71c7d3ed161d627fc28b251931",
+        "model.json": "4c9d47475578cbc05c62b38a65c009e2c18d294ea9389efb0d2e373ce3167665",
+        "residuals.csv": "62276c81381be289011b53a86c5f1a41a108a4796f0d988e0e6d4c620cb10044",
         "histogram.json": "1c90f37dd7764d4b7ecea3733e55754bbac1b3ae197df846f301c3251dc1b6b4",
     },
     4: {
-        "model.json": "bdb8b63bf921b77723980c635efe16b28fa031b9d12078cc4c47c75209c95d20",
-        "residuals.csv": "f86c2de22c5ca2d75bb8fea76437b64f2873cc38fad4fc418a236ec53db4b5f0",
+        "model.json": "144f79ebec10f2a88115bb72dfcadd36bd659fcc5ec5743d374435358c66b81e",
+        "residuals.csv": "56acd2ffb11a43decc580eed9e961a85f9de5a1e72d6e007de787e0001eb554d",
         "histogram.json": "65572258c11b0d217ad91cc9929e5daee283070e479c4c45bfcc2ba4e56a522f",
     },
 }
