@@ -141,10 +141,11 @@ class TrajectoryLog:
         return truncation_reason(len(self)) if self.truncated else None
 
     def velocities(self) -> tuple[np.ndarray, np.ndarray]:
-        """The post-bounce velocity (vx, vy) of every strike: the initial
-        velocity, reflected in place as simulate does, with each component's
-        sign flipped by every strike whose wall flips it (_FLIPS). Negation
-        is exact, so this is bitwise the velocity both kernels carry."""
+        """The post-bounce velocity (vx, vy) of every strike: the first
+        flight's velocity (_start_velocity, with its ValueError), with each
+        component's sign flipped by every strike whose wall flips it
+        (_FLIPS). Negation is exact, so this is bitwise the velocity both
+        kernels carry."""
         vx, vy = _start_velocity(self.initial)
         odd = np.logical_xor.accumulate(_FLIP_TABLE[self.wall], axis=0)
         return np.where(odd[:, 0], -vx, vx), np.where(odd[:, 1], -vy, vy)
@@ -381,32 +382,35 @@ def _normalize_on_wall(px, py, vx, vy):
     return (-vx if flip_x else vx), (-vy if flip_y else vy)
 
 
-def _within_reach(px, py) -> bool:
-    return -_REACH < px < _REACH and -_REACH < py < _REACH
-
-
 def _start_velocity(initial: ParticleState) -> tuple[float, float]:
-    """The velocity of the first flight from `initial`: reflected in place
-    off the wall its position sits on, within the walk's reach."""
+    """The velocity of the first flight from `initial`: the one start rule,
+    which simulate, velocities() and strike_origins take.
+
+    The walk's reach rule comes first: a start with a coordinate beyond
+    +-_REACH meets nothing and keeps its velocity (past 2**63 its cell
+    center has no int64 value). A start inside an obstacle shrunk by
+    WALL_TOL is a ValueError, and one on a wall with its velocity into that
+    wall's obstacle is reflected in place (_normalize_on_wall).
+    """
     (px, py), (vx, vy) = initial.position, initial.velocity
-    return _normalize_on_wall(px, py, vx, vy) if _within_reach(px, py) else (vx, vy)
+    if not (-_REACH < px < _REACH and -_REACH < py < _REACH):
+        return vx, vy
+    if point_in_obstacle(px, py, shrink=WALL_TOL):
+        raise ValueError(f"initial position {(float(px), float(py))} is inside an obstacle")
+    return _normalize_on_wall(px, py, vx, vy)
 
 
 def simulate(initial: ParticleState, n_collisions: int) -> TrajectoryLog:
-    """Run the particle through `n_collisions` wall strikes.
+    """Run the particle through `n_collisions` wall strikes, the first
+    flight along _start_velocity(initial).
 
     The log is truncated if a corridor direction exhausts the horizon first,
-    or at once from a start with a coordinate beyond +-_REACH. An initial
-    position on a wall with inward velocity is reflected in place before the
-    first flight.
+    or at once from a start with a coordinate beyond +-_REACH. A start
+    inside an obstacle is a ValueError, whatever `n_collisions` is.
     """
     if n_collisions < 0:
         raise ValueError("n_collisions must be >= 0")
     px, py = initial.position
-    # the walk's reach rule comes first: a start beyond +-_REACH meets
-    # nothing, and past 2**63 its cell center has no int64 value
-    if _within_reach(px, py) and point_in_obstacle(px, py, shrink=WALL_TOL):
-        raise ValueError(f"initial position {tuple(initial.position)} is inside an obstacle")
     strikes = chain.from_iterable(
         islice(_strikes(px, py, *_start_velocity(initial)), n_collisions))
     s, x, y, wall = np.fromiter(strikes, float).reshape(-1, 4).T.copy()
@@ -448,44 +452,12 @@ _BLOCK_ROWS = np.array([(a, LOCKSTEP_CELLS + b, 2 * LOCKSTEP_CELLS + a, 3 * LOCK
                         for a in range(LOCKSTEP_CELLS) for b in range(LOCKSTEP_CELLS - a)]).T
 
 
-def _start_velocities(p: np.ndarray, v: np.ndarray, starts) -> np.ndarray:
-    """simulate's start rule over a batch of positions p and velocities v,
-    both (2, n), on the rays where `starts` (a bool, or one per ray) holds:
-    the velocity of each ray's next flight.
-
-    The reach rule comes first: a ray with a coordinate beyond +-_REACH
-    meets nothing and keeps its velocity. A ray inside an obstacle shrunk
-    by WALL_TOL (point_in_obstacle) is a ValueError naming its index. A ray
-    on a wall with its velocity into that wall's obstacle is reflected in
-    place, by _normalize_on_wall's comparisons elementwise.
-    """
-    # a coordinate that is not finite is beyond reach, and its cell unread
-    with np.errstate(invalid="ignore"):
-        ruled = (np.abs(p) < _REACH).all(axis=0) & starts
-        c = 2.0 * np.floor(p * 0.5) + 1.0
-        lo, hi = c - 0.5, c + 0.5
-        inside = ruled & (np.abs(p - c) < 0.5 - WALL_TOL).all(axis=0)
-        if inside.any():
-            i = int(inside.argmax())
-            raise ValueError(f"ray {i} starts inside an obstacle, at "
-                             f"{(float(p[0, i]), float(p[1, i]))}")
-        in_span = ((lo - WALL_TOL) <= p) & (p <= (hi + WALL_TOL))
-        into = (((np.abs(p - lo) <= WALL_TOL) & (v > 0.0))
-                | ((np.abs(p - hi) <= WALL_TOL) & (v < 0.0)))
-    # a wall normal to one axis bounds the obstacle where the other axis is in span
-    return np.where(into & in_span[::-1] & ruled, -v, v)
-
-
 class Lockstep:
     """R rays stepped together, one wall strike per step.
 
-    Built once from the columns x, y, vx, vy and t of the rays. The rays
-    where `starts` holds (all of them by default) start a trajectory, and
-    their velocities are taken through simulate's start rule
-    (_start_velocities); the others are post-bounce states, stepped as
-    given. The rule may not be applied to those: it reflects the velocity
-    of a state on a corner point that moves into one of the two walls, as
-    a corner strike leaves half its rays.
+    Built once from the columns x, y, vx, vy and t of the rays, each
+    stepped from the state it is given: the start rule (_start_velocity)
+    is the caller's, as strike_origins applies it to a log's initial state.
 
     The batch holds the positions p and velocities v as (2, R) arrays and
     the elapsed path lengths t, and carries across strikes what each
@@ -502,9 +474,9 @@ class Lockstep:
     thread steps a batch.
     """
 
-    def __init__(self, x, y, vx, vy, t, starts=True):
+    def __init__(self, x, y, vx, vy, t):
         self.p = np.array([x, y], dtype=float)
-        self.v = _start_velocities(self.p, np.array([vx, vy], dtype=float), starts)
+        self.v = np.array([vx, vy], dtype=float)
         self.t = np.array(t, dtype=float)
         # inf and nan arise only on rays the scalar walk finishes
         with np.errstate(all="ignore"):
@@ -674,11 +646,12 @@ class Lockstep:
 
 def strike_origins(log: TrajectoryLog) -> Lockstep:
     """The state each logged strike starts from, as one batch: the initial
-    state, which takes the batch's start rule as it does simulate's, then
-    every post-bounce state but the last (velocities()), as given. Stepping
-    this batch once reproduces the log's rows and velocities bit for bit
-    when the log came from simulate."""
-    (px, py), (vx, vy), t = log.initial.position, log.initial.velocity, log.initial.elapsed_time
+    position and time with the first flight's velocity (_start_velocity),
+    then every post-bounce state but the last (velocities()). Stepping this
+    batch once reproduces the log's rows and velocities bit for bit when
+    the log came from simulate."""
+    (px, py), t = log.initial.position, log.initial.elapsed_time
+    vx, vy = _start_velocity(log.initial)
     n = len(log)
 
     def before(first, column):
@@ -686,7 +659,7 @@ def strike_origins(log: TrajectoryLog) -> Lockstep:
 
     lvx, lvy = log.velocities()
     return Lockstep(before(px, log.x), before(py, log.y), before(vx, lvx), before(vy, lvy),
-                    before(t, log.t), starts=np.arange(n) == 0)
+                    before(t, log.t))
 
 
 def distance_series(log: TrajectoryLog) -> np.ndarray:

@@ -236,6 +236,11 @@ class TestSimulate:
         state = ParticleState(Vec2(1.0, 1.0), Vec2(1.0, 0.0))
         with pytest.raises(ValueError, match="inside an obstacle"):
             simulate(state, 1)
+        # numpy scalars print as plain floats
+        state = ParticleState(Vec2(np.float64(2.500000002), np.float64(1.0)), Vec2(1.0, 0.0))
+        with pytest.raises(ValueError, match=r"^initial position \(2\.500000002, 1\.0\) is "
+                                             r"inside an obstacle$"):
+            simulate(state, 1)
 
     def test_corner_retroreflection_cycles(self):
         # the exact diagonal bounces between opposite corners through the origin
@@ -402,9 +407,10 @@ def capped(horizon):
 
 
 def batch(states):
-    """The Lockstep batch of ParticleStates."""
+    """The Lockstep batch of ParticleStates, each ray's velocity the first
+    flight's (the start rule, billiard._start_velocity)."""
     return Lockstep(*(np.array(column, dtype=float) for column in zip(
-        *[(*s.position, *s.velocity, s.elapsed_time) for s in states])))
+        *[(*s.position, *billiard._start_velocity(s), s.elapsed_time) for s in states])))
 
 
 def ray_columns(rays):
@@ -592,6 +598,22 @@ class TestNextCollisionIsSimulatesFirst:
         # walk from this state as given passes through to (5.5, 2.5)
         assert first_strike(ParticleState(Vec2(0.5, 1.0), unit(1.0, 0.3))) == (
             Vec2(-0.5, 1.3), "Right", (-1, 1))
+
+    # The first strike is a corner at (-3.5, -3.5), which leaves the ray on
+    # the corner point moving into one of its two walls. The start rule
+    # reflects that velocity in place (vy negated), so simulate from the
+    # post-bounce state strikes (-5, -6.5) where the log goes on to
+    # (-4.5, -1.5).
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the start rule at a corner point waits for ROADMAP item 1's "
+                              "corner rule")
+    def test_post_corner_state_continues_its_log(self):
+        with capped(5.0):
+            log = simulate(corner_aimed((-3, -3), 0.5, -1.0, 5e-10, (1, 1), False), 40)
+            vx, vy = log.velocities()
+            after = ParticleState(Vec2(float(log.x[0]), float(log.y[0])),
+                                  Vec2(float(vx[0]), float(vy[0])), float(log.t[0]))
+            assert log_events(simulate(after, 1)).tobytes() == log_events(log)[1:2].tobytes()
 
 
 class TestUnit:
@@ -871,7 +893,7 @@ class TestStepRays:
     def test_derived_velocities_tie_the_batched_kernel(self, states):
         logs = [simulate(state, 40) for state in states]
         rays = Lockstep(*(np.concatenate(column) for column in zip(
-            *(ray_columns(strike_origins(log)) for log in logs))), starts=False)
+            *(ray_columns(strike_origins(log)) for log in logs))))
         rays.step()
         derived = [np.concatenate(column) for column in zip(*(log.velocities() for log in logs))]
         assert rays.v[0].tobytes() == derived[0].tobytes()
@@ -946,23 +968,18 @@ class TestStepRays:
         assert simulate(corridor, 5).truncated
         assert_kernels_tie([corridor, state_from_slope(1.414)], 5)
 
-    # the start rule's two states: on the Left wall of the obstacle at
-    # (1, 1), moving into it, and inside that obstacle
+    # on the Left wall of the obstacle at (1, 1), moving into it: the batch
+    # of the start rule's velocity strikes as simulate does
     def test_start_rule_of_simulate(self):
         wall = ParticleState(Vec2(0.5, 1.0), unit(1.0, 0.3))
         (events,) = batched_events([wall], 1)
         assert (events[0, 0], events[0, 1], WALLS[int(events[0, 3])]) == (-0.5, 1.3, "Right")
         assert events.tobytes() == log_events(simulate(wall, 1)).tobytes()
-        inside = ParticleState(Vec2(1.0, 1.0), Vec2(1.0, 0.0))
-        with pytest.raises(ValueError, match="inside an obstacle"):
-            simulate(inside, 1)
-        with pytest.raises(ValueError, match=r"ray 1 starts inside an obstacle, at \(1.0, 1.0\)"):
-            batch([wall, inside])
 
-    # the batch's start rule is simulate's, elementwise: on walls, at and
-    # around corners, within WALL_TOL either side of a wall plane, with
-    # velocities along the axes, and past +-_REACH, where a start is left
-    # as it is; a start simulate rejects makes the batch raise
+    # the batch of the start rule's velocities steps as simulate does: on
+    # walls, at and around corners, within WALL_TOL either side of a wall
+    # plane, with velocities along the axes, and past +-_REACH, where a
+    # start is left as it is
     def test_start_rule_ties_the_scalar_one(self):
         rng = np.random.default_rng(34)
         reach, tol = billiard._REACH, billiard.WALL_TOL
@@ -985,19 +1002,17 @@ class TestStepRays:
             try:
                 simulate(state, 0)
             except ValueError:
-                with pytest.raises(ValueError, match="ray 0 starts inside an obstacle"):
-                    batch([state])
                 continue
             ready.append(state)
         assert len(ready) > 200
-        expected = np.array([billiard._start_velocity(state) for state in ready]).T
-        assert batch(ready).v.tobytes() == expected.tobytes()
-        assert not np.array_equal(expected, np.array([state.velocity for state in ready]).T)
+        assert_kernels_tie(ready, 20)
+        # the rule reflects some of the starts
+        started = np.array([billiard._start_velocity(state) for state in ready])
+        assert not np.array_equal(started, np.array([state.velocity for state in ready]))
 
-    # a batch built afresh from the stepped rays, post-bounce states stepped
-    # as given, carries bitwise the same inverse velocities, travel signs and
-    # finiteness, and steps to the same strikes. The start rule would
-    # reflect half the rays a corner strike leaves.
+    # a batch built afresh from the stepped rays carries bitwise the same
+    # inverse velocities, travel signs and finiteness, and steps to the same
+    # strikes
     @pytest.mark.parametrize("states, steps, rare", [
         ([state_from_slope(SweepSpec().slope_at(t)) for t in range(1, 301)], 50, False),
         ([*map(state_from_slope, CORNER_SLOPES),
@@ -1018,7 +1033,7 @@ class TestStepRays:
                 assert fresh.wall.tobytes() == rays.wall.tobytes()
                 for a, b in zip(ray_columns(fresh), ray_columns(rays)):
                     assert a.tobytes() == b.tobytes()
-            fresh = Lockstep(*ray_columns(rays), starts=False)
+            fresh = Lockstep(*ray_columns(rays))
             for a, b in ((fresh.inv_v, rays.inv_v), (fresh.sign, rays.sign),
                          (fresh.finite, rays.finite)):
                 assert a.tobytes() == b.tobytes()

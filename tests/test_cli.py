@@ -664,6 +664,27 @@ class TestDiagnoseCommand:
         assert "FAIL trajectory replays on the collision kernel" in out
         assert out.count("FAIL") == 1
 
+    # a k=0 row inside an obstacle: the replay's start rule raises, which
+    # fails the trajectory's fields and no other check
+    def test_initial_row_inside_an_obstacle_fails_fields(self, tmp_path, capsys):
+        assert main(["simulate", "--out", str(tmp_path), "--slope", "1.464",
+                     "--collisions", "40"]) == 0
+        path = tmp_path / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        k, x, y, t, wall = lines[1].split(",")
+        assert (k, wall) == ("0", "")
+        lines[1] = ",".join([k, fmt(1.0), fmt(1.0), t, wall])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["diagnose", "--out", str(tmp_path)]) == 4
+        out, err = capsys.readouterr()
+        assert out.count("FAIL") == 1
+        (failure,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert failure.startswith("FAIL trajectory.csv fields (ValueError: ")
+        assert "inside an obstacle" in failure
+        assert "ok   trajectory.csv round-trip" in out
+        assert "Traceback" not in err
+
     # a coordinate with no exact cell center fails the trajectory's fields
     # and is no cast warning, so diagnose runs to its report under -W error
     @pytest.mark.filterwarnings("error")
