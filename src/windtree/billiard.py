@@ -468,10 +468,10 @@ class Lockstep:
     carried values are bitwise those of a batch built afresh from the
     stepped rays, and |1/vx * 1/vy| never changes.
 
-    A step writes into scratch arrays the batch owns and reuses, 927 bytes
-    per ray beside the rays' own 74. The arrays p, v, t and wall that a
-    step leaves hold until the next step, which overwrites them; one
-    thread steps a batch.
+    A step writes into scratch arrays the batch owns and reuses, 894 bytes
+    per ray beside the rays' own 74, and allocates nothing that grows with
+    the batch. The arrays p, v, t and wall that a step leaves hold until
+    the next step, which overwrites them; one thread steps a batch.
     """
 
     def __init__(self, x, y, vx, vy, t):
@@ -494,20 +494,22 @@ class Lockstep:
     def _allocate(self):
         """The scratch arrays of a step over the batch's rays."""
         n, cells, block = len(self.t), LOCKSTEP_CELLS, _BLOCK_ROWS.shape[1]
-        self._columns = np.arange(n)
+        # the flat index in planes and slabs of each axis's near wall 1 cell
+        # before the start cell, so that adding n per cell ahead names a wall
+        self._behind = (np.arange(2)[:, None] * cells - 1) * n + np.arange(n)
         self._planes = np.empty((2, 2, cells, n))  # (near/far, axis, cells ahead, ray)
         self._slabs = np.empty((2, 2, cells, n))
         self._block = np.empty((4, block, n))      # tx1, ty1, tx2, ty2 of each candidate
         self._t_near, self._t_far = np.empty((block, n)), np.empty((block, n))
-        self._valid, self._valid_far = (np.empty((block, n), dtype=bool) for _ in range(2))
-        self._first, self._index = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-        self._rows, self._far_rows = (np.empty((2, n), dtype=_BLOCK_ROWS.dtype) for _ in range(2))
+        self._invalid, self._invalid_far = (np.empty((block, n), dtype=bool) for _ in range(2))
+        self._reached = np.empty((2, cells, n), dtype=bool)
+        self._rows = np.empty((2, n), dtype=np.intp)
         self._s = np.empty(n)
-        self._entry, self._near, self._far, self._gap, self._next_p, self._flip = (
-            np.empty((2, n)) for _ in range(6))
-        self._close, self._close_far, self._normal, self._backward = (
+        self._entry, self._near, self._band, self._next_p, self._flip = (
+            np.empty((2, n)) for _ in range(5))
+        self._normal, self._backward, self._inside, self._inside_hi = (
             np.empty((2, n), dtype=bool) for _ in range(4))
-        self._clean, self._corner, self._one_wall = (np.empty(n, dtype=bool) for _ in range(3))
+        self._clean, self._one_wall = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
 
     def drop(self, rows):
         """Remove the rays at the indices `rows`, as step() lists its misses."""
@@ -533,8 +535,9 @@ class Lockstep:
         along y ahead of its start cell, in its direction of travel, with
         a, b >= 0 and a + b < LOCKSTEP_CELLS. The slab times are _strikes'
         expressions, computed once per axis and cells ahead (tx1 depends on
-        a alone, ty1 on b), and the ray takes the valid candidate with the
-        smallest t_near. This is the walk's first hit:
+        a alone, ty1 on b), and the ray's path length s to its hit is the
+        smallest t_near of a valid candidate, a min-reduce. This is the
+        walk's first hit:
           - a valid candidate passes the walk's test of a pair of bands,
             slabs that overlap at least MIN_FLIGHT ahead, so it is an
             obstacle the ray really enters;
@@ -544,28 +547,42 @@ class Lockstep:
           - the walk takes bands in ray order and returns its first valid
             pair, which has the smallest t_near, and both stop at
             t_near > HORIZON.
-        The block keeps only a hit through one wall (tx1 != ty1) farther
-        than CORNER_TOL from its ends, by _strikes' own test. Every other
+        Valid candidates never share a t_near (of two, the later one on some
+        axis starts there no earlier than the other's far slab ends), so the
+        hit is one cell (a*, b*). a* is the count of near slab times tx1 <=
+        s, minus 1: tx1 is non-decreasing in a, and tx1[a* + 1] >= tx2[a*] >
+        s, as the hit's x-slab ends after it. So is b* on y, and no argmin
+        is taken.
+
+        The block keeps only a hit through one wall (tx1 != ty1) that passes
+        _strikes' own interior pre-check along that wall, c - _INTERIOR < h
+        < c + _INTERIOR, where the walk skips its corner tests. Every other
         ray takes the scalar walk's first strike from the same state: no
         valid candidate within the horizon, a velocity component so small
         that 1/vx * 1/vy is not finite, a coordinate beyond +-_REACH, or a
-        corner. So only the walk labels corners and finds no strike.
+        hit near or past a wall's ends. So the corner rule is the walk's
+        alone, and only the walk finds no strike.
         """
         p, v, inv_v, sign, t, wall = self.p, self.v, self.inv_v, self.sign, self.t, self.wall
         n = len(t)
-        planes, slabs, s, gap, point, flip = (
-            self._planes, self._slabs, self._s, self._gap, self._next_p, self._flip)
-        t_near, valid, rows, close, normal = (
-            self._t_near, self._valid, self._rows, self._close, self._normal)
-        clean, corner, vertical = self._clean, self._corner, normal[0]
+        planes, slabs, s, rows, point, flip = (
+            self._planes, self._slabs, self._s, self._rows, self._next_p, self._flip)
+        t_near, invalid, band, normal, inside = (
+            self._t_near, self._invalid, self._band, self._normal, self._inside)
+        clean, one_wall, vertical = self._clean, self._one_wall, normal[0]
         # inf and nan arise only on rays the scalar walk finishes, or exactly
         # as Python float arithmetic gives them without warning
         with np.errstate(all="ignore"):
+            # With its default 8192-element buffer, numpy copies the
+            # broadcast operands of the plane and slab arithmetic on fewer
+            # rays through fresh buffers at every call; a 256-element one
+            # spares them. numpy >= 2 restores the size as errstate exits.
+            np.setbufsize(256)
             # (near/far, axis, cells ahead, ray): the walls of the obstacles
             # ahead on each axis. Every term is a small integer or
             # half-integer, so each plane is exactly _strikes' c - 0.5 or
             # c + 0.5 of a band center c = 2 floor(p / 2) + 1.
-            centers = np.multiply(p, 0.5, out=gap)
+            centers = np.multiply(p, 0.5, out=band)
             np.floor(centers, out=centers)
             centers *= 2.0
             centers += 1.0
@@ -581,61 +598,66 @@ class Lockstep:
             # only on nan and signed zeros, which no valid candidate has
             np.maximum(tx1, ty1, out=t_near)
             np.minimum(tx2, ty2, out=self._t_far)
-            np.greater_equal(t_near, MIN_FLIGHT, out=valid)
-            valid &= np.less(t_near, self._t_far, out=self._valid_far)
-            np.putmask(t_near, np.logical_not(valid, out=valid), np.inf)
-            first = np.argmin(t_near, axis=0, out=self._first)
-            np.multiply(first, n, out=self._index)
-            self._index += self._columns
-            np.take(t_near, self._index, out=s, mode="clip")
-            # the first hit's x and y rows, as flat indices
-            np.take(_BLOCK_ROWS[:2], first, axis=1, out=rows, mode="clip")
+            # a candidate is valid unless t_near < MIN_FLIGHT or t_near >=
+            # t_far; s, the least valid t_near, is inf where none is. Slab
+            # times are nan only where 1/vx * 1/vy is not finite, on rays
+            # the walk takes.
+            np.less(t_near, MIN_FLIGHT, out=invalid)
+            invalid |= np.greater_equal(t_near, self._t_far, out=self._invalid_far)
+            np.putmask(t_near, invalid, np.inf)
+            np.minimum.reduce(t_near, axis=0, out=s)
+            # the hit's near walls, as flat indices: the count of near slab
+            # times <= s, n apart, from the wall one cell behind the start's.
+            # Where s is no hit they name some wall of the ray, or clip; the
+            # walk takes those rays.
+            np.add.reduce(np.less_equal(slabs[0], s, out=self._reached), axis=1, out=rows)
             rows *= n
-            rows += self._columns
+            rows += self._behind
             entry = np.take(slabs, rows, out=self._entry, mode="clip")
             near = np.take(planes, rows, out=self._near, mode="clip")
-            far = np.take(planes, np.add(rows, planes.size // 2, out=self._far_rows),
-                          out=self._far, mode="clip")
             np.greater(entry[0], entry[1], out=vertical)
             # the struck wall's normal axis: x for a vertical wall
             np.logical_not(vertical, out=normal[1])
-            # p + s * v is _strikes' hit coordinate along the struck wall,
-            # which its corner test compares with both ends of the wall
-            np.multiply(v, s, out=point)
-            point += p
-            np.less_equal(np.abs(np.subtract(point, near, out=gap), out=gap), CORNER_TOL,
-                          out=close)
-            close |= np.less_equal(np.abs(np.subtract(point, far, out=gap), out=gap),
-                                   CORNER_TOL, out=self._close_far)
-            np.copyto(corner, close[0])
-            np.putmask(corner, vertical, close[1])
             np.less_equal(s, HORIZON, out=clean)
-            clean &= np.not_equal(entry[0], entry[1], out=self._one_wall)
-            clean &= np.logical_not(corner, out=corner)
+            clean &= np.not_equal(entry[0], entry[1], out=one_wall)
             clean &= self.finite
-            reach = np.less(np.abs(p, out=gap), _REACH, out=close)
+            reach = np.less(np.abs(p, out=entry), _REACH, out=inside)
             clean &= reach[0]
             clean &= reach[1]
-            # the hit snapped onto the struck wall's plane, which flips its
-            # normal component; a wall is near (Left, Bottom) or far (Right,
-            # Top) by its axis's travel sign
+            # _strikes' hit p + s * v, snapped onto the struck wall's plane
+            np.multiply(v, s, out=point)
+            point += p
             np.putmask(point, normal, near)
+            # _strikes' interior pre-check c - _INTERIOR < h < c + _INTERIOR
+            # on both axes, with the struck band's center c = near + 0.5 sign
+            # exact. On the normal axis h is the wall plane c -+ 0.5, which
+            # fails it, so it holds on either axis just where it holds along
+            # the wall.
+            np.multiply(sign, 0.5, out=band)
+            band += near
+            np.less(np.subtract(band, _INTERIOR, out=entry), point, out=inside)
+            inside &= np.less(point, np.add(band, _INTERIOR, out=entry), out=self._inside_hi)
+            clean &= np.logical_or(inside[0], inside[1], out=inside[0])
+            # the snap flips the normal component; a wall is near (Left,
+            # Bottom) or far (Right, Top) by its axis's travel sign, read as
+            # int8 so that putmask casts no copy of it
             flip.fill(1.0)
             np.putmask(flip, normal, -1.0)
-            backward = np.less(sign, 0.0, out=self._backward)
-            np.add(backward[1], _BOTTOM, out=wall, casting="unsafe")
+            backward = np.less(sign, 0.0, out=self._backward).view(np.int8)
+            np.add(backward[1], np.int8(_BOTTOM), out=wall)
             np.putmask(wall, vertical, backward[0])
         misses = []
-        for i in np.flatnonzero(np.logical_not(clean, out=clean)).tolist():
-            hit = next(_strikes(float(p[0, i]), float(p[1, i]), float(v[0, i]),
-                                float(v[1, i])), None)
-            if hit is None:  # a ray that meets nothing keeps its state
-                misses.append(i)
-                point[:, i], wall[i], flip[:, i] = p[:, i], NO_HIT, 1.0
-                s[i] = -0.0  # t + -0.0 is t, bit for bit
-                continue
-            s[i], point[0, i], point[1, i], wall[i] = hit
-            flip[:, i] = [-1.0 if f else 1.0 for f in _FLIPS[wall[i]]]
+        if not clean.all():
+            for i in np.flatnonzero(np.logical_not(clean, out=clean)).tolist():
+                hit = next(_strikes(float(p[0, i]), float(p[1, i]), float(v[0, i]),
+                                    float(v[1, i])), None)
+                if hit is None:  # a ray that meets nothing keeps its state
+                    misses.append(i)
+                    point[:, i], wall[i], flip[:, i] = p[:, i], NO_HIT, 1.0
+                    s[i] = -0.0  # t + -0.0 is t, bit for bit
+                    continue
+                s[i], point[0, i], point[1, i], wall[i] = hit
+                flip[:, i] = [-1.0 if f else 1.0 for f in _FLIPS[wall[i]]]
         self.p, self._next_p = point, p
         t += s
         v *= flip

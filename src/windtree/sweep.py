@@ -41,16 +41,19 @@ MIN_OVERLAP = 25
 # this many numbers, or n // 2 where one lag alone needs more.
 LAG_BLOCK_ELEMENTS = 2**15
 # build_sweep steps at most SWEEP_CHUNK rays in lockstep. A Lockstep batch
-# owns 1001 bytes per ray (927 of step scratch, 74 of ray state), so a
-# chunk of 5000 holds about 5 MB and its steps allocate nothing that grows
-# with it. Median seconds of `windtree sweep` (cli.main, in a fresh
-# process) over the reference interval, 5 runs each, 2-core Xeon, by chunk
-# size, and minor page faults per step:
+# owns 968 bytes per ray (894 of step scratch, 74 of ray state), so a
+# chunk of 2000 holds about 1.9 MB, and its steps allocate nothing that
+# grows with it. Median seconds of `windtree sweep` (cli.main, in a fresh
+# process) over the reference interval, 7 runs each in shuffled order,
+# 2-core Xeon with 2 MiB of L2 per core, by chunk size, and minor page
+# faults per step of one batch:
 #   slopes    500   1000   2000   3000   5000  one batch
-#   3000     0.70   0.60   0.53   0.58      -   0.58 (0.9 faults)
-#   10000    2.49   1.97   1.88   1.82   1.75   1.83 (3.9 faults)
-# Smaller chunks pay numpy's per-call cost on more steps.
-SWEEP_CHUNK = 5000
+#   3000     0.77   0.66   0.63   0.65      -   0.65 (0.6 faults)
+#   10000    2.18   1.73   1.68   1.64   1.80   1.80 (2.1 faults)
+# Smaller chunks pay numpy's per-call cost on more steps, and larger ones
+# run slower per ray (9 more runs at 10000 slopes: 2000 1.68, 3000 1.73,
+# 5000 1.81 s).
+SWEEP_CHUNK = 2000
 # growth_exponent fits GROWTH_POINTS log-spaced counts from GROWTH_START on.
 GROWTH_POINTS = 25
 GROWTH_START = 100

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -448,11 +449,13 @@ def assert_kernels_tie(states, n):
         assert batched.tobytes() == scalar.tobytes(), state
 
 
-def assert_corners_walked(log, walked):
-    """Lockstep handed every corner strike of the log to the scalar walk,
-    whose start states are `walked`, and kept on the block every strike with
-    finite slab times (|vx vy| > 1e-300) that lies in its start's candidate
-    block and farther than 2 CORNER_TOL from a corner."""
+def assert_hand_off(log, walked):
+    """Lockstep handed to the scalar walk, whose start states are `walked`,
+    every strike of the log that fails _strikes' interior pre-check along
+    its wall (c - _INTERIOR < h < c + _INTERIOR, about 2 CORNER_TOL or more
+    inside both ends of the wall), every corner among them, and kept on the
+    block every strike that passes it, has finite slab times (|vx vy| >
+    1e-300) and lies in its start's candidate block."""
     origins = np.column_stack(ray_columns(strike_origins(log))[:4]).tolist()
     for (px, py, vx, vy), x, y, wall in zip(origins, log.x, log.y, log.wall):
         if WALLS[wall] == "Corner":
@@ -460,8 +463,10 @@ def assert_corners_walked(log, walked):
             continue
         (ox, oy), (cx, cy) = locate_cell((px, py)), locate_cell((x, y))
         ahead = (cx - ox) // 2 * math.copysign(1, vx) + (cy - oy) // 2 * math.copysign(1, vy)
-        corner_gap = max(abs(0.5 - abs(x - cx)), abs(0.5 - abs(y - cy)))
-        if abs(vx * vy) > 1e-300 and ahead < LOCKSTEP_CELLS and corner_gap > 2 * CORNER_TOL:
+        h, c = (y, cy) if WALLS[wall] in ("Left", "Right") else (x, cx)
+        if not c - billiard._INTERIOR < h < c + billiard._INTERIOR:
+            assert (px, py, vx, vy) in walked
+        elif abs(vx * vy) > 1e-300 and ahead < LOCKSTEP_CELLS:
             assert (px, py, vx, vy) not in walked
 
 
@@ -883,7 +888,7 @@ class TestStepRays:
             for state, events in zip(states, batched):
                 log = simulate(state, 40)
                 assert events.tobytes() == log_events(log).tobytes(), state
-                assert_corners_walked(log, walked)
+                assert_hand_off(log, walked)
 
     # a log's derived post-bounce velocities are the ones the lockstep kernel
     # computes for each strike itself, on the block or by the scalar walk,
@@ -899,6 +904,77 @@ class TestStepRays:
         assert rays.v[0].tobytes() == derived[0].tobytes()
         assert rays.v[1].tobytes() == derived[1].tobytes()
         assert rays.wall.tobytes() == np.concatenate([log.wall for log in logs]).tobytes()
+
+    # free rays from 3000 seeded draws in the period cell [0, 2) x [0, 2)
+    # strike each of the block's cells (a, b) first, kept on the block, and
+    # tie simulate; the reference grid reaches only 4 of the 10
+    def test_every_block_cell_is_reached(self, scalar_walks):
+        rng = np.random.default_rng(37)
+        states = [s for s in (free_state(x, y, theta) for x, y, theta in
+                              rng.uniform(0.0, 2.0, (3000, 3)) * [1, 1, math.pi]) if is_free(s)]
+        rays = batch(states)
+        assert rays.step() == []
+        walked = {args[:4] for args in scalar_walks}
+        scalar = np.concatenate([log_events(simulate(state, 1)) for state in states])
+        assert np.column_stack([*rays.p, rays.t, rays.wall]).tobytes() == scalar.tobytes()
+        cells = set()
+        for state, x, y in zip(states, *rays.p.tolist()):
+            (px, py), (vx, vy) = state.position, state.velocity
+            if (px, py, vx, vy) in walked:
+                continue
+            (ox, oy), (cx, cy) = locate_cell((px, py)), locate_cell((x, y))
+            cells.add(((cx - ox) // 2 * int(math.copysign(1, vx)),
+                       (cy - oy) // 2 * int(math.copysign(1, vy))))
+        assert cells == {(a, b) for a in range(LOCKSTEP_CELLS) for b in range(LOCKSTEP_CELLS - a)}
+
+    # With the corner tolerance at 1e-3, and the pre-check's half-width to
+    # match, rays aimed 0.5 to 3 tolerances from a wall's end still tie
+    # simulate. The walk takes every corner and every strike within 2
+    # tolerances of a wall's end, and the block every other one it can: the
+    # batch has no corner rule of its own.
+    def test_one_corner_rule(self, scalar_walks, monkeypatch):
+        tol = 1e-3
+        monkeypatch.setattr(billiard, "CORNER_TOL", tol)
+        monkeypatch.setattr(billiard, "_INTERIOR", 0.5 - 2.0 * tol)
+        rng = np.random.default_rng(11)
+        states = [corner_aimed(tuple(rng.choice([-3, -1, 1, 3], 2).tolist()),
+                               rng.uniform(0.05, 0.95), sign * rng.uniform(0.05, 1.5),
+                               side * k * tol, tuple(rng.choice([1.0, -1.0], 2).tolist()),
+                               bool(rng.integers(2)))
+                  for k in (0.5, 1.0, 1.5, 2.5, 3.0) for side in (1, -1) for sign in (1, -1)
+                  for _ in range(4)]
+        batched = batched_events(states, 40)
+        walked = {args[:4] for args in scalar_walks}
+        corners = near_ends = 0
+        for state, events in zip(states, batched):
+            log = simulate(state, 40)
+            assert events.tobytes() == log_events(log).tobytes(), state
+            assert_hand_off(log, walked)
+            corners += log.corner_count()
+            along = np.where(log.wall < WALLS.index("Bottom"), log.y, log.x)
+            ends = np.abs(0.5 - np.abs(along - 2.0 * np.floor(along * 0.5) - 1.0))
+            off_corner = log.wall != WALLS.index("Corner")
+            near_ends += int(np.count_nonzero(off_corner & (ends < 2.0 * tol)))
+        # the tolerance in force is the patched one, and some side strikes
+        # lie between 1 and 2 tolerances of a wall's end
+        assert corners > 0 and near_ends > 0
+
+    # a step writes into the batch's own scratch arrays, so its peak
+    # allocation is the same at 2000 rays and at 20,000
+    def test_step_memory_does_not_grow_with_the_batch(self):
+        peaks = []
+        for count in (2000, 20000):
+            spec = SweepSpec(slope_step=0.75 / count, count=count)
+            rays = batch([state_from_slope(spec.slope_at(t)) for t in range(1, count + 1)])
+            rays.step()
+            tracemalloc.start()
+            try:
+                for _ in range(5):
+                    rays.step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 64 * 1024, peaks
 
     def test_near_axis_ray_finishes_on_scalar_walk(self, scalar_walks):
         state = free_state(0.0, 0.0, 1e-3)
