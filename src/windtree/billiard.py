@@ -174,8 +174,14 @@ def cell_centers(x, y) -> tuple[np.ndarray, np.ndarray]:
         exact = np.abs(p) < 2.0**53  # False on nan
         if not exact.all():
             raise ValueError(f"no exact cell center for coordinate {float(p[~exact].flat[0])!r}")
-        centers.append((2.0 * np.floor(p * 0.5) + 1.0).astype(np.int64))
+        centers.append(_band_centers(p).astype(np.int64))
     return tuple(centers)
+
+
+def _band_centers(p):
+    """2 floor(p / 2) + 1 of every coordinate in p, as floats: the walk's
+    band of each, unchecked."""
+    return 2.0 * np.floor(p * 0.5) + 1.0
 
 
 def _cell_center(p: float) -> float:
@@ -463,29 +469,37 @@ class Lockstep:
     the elapsed path lengths t, and carries across strikes what each
     velocity fixes: its inverse inv_v, its travel signs sign
     (np.copysign(1.0, v), so that -0.0 has its own) and whether
-    1/vx * 1/vy is finite (finite). A bounce negates a component of v,
-    inv_v and sign together. Negation is exact, 1 / -v == -(1 / v), so the
-    carried values are bitwise those of a batch built afresh from the
-    stepped rays, and |1/vx * 1/vy| never changes.
+    1/vx * 1/vy is finite (finite). v, inv_v and sign are the rows of one
+    (3, 2, R) array, so a bounce negates a component of all three in one
+    multiply. Negation is exact, 1 / -v == -(1 / v), so the carried values
+    are bitwise those of a batch built afresh from the stepped rays, and
+    |1/vx * 1/vy| never changes. So are the centers of each ray's start
+    cell, centers (2 floor(p / 2) + 1 on each axis): a strike on the block
+    settles them as the struck obstacle's, as _strikes carries its bands,
+    and a strike of the walk places them afresh.
 
-    A step writes into scratch arrays the batch owns and reuses, 894 bytes
-    per ray beside the rays' own 74, and allocates nothing that grows with
-    the batch. The arrays p, v, t and wall that a step leaves hold until
-    the next step, which overwrites them; one thread steps a batch.
+    A step writes into scratch arrays the batch owns and reuses, 876 bytes
+    per ray beside the rays' own 89, and allocates nothing that grows with
+    the batch. The arrays p, v and t that a step leaves hold until the
+    next step, which overwrites them; one thread steps a batch. The wall
+    codes (wall) are built from the step's own flags on first read.
     """
 
     def __init__(self, x, y, vx, vy, t):
         self.p = np.array([x, y], dtype=float)
-        self.v = np.array([vx, vy], dtype=float)
         self.t = np.array(t, dtype=float)
+        self._state = np.empty((3, *self.p.shape))
+        self.v, self.inv_v, self.sign = self._state
+        self.v[...] = vx, vy
         # inf and nan arise only on rays the scalar walk finishes
         with np.errstate(all="ignore"):
-            self.inv_v = 1.0 / self.v
+            np.divide(1.0, self.v, out=self.inv_v)
             # a ray with a component too small (zero, say) for this product
             # to be finite never leaves the scalar walk
             self.finite = np.isfinite(self.inv_v[0] * self.inv_v[1])
-        self.sign = np.copysign(1.0, self.v)
-        self.wall = np.full(len(self.t), NO_HIT, dtype=np.int8)
+            self.centers = _band_centers(self.p)
+        np.copysign(1.0, self.v, out=self.sign)
+        self._wall = np.full(len(self.t), NO_HIT, dtype=np.int8)
         self._allocate()
 
     def __len__(self) -> int:
@@ -505,25 +519,47 @@ class Lockstep:
         self._reached = np.empty((2, cells, n), dtype=bool)
         self._rows = np.empty((2, n), dtype=np.intp)
         self._s = np.empty(n)
-        self._entry, self._near, self._band, self._next_p, self._flip = (
-            np.empty((2, n)) for _ in range(5))
-        self._normal, self._backward, self._inside, self._inside_hi = (
-            np.empty((2, n), dtype=bool) for _ in range(4))
+        self._entry, self._near, self._next_p, self._flip = (np.empty((2, n)) for _ in range(4))
+        self._normal, self._inside, self._inside_hi = (
+            np.empty((2, n), dtype=bool) for _ in range(3))
         self._clean, self._one_wall = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+
+    @property
+    def wall(self) -> np.ndarray:
+        """The wall code (an index into WALLS) of each ray's last strike,
+        NO_HIT before the first step and for a ray that met nothing.
+
+        Built on first read after a step, from the step's own flags: a
+        bounce leaves the struck axis's travel sign pointing away from the
+        wall, so a vertical wall is Left where sign[0] < 0 and Right
+        otherwise, and any other is Bottom where sign[1] < 0 and Top
+        otherwise. The codes of the rays the scalar walk took, Corner and
+        NO_HIT among them, are its own.
+        """
+        if self._wall is None:
+            # read as int8, so that the sum and putmask cast no copy of it
+            ahead = np.greater(self.sign, 0.0).view(np.int8)
+            self._wall = ahead[1] + np.int8(_BOTTOM)
+            np.putmask(self._wall, self._normal[0], ahead[0])
+            walked, codes = self._walked
+            self._wall[walked] = codes
+        return self._wall
 
     def drop(self, rows):
         """Remove the rays at the indices `rows`, as step() lists its misses."""
         keep = np.ones(len(self.t), dtype=bool)
         keep[rows] = False
-        self.p, self.v, self.inv_v, self.sign = (
-            a[:, keep] for a in (self.p, self.v, self.inv_v, self.sign))
-        self.t, self.finite, self.wall = self.t[keep], self.finite[keep], self.wall[keep]
+        self._wall = self.wall[keep]
+        self.p, self.centers = self.p[:, keep], self.centers[:, keep]
+        self._state = self._state[..., keep]
+        self.v, self.inv_v, self.sign = self._state
+        self.t, self.finite = self.t[keep], self.finite[keep]
         self._allocate()
 
     def step(self) -> list[int]:
         """Advance every ray to its next wall strike and reflect it there.
 
-        Afterwards wall holds each strike's wall code (an index into WALLS).
+        Afterwards wall reads each strike's wall code (an index into WALLS).
         Each ray's result is bitwise the next strike and post-bounce state
         of simulate from the same state: like the scalar walk, a bounce only
         flips signs, so the two agree on any velocity. A ray that meets
@@ -562,13 +598,20 @@ class Lockstep:
         that 1/vx * 1/vy is not finite, a coordinate beyond +-_REACH, or a
         hit near or past a wall's ends. So the corner rule is the walk's
         alone, and only the walk finds no strike.
+
+        The struck cell's centers c are the next step's start cell: the hit
+        lies on its wall, strictly inside the wall's ends, so 2 floor(h / 2)
+        + 1 is c on both axes. The bounce multiplies the (3, 2, R) state of
+        v, inv_v and sign by one flip factor, 1 or -1 per component, which
+        flip.fill and np.putmask build: the three calls took 3-5 us at 300
+        rays and 12 us at 3000, where a masked np.negative(where=) of the
+        state took 9-12 and 116-121 us (2-core x86 host, numpy 2.4).
         """
-        p, v, inv_v, sign, t, wall = self.p, self.v, self.inv_v, self.sign, self.t, self.wall
+        p, v, inv_v, sign, t, centers = self.p, self.v, self.inv_v, self.sign, self.t, self.centers
         n = len(t)
         planes, slabs, s, rows, point, flip = (
             self._planes, self._slabs, self._s, self._rows, self._next_p, self._flip)
-        t_near, invalid, band, normal, inside = (
-            self._t_near, self._invalid, self._band, self._normal, self._inside)
+        t_near, invalid, normal, inside = self._t_near, self._invalid, self._normal, self._inside
         clean, one_wall, vertical = self._clean, self._one_wall, normal[0]
         # inf and nan arise only on rays the scalar walk finishes, or exactly
         # as Python float arithmetic gives them without warning
@@ -582,18 +625,14 @@ class Lockstep:
             # ahead on each axis. Every term is a small integer or
             # half-integer, so each plane is exactly _strikes' c - 0.5 or
             # c + 0.5 of a band center c = 2 floor(p / 2) + 1.
-            centers = np.multiply(p, 0.5, out=band)
-            np.floor(centers, out=centers)
-            centers *= 2.0
-            centers += 1.0
             np.multiply(_PLANE_OFFSETS, sign[:, None], out=planes)
             planes += centers[:, None]
             np.subtract(planes, p[:, None], out=slabs)
             slabs *= inv_v[:, None]
             # every index taken is in range, so mode="clip" clips none; it
             # spares take a buffered copy of out
-            tx1, ty1, tx2, ty2 = np.take(slabs.reshape(4 * LOCKSTEP_CELLS, n), _BLOCK_ROWS,
-                                         axis=0, out=self._block, mode="clip")
+            tx1, ty1, tx2, ty2 = slabs.reshape(4 * LOCKSTEP_CELLS, n).take(
+                _BLOCK_ROWS, axis=0, out=self._block, mode="clip")
             # np.maximum and np.minimum differ from _strikes' comparisons
             # only on nan and signed zeros, which no valid candidate has
             np.maximum(tx1, ty1, out=t_near)
@@ -613,56 +652,57 @@ class Lockstep:
             np.add.reduce(np.less_equal(slabs[0], s, out=self._reached), axis=1, out=rows)
             rows *= n
             rows += self._behind
-            entry = np.take(slabs, rows, out=self._entry, mode="clip")
-            near = np.take(planes, rows, out=self._near, mode="clip")
+            entry = slabs.take(rows, out=self._entry, mode="clip")
+            near = planes.take(rows, out=self._near, mode="clip")
             np.greater(entry[0], entry[1], out=vertical)
             # the struck wall's normal axis: x for a vertical wall
             np.logical_not(vertical, out=normal[1])
             np.less_equal(s, HORIZON, out=clean)
             clean &= np.not_equal(entry[0], entry[1], out=one_wall)
             clean &= self.finite
-            reach = np.less(np.abs(p, out=entry), _REACH, out=inside)
-            clean &= reach[0]
-            clean &= reach[1]
+            # the reach rule, ray by ray only where some coordinate breaks it
+            if not np.abs(p, out=entry).max(initial=0.0) < _REACH:
+                reach = np.less(entry, _REACH, out=inside)
+                clean &= reach[0]
+                clean &= reach[1]
             # _strikes' hit p + s * v, snapped onto the struck wall's plane
             np.multiply(v, s, out=point)
             point += p
             np.putmask(point, normal, near)
             # _strikes' interior pre-check c - _INTERIOR < h < c + _INTERIOR
             # on both axes, with the struck band's center c = near + 0.5 sign
-            # exact. On the normal axis h is the wall plane c -+ 0.5, which
-            # fails it, so it holds on either axis just where it holds along
-            # the wall.
-            np.multiply(sign, 0.5, out=band)
+            # exact, written over the start cell's. On the normal axis h is
+            # the wall plane c -+ 0.5, which fails it, so it holds on either
+            # axis just where it holds along the wall.
+            band = np.multiply(sign, 0.5, out=centers)
             band += near
             np.less(np.subtract(band, _INTERIOR, out=entry), point, out=inside)
             inside &= np.less(point, np.add(band, _INTERIOR, out=entry), out=self._inside_hi)
             clean &= np.logical_or(inside[0], inside[1], out=inside[0])
-            # the snap flips the normal component; a wall is near (Left,
-            # Bottom) or far (Right, Top) by its axis's travel sign, read as
-            # int8 so that putmask casts no copy of it
+            # the snap flips the normal component
             flip.fill(1.0)
             np.putmask(flip, normal, -1.0)
-            backward = np.less(sign, 0.0, out=self._backward).view(np.int8)
-            np.add(backward[1], np.int8(_BOTTOM), out=wall)
-            np.putmask(wall, vertical, backward[0])
-        misses = []
+        walked, codes, misses = [], [], []
         if not clean.all():
-            for i in np.flatnonzero(np.logical_not(clean, out=clean)).tolist():
+            walked = np.flatnonzero(np.logical_not(clean, out=clean))
+            for i in walked.tolist():
                 hit = next(_strikes(float(p[0, i]), float(p[1, i]), float(v[0, i]),
                                     float(v[1, i])), None)
                 if hit is None:  # a ray that meets nothing keeps its state
                     misses.append(i)
-                    point[:, i], wall[i], flip[:, i] = p[:, i], NO_HIT, 1.0
+                    codes.append(NO_HIT)
+                    point[:, i], flip[:, i] = p[:, i], 1.0
                     s[i] = -0.0  # t + -0.0 is t, bit for bit
                     continue
-                s[i], point[0, i], point[1, i], wall[i] = hit
-                flip[:, i] = [-1.0 if f else 1.0 for f in _FLIPS[wall[i]]]
+                s[i], point[0, i], point[1, i], wall = hit
+                codes.append(wall)
+                flip[:, i] = [-1.0 if f else 1.0 for f in _FLIPS[wall]]
+            # the walk's strike settles no cell: place it as __init__ does
+            centers[:, walked] = _band_centers(point[:, walked])
         self.p, self._next_p = point, p
+        self._wall, self._walked = None, (walked, codes)
         t += s
-        v *= flip
-        inv_v *= flip
-        sign *= flip
+        self._state *= flip
         return misses
 
 

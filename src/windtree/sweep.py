@@ -41,7 +41,7 @@ MIN_OVERLAP = 25
 # this many numbers, or n // 2 where one lag alone needs more.
 LAG_BLOCK_ELEMENTS = 2**15
 # build_sweep steps at most SWEEP_CHUNK rays in lockstep. A Lockstep batch
-# owns 968 bytes per ray (894 of step scratch, 74 of ray state), so a
+# owns 965 bytes per ray (876 of step scratch, 89 of ray state), so a
 # chunk of 2000 holds about 1.9 MB, and its steps allocate nothing that
 # grows with it. Median seconds of `windtree sweep` (cli.main, in a fresh
 # process) over the reference interval, 7 runs each in shuffled order,
@@ -52,7 +52,8 @@ LAG_BLOCK_ELEMENTS = 2**15
 #   10000    2.18   1.73   1.68   1.64   1.80   1.80 (2.1 faults)
 # Smaller chunks pay numpy's per-call cost on more steps, and larger ones
 # run slower per ray (9 more runs at 10000 slopes: 2000 1.68, 3000 1.73,
-# 5000 1.81 s).
+# 5000 1.81 s). Once the batch carried its start cells the curve was flat
+# from 1000 to 3000 (9 runs at 10000 slopes: 1.59, 1.55, 1.58 s).
 SWEEP_CHUNK = 2000
 # growth_exponent fits GROWTH_POINTS log-spaced counts from GROWTH_START on.
 GROWTH_POINTS = 25

@@ -3,6 +3,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, settings
 
+from windtree.billiard import Lockstep
 from windtree.hmm import baum_welch, default_init
 from windtree.sweep import SweepSpec, build_sweep
 
@@ -32,3 +33,13 @@ def reference_fit(reference_series):
     init = default_init(reference_series, 3)
     report = baum_welch(reference_series, init, max_iters=15)
     return report, time.perf_counter() - started
+
+
+@pytest.fixture
+def wall_reads(monkeypatch):
+    """The length of the batch at every read of Lockstep.wall."""
+    reads = []
+    wall = Lockstep.wall
+    monkeypatch.setattr(Lockstep, "wall", property(
+        lambda rays: reads.append(len(rays)) or wall.fget(rays)))
+    return reads

@@ -1018,6 +1018,27 @@ class TestStepRays:
         assert [len(column) for column in ray_columns(rays)] == [0] * 5
         assert rays.wall.shape == (0,)
 
+    # wall reads NO_HIT before the first step, and drop keeps each kept
+    # ray's code, whether or not it was read before: a corridor that meets
+    # nothing beside rays the walk takes (a zero component) and rays that
+    # strike corners
+    def test_drop_keeps_the_wall_codes(self):
+        states = [state_from_slope(1e-7), ParticleState(Vec2(0.0, 1.0), Vec2(1.0, 0.0)),
+                  *map(state_from_slope, CORNER_SLOPES)]
+        read, unread = batch(states), batch(states)
+        assert read.wall.tobytes() == np.full(len(states), NO_HIT, dtype=np.int8).tobytes()
+        dropped = corners = 0
+        for _ in range(300):
+            misses = read.step()
+            assert unread.step() == misses
+            kept = np.delete(read.wall, misses)
+            corners += int(np.count_nonzero(kept == WALLS.index("Corner")))
+            read.drop(misses)
+            unread.drop(misses)
+            dropped += len(misses)
+            assert read.wall.tobytes() == kept.tobytes() == unread.wall.tobytes()
+        assert dropped > 0 and corners > 0
+
     @pytest.mark.parametrize("mx, my", [(-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)])
     def test_mirrored_reference_batch_mirrors_bitwise(self, mx, my):
         # a mirror maps LEFT<->RIGHT (x) and BOTTOM<->TOP (y); CORNER and
@@ -1087,8 +1108,8 @@ class TestStepRays:
         assert not np.array_equal(started, np.array([state.velocity for state in ready]))
 
     # a batch built afresh from the stepped rays carries bitwise the same
-    # inverse velocities, travel signs and finiteness, and steps to the same
-    # strikes
+    # inverse velocities, travel signs, finiteness and start cells, and
+    # steps to the same strikes
     @pytest.mark.parametrize("states, steps, rare", [
         ([state_from_slope(SweepSpec().slope_at(t)) for t in range(1, 301)], 50, False),
         ([*map(state_from_slope, CORNER_SLOPES),
@@ -1111,7 +1132,7 @@ class TestStepRays:
                     assert a.tobytes() == b.tobytes()
             fresh = Lockstep(*ray_columns(rays))
             for a, b in ((fresh.inv_v, rays.inv_v), (fresh.sign, rays.sign),
-                         (fresh.finite, rays.finite)):
+                         (fresh.finite, rays.finite), (fresh.centers, rays.centers)):
                 assert a.tobytes() == b.tobytes()
             corners += int(np.count_nonzero(rays.wall == WALLS.index("Corner")))
             misses += len(missed)

@@ -627,7 +627,7 @@ class TestDiagnoseCommand:
 
     @pytest.mark.parametrize("slope, collisions", [("1.414", "0"), ("1e-7", "5"),
                                                    ("1.464", "500")])
-    def test_trajectory_replays_on_the_collision_kernel(self, tmp_path, capsys,
+    def test_trajectory_replays_on_the_collision_kernel(self, tmp_path, capsys, wall_reads,
                                                         slope, collisions):
         assert main(["simulate", "--out", str(tmp_path), "--slope", slope,
                      "--collisions", collisions]) == 0
@@ -638,6 +638,8 @@ class TestDiagnoseCommand:
         assert (summary["n_collisions"], summary["truncated"], corners) == expected[slope]
         assert main(["diagnose", "--out", str(tmp_path)]) == 0
         assert "ok   trajectory replays on the collision kernel" in capsys.readouterr().out
+        # the replay's one batch of strikes builds its wall codes once
+        assert wall_reads == [summary["n_collisions"]]
 
     @pytest.mark.parametrize("edit", ["csv_x", "summary_slope"])
     def test_edited_trajectory_fails_replay(self, tmp_path, capsys, edit):

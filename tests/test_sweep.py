@@ -124,6 +124,12 @@ class TestBuildSweep:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "fdbfb178c0dac35e22d1c45c2b9f56d42e3893fa1c3fe3a0803e7a3001566144")
 
+    # the sweep reads the rays' positions alone, so no step of it builds
+    # the wall codes of its strikes
+    def test_sweep_reads_no_wall_codes(self, wall_reads):
+        assert build_sweep(SweepSpec()).failures == []
+        assert wall_reads == []
+
     def test_mirrored_grid_gives_the_same_statistics_bitwise(self, reference_sweep):
         # reflecting the slopes in the x axis reflects every trajectory, and
         # with it every collision point, exactly
