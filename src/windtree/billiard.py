@@ -184,16 +184,6 @@ def _band_centers(p):
     return 2.0 * np.floor(p * 0.5) + 1.0
 
 
-def _cell_center(p: float) -> float:
-    """cell_centers of one scalar coordinate, as a float: the walk's own
-    2 floor(p / 2) + 1, with the same ValueError where that is not an exact
-    odd integer. One point through cell_centers' 0-d arrays costs about
-    fifty times as much."""
-    if not abs(p) < 2.0**53:  # True on nan
-        raise ValueError(f"no exact cell center for coordinate {float(p)!r}")
-    return 2.0 * math.floor(p * 0.5) + 1.0
-
-
 # ---------------------------------------------------------------------------
 # The strike walk: obstacle bands paired in ray order. An obstacle is where
 # an x-band |x - c| < 0.5 (c odd) and a y-band overlap; along a ray, a band
@@ -363,47 +353,34 @@ def _strikes(px, py, vx, vy):
         pf, ps = hf, hs
 
 
-def point_in_obstacle(x: float, y: float, shrink: float = 0.0) -> bool:
-    """True when (x, y) lies strictly inside an obstacle shrunk by `shrink`."""
-    cx, cy = _cell_center(x), _cell_center(y)
-    return bool(abs(x - cx) < 0.5 - shrink and abs(y - cy) < 0.5 - shrink)
-
-
-def _normalize_on_wall(px, py, vx, vy):
-    """Reflect in place a velocity that points into the obstacle whose wall
-    the position sits on (within WALL_TOL). Needed so velocity-reversed
-    post-collision states retrace instead of tunneling; not a logged event.
-    """
-    cx, cy = _cell_center(px), _cell_center(py)
-    in_x_span = (cx - 0.5) - WALL_TOL <= px <= (cx + 0.5) + WALL_TOL
-    in_y_span = (cy - 0.5) - WALL_TOL <= py <= (cy + 0.5) + WALL_TOL
-    flip_x = in_y_span and (
-        (abs(px - (cx - 0.5)) <= WALL_TOL and vx > 0.0)
-        or (abs(px - (cx + 0.5)) <= WALL_TOL and vx < 0.0)
-    )
-    flip_y = in_x_span and (
-        (abs(py - (cy - 0.5)) <= WALL_TOL and vy > 0.0)
-        or (abs(py - (cy + 0.5)) <= WALL_TOL and vy < 0.0)
-    )
-    return (-vx if flip_x else vx), (-vy if flip_y else vy)
-
-
 def _start_velocity(initial: ParticleState) -> tuple[float, float]:
     """The velocity of the first flight from `initial`: the one start rule,
     which simulate, velocities() and strike_origins take.
 
     The walk's reach rule comes first: a start with a coordinate beyond
     +-_REACH meets nothing and keeps its velocity (past 2**63 its cell
-    center has no int64 value). A start inside an obstacle shrunk by
-    WALL_TOL is a ValueError, and one on a wall with its velocity into that
-    wall's obstacle is reflected in place (_normalize_on_wall).
+    center has no int64 value). Within it the start's cell is placed once,
+    as _strikes places its bands, at exact odd-integer centers. A start
+    inside that cell's obstacle shrunk by WALL_TOL is a ValueError. On a
+    wall (within WALL_TOL), a velocity into the wall's obstacle is
+    reflected in place, so that a velocity-reversed post-bounce state
+    retraces instead of tunneling; the reflection is not a logged strike.
     """
     (px, py), (vx, vy) = initial.position, initial.velocity
     if not (-_REACH < px < _REACH and -_REACH < py < _REACH):
         return vx, vy
-    if point_in_obstacle(px, py, shrink=WALL_TOL):
+    cx, cy = 2.0 * math.floor(px * 0.5) + 1.0, 2.0 * math.floor(py * 0.5) + 1.0
+    if abs(px - cx) < 0.5 - WALL_TOL and abs(py - cy) < 0.5 - WALL_TOL:
         raise ValueError(f"initial position {(float(px), float(py))} is inside an obstacle")
-    return _normalize_on_wall(px, py, vx, vy)
+    if (cy - 0.5) - WALL_TOL <= py <= (cy + 0.5) + WALL_TOL and (
+            (abs(px - (cx - 0.5)) <= WALL_TOL and vx > 0.0)
+            or (abs(px - (cx + 0.5)) <= WALL_TOL and vx < 0.0)):
+        vx = -vx
+    if (cx - 0.5) - WALL_TOL <= px <= (cx + 0.5) + WALL_TOL and (
+            (abs(py - (cy - 0.5)) <= WALL_TOL and vy > 0.0)
+            or (abs(py - (cy + 0.5)) <= WALL_TOL and vy < 0.0)):
+        vy = -vy
+    return vx, vy
 
 
 def simulate(initial: ParticleState, n_collisions: int) -> TrajectoryLog:

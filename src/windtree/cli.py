@@ -1,8 +1,9 @@
 """Command-line pipeline: simulate, sweep, fit, diagnose.
 
-Exit codes: 0 success, 2 configuration or input error, 3 simulation
-failure, 4 fit or diagnostic failure. Failures, usage errors among them,
-also emit a one-line machine-readable error JSON on stdout.
+Exit codes: 0 success, 2 configuration or input error or an output path
+that cannot be written, 3 simulation failure, 4 fit or diagnostic failure.
+Failures, usage errors among them, also emit a one-line machine-readable
+error JSON on stdout.
 """
 
 from __future__ import annotations
@@ -94,13 +95,17 @@ def main(argv=None) -> int:
     out = Path(config.output_dir)
     if args["command"] == "diagnose":
         return cmd_diagnose(config, out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    if args["command"] == "simulate":
-        return cmd_simulate(config, out)
-    if args["command"] == "sweep":
-        return cmd_sweep(config, out)
-    return cmd_fit(config, out, args["observations"])
+    # an output directory or artifact that cannot be written is bad input;
+    # the OSError names its path
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        if args["command"] == "simulate":
+            return cmd_simulate(config, out)
+        if args["command"] == "sweep":
+            return cmd_sweep(config, out)
+        return cmd_fit(config, out, args["observations"])
+    except OSError as exc:
+        return _fail(EXIT_CONFIG, f"cannot write output: {exc}")
 
 
 def cmd_simulate(config: PipelineConfig, out: Path) -> int:
@@ -208,7 +213,8 @@ def _trajectory_checks(cols, _):
     yield "trajectory times strictly increasing", bool(np.all(ts[1:] > ts[:-1]))
     cx, cy = billiard.cell_centers(xs[1:], ys[1:])
     gap = np.maximum(np.abs(xs[1:] - cx), np.abs(ys[1:] - cy))
-    yield "trajectory points on obstacle boundaries", bool(np.all(np.abs(gap - 0.5) <= 1e-9))
+    yield "trajectory points on obstacle boundaries", bool(
+        np.all(np.abs(gap - 0.5) <= billiard.WALL_TOL))
 
 
 def _replay_checks(cols, summary):

@@ -61,11 +61,13 @@ def nearest_odd(z):
     return np.where(pick_hi, hi, lo)
 
 
-def inside_obstacle(x, y):
-    """Strict interior test against the unit squares at odd-integer centers."""
+def inside_obstacle(x, y, margin=0.0):
+    """Strict interior test against the unit squares at odd-integer centers,
+    each shrunk by `margin` on every side (grown, for a negative margin)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return (np.abs(x - nearest_odd(x)) < 0.5) & (np.abs(y - nearest_odd(y)) < 0.5)
+    half = 0.5 - margin
+    return (np.abs(x - nearest_odd(x)) < half) & (np.abs(y - nearest_odd(y)) < half)
 
 
 def march_first_hit(px, py, vx, vy, step=MARCH_STEP, max_path=1e4, chunk=8192):

@@ -17,7 +17,6 @@ from windtree.billiard import (
     WALLS,
     ParticleState,
     Vec2,
-    point_in_obstacle,
     simulate,
     state_from_slope,
     strike_origins,
@@ -30,7 +29,7 @@ from windtree.hmm import (
 )
 from windtree.sweep import MotionLabel, classify_motion, estimate_diffusion_exponent
 
-from oracle import final_state, march_first_hit, position_at_time
+from oracle import final_state, inside_obstacle, march_first_hit, position_at_time
 from run_pipeline import PUBLISHED
 from test_hmm import enumerate_paths, random_params
 
@@ -56,7 +55,7 @@ def test_criterion_1_geometry_oracle():
     for _ in range(1000):
         while True:
             x, y = rng.uniform(-1.0, 1.0, 2)
-            if not point_in_obstacle(x, y, shrink=-1e-9):
+            if not inside_obstacle(x, y, margin=-1e-9):
                 break
         theta = rng.uniform(0.0, 2.0 * math.pi)
         vx, vy = math.cos(theta), math.sin(theta)

@@ -23,9 +23,9 @@ from windtree.billiard import (
     ParticleState,
     TrajectoryLog,
     Vec2,
+    WALL_TOL,
     cell_centers,
     distance_series,
-    point_in_obstacle,
     simulate,
     state_from_angle,
     state_from_slope,
@@ -48,7 +48,7 @@ SQRT5 = math.sqrt(5.0)
 def free_position(rng):
     while True:
         x, y = rng.uniform(-1.0, 1.0, 2)
-        if not point_in_obstacle(x, y, shrink=-1e-9):
+        if not inside_obstacle(x, y, margin=-1e-9):
             return x, y
 
 
@@ -93,7 +93,7 @@ class TestLocateCell:
     @pytest.mark.parametrize("x", [1e20, 2.0**53, -2.0**53, math.inf, math.nan])
     def test_point_without_exact_center_is_rejected(self, x):
         with pytest.raises(ValueError, match="no exact cell center"):
-            point_in_obstacle(x, 0.3)
+            cell_centers(x, 0.3)
 
 
 def reflect(vx, vy, wall):
@@ -347,12 +347,27 @@ class TestOracleAgreement:
             assert math.hypot(point.x - ox, point.y - oy) <= 1e-6
             assert wall == marched
 
-    def test_inside_predicates_agree(self):
-        rng = np.random.default_rng(11)
-        pts = rng.uniform(-9, 9, size=(500, 2))
-        ours = np.array([point_in_obstacle(x, y) for x, y in pts])
-        theirs = inside_obstacle(pts[:, 0], pts[:, 1])
-        np.testing.assert_array_equal(ours, theirs)
+    # the start rule's ValueError falls exactly where the oracle puts a start
+    # inside an obstacle shrunk by WALL_TOL: on a grid of hard coordinates,
+    # even ones (between two cells), cell centers, and points on each wall
+    # and 0.5, 1 and 2 WALL_TOL either side of it, so corners among them
+    def test_start_rule_rejects_where_the_oracle_is_inside(self):
+        near_walls = [c + side + k * WALL_TOL for c in (-3.0, -1.0, 1.0, 1001.0)
+                      for side in (-0.5, 0.5) for k in (-2, -1, -0.5, 0, 0.5, 1, 2)]
+        coords = [*near_walls, -3.0, 0.25, 1.0, 1001.0, -4.0, -2.0, 0.0, 2.0, 1000.0]
+        velocity = unit(1.0, 0.3)
+        inside = 0
+        for x in coords:
+            for y in coords:
+                state = ParticleState(Vec2(x, y), velocity)
+                if inside_obstacle(x, y, margin=WALL_TOL):
+                    inside += 1
+                    with pytest.raises(ValueError, match="inside an obstacle"):
+                        billiard._start_velocity(state)
+                else:
+                    billiard._start_velocity(state)
+        # both kinds of start are on the grid
+        assert 0 < inside < len(coords) ** 2
 
 
 def test_position_at_time_interpolates():
@@ -479,7 +494,7 @@ def free_state(x, y, theta):
 
 
 def is_free(state):
-    return not point_in_obstacle(*state.position, shrink=-1e-9)
+    return not inside_obstacle(*state.position, margin=-1e-9)
 
 
 coords = st.floats(-3.0, 3.0)
@@ -565,7 +580,7 @@ def scalar_walks(monkeypatch):
 
 def first_strike_length(entry, state, horizon=billiard.HORIZON):
     """Path length from `state` to its first strike by `entry` (simulate or
-    "step_rays", one step of a one-ray Lockstep), or None if there is none
+    "lockstep", one step of a one-ray Lockstep), or None if there is none
     within `horizon`."""
     with capped(horizon):
         if entry == "simulate":
@@ -778,7 +793,7 @@ class TestStrikeWalk:
     # a near-axis ray from a gap may stop on the first time it can enter an
     # obstacle band, which must be the walk's own slab time: the first strike
     # is found at a horizon of exactly its path length, and not just below it
-    @pytest.mark.parametrize("entry", ["simulate", "step_rays"])
+    @pytest.mark.parametrize("entry", ["simulate", "lockstep"])
     @given(tilted_rays)
     def test_near_axis_strike_found_at_its_horizon(self, entry, state):
         s = first_strike_length(entry, state)

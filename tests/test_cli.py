@@ -716,6 +716,33 @@ class TestDiagnoseCommand:
         assert not missing.exists()
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2 with one error JSON
+    line naming it, not with a traceback."""
+
+    @staticmethod
+    def assert_one_error_naming(capsys, path):
+        printed, err = capsys.readouterr()
+        (line,) = printed.splitlines()
+        error = json.loads(line)
+        assert error["exit_code"] == 2 and str(path) in error["error"] and err == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "fit"])
+    def test_out_that_is_a_file_is_config_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        assert main([command, "--out", str(out)]) == 2
+        self.assert_one_error_naming(capsys, out)
+        assert out.read_text() == "not a directory"
+
+    def test_directory_at_an_artifact_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "summary.json").mkdir()
+        assert main(["simulate", "--out", str(tmp_path), "--collisions", "1"]) == 2
+        self.assert_one_error_naming(capsys, tmp_path / "summary.json")
+        assert not (tmp_path / "summary.json.tmp").exists()
+        assert (tmp_path / "summary.json").is_dir()
+
+
 class TestConfigHandling:
     def test_invalid_json_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
