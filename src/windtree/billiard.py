@@ -13,6 +13,7 @@ write into, none of them at module level, and one thread steps it at a time.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -425,14 +426,32 @@ def next_collision(state: ParticleState) -> TrajectoryLog:
 # ---------------------------------------------------------------------------
 
 LOCKSTEP_CELLS = 4     # candidate block: the cells (a, b) ahead with a + b < this
-# The walls of the obstacle k cells ahead on one axis, near then far, as
-# offsets from the start cell's center in the direction of travel.
+# The walls of the obstacle k cells ahead on either axis, near then far, as
+# offsets from the start cell's center in the direction of travel, shaped
+# (near/far, cells ahead, axis, ray) for broadcasting.
 _PLANE_OFFSETS = np.array([[2.0 * k + side for k in range(LOCKSTEP_CELLS)]
-                           for side in (-0.5, 0.5)])[:, None, :, None]
-# The block's rows of the flattened (near/far, axis, cells ahead) slab times:
-# tx1 at a, ty1 at b, tx2 at a and ty2 at b, one column per cell (a, b).
-_BLOCK_ROWS = np.array([(a, LOCKSTEP_CELLS + b, 2 * LOCKSTEP_CELLS + a, 3 * LOCKSTEP_CELLS + b)
+                           for side in (-0.5, 0.5)])[:, :, None, None]
+# The block's rows of the flattened (near/far, cells ahead, axis) slab
+# times: tx1 at a, ty1 at b, tx2 at a and ty2 at b, one column per cell
+# (a, b).
+_BLOCK_ROWS = np.array([(2 * a, 2 * b + 1, 2 * (LOCKSTEP_CELLS + a), 2 * (LOCKSTEP_CELLS + b) + 1)
                         for a in range(LOCKSTEP_CELLS) for b in range(LOCKSTEP_CELLS - a)]).T
+
+
+@contextlib.contextmanager
+def _step_settings():
+    """The numpy settings Lockstep steps run under: floating-point errors
+    ignored, and a 256-element ufunc buffer.
+
+    inf and nan arise only on rays the scalar walk finishes, or exactly as
+    Python float arithmetic gives them without warning. With its default
+    8192-element buffer, numpy copies the broadcast operands of the plane
+    and slab arithmetic on fewer rays through fresh buffers at every call; a
+    256-element one spares them. numpy >= 2 restores both as errstate exits.
+    """
+    with np.errstate(all="ignore"):
+        np.setbufsize(256)
+        yield
 
 
 class Lockstep:
@@ -445,18 +464,19 @@ class Lockstep:
     The batch holds the positions p and velocities v as (2, R) arrays and
     the elapsed path lengths t, and carries across strikes what each
     velocity fixes: its inverse inv_v, its travel signs sign
-    (np.copysign(1.0, v), so that -0.0 has its own) and whether
-    1/vx * 1/vy is finite (finite). v, inv_v and sign are the rows of one
-    (3, 2, R) array, so a bounce negates a component of all three in one
-    multiply. Negation is exact, 1 / -v == -(1 / v), so the carried values
-    are bitwise those of a batch built afresh from the stepped rays, and
-    |1/vx * 1/vy| never changes. So are the centers of each ray's start
-    cell, centers (2 floor(p / 2) + 1 on each axis): a strike on the block
-    settles them as the struck obstacle's, as _strikes carries its bands,
-    and a strike of the walk places them afresh.
+    (np.copysign(1.0, v), so that -0.0 has its own), side (0.5 * sign, the
+    far wall of a band from its center, as _strikes' side_f and side_s)
+    and whether 1/vx * 1/vy is finite (finite). v, inv_v, sign and side are
+    the rows of one (4, 2, R) array, so a bounce negates a component of all
+    four in one multiply. Negation is exact, 1 / -v == -(1 / v), so the
+    carried values are bitwise those of a batch built afresh from the
+    stepped rays, and |1/vx * 1/vy| never changes. So are the centers of
+    each ray's start cell, centers (2 floor(p / 2) + 1 on each axis): a
+    strike on the block settles them as the struck obstacle's, as _strikes
+    carries its bands, and a strike of the walk places them afresh.
 
-    A step writes into scratch arrays the batch owns and reuses, 876 bytes
-    per ray beside the rays' own 89, and allocates nothing that grows with
+    A step writes into scratch arrays the batch owns and reuses, 956 bytes
+    per ray beside the rays' own 105, and allocates nothing that grows with
     the batch. The arrays p, v and t that a step leaves hold until the
     next step, which overwrites them; one thread steps a batch. The wall
     codes (wall) are built from the step's own flags on first read.
@@ -465,17 +485,23 @@ class Lockstep:
     def __init__(self, x, y, vx, vy, t):
         self.p = np.array([x, y], dtype=float)
         self.t = np.array(t, dtype=float)
-        self._state = np.empty((3, *self.p.shape))
-        self.v, self.inv_v, self.sign = self._state
+        self._state = np.empty((4, *self.p.shape))
+        self.v, self.inv_v, self.sign, self.side = self._state
         self.v[...] = vx, vy
-        # inf and nan arise only on rays the scalar walk finishes
-        with np.errstate(all="ignore"):
+        with _step_settings():
             np.divide(1.0, self.v, out=self.inv_v)
             # a ray with a component too small (zero, say) for this product
             # to be finite never leaves the scalar walk
             self.finite = np.isfinite(self.inv_v[0] * self.inv_v[1])
             self.centers = _band_centers(self.p)
         np.copysign(1.0, self.v, out=self.sign)
+        np.multiply(self.sign, 0.5, out=self.side)
+        # c - _INTERIOR and c + _INTERIOR from a band center c in one add,
+        # the first as c + -_INTERIOR, bitwise the same; _INTERIOR as it is
+        # when the batch is built
+        self._interior = np.array([-_INTERIOR, _INTERIOR])[:, None, None]
+        # the coming steps whose reach rule needs no scan (see _step)
+        self._unscanned = 0
         self._wall = np.full(len(self.t), NO_HIT, dtype=np.int8)
         self._allocate()
 
@@ -485,18 +511,24 @@ class Lockstep:
     def _allocate(self):
         """The scratch arrays of a step over the batch's rays."""
         n, cells, block = len(self.t), LOCKSTEP_CELLS, _BLOCK_ROWS.shape[1]
-        # the flat index in planes and slabs of each axis's near wall 1 cell
-        # before the start cell, so that adding n per cell ahead names a wall
-        self._behind = (np.arange(2)[:, None] * cells - 1) * n + np.arange(n)
-        self._planes = np.empty((2, 2, cells, n))  # (near/far, axis, cells ahead, ray)
-        self._slabs = np.empty((2, 2, cells, n))
+        # (planes/slabs, near/far, cells ahead, axis, ray): the walls of the
+        # obstacles ahead on each axis, and their slab times
+        self._walls = np.empty((2, 2, cells, 2, n))
+        # the flat index in _walls of each axis's near plane, then of its
+        # slab time, 1 cell before the start cell, so that adding 2 n per
+        # cell ahead names a wall
+        behind = (np.arange(2)[:, None] - 2) * n + np.arange(n)
+        self._behind = np.stack([behind, behind + self._walls[0].size])
         self._block = np.empty((4, block, n))      # tx1, ty1, tx2, ty2 of each candidate
         self._t_near, self._t_far = np.empty((block, n)), np.empty((block, n))
         self._invalid, self._invalid_far = (np.empty((block, n), dtype=bool) for _ in range(2))
-        self._reached = np.empty((2, cells, n), dtype=bool)
-        self._rows = np.empty((2, n), dtype=np.intp)
+        self._reached = np.empty((cells, 2, n), dtype=bool)
+        # take indices stay intp: take copies any other index type afresh
+        self._counts = np.empty((2, n), dtype=np.intp)
+        self._rows = np.empty((2, 2, n), dtype=np.intp)
         self._s = np.empty(n)
-        self._entry, self._near, self._next_p, self._flip = (np.empty((2, n)) for _ in range(4))
+        self._taken, self._bounds = np.empty((2, 2, n)), np.empty((2, 2, n))
+        self._next_p, self._flip = np.empty((2, n)), np.empty((2, n))
         self._normal, self._inside, self._inside_hi = (
             np.empty((2, n), dtype=bool) for _ in range(3))
         self._clean, self._one_wall = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
@@ -523,13 +555,15 @@ class Lockstep:
         return self._wall
 
     def drop(self, rows):
-        """Remove the rays at the indices `rows`, as step() lists its misses."""
+        """Remove the rays at the indices `rows`, as step() lists its misses.
+        No coordinate grows, so the reach rule's budget of unscanned steps
+        (_step) holds."""
         keep = np.ones(len(self.t), dtype=bool)
         keep[rows] = False
         self._wall = self.wall[keep]
         self.p, self.centers = self.p[:, keep], self.centers[:, keep]
         self._state = self._state[..., keep]
-        self.v, self.inv_v, self.sign = self._state
+        self.v, self.inv_v, self.sign, self.side = self._state
         self.t, self.finite = self.t[keep], self.finite[keep]
         self._allocate()
 
@@ -542,6 +576,32 @@ class Lockstep:
         flips signs, so the two agree on any velocity. A ray that meets
         nothing within the horizon keeps its state and gets the code NO_HIT,
         and the returned list holds the indices of those rays, in order.
+
+        The step runs under the numpy settings of _step_settings, entered
+        and left in this call, so numpy's error handling and buffer size are
+        the caller's again when it returns. A loop of many steps enters
+        them once with steps().
+        """
+        with _step_settings():
+            return self._step()
+
+    def steps(self, count: int):
+        """Yield step()'s list of misses for each of `count` steps.
+
+        The numpy settings of _step_settings are entered once, before the
+        first step, and left when the iteration ends or the generator is
+        closed, as it is when a loop over it breaks or raises: between two
+        steps the caller's own code runs under them too, with numpy's
+        floating-point errors ignored. Each step is bitwise a step(). Nested
+        settings must be left last in, first out, so a caller finishes or
+        closes one such generator before it starts another.
+        """
+        with _step_settings():
+            for _ in range(count):
+                yield self._step()
+
+    def _step(self) -> list[int]:
+        """step(), under settings the caller has entered.
 
         Instead of walking bands in order, each ray tests one fixed block of
         candidate obstacles at once: the cells a steps along x and b steps
@@ -565,7 +625,7 @@ class Lockstep:
         hit is one cell (a*, b*). a* is the count of near slab times tx1 <=
         s, minus 1: tx1 is non-decreasing in a, and tx1[a* + 1] >= tx2[a*] >
         s, as the hit's x-slab ends after it. So is b* on y, and no argmin
-        is taken.
+        is taken. One take reads the hit's near planes and entry slab times.
 
         The block keeps only a hit through one wall (tx1 != ty1) that passes
         _strikes' own interior pre-check along that wall, c - _INTERIOR < h
@@ -576,89 +636,99 @@ class Lockstep:
         hit near or past a wall's ends. So the corner rule is the walk's
         alone, and only the walk finds no strike.
 
+        The reach rule is a budget: a scan that finds every |p| <= M <
+        _REACH spares the steps after it their scans while no coordinate can
+        reach _REACH. No flight is longer than HORIZON, so a step moves a
+        coordinate by at most HORIZON max |v|, and by CORNER_TOL more where
+        the walk snaps a hit onto a corner. The budget allows HORIZON (1 +
+        max |v|) a step, 2 HORIZON at unit speed, which leaves HORIZON for
+        the snap and rounding: floor((_REACH - M) / (HORIZON (1 + max |v|)))
+        steps, none where a speed is not finite. drop() keeps it. Where some
+        coordinate breaks the rule, the rays are checked one by one.
+
         The struck cell's centers c are the next step's start cell: the hit
         lies on its wall, strictly inside the wall's ends, so 2 floor(h / 2)
-        + 1 is c on both axes. The bounce multiplies the (3, 2, R) state of
-        v, inv_v and sign by one flip factor, 1 or -1 per component, which
-        flip.fill and np.putmask build: the three calls took 3-5 us at 300
-        rays and 12 us at 3000, where a masked np.negative(where=) of the
-        state took 9-12 and 116-121 us (2-core x86 host, numpy 2.4).
+        + 1 is c on both axes. The bounce multiplies the (4, 2, R) state of
+        v, inv_v, sign and side by one flip factor, 1 or -1 per component,
+        where a masked np.negative(where=) of the state took 9-12 us at 300
+        rays and 116-121 us at 3000 (2-core x86 host, numpy 2.4).
         """
-        p, v, inv_v, sign, t, centers = self.p, self.v, self.inv_v, self.sign, self.t, self.centers
+        p, v, side, t, centers = self.p, self.v, self.side, self.t, self.centers
         n = len(t)
-        planes, slabs, s, rows, point, flip = (
-            self._planes, self._slabs, self._s, self._rows, self._next_p, self._flip)
+        walls, s, rows, point, flip, bounds = (
+            self._walls, self._s, self._rows, self._next_p, self._flip, self._bounds)
+        planes, slabs = walls
         t_near, invalid, normal, inside = self._t_near, self._invalid, self._normal, self._inside
-        clean, one_wall, vertical = self._clean, self._one_wall, normal[0]
-        # inf and nan arise only on rays the scalar walk finishes, or exactly
-        # as Python float arithmetic gives them without warning
-        with np.errstate(all="ignore"):
-            # With its default 8192-element buffer, numpy copies the
-            # broadcast operands of the plane and slab arithmetic on fewer
-            # rays through fresh buffers at every call; a 256-element one
-            # spares them. numpy >= 2 restores the size as errstate exits.
-            np.setbufsize(256)
-            # (near/far, axis, cells ahead, ray): the walls of the obstacles
-            # ahead on each axis. Every term is a small integer or
-            # half-integer, so each plane is exactly _strikes' c - 0.5 or
-            # c + 0.5 of a band center c = 2 floor(p / 2) + 1.
-            np.multiply(_PLANE_OFFSETS, sign[:, None], out=planes)
-            planes += centers[:, None]
-            np.subtract(planes, p[:, None], out=slabs)
-            slabs *= inv_v[:, None]
-            # every index taken is in range, so mode="clip" clips none; it
-            # spares take a buffered copy of out
-            tx1, ty1, tx2, ty2 = slabs.reshape(4 * LOCKSTEP_CELLS, n).take(
-                _BLOCK_ROWS, axis=0, out=self._block, mode="clip")
-            # np.maximum and np.minimum differ from _strikes' comparisons
-            # only on nan and signed zeros, which no valid candidate has
-            np.maximum(tx1, ty1, out=t_near)
-            np.minimum(tx2, ty2, out=self._t_far)
-            # a candidate is valid unless t_near < MIN_FLIGHT or t_near >=
-            # t_far; s, the least valid t_near, is inf where none is. Slab
-            # times are nan only where 1/vx * 1/vy is not finite, on rays
-            # the walk takes.
-            np.less(t_near, MIN_FLIGHT, out=invalid)
-            invalid |= np.greater_equal(t_near, self._t_far, out=self._invalid_far)
-            np.putmask(t_near, invalid, np.inf)
-            np.minimum.reduce(t_near, axis=0, out=s)
-            # the hit's near walls, as flat indices: the count of near slab
-            # times <= s, n apart, from the wall one cell behind the start's.
-            # Where s is no hit they name some wall of the ray, or clip; the
-            # walk takes those rays.
-            np.add.reduce(np.less_equal(slabs[0], s, out=self._reached), axis=1, out=rows)
-            rows *= n
-            rows += self._behind
-            entry = slabs.take(rows, out=self._entry, mode="clip")
-            near = planes.take(rows, out=self._near, mode="clip")
-            np.greater(entry[0], entry[1], out=vertical)
-            # the struck wall's normal axis: x for a vertical wall
-            np.logical_not(vertical, out=normal[1])
-            np.less_equal(s, HORIZON, out=clean)
-            clean &= np.not_equal(entry[0], entry[1], out=one_wall)
-            clean &= self.finite
-            # the reach rule, ray by ray only where some coordinate breaks it
-            if not np.abs(p, out=entry).max(initial=0.0) < _REACH:
-                reach = np.less(entry, _REACH, out=inside)
-                clean &= reach[0]
-                clean &= reach[1]
-            # _strikes' hit p + s * v, snapped onto the struck wall's plane
-            np.multiply(v, s, out=point)
-            point += p
-            np.putmask(point, normal, near)
-            # _strikes' interior pre-check c - _INTERIOR < h < c + _INTERIOR
-            # on both axes, with the struck band's center c = near + 0.5 sign
-            # exact, written over the start cell's. On the normal axis h is
-            # the wall plane c -+ 0.5, which fails it, so it holds on either
-            # axis just where it holds along the wall.
-            band = np.multiply(sign, 0.5, out=centers)
-            band += near
-            np.less(np.subtract(band, _INTERIOR, out=entry), point, out=inside)
-            inside &= np.less(point, np.add(band, _INTERIOR, out=entry), out=self._inside_hi)
-            clean &= np.logical_or(inside[0], inside[1], out=inside[0])
-            # the snap flips the normal component
-            flip.fill(1.0)
-            np.putmask(flip, normal, -1.0)
+        clean, one_wall = self._clean, self._one_wall
+        # (near/far, cells ahead, axis, ray): the walls of the obstacles
+        # ahead on each axis. Every term is a small integer or half-integer,
+        # so each plane is exactly _strikes' c - 0.5 or c + 0.5 of a band
+        # center c = 2 floor(p / 2) + 1.
+        np.multiply(_PLANE_OFFSETS, self.sign, out=planes)
+        planes += centers
+        np.subtract(planes, p, out=slabs)
+        slabs *= self.inv_v
+        # every index taken is in range, so mode="clip" clips none; it
+        # spares take a buffered copy of out
+        tx1, ty1, tx2, ty2 = slabs.reshape(4 * LOCKSTEP_CELLS, n).take(
+            _BLOCK_ROWS, axis=0, out=self._block, mode="clip")
+        # np.maximum and np.minimum differ from _strikes' comparisons
+        # only on nan and signed zeros, which no valid candidate has
+        np.maximum(tx1, ty1, out=t_near)
+        np.minimum(tx2, ty2, out=self._t_far)
+        # a candidate is valid unless t_near < MIN_FLIGHT or t_near >=
+        # t_far; s, the least valid t_near, is inf where none is. Slab
+        # times are nan only where 1/vx * 1/vy is not finite, on rays
+        # the walk takes.
+        np.less(t_near, MIN_FLIGHT, out=invalid)
+        invalid |= np.greater_equal(t_near, self._t_far, out=self._invalid_far)
+        np.putmask(t_near, invalid, np.inf)
+        np.minimum.reduce(t_near, axis=0, out=s)
+        # the hit's near planes and entry slab times, by flat index: the
+        # count of near slab times <= s, 2 n apart, from the wall one cell
+        # behind the start's. Where s is no hit they name some wall of the
+        # ray, or clip; the walk takes those rays.
+        counts = np.add.reduce(np.less_equal(slabs[0], s, out=self._reached), axis=0,
+                               out=self._counts)
+        counts *= 2 * n
+        near, entry = walls.take(np.add(counts, self._behind, out=rows), out=self._taken,
+                                 mode="clip")
+        # ty1 - tx1 and tx1 - ty1: the struck wall's normal axis is where
+        # it is negative, x for a vertical wall (tx1 > ty1), and the bounce
+        # flips that component, so the flip factor is its sign. Where the
+        # two tie, the walk takes the ray.
+        np.subtract(entry[::-1], entry, out=flip)
+        np.less(flip, 0.0, out=normal)
+        np.less_equal(s, HORIZON, out=clean)
+        clean &= np.not_equal(flip[0], 0.0, out=one_wall)
+        clean &= self.finite
+        np.copysign(1.0, flip, out=flip)
+        # the reach rule, ray by ray only where some coordinate breaks it
+        if self._unscanned:
+            self._unscanned -= 1
+        else:
+            reach = float(np.abs(p, out=bounds[0]).max(initial=0.0))
+            if reach < _REACH:
+                stride = HORIZON * (1.0 + float(np.abs(v, out=bounds[1]).max(initial=0.0)))
+                self._unscanned = math.floor((_REACH - reach) / stride) if stride < math.inf else 0
+            else:
+                within = np.less(bounds[0], _REACH, out=inside)
+                clean &= within[0]
+                clean &= within[1]
+        # _strikes' hit p + s * v, snapped onto the struck wall's plane
+        np.multiply(v, s, out=point)
+        point += p
+        np.putmask(point, normal, near)
+        # _strikes' interior pre-check c - _INTERIOR < h < c + _INTERIOR on
+        # both axes, with the struck band's center c = near + side exact,
+        # written over the start cell's. On the normal axis h is the wall
+        # plane c -+ 0.5, which fails it, so it holds on either axis just
+        # where it holds along the wall.
+        band = np.add(near, side, out=centers)
+        lo, hi = np.add(band, self._interior, out=bounds)
+        np.less(lo, point, out=inside)
+        inside &= np.less(point, hi, out=self._inside_hi)
+        clean &= np.logical_or(inside[0], inside[1], out=inside[0])
         walked, codes, misses = [], [], []
         if not clean.all():
             walked = np.flatnonzero(np.logical_not(clean, out=clean))

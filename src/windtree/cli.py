@@ -9,6 +9,7 @@ error JSON on stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -108,15 +109,30 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONFIG, f"cannot write output: {exc}")
 
 
+def _write_set(writes) -> None:
+    """Write a command's artifacts as one set: each (write, doc, path) in
+    order, every document built before the first write. Each file is
+    atomic (io.atomic_write); if a write fails, the files this call already
+    wrote are removed before its OSError propagates, so no new file is left
+    beside an older run's."""
+    written = []
+    try:
+        for write, doc, path in writes:
+            write(doc, path)
+            written.append(path)
+    except OSError:
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise
+
+
 def cmd_simulate(config: PipelineConfig, out: Path) -> int:
     sim = config.simulate
     try:
         log = billiard.simulate(billiard.state_from_slope(sim.slope), sim.n_collisions)
     except (ValueError, billiard.DegenerateVelocity) as exc:
         return _fail(EXIT_SIMULATION, f"simulation failed: {exc}")
-
-    io.write_artifact(io.trajectory_columns(log), out / "trajectory.csv")
-    svg.write_trajectory_svg(log, out / "trajectory.svg")
 
     summary: dict = {
         "slope": sim.slope,
@@ -130,7 +146,9 @@ def cmd_simulate(config: PipelineConfig, out: Path) -> int:
         summary["motion"] = {"label": motion.label.value, "evidence": motion.evidence}
     except InsufficientData as exc:
         summary["motion"] = {"label": None, "reason": str(exc)}
-    io.write_artifact(summary, out / "summary.json")
+    _write_set([(io.write_artifact, io.trajectory_columns(log), out / "trajectory.csv"),
+                (svg.write_trajectory_svg, log, out / "trajectory.svg"),
+                (io.write_artifact, summary, out / "summary.json")])
     print(f"wrote trajectory ({len(log)} events) to {out}")
     return EXIT_OK
 
@@ -143,8 +161,8 @@ def cmd_sweep(config: PipelineConfig, out: Path) -> int:
         return _fail(EXIT_SIMULATION, f"sweep failed: {exc}")
     elapsed = time.perf_counter() - started
 
-    io.write_artifact(result.columns, out / "sweep.csv")
-    io.write_artifact(io.sweep_meta_doc(result, elapsed), out / "sweep_meta.json")
+    _write_set([(io.write_artifact, result.columns, out / "sweep.csv"),
+                (io.write_artifact, io.sweep_meta_doc(result, elapsed), out / "sweep_meta.json")])
     n_fail = len(result.failures)
     print(f"wrote {len(result.columns['t'])} observations "
           f"({n_fail} failures) to {out} in {elapsed:.1f}s")
@@ -179,9 +197,9 @@ def cmd_fit(config: PipelineConfig, out: Path, observations: str | None) -> int:
     except (hmm.NumericalUnderflow, ValueError) as exc:
         return _fail(EXIT_FIT, f"fit failed: {exc}")
 
-    io.write_artifact(io.model_json_doc(report), out / "model.json")
-    io.write_artifact({"t": ts, "x": xs, "u": u}, out / "residuals.csv")
-    io.write_artifact({"counts": counts.tolist()}, out / "histogram.json")
+    _write_set([(io.write_artifact, io.model_json_doc(report), out / "model.json"),
+                (io.write_artifact, {"t": ts, "x": xs, "u": u}, out / "residuals.csv"),
+                (io.write_artifact, {"counts": counts.tolist()}, out / "histogram.json")])
     print(f"fitted {config.hmm.m}-state model on {len(xs)} observations; "
           f"final loglik {report.loglik_trace[-1]:.4f}; "
           f"means {np.round(report.params.mu, 4).tolist()}")
@@ -330,6 +348,9 @@ def cmd_diagnose(config: PipelineConfig, out: Path) -> int:
         try:
             raw = path.read_text()
             docs[name] = doc = io.parse_artifact(name, raw)
+        except OSError as exc:  # a directory, say: it cannot round-trip either
+            checks.append((f"{name} round-trip", False, f"cannot read: {exc}"))
+            continue
         except ValueError as exc:  # a file that does not parse cannot round-trip
             checks.append((f"{name} round-trip", False, f"not {path.suffix[1:].upper()}: {exc}"))
             continue

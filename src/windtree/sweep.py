@@ -41,12 +41,12 @@ MIN_OVERLAP = 25
 # this many numbers, or n // 2 where one lag alone needs more.
 LAG_BLOCK_ELEMENTS = 2**15
 # build_sweep steps at most SWEEP_CHUNK rays in lockstep. A Lockstep batch
-# owns 965 bytes per ray (876 of step scratch, 89 of ray state), so a
-# chunk of 2000 holds about 1.9 MB, and its steps allocate nothing that
+# owns 1061 bytes per ray (956 of step scratch, 105 of ray state), so a
+# chunk of 2000 holds about 2.1 MB, and its steps allocate nothing that
 # grows with it. Median seconds of `windtree sweep` (cli.main, in a fresh
 # process) over the reference interval, 7 runs each in shuffled order,
 # 2-core Xeon with 2 MiB of L2 per core, by chunk size, and minor page
-# faults per step of one batch:
+# faults per step of one batch of 965 bytes per ray:
 #   slopes    500   1000   2000   3000   5000  one batch
 #   3000     0.77   0.66   0.63   0.65      -   0.65 (0.6 faults)
 #   10000    2.18   1.73   1.68   1.64   1.80   1.80 (2.1 faults)
@@ -129,6 +129,7 @@ def _sweep_span(spec: SweepSpec, first: int, last: int) -> SweepResult:
     Each ray gives bitwise the minimum of simulate's collision distances
     over the window; only O(rays) state is kept between collisions. A
     sample whose ray meets nothing within the horizon becomes a gap record.
+    The batch's numpy settings (Lockstep.steps) hold over the whole loop.
     """
     slopes = [spec.slope_at(t) for t in range(first, last + 1)]
     velocities = [state_from_slope(slope).velocity for slope in slopes]
@@ -139,8 +140,7 @@ def _sweep_span(spec: SweepSpec, first: int, last: int) -> SweepResult:
     dmin = np.full(n, math.inf)
     dist = np.empty(n)
     gaps = []  # (grid sample, reason)
-    for k in range(1, spec.k_max + 1):
-        misses = rays.step()
+    for k, misses in enumerate(rays.steps(spec.k_max), 1):
         if misses:
             reason = truncation_reason(k - 1)
             gaps += [(row, reason) for row in rows[misses].tolist()]

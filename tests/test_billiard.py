@@ -1027,6 +1027,17 @@ class TestStepRays:
             assert np.all(rays.wall != NO_HIT)
             assert np.abs(rays.v).tobytes() == speeds, k
 
+    # step() enters its numpy settings and leaves them: numpy's error
+    # handling and buffer size are the caller's again afterwards
+    def test_step_leaves_the_numpy_settings(self):
+        rays = batch([state_from_slope(1e-7), *map(state_from_slope, CORNER_SLOPES)])
+        with np.errstate(divide="raise", over="warn", under="ignore", invalid="call"):
+            np.setbufsize(4096)
+            before = np.geterr(), np.getbufsize()
+            for _ in range(3):
+                rays.drop(rays.step())
+                assert (np.geterr(), np.getbufsize()) == before
+
     def test_empty_batch(self):
         rays = Lockstep(*(np.zeros(0) for _ in range(5)))
         assert rays.step() == []
@@ -1122,9 +1133,32 @@ class TestStepRays:
         started = np.array([billiard._start_velocity(state) for state in ready])
         assert not np.array_equal(started, np.array([state.velocity for state in ready]))
 
+    # Near-axis rays that start 1 to 3 HORIZON inside +-_REACH, along the
+    # corridors y = 0 and x = 0 either way, cross it after a few strikes of
+    # up to HORIZON each and tie simulate, which meets nothing from beyond
+    # it. Each batch starts at one distance, so the reach rule's budget
+    # grants no unscanned step (1 to 1.5 HORIZON inside) or one (2 to 3),
+    # and a step that skipped the scan after a crossing would strike on the
+    # block where simulate stops.
+    @pytest.mark.parametrize("inside", [1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_rays_crossing_the_reach_tie_simulate(self, inside):
+        rng = np.random.default_rng(40)
+        reach, horizon = billiard._REACH, billiard.HORIZON
+        states = []
+        for _ in range(40):
+            rise, across = rng.uniform(1e-6, 4e-6), float(rng.uniform(-0.45, 0.45))
+            mx, my = rng.choice([1.0, -1.0], 2).tolist()
+            state = ParticleState(Vec2(mx * (reach - inside * horizon), my * across),
+                                  unit(mx, my * rise))
+            states.append(state if rng.integers(2) else ParticleState(
+                Vec2(*state.position[::-1]), Vec2(*state.velocity[::-1])))
+        logs = [simulate(state, 12) for state in states]
+        assert any(log.truncated and len(log) >= 2 for log in logs)
+        assert_kernels_tie(states, 12)
+
     # a batch built afresh from the stepped rays carries bitwise the same
-    # inverse velocities, travel signs, finiteness and start cells, and
-    # steps to the same strikes
+    # inverse velocities, travel signs, far-wall sides (0.5 * sign),
+    # finiteness and start cells, and steps to the same strikes
     @pytest.mark.parametrize("states, steps, rare", [
         ([state_from_slope(SweepSpec().slope_at(t)) for t in range(1, 301)], 50, False),
         ([*map(state_from_slope, CORNER_SLOPES),
@@ -1147,7 +1181,8 @@ class TestStepRays:
                     assert a.tobytes() == b.tobytes()
             fresh = Lockstep(*ray_columns(rays))
             for a, b in ((fresh.inv_v, rays.inv_v), (fresh.sign, rays.sign),
-                         (fresh.finite, rays.finite), (fresh.centers, rays.centers)):
+                         (fresh.side, rays.side), (fresh.finite, rays.finite),
+                         (fresh.centers, rays.centers)):
                 assert a.tobytes() == b.tobytes()
             corners += int(np.count_nonzero(rays.wall == WALLS.index("Corner")))
             misses += len(missed)

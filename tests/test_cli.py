@@ -741,6 +741,56 @@ class TestUnwritableOutput:
         self.assert_one_error_naming(capsys, tmp_path / "summary.json")
         assert not (tmp_path / "summary.json.tmp").exists()
         assert (tmp_path / "summary.json").is_dir()
+        # the trajectory written before the failed summary is removed again
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["summary.json"]
+
+    # an artifact diagnose cannot read, the directory the run above leaves
+    # at summary.json, fails its round-trip instead of raising
+    def test_diagnose_fails_an_artifact_it_cannot_read(self, tmp_path, capsys):
+        (tmp_path / "summary.json").mkdir()
+        assert main(["simulate", "--out", str(tmp_path), "--collisions", "1"]) == 2
+        capsys.readouterr()
+        assert main(["diagnose", "--out", str(tmp_path)]) == 4
+        printed, err = capsys.readouterr()
+        *checks, error = printed.splitlines()
+        assert checks == ["FAIL trajectory.csv round-trip (missing beside summary.json)",
+                          f"FAIL summary.json round-trip (cannot read: [Errno 21] "
+                          f"Is a directory: '{tmp_path / 'summary.json'}')"]
+        assert json.loads(error)["exit_code"] == 4 and err == ""
+
+    # A failed last write (a directory where summary.json's temporary file
+    # goes) leaves the earlier run's summary.json alone, without the new
+    # run's trajectory beside it: diagnose finds the trajectory missing and
+    # replays no strike of one run against the slope of another.
+    def test_failed_simulate_leaves_no_mixed_set(self, tmp_path, capsys):
+        out = ["--out", str(tmp_path), "--collisions", "60"]
+        assert main(["simulate", "--slope", "1.5", *out]) == 0
+        summary = (tmp_path / "summary.json").read_text()
+        (tmp_path / "summary.json.tmp").mkdir()
+        assert main(["simulate", "--slope", "1.7", *out]) == 2
+        assert (tmp_path / "summary.json").read_text() == summary
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "summary.json", "summary.json.tmp"]
+        capsys.readouterr()
+        assert main(["diagnose", "--out", str(tmp_path)]) == 4
+        printed = capsys.readouterr().out
+        assert "FAIL trajectory.csv round-trip (missing beside summary.json)" in printed
+        assert "replays" not in printed
+
+    # sweep and fit write their artifacts as a set too: a failed last write
+    # removes the ones the run wrote before it, and nothing else
+    @pytest.mark.parametrize("command, last, left", [
+        ("sweep", "sweep_meta.json", ["config.json", "sweep_meta.json.tmp"]),
+        ("fit", "histogram.json",
+         ["config.json", "histogram.json.tmp", "sweep.csv", "sweep_meta.json"]),
+    ])
+    def test_failed_last_write_removes_the_set(self, tmp_path, command, last, left):
+        out = ["--config", write_config(tmp_path, SMALL_CONFIG), "--out", str(tmp_path)]
+        if command == "fit":
+            assert main(["sweep", *out]) == 0
+        (tmp_path / f"{last}.tmp").mkdir()
+        assert main([command, *out]) == 2
+        assert sorted(path.name for path in tmp_path.iterdir()) == left
 
 
 class TestConfigHandling:

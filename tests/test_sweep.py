@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from windtree import io, sweep
 from windtree.billiard import (
+    Lockstep,
     ParticleState,
     TrajectoryLog,
     Vec2,
@@ -191,6 +192,26 @@ class TestBuildSweep:
         assert [f.t for f in result.failures] == [1]
         assert {name: len(column) for name, column in result.columns.items()} == {
             "t": 0, "slope": 0, "D": 0, "logD": 0}
+
+    # the batch's numpy settings hold over the sweep loop only: numpy's error
+    # handling and buffer size are the caller's again afterwards, also where
+    # the loop raises (here at the drop of the slope-0 gap, t = 3)
+    @pytest.mark.parametrize("raises", [False, True])
+    def test_sweep_leaves_the_numpy_settings(self, monkeypatch, raises):
+        spec = SweepSpec(slope_start=-0.02, slope_step=0.01, count=5, k_min=5, k_max=20)
+        if raises:
+            def drop(rays, rows):
+                raise RuntimeError("drop")
+            monkeypatch.setattr(Lockstep, "drop", drop)
+        with np.errstate(divide="raise", over="warn", under="ignore", invalid="call"):
+            np.setbufsize(4096)
+            before = np.geterr(), np.getbufsize()
+            if raises:
+                with pytest.raises(RuntimeError, match="drop"):
+                    build_sweep(spec)
+            else:
+                assert [f.t for f in build_sweep(spec).failures] == [3]
+            assert (np.geterr(), np.getbufsize()) == before
 
 
 def _three_means(xs, rounds=60):
